@@ -9,9 +9,11 @@ internal parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +80,20 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = f"{out}.tmp"
-    Path(tmp).write_text(text)
-    os.replace(tmp, out)
+    target = Path(out)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp creates 0600; give the artifact the mode a plain open() would
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _pauli_pair(tag: str) -> tuple[PauliKind, PauliKind]:
@@ -109,7 +122,11 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_spec(args):
     if args.input:
-        return spec_from_json(Path(args.input).read_text())
+        try:
+            text = Path(args.input).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read --input {args.input}: {exc}") from None
+        return spec_from_json(text)
     return build_power_law(args.n, args.d, args.alpha, _pauli_pair(args.pauli), args.signs, args.seed)
 
 
@@ -221,11 +238,15 @@ def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
     if spec.n > VERIFY_CAP:
         raise CapacityError(f"verification is capped at {VERIFY_CAP} qubits, got {spec.n}")
-    alpha = commutator_norm_sum(_stage_matrices(spec), args.p)
-    reports = []
+    steps = []
     for t in _float_list(args.t_values):
         args.t = t
-        step = _compiled_step(args.method, spec, args, False)
+        steps.append(_compiled_step(args.method, spec, args, False))
+    # compile first: an invalid method/spec combination exits before the costly sum
+    alpha = commutator_norm_sum(_stage_matrices(spec), args.p)
+    reports = []
+    for step in steps:
+        t = step.t
         empirical = spectral_distance(lowered_step_unitary(step), exact_evolution(spec, t))
         reports.append(
             TrotterErrorReport(

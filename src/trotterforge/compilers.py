@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +40,7 @@ from .circuit import (
 )
 from .decomp import bisection_decompose, cells_for_pair, lowrank_decompose
 from .errors import CapacityError, DomainError, ValidationError
-from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind
+from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind
 from .lowrank import truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
@@ -60,14 +59,19 @@ class ProductFormula:
             raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {self.p}")
         if self.stage_count < 1:
             raise ValidationError("need at least one stage")
-        totals = [0.0] * self.stage_count
-        for idx, frac in self.schedule:
-            if not (1 <= idx <= self.stage_count):
-                raise ValidationError(f"stage index {idx} out of range")
-            totals[idx - 1] += frac
-        for idx, total in enumerate(totals, start=1):
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"stage {idx} fractions sum to {total}, not 1")
+        entries = np.fromiter(
+            self.schedule, dtype=[("idx", np.int64), ("frac", float)], count=len(self.schedule)
+        )
+        idx = entries["idx"]
+        bad = idx[(idx < 1) | (idx > self.stage_count)]
+        if bad.size:
+            raise ValidationError(f"stage index {bad[0]} out of range")
+        # bincount adds the weights in schedule order, as a running sum per stage would
+        totals = np.bincount(idx - 1, weights=entries["frac"], minlength=self.stage_count)
+        off = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
+        if off.size:
+            total = float(totals[off[0]])
+            raise ValidationError(f"stage {off[0] + 1} fractions sum to {total}, not 1")
 
 
 def _strang(stage_count: int, scale: float) -> list[tuple[int, float]]:
@@ -184,21 +188,32 @@ def compile_sequential_step(
     count_only: bool = False,
 ) -> CompiledStep:
     """One Pauli exponential per nonzero term; each term is its own stage."""
-    terms = sequential_terms(spec)
+    # Stages run over the terms in sequential_terms order: each group's
+    # nonzero pairs, then each on-site kind's nonzero sites.
+    runs = [
+        (int(np.count_nonzero(spec.two_local[pair].data)), sequential_term_cost(pair))
+        for pair in spec.groups()
+    ] + [
+        (int(np.count_nonzero(spec.on_site[s])), sequential_term_cost([s]))
+        for s in sorted(spec.on_site, key=lambda s: s.value)
+    ]
+    term_count = sum(size for size, _ in runs)
     phase = t * spec.identity
-    if not terms:
+    if term_count == 0:
         fr = formula if isinstance(formula, ProductFormula) else make_product_formula(formula, 1)
         return CompiledStep("sequential", t, 0, None if count_only else Circuit(spec.n, ()), phase, fr)
-    fr = _resolve_formula(formula, len(terms))
+    fr = _resolve_formula(formula, term_count)
     if count_only:
-        occurrences = Counter(idx for idx, _ in fr.schedule)
-        count = sum(
-            occurrences[i] * sequential_term_cost([p for _, p in terms[i - 1][0]])
-            for i in range(1, len(terms) + 1)
-        )
+        stages = np.fromiter((i for i, _ in fr.schedule), dtype=np.int64, count=len(fr.schedule))
+        occurrences = np.bincount(stages - 1, minlength=term_count)
+        count, start = 0, 0
+        for size, cost in runs:
+            count += int(occurrences[start : start + size].sum()) * cost
+            start += size
         return CompiledStep("sequential", t, count, None, phase, fr)
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
+    terms = sequential_terms(spec)
     gates: list[Gate] = []
     for idx, frac in fr.schedule:
         string, coeff = terms[idx - 1]
@@ -221,13 +236,17 @@ def group_stages(spec: HamiltonianSpec) -> list[tuple[str, tuple[PauliKind, Paul
 
 
 def _stage_axis_map(mat: CoeffMatrix, s1: PauliKind, s2: PauliKind) -> dict[int, PauliKind]:
-    axis: dict[int, PauliKind] = {}
-    for j, k, _ in mat.nonzero_pairs():
-        for q, s in ((j, s1), (k, s2)):
-            if axis.setdefault(q, s) != s:
-                raise ValidationError(
-                    f"site {q} needs two different basis changes within one stage"
-                )
+    """Basis of every site the stage touches: s1 on the j side, s2 on the k side."""
+    as_j = np.flatnonzero(mat.data.any(axis=1)) + 1
+    as_k = np.flatnonzero(mat.data.any(axis=0)) + 1
+    if s1 != s2:
+        both = np.intersect1d(as_j, as_k)
+        if both.size:
+            raise ValidationError(
+                f"site {both[0]} needs two different basis changes within one stage"
+            )
+    axis = {int(q): s2 for q in as_k}
+    axis.update((int(q), s1) for q in as_j)
     return axis
 
 
@@ -342,22 +361,21 @@ def compile_lowrank_step(
                 return -theta * float(((zu @ left) * sing) @ (right.T @ zv))
 
             gates.append(CompositeDiagonalPhase(qubits, phase_fn, cost))
-        remainder = [p.cross_region() for p in dec.near_field]
-        for block in dec.within_blocks:
-            for j in block.sites():
-                if j < block.hi:
-                    remainder.append(IndexRegion.rect(j, j, j + 1, block.hi))
-        for region in remainder:
-            for j, k in region.pairs():
-                v = mat.value(j, k)
-                if v == 0.0:
-                    continue
-                count += 3
-                if not count_only:
-                    sub = pauli_string_exponential(
-                        [(j, PauliKind.Z), (k, PauliKind.Z)], theta * v, spec.n
-                    )
-                    gates.extend(sub.gates)
+        # near-field rectangles, then the within blocks (data is zero below the diagonal)
+        remainder = [(p.left, p.right) for p in dec.near_field]
+        remainder += [(block, block) for block in dec.within_blocks]
+        for left, right in remainder:
+            sub = mat.data[left.lo - 1 : left.hi, right.lo - 1 : right.hi]
+            count += 3 * int(np.count_nonzero(sub))
+            if count_only:
+                continue
+            for r, c in zip(*np.nonzero(sub)):
+                sub_gates = pauli_string_exponential(
+                    [(left.lo + int(r), PauliKind.Z), (right.lo + int(c), PauliKind.Z)],
+                    theta * float(sub[r, c]),
+                    spec.n,
+                )
+                gates.extend(sub_gates.gates)
         if not count_only:
             gates.extend(post)
     if count_only:

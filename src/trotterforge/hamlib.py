@@ -104,10 +104,8 @@ class CoeffMatrix:
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Dense sub-block of symmetric-completion values, 1-based index lists."""
-        full = self.data + self.data.T
-        r = np.asarray(rows, dtype=int) - 1
-        c = np.asarray(cols, dtype=int) - 1
-        return full[np.ix_(r, c)]
+        idx = np.ix_(np.asarray(rows, dtype=int) - 1, np.asarray(cols, dtype=int) - 1)
+        return self.data[idx] + self.data.T[idx]
 
 
 @dataclass(frozen=True)
@@ -233,18 +231,25 @@ def build_power_law(
     if sign_rule not in SIGN_RULES:
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
-    rng = np.random.default_rng(seed)
+    js, ks = np.triu_indices(n, 1)
+    coords = np.arange(n)
+    d2 = np.zeros(js.size, dtype=np.int64)
+    for _ in range(d):
+        axis = coords % probe.side
+        d2 += (axis[js] - axis[ks]) ** 2
+        coords //= probe.side
+    # Scalar libm pow per distinct distance: np.power can differ by one ulp.
+    dist2, inverse = np.unique(d2, return_inverse=True)
+    mags = np.array([1.0 / math.sqrt(int(x)) ** alpha for x in dist2])[inverse]
+    if sign_rule == "alternating":
+        signs = np.where((js + ks) % 2, -1.0, 1.0)
+    elif sign_rule == "seeded-random":
+        # one draw of m bits is the same stream as m single draws, in (j, k) order
+        signs = np.where(np.random.default_rng(seed).integers(2, size=js.size), 1.0, -1.0)
+    else:
+        signs = 1.0
     a = np.zeros((n, n))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            mag = 1.0 / probe.distance(j, k) ** alpha
-            if sign_rule == "alternating":
-                sign = -1.0 if (j + k) % 2 else 1.0
-            elif sign_rule == "seeded-random":
-                sign = 1.0 if rng.integers(2) else -1.0
-            else:
-                sign = 1.0
-            a[j - 1, k - 1] = sign * mag
+    a[js, ks] = signs * mags
     mat = CoeffMatrix(n, a)
     return HamiltonianSpec(n, d, {pauli_pair: mat}, {}, alpha=alpha)
 
@@ -298,6 +303,17 @@ def norms(
 ) -> float:
     if kind not in NORM_KINDS:
         raise ValidationError(f"unknown norm kind {kind!r}")
+    if kind in ("restricted_max", "restricted_1"):
+        if region is None:
+            raise ValidationError(f"{kind} needs a region")
+        return _region_norm(matrix, region, kind == "restricted_max")
+    if kind == "box_1":
+        if boxes is None:
+            raise ValidationError("box_1 needs (weight, region) boxes")
+        total = 0.0
+        for weight, reg in boxes:
+            total += weight * _region_norm(matrix, reg, use_max=True)
+        return total
     a = np.abs(matrix.data)
     if kind == "vec1":
         return float(a.sum())
@@ -313,28 +329,25 @@ def norms(
             raise DomainError(f"eta must satisfy 1 <= eta <= {matrix.n}, got {eta}")
         rows = np.sort(sym, axis=1)[:, ::-1][:, :eta]
         return float(rows.sum(axis=1).max())
-    if kind in ("restricted_max", "restricted_1"):
-        if region is None:
-            raise ValidationError(f"{kind} needs a region")
-        return _region_norm(matrix, region, kind == "restricted_max")
-    if boxes is None:
-        raise ValidationError("box_1 needs (weight, region) boxes")
-    total = 0.0
-    for weight, reg in boxes:
-        total += weight * _region_norm(matrix, reg, use_max=True)
-    return total
 
 
 def _region_norm(matrix: CoeffMatrix, region: IndexRegion, use_max: bool) -> float:
-    best = 0.0
-    total = 0.0
-    for j, k in region.pairs():
-        if not (1 <= j <= matrix.n and 1 <= k <= matrix.n):
-            raise IndexRangeError(f"region pair ({j},{k}) outside the index range")
-        v = abs(matrix.sym_value(j, k))
-        best = max(best, v)
-        total += v
-    return best if use_max else total
+    """Max or sum of |symmetric completion| over the region's rectangles.
+
+    The sum accumulates in (rectangle, j, k) order, like a loop over the pairs.
+    """
+    parts = []
+    for jlo, jhi, klo, khi in region.rectangles:
+        if jlo < 1 or klo < 1 or jhi > matrix.n or khi > matrix.n:
+            raise IndexRangeError(
+                f"region rectangle ({jlo},{jhi},{klo},{khi}) outside the index range"
+            )
+        rows, cols = slice(jlo - 1, jhi), slice(klo - 1, khi)
+        parts.append(np.abs(matrix.data[rows, cols] + matrix.data.T[rows, cols]).ravel())
+    if not parts:
+        return 0.0
+    values = np.concatenate(parts)
+    return float(values.max() if use_max else np.cumsum(values)[-1])
 
 
 def pauli_decompose_term(m: np.ndarray) -> dict[tuple[PauliKind, PauliKind], float]:
@@ -391,6 +404,8 @@ def spec_to_json(spec: HamiltonianSpec) -> str:
 
 
 def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
+    if not isinstance(doc, Mapping):
+        raise ValidationError("spec document must be a JSON object")
     unknown = set(doc) - _SPEC_FIELDS
     if unknown:
         raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
@@ -399,9 +414,14 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
     n, d = int(doc["n"]), int(doc["d"])
     two_local: dict[tuple[PauliKind, PauliKind], CoeffMatrix] = {}
     for term in doc.get("terms", []):
+        if not isinstance(term, Mapping):
+            raise ValidationError("each term must be a JSON object")
         bad = set(term) - _TERM_FIELDS
         if bad:
             raise ValidationError(f"unknown term fields: {sorted(bad)}")
+        missing = {"sigma", "sigma2"} - set(term)
+        if missing:
+            raise ValidationError(f"term lacks fields: {sorted(missing)}")
         s1 = PauliKind.from_tag(term["sigma"])
         s2 = PauliKind.from_tag(term["sigma2"])
         entries = {(int(j), int(k)): float(v) for j, k, v in term.get("entries", [])}
@@ -424,4 +444,8 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
 
 
 def spec_from_json(text: str) -> HamiltonianSpec:
-    return spec_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"spec is not valid JSON: {exc}") from None
+    return spec_from_dict(doc)

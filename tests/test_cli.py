@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -27,12 +28,31 @@ def test_build_emits_every_pair(capsys):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def test_build_output_is_atomic_and_deterministic(tmp_path, capsys):
+def test_build_output_is_atomic_and_deterministic(tmp_path, capsys, monkeypatch):
     a = tmp_path / "spec_a.json"
     b = tmp_path / "spec_b.json"
     assert main(["build", "--n", "16", "--alpha", "3", "--out", str(a)]) == 0
     assert main(["build", "--n", "16", "--alpha", "3", "--out", str(b)]) == 0
     capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert a.stat().st_mode & 0o777 == 0o666 & ~umask
+    # another writer's temp file under the fixed name <out>.tmp is left alone
+    other = tmp_path / "spec_a.json.tmp"
+    other.write_text("another writer")
+    assert main(["build", "--n", "16", "--alpha", "3", "--out", str(a)]) == 0
+    assert other.read_text() == "another writer"
+    other.unlink()
+
+    # a failed rename removes its temp file and keeps the previous artifact
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        main(["build", "--n", "4", "--out", str(a)])
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -43,6 +63,26 @@ def test_build_input_passthrough(tmp_path, capsys):
     rc, out = run_cli(capsys, "build", "--input", str(path))
     assert rc == 0
     assert json.loads(out) == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        '{"n": 4, "d": 1, "terms": [',
+        json.dumps({"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]}),
+    ],
+    ids=["missing-file", "malformed-json", "term-without-sigma2"],
+)
+def test_bad_input_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["build", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 # -- decompose --------------------------------------------------------------------
@@ -139,6 +179,15 @@ def test_error_sweep_csv(capsys):
     assert all(int(row.split(",")[6]) >= 1 for row in lines[1:])
 
 
+def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("commutator sum computed for an invalid request")
+
+    monkeypatch.setattr("trotterforge.cli.commutator_norm_sum", must_not_run)
+    assert main(["error-sweep", "--method", "lowrank", "--n", "6", "--pauli", "xz"]) == 2
+    assert "power of 2" in capsys.readouterr().err
+
+
 # -- cost report --------------------------------------------------------------------------
 
 def test_cost_report_sequential(capsys):
@@ -218,10 +267,11 @@ def test_usage_errors_exit_64(capsys):
 def test_module_entrypoint_subprocess(tmp_path):
     cmd = [sys.executable, "-m", "trotterforge.cli", "cost-report",
            "--method", "sequential", "--n-sweep", "64,128,256,512"]
-    first = subprocess.run(cmd, capture_output=True, text=True,
-                           env={"PATH": "/usr/bin:/bin", "TROTTERFORGE_THREADS": "1"})
-    second = subprocess.run(cmd, capture_output=True, text=True,
-                            env={"PATH": "/usr/bin:/bin", "TROTTERFORGE_THREADS": "1"})
+    env = {"PATH": "/usr/bin:/bin", "TROTTERFORGE_THREADS": "1"}
+    if "PYTHONPATH" in os.environ:  # an uninstalled checkout imports from src/
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout  # byte-identical rerun
     bad = subprocess.run([sys.executable, "-m", "trotterforge.cli", "verify",

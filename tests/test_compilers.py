@@ -8,6 +8,8 @@ from trotterforge.circuit import (
     spectral_distance,
 )
 from trotterforge.compilers import (
+    ProductFormula,
+    _stage_axis_map,
     compile_avgcost_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
@@ -56,6 +58,33 @@ def mixed_group_spec(n, alpha=2.0):
     return HamiltonianSpec(n, 1, {XX: xx, ZZ: zz}, {})
 
 
+def onsite_two_group_spec(n):
+    """XY and ZZ groups with a few zero pairs, plus sparse Y and Z on-site fields."""
+    xy = build_power_law(n, 1, 2.0, XY, "alternating").two_local[XY].data.copy()
+    xy[0, 2] = 0.0
+    zz = build_power_law(n, 1, 1.5, ZZ).two_local[ZZ].data.copy()
+    zz[1, 3] = 0.0
+    onsite_y = np.zeros(n)
+    onsite_y[[0, n - 1]] = [0.3, -0.2]
+    onsite_z = np.linspace(0.0, 0.5, n)
+    return HamiltonianSpec(
+        n,
+        1,
+        {XY: CoeffMatrix(n, xy), ZZ: CoeffMatrix(n, zz)},
+        {PauliKind.Y: onsite_y, PauliKind.Z: onsite_z},
+    )
+
+
+def stage_axis_map_oracle(mat, s1, s2):
+    """Pair-by-pair axis assignment; the first conflicting site raises."""
+    axis = {}
+    for j, k, _ in mat.nonzero_pairs():
+        for q, s in ((j, s1), (k, s2)):
+            if axis.setdefault(q, s) != s:
+                raise ValidationError(f"site {q} needs two different basis changes within one stage")
+    return axis
+
+
 def step_error(step, spec):
     return spectral_distance(lowered_step_unitary(step), exact_evolution(spec, step.t))
 
@@ -91,6 +120,12 @@ def test_formula_validation():
         make_product_formula(3, 2)
     with pytest.raises(ValidationError):
         compile_sequential_step(zz_spec(3), 0.1, make_product_formula(2, 5))
+    with pytest.raises(ValidationError, match="stage index 3 out of range"):
+        ProductFormula(2, 2, ((1, 0.5), (3, 1.0), (1, 0.5), (0, 1.0)))
+    with pytest.raises(ValidationError, match="stage 2 fractions sum to 0.75, not 1"):
+        ProductFormula(2, 3, ((1, 1.0), (2, 0.5), (3, 1.0), (2, 0.25)))
+    with pytest.raises(ValidationError, match="stage 1 fractions sum to 0.0, not 1"):
+        ProductFormula(1, 1, ())
 
 
 # -- sequential ------------------------------------------------------------------------
@@ -127,7 +162,7 @@ def test_mixed_spec_order2_scaling():
 
 
 def test_sequential_count_only_matches_verification():
-    spec = mixed_group_spec(4)
+    spec = onsite_two_group_spec(5)
     for p in (1, 2, 4):
         full = compile_sequential_step(spec, 0.1, p)
         counted = compile_sequential_step(spec, 0.1, p, count_only=True)
@@ -189,6 +224,44 @@ def test_lowrank_count_only_matches_verification():
     full = compile_lowrank_step(spec, 0.2, 1e-4, 2, 2)
     counted = compile_lowrank_step(spec, 0.2, 1e-4, 2, 2, count_only=True)
     assert counted.gate_count == full.gate_count
+    # zeros in the within blocks (1,2), (3,4) and the near rectangle (5,7), plus on-site terms
+    zz = spec.two_local[ZZ].data.copy()
+    zz[0, 1] = zz[2, 3] = zz[4, 6] = 0.0
+    sparse = HamiltonianSpec(8, 1, {ZZ: CoeffMatrix(8, zz)}, {PauliKind.Z: np.full(8, 0.1)})
+    for p in (1, 2, 4):
+        full = compile_lowrank_step(sparse, 0.2, 1e-4, 2, p)
+        counted = compile_lowrank_step(sparse, 0.2, 1e-4, 2, p, count_only=True)
+        assert counted.gate_count == full.gate_count == full.circuit.cost()
+    assert step_error(full, sparse) < 1e-3
+
+
+def test_stage_axis_map_matches_pair_loop():
+    rng = np.random.default_rng(2)
+    for trial in range(40):
+        data = np.triu(rng.standard_normal((6, 6)), k=1)
+        data[rng.random((6, 6)) < 0.8] = 0.0
+        mat = CoeffMatrix(6, data)
+        for s1, s2 in (XY, ZZ, (PauliKind.Y, PauliKind.Z)):
+            try:
+                expected = stage_axis_map_oracle(mat, s1, s2)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=str(exc)):
+                    _stage_axis_map(mat, s1, s2)
+            else:
+                assert _stage_axis_map(mat, s1, s2) == expected
+
+
+def test_stage_axis_map_rejects_xz_conflict():
+    xz = (PauliKind.X, PauliKind.Z)
+    mat = CoeffMatrix.from_entries(4, {(1, 3): 0.5, (3, 4): 0.25, (2, 4): 1.0})
+    spec = HamiltonianSpec(4, 1, {xz: mat}, {})
+    with pytest.raises(ValidationError, match="site 3 needs two different basis changes"):
+        _stage_axis_map(mat, *xz)
+    for count_only in (False, True):
+        with pytest.raises(ValidationError, match="site 3"):
+            compile_lowrank_step(spec, 0.1, 1e-9, 1, 2, count_only=count_only)
+        with pytest.raises(ValidationError, match="site 3"):
+            compile_avgcost_step(spec, 0.1, 1, 2, count_only=count_only)
 
 
 def test_lowrank_x_group_wrapped():

@@ -53,6 +53,37 @@ def power_law_entries_oracle(n, d, alpha):
     return out
 
 
+def build_power_law_loop_oracle(n, d, alpha, sign_rule, seed):
+    """The per-pair build: scalar libm pow and one sign draw per pair, in (j, k) order."""
+    probe = HamiltonianSpec(n, d, {}, {})
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            mag = 1.0 / probe.distance(j, k) ** alpha
+            if sign_rule == "alternating":
+                sign = -1.0 if (j + k) % 2 else 1.0
+            elif sign_rule == "seeded-random":
+                sign = 1.0 if rng.integers(2) else -1.0
+            else:
+                sign = 1.0
+            a[j - 1, k - 1] = sign * mag
+    return a
+
+
+def region_norm_oracle(mat, region, use_max):
+    """Pair-by-pair max or running sum of |symmetric completion| over a region."""
+    best = 0.0
+    total = 0.0
+    for j, k in region.pairs():
+        if not (1 <= j <= mat.n and 1 <= k <= mat.n):
+            raise IndexRangeError(f"region pair ({j},{k}) outside the index range")
+        v = abs(mat.sym_value(j, k))
+        best = max(best, v)
+        total += v
+    return best if use_max else total
+
+
 def zeta_upper_oracle(alpha):
     """Partial sum + integral tail upper bound on zeta(alpha), alpha > 1."""
     head = sum(1.0 / m**alpha for m in range(1, 101))
@@ -91,6 +122,15 @@ def test_power_law_matches_enumeration_oracle(n, d, alpha):
     spec = build_power_law(n, d, alpha)
     expected = power_law_entries_oracle(n, d, alpha)
     assert spec.two_local[ZZ].entries() == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
+@pytest.mark.parametrize("n,d", [(24, 1), (25, 2), (27, 3)])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.7, 3.0])
+def test_power_law_bit_identical_to_pair_loop(n, d, alpha, sign_rule):
+    spec = build_power_law(n, d, alpha, ZZ, sign_rule, seed=11)
+    expected = build_power_law_loop_oracle(n, d, alpha, sign_rule, seed=11)
+    assert np.array_equal(spec.two_local[ZZ].data, expected)
 
 
 def test_power_law_rejects_bad_lattice_and_alpha():
@@ -153,6 +193,34 @@ def test_restricted_region_norms():
     assert norms(mat, "restricted_max", region=region) == pytest.approx(1.0)
     boxes = [(1, IndexRegion.single(1, 3)), (2, IndexRegion.rect(2, 2, 3, 4))]
     assert norms(mat, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
+
+
+def test_region_norms_match_pair_loop():
+    rng = np.random.default_rng(3)
+    mat = rand_coeff(rng, 40)
+    regions = [
+        IndexRegion.rect(1, 20, 21, 40),
+        IndexRegion.rect(25, 40, 1, 12),  # below the diagonal: the symmetric completion
+        IndexRegion.rect(5, 30, 10, 35),  # straddles the diagonal
+        IndexRegion(((1, 1, 2, 40), (3, 9, 1, 2), (40, 40, 40, 40))),
+        IndexRegion(()),
+    ]
+    for region in regions:
+        for kind, use_max in (("restricted_1", False), ("restricted_max", True)):
+            assert norms(mat, kind, region=region) == region_norm_oracle(mat, region, use_max)
+    boxes = [(1, regions[0]), (3, regions[1]), (2, regions[3])]
+    expected = 0.0
+    for weight, region in boxes:
+        expected += weight * region_norm_oracle(mat, region, True)
+    assert norms(mat, "box_1", boxes=boxes) == expected
+    for bad in (IndexRegion.rect(38, 41, 1, 2), IndexRegion.rect(0, 2, 3, 4)):
+        with pytest.raises(IndexRangeError):
+            region_norm_oracle(mat, bad, False)
+        for kind in ("restricted_1", "restricted_max"):
+            with pytest.raises(IndexRangeError):
+                norms(mat, kind, region=bad)
+        with pytest.raises(IndexRangeError):
+            norms(mat, "box_1", boxes=[(1, regions[0]), (1, bad)])
 
 
 def test_norm_eta_out_of_range():
@@ -229,6 +297,18 @@ def test_block_reads_symmetric_completion():
     mat = CoeffMatrix.from_entries(3, {(1, 2): 2.0, (2, 3): 5.0})
     block = mat.block([2], [1, 3])
     assert block.tolist() == [[2.0, 5.0]]
+    rng = np.random.default_rng(5)
+    mat = rand_coeff(rng, 10)
+    full = mat.data + mat.data.T
+    for rows, cols in (
+        (range(1, 5), range(6, 11)),
+        (range(6, 11), range(1, 5)),
+        ([3, 1, 7, 7], [2, 3, 10, 1, 7]),
+        (range(1, 11), range(1, 11)),
+    ):
+        r = np.asarray(rows) - 1
+        c = np.asarray(cols) - 1
+        assert np.array_equal(mat.block(rows, cols), full[np.ix_(r, c)])
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -245,3 +325,18 @@ def test_spec_json_roundtrip():
 def test_spec_json_rejects_unknown_fields():
     with pytest.raises(ValidationError):
         spec_from_json(json.dumps({"n": 2, "d": 1, "bogus": 1}))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "d": 1,',
+        "[1, 2]",
+        json.dumps({"n": 2, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]}),
+        json.dumps({"n": 2, "d": 1, "terms": [{"sigma2": "z", "entries": []}]}),
+        json.dumps({"n": 2, "d": 1, "terms": ["zz"]}),
+    ],
+)
+def test_spec_json_rejects_malformed_documents(text):
+    with pytest.raises(ValidationError):
+        spec_from_json(text)
