@@ -268,24 +268,30 @@ def inverse_circuit(c: Circuit) -> Circuit:
     return Circuit(c.qubit_count, tuple(inv), c.system_qubits)
 
 
+def pauli_term_matrix(string: Sequence[tuple[int, PauliKind]], n: int) -> np.ndarray:
+    """Dense matrix of a Pauli string on n qubits; every entry is 0, +-1 or +-i."""
+    axes = dict(string)
+    out = PAULI_MATRICES[axes.get(n, PauliKind.I)]
+    for q in range(n - 1, 0, -1):
+        out = np.kron(out, PAULI_MATRICES[axes.get(q, PauliKind.I)])
+    return out
+
+
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix of the full 2-local spec."""
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"n={spec.n} exceeds the dense cap {CAPACITY_QUBITS}")
     dim = 1 << spec.n
     h = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
     for (s1, s2), mat in spec.two_local.items():
         for j, k, v in mat.nonzero_pairs():
-            term = _apply_dense(eye.copy(), PAULI_MATRICES[s2], (k,), spec.n)
-            term = _apply_dense(term, PAULI_MATRICES[s1], (j,), spec.n)
-            h += v * term
+            h += v * pauli_term_matrix([(j, s1), (k, s2)], spec.n)
     for s, vec in spec.on_site.items():
         for j in range(1, spec.n + 1):
             if vec[j - 1] != 0.0:
-                h += vec[j - 1] * _apply_dense(eye.copy(), PAULI_MATRICES[s], (j,), spec.n)
+                h += vec[j - 1] * pauli_term_matrix([(j, s)], spec.n)
     if spec.identity != 0.0:
-        h += spec.identity * eye
+        h += spec.identity * np.eye(dim, dtype=complex)
     return h
 
 

@@ -16,8 +16,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     BoundQuery,
     coeff_oracle_lower_bound,
@@ -32,7 +30,13 @@ from .chem import (
     norm_scaling_report,
     system_to_json,
 )
-from .circuit import circuit_text, exact_evolution, spectral_distance
+from .circuit import (
+    CAPACITY_QUBITS,
+    circuit_text,
+    exact_evolution,
+    pauli_term_matrix,
+    spectral_distance,
+)
 from .compilers import (
     compile_avgcost_step,
     compile_hamming2_reduction,
@@ -54,17 +58,15 @@ from .decomp import (
     subdivision_to_json,
 )
 from .errors import CapacityError, ValidationError
-from .hamlib import PAULI_MATRICES, PauliKind, build_power_law, spec_from_json, spec_to_json
+from .hamlib import PauliKind, build_power_law, spec_from_json, spec_to_json
 from .lowrank import rank_profile
 from .trotter import (
+    COMMUTATOR_DIM_CAP,
     TrotterErrorReport,
     commutator_norm_sum,
     error_report_csv,
     steps_for,
 )
-
-VERIFY_CAP = 14
-COMM_CAP = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +83,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {out}: {exc}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             # mkstemp creates 0600; give the artifact the mode a plain open() would
@@ -151,19 +156,11 @@ def _compiled_step(method, spec, args, count_only):
     return compile_avgcost_step(spec, args.t, m, args.p, count_only=count_only, eps=args.eps)
 
 
-def _term_matrix(string, n):
-    axes = dict(string)
-    factors = [PAULI_MATRICES[axes.get(q, PauliKind.I)] for q in range(n, 0, -1)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def _stage_matrices(spec):
-    if spec.n > COMM_CAP:
-        raise CapacityError(f"commutator sums are capped at {COMM_CAP} sites, got {spec.n}")
-    return [coeff * _term_matrix(string, spec.n) for string, coeff in sequential_terms(spec)]
+    sites = COMMUTATOR_DIM_CAP.bit_length() - 1
+    if spec.n > sites:
+        raise CapacityError(f"commutator sums are capped at {sites} sites, got {spec.n}")
+    return [coeff * pauli_term_matrix(string, spec.n) for string, coeff in sequential_terms(spec)]
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -219,8 +216,8 @@ def _run_compile(args) -> None:
 
 def _run_verify(args) -> None:
     spec = _load_spec(args)
-    if spec.n > VERIFY_CAP:
-        raise CapacityError(f"verification is capped at {VERIFY_CAP} qubits, got {spec.n}")
+    if spec.n > CAPACITY_QUBITS:
+        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
     step = _compiled_step(args.method, spec, args, False)
     distance = spectral_distance(lowered_step_unitary(step), exact_evolution(spec, args.t))
     doc = {
@@ -236,8 +233,8 @@ def _run_verify(args) -> None:
 
 def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
-    if spec.n > VERIFY_CAP:
-        raise CapacityError(f"verification is capped at {VERIFY_CAP} qubits, got {spec.n}")
+    if spec.n > CAPACITY_QUBITS:
+        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
     steps = []
     for t in _float_list(args.t_values):
         args.t = t

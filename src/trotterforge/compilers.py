@@ -9,9 +9,13 @@ Four lowering strategies share one product-formula schedule type:
   costed by qubitization step counts;
 * hamming2   — the binary-to-unary phase gadget over two index registers.
 
-Verification-mode circuits are exact (the only approximations are the product
-formula itself and low-rank truncation); count-only mode reports the declared
-gate-count model without building gates.
+lowrank and avgcost share one stage plan: per schedule entry, the stage's
+basis change and a list of ops (diagonal composites, ZZ ladders, on-site
+rotations), each with its declared cost and the array slice it lowers from.
+The gate count is the sum of the declared costs; the circuit is the same
+plan lowered, so the two agree by construction. Count-only mode skips the
+lowering. Verification-mode circuits are exact: the only approximations are
+the product formula itself and low-rank truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .circuit import (
     CAPACITY_QUBITS,
     Circuit,
     CompositeDiagonalPhase,
-    CompositeStatePrep,
     ControlledPhase,
     Gate,
     Hadamard,
@@ -131,8 +134,6 @@ def step_cost_json(step: CompiledStep) -> str:
         for g in step.circuit.gates:
             if isinstance(g, CompositeDiagonalPhase):
                 composites.append({"kind": "diagonal-phase", "cost": g.cost})
-            elif isinstance(g, CompositeStatePrep):
-                composites.append({"kind": "state-prep", "cost": g.cost})
     doc = {"method": step.method, "gates": step.gate_count, "composites": composites}
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -222,7 +223,7 @@ def compile_sequential_step(
     return CompiledStep("sequential", t, circuit.cost(), circuit, phase, fr)
 
 
-# -- shared stage machinery for the decomposition methods ---------------------
+# -- the stage plan shared by the decomposition methods -----------------------
 
 
 def group_stages(spec: HamiltonianSpec) -> list[tuple[str, tuple[PauliKind, PauliKind] | None]]:
@@ -250,20 +251,6 @@ def _stage_axis_map(mat: CoeffMatrix, s1: PauliKind, s2: PauliKind) -> dict[int,
     return axis
 
 
-def _onsite_gates(spec: HamiltonianSpec, theta: float) -> list[Gate]:
-    gates: list[Gate] = []
-    for s in sorted(spec.on_site, key=lambda s: s.value):
-        vec = spec.on_site[s]
-        for j in range(1, spec.n + 1):
-            if vec[j - 1] != 0.0:
-                gates.append(PauliRotation(s.value, j, 2.0 * theta * float(vec[j - 1])))
-    return gates
-
-
-def _onsite_count(spec: HamiltonianSpec) -> int:
-    return int(sum(np.count_nonzero(vec) for vec in spec.on_site.values()))
-
-
 def _wrap_cost(axis: dict[int, PauliKind]) -> int:
     return sum(_AXIS_OVERHEAD[p] for p in axis.values())
 
@@ -278,6 +265,107 @@ def phase_register_width(n: int, t: float, eps: float) -> int:
 
 def _zsigns(bits: Sequence[int]) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
+
+
+@dataclass(eq=False)
+class _StageOp:
+    """One piece of a stage: its declared gate cost and the data it lowers from.
+
+    * ``far``: one diagonal composite e^{-i theta z_u.A z_v} on the sites
+      ``rows`` + ``cols``, with A the far block's truncated factor ``data``;
+    * ``cell``: the same, with A the subdivision cell's coefficient slice;
+    * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
+      entry [r, c] couples sites rows[r] and cols[c];
+    * ``onsite``: one rotation per nonzero on-site coefficient.
+    """
+
+    kind: str
+    cost: int
+    rows: range = range(0)
+    cols: range = range(0)
+    data: object = None
+
+
+def _op_gates(op: _StageOp, theta: float, spec: HamiltonianSpec) -> list[Gate]:
+    if op.kind == "onsite":
+        gates: list[Gate] = []
+        for s in sorted(spec.on_site, key=lambda s: s.value):
+            vec = spec.on_site[s]
+            for j in range(1, spec.n + 1):
+                if vec[j - 1] != 0.0:
+                    gates.append(PauliRotation(s.value, j, 2.0 * theta * float(vec[j - 1])))
+        return gates
+    if op.kind == "ladder":
+        gates = []
+        for r, c in zip(*np.nonzero(op.data)):
+            string = [(op.rows[r], PauliKind.Z), (op.cols[c], PauliKind.Z)]
+            gates.extend(pauli_string_exponential(string, theta * float(op.data[r, c]), spec.n).gates)
+        return gates
+    half = len(op.rows)
+    if op.kind == "far":
+        left, sing, right = op.data.left, op.data.singulars, op.data.right
+
+        def coupling(zu, zv):
+            return float(((zu @ left) * sing) @ (right.T @ zv))
+
+    else:
+        values = np.ascontiguousarray(op.data)
+
+        def coupling(zu, zv):
+            return float(zu @ values @ zv)
+
+    def phase_fn(bits):
+        return -theta * coupling(_zsigns(bits[:half]), _zsigns(bits[half:]))
+
+    return [CompositeDiagonalPhase(tuple(op.rows) + tuple(op.cols), phase_fn, op.cost)]
+
+
+def _compile_stages(
+    method: str,
+    spec: HamiltonianSpec,
+    t: float,
+    formula: ProductFormula | int,
+    count_only: bool,
+    stage_ops: Callable[[tuple[PauliKind, PauliKind], CoeffMatrix, float], list[_StageOp]],
+) -> CompiledStep:
+    """Plan every schedule entry of the group stages, then count or lower the plan.
+
+    A two-local stage is the basis change of its axis map, the ops
+    ``stage_ops(pair, matrix, theta)`` lists, and the inverse basis change;
+    the on-site stage is one rotation op. The gate count is the sum of the
+    declared costs, and the circuit is the same plan lowered gate by gate.
+    """
+    stages = group_stages(spec)
+    if not stages:
+        raise ValidationError("spec has no terms to compile")
+    fr = _resolve_formula(formula, len(stages))
+    if not count_only and spec.n > CAPACITY_QUBITS:
+        raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
+    onsite = _StageOp("onsite", int(sum(np.count_nonzero(vec) for vec in spec.on_site.values())))
+    plan: list[tuple[float, dict[int, PauliKind], list[_StageOp]]] = []
+    for idx, frac in fr.schedule:
+        kind, pair_key = stages[idx - 1]
+        theta = frac * t
+        if kind == "onsite":
+            plan.append((theta, {}, [onsite]))
+        else:
+            mat = spec.two_local[pair_key]
+            plan.append((theta, _stage_axis_map(mat, *pair_key), stage_ops(pair_key, mat, theta)))
+    count = sum(_wrap_cost(axis) + sum(op.cost for op in ops) for _, axis, ops in plan)
+    phase = t * spec.identity
+    if count_only:
+        return CompiledStep(method, t, count, None, phase, fr)
+    gates: list[Gate] = []
+    for theta, axis, ops in plan:
+        changes = [basis_change(axis[q], q) for q in sorted(axis)]
+        for pre, _ in changes:
+            gates.extend(pre)
+        for op in ops:
+            gates.extend(_op_gates(op, theta, spec))
+        for _, post in changes:
+            gates.extend(post)
+    circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
+    return CompiledStep(method, t, count, circuit, phase, fr)
 
 
 # -- lowrank ------------------------------------------------------------------
@@ -300,88 +388,30 @@ def compile_lowrank_step(
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    stages = group_stages(spec)
-    if not stages:
-        raise ValidationError("spec has no terms to compile")
-    fr = _resolve_formula(formula, len(stages))
     dec = lowrank_decompose(spec.n, cutoff_size)
     width = phase_register_width(spec.n, t, eps)
-    phase = t * spec.identity
-    if not count_only and spec.n > CAPACITY_QUBITS:
-        raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
-
+    # near-field rectangles, then the within blocks (data is zero below the diagonal)
+    remainder = [(p.left, p.right) for p in dec.near_field]
+    remainder += [(block, block) for block in dec.within_blocks]
     factors: dict[tuple[PauliKind, PauliKind], list] = {}
 
-    def stage_factors(pair_key: tuple[PauliKind, PauliKind]) -> list:
+    def stage_ops(pair_key, mat, theta):
         if pair_key not in factors:
-            mat = spec.two_local[pair_key]
             factors[pair_key] = [
                 truncated_svd(mat.block(p.left.sites(), p.right.sites()), tol, p)
                 for p in dec.far_field
             ]
-        return factors[pair_key]
-
-    gates: list[Gate] = []
-    count = 0
-    for idx, frac in fr.schedule:
-        kind, pair_key = stages[idx - 1]
-        theta = frac * t
-        if kind == "onsite":
-            if count_only:
-                count += _onsite_count(spec)
-            else:
-                gates.extend(_onsite_gates(spec, theta))
-            continue
-        s1, s2 = pair_key
-        mat = spec.two_local[pair_key]
-        axis = _stage_axis_map(mat, s1, s2)
-        count += _wrap_cost(axis)
-        pre: list[Gate] = []
-        post: list[Gate] = []
-        if not count_only:
-            for q in sorted(axis):
-                b, a = basis_change(axis[q], q)
-                pre.extend(b)
-                post.extend(a)
-            gates.extend(pre)
-        for fac, p in zip(stage_factors(pair_key), dec.far_field):
-            if fac.rank == 0:
-                continue
-            cost = p.left.length * fac.rank * width
-            count += cost
-            if count_only:
-                continue
-            qubits = tuple(p.left.sites()) + tuple(p.right.sites())
-            half = p.left.length
-            left, sing, right = fac.left, fac.singulars, fac.right
-
-            def phase_fn(bits, left=left, sing=sing, right=right, half=half, theta=theta):
-                zu = _zsigns(bits[:half])
-                zv = _zsigns(bits[half:])
-                return -theta * float(((zu @ left) * sing) @ (right.T @ zv))
-
-            gates.append(CompositeDiagonalPhase(qubits, phase_fn, cost))
-        # near-field rectangles, then the within blocks (data is zero below the diagonal)
-        remainder = [(p.left, p.right) for p in dec.near_field]
-        remainder += [(block, block) for block in dec.within_blocks]
+        ops = [
+            _StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac)
+            for fac, p in zip(factors[pair_key], dec.far_field)
+            if fac.rank
+        ]
         for left, right in remainder:
             sub = mat.data[left.lo - 1 : left.hi, right.lo - 1 : right.hi]
-            count += 3 * int(np.count_nonzero(sub))
-            if count_only:
-                continue
-            for r, c in zip(*np.nonzero(sub)):
-                sub_gates = pauli_string_exponential(
-                    [(left.lo + int(r), PauliKind.Z), (right.lo + int(c), PauliKind.Z)],
-                    theta * float(sub[r, c]),
-                    spec.n,
-                )
-                gates.extend(sub_gates.gates)
-        if not count_only:
-            gates.extend(post)
-    if count_only:
-        return CompiledStep("lowrank", t, count, None, phase, fr)
-    circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
-    return CompiledStep("lowrank", t, circuit.cost(), circuit, phase, fr)
+            ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), left.sites(), right.sites(), sub))
+        return ops
+
+    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
 
 
 # -- avgcost ------------------------------------------------------------------
@@ -403,38 +433,10 @@ def compile_avgcost_step(
     """
     if not (1 <= m <= spec.n // 2):
         raise DomainError(f"m must be in [1, {spec.n // 2}], got {m}")
-    stages = group_stages(spec)
-    if not stages:
-        raise ValidationError("spec has no terms to compile")
-    fr = _resolve_formula(formula, len(stages))
     dec = bisection_decompose(spec.n)
-    phase = t * spec.identity
-    if not count_only and spec.n > CAPACITY_QUBITS:
-        raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
 
-    gates: list[Gate] = []
-    count = 0
-    for idx, frac in fr.schedule:
-        kind, pair_key = stages[idx - 1]
-        theta = frac * t
-        if kind == "onsite":
-            if count_only:
-                count += _onsite_count(spec)
-            else:
-                gates.extend(_onsite_gates(spec, theta))
-            continue
-        s1, s2 = pair_key
-        mat = spec.two_local[pair_key]
-        axis = _stage_axis_map(mat, s1, s2)
-        count += _wrap_cost(axis)
-        if not count_only:
-            pre: list[Gate] = []
-            post: list[Gate] = []
-            for q in sorted(axis):
-                b, a = basis_change(axis[q], q)
-                pre.extend(b)
-                post.extend(a)
-            gates.extend(pre)
+    def stage_ops(pair_key, mat, theta):
+        ops = []
         for pair in dec.pairs:
             for cell in cells_for_pair(pair, m):
                 jlo, jhi, klo, khi = cell.region.rectangles[0]
@@ -449,25 +451,10 @@ def compile_avgcost_step(
                     cell_prep_cost(cell.width_j, cell.width_k, ratio)
                     + cell_select_cost(cell.width_j, cell.width_k)
                 )
-                count += cost
-                if count_only:
-                    continue
-                qubits = tuple(range(jlo, jhi + 1)) + tuple(range(klo, khi + 1))
-                values = np.ascontiguousarray(sub)
-                wj = cell.width_j
+                ops.append(_StageOp("cell", cost, range(jlo, jhi + 1), range(klo, khi + 1), sub))
+        return ops
 
-                def phase_fn(bits, values=values, wj=wj, theta=theta):
-                    zu = _zsigns(bits[:wj])
-                    zv = _zsigns(bits[wj:])
-                    return -theta * float(zu @ values @ zv)
-
-                gates.append(CompositeDiagonalPhase(qubits, phase_fn, cost))
-        if not count_only:
-            gates.extend(post)
-    if count_only:
-        return CompiledStep("avgcost", t, count, None, phase, fr)
-    circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
-    return CompiledStep("avgcost", t, circuit.cost(), circuit, phase, fr)
+    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
 
 
 # -- Hamming-weight-2 reduction gadget ----------------------------------------

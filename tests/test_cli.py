@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from trotterforge.cli import main
+from trotterforge.hamlib import PauliKind, build_power_law, spec_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,16 @@ def test_build_output_is_atomic_and_deterministic(tmp_path, capsys, monkeypatch)
         main(["build", "--n", "4", "--out", str(a)])
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("parent", ["missing/dir", "a_file"])
+def test_build_unwritable_out_exits_2(tmp_path, capsys, parent):
+    (tmp_path / "a_file").write_text("not a directory")
+    out = tmp_path / parent / "spec.json"
+    assert main(["build", "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
 
 
 def test_build_input_passthrough(tmp_path, capsys):
@@ -159,6 +171,45 @@ def test_verify_commuting_spec_is_exact(capsys):
     assert set(doc) == {"method", "n", "t", "p", "gates", "distance"}
     assert doc["distance"] <= 1e-9
     assert doc["gates"] > 0
+
+
+def golden_spec(path):
+    """n=8 XX (alpha 2) + alternating ZZ (alpha 1.5) chain with a sparse on-site Z field."""
+    doc = spec_to_dict(build_power_law(8, 1, 2.0, (PauliKind.X, PauliKind.X)))
+    zz = spec_to_dict(build_power_law(8, 1, 1.5, (PauliKind.Z, PauliKind.Z), "alternating"))
+    doc["terms"] += zz["terms"]
+    doc["onsite"] = {"z": [0.3, 0.0, -0.2, 0.1, 0.0, 0.25, -0.15, 0.05]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# (method, p): sha256 of the compile output (circuit text + cost JSON), gates, verify distance
+GOLDEN_STEPS = {
+    ("lowrank", 1): ("ab59778fcb3f714fd1034fdf6d1eaa7e6e61240e9aeaf1d04432d4eb7f4f5c0a", 478, 0.506200810051096),
+    ("lowrank", 2): ("f55884cdc5053f5e28f6d64fb1e6ad801b5c9ce5348c1ac174dc8dc7b598f0be", 950, 0.12789633513985532),
+    ("lowrank", 4): ("30395206397c4eff8ba50d1bfeb00b1f171f0389aa3fac4195c22982906d451a", 3774, 0.002592765616886214),
+    ("avgcost", 1): ("41357095b150c3afbfacb23c935049f2444ef763fbd06a904ff3b3e5db7af2d8", 1302, 0.5062008100510957),
+    ("avgcost", 2): ("669fd3160b3aab9d791d4c18d55468c4246ae1b164519dd92fab2a1b58e5374e", 2342, 0.12789633513985513),
+    ("avgcost", 4): ("6961c95c841da70f892df05e46ab3ff8ec7c143f37d52747dad74eafdd41a4c8", 9342, 0.00259276561688633),
+}
+
+
+@pytest.mark.parametrize("method,p", sorted(GOLDEN_STEPS))
+def test_compile_and_verify_golden(tmp_path, capsys, method, p):
+    digest, gates, distance = GOLDEN_STEPS[(method, p)]
+    flags = ["--input", golden_spec(tmp_path / "spec.json"), "--method", method,
+             "--p", str(p), "--t", "0.2", "--cutoff", "2"]
+    rc, out = run_cli(capsys, "compile", *flags)
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    rc, out = run_cli(capsys, "compile", *flags, "--count-only")
+    assert rc == 0
+    assert out == json.dumps({"composites": [], "gates": gates, "method": method},
+                             indent=2, sort_keys=True) + "\n"
+    rc, out = run_cli(capsys, "verify", *flags)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc == {"method": method, "n": 8, "t": 0.2, "p": p, "gates": gates,
+                   "distance": pytest.approx(distance, rel=1e-9)}
 
 
 def test_verify_capacity(capsys):

@@ -298,6 +298,16 @@ def test_avgcost_count_only_matches_verification():
     full = compile_avgcost_step(spec, 0.2, 2, 2)
     counted = compile_avgcost_step(spec, 0.2, 2, 2, count_only=True)
     assert counted.gate_count == full.gate_count
+    # an all-zero cell (rows 1-2 x columns 5-6 at m=2) and an on-site stage
+    zz = spec.two_local[ZZ].data.copy()
+    zz[0:2, 4:6] = 0.0
+    sparse = HamiltonianSpec(8, 1, {ZZ: CoeffMatrix(8, zz)}, {PauliKind.Z: np.linspace(0.0, 0.4, 8)})
+    for p in (1, 2, 4):
+        full = compile_avgcost_step(sparse, 0.2, 2, p)
+        counted = compile_avgcost_step(sparse, 0.2, 2, p, count_only=True)
+        assert counted.circuit is None
+        assert counted.gate_count == full.gate_count == full.circuit.cost()
+    assert step_error(full, sparse) < 1e-9
 
 
 def test_avgcost_rejects_bad_m():
