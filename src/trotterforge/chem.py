@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence

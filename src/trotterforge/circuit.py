@@ -11,9 +11,8 @@ cost; bit-level lowering of their arithmetic is out of scope by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,36 +88,7 @@ class CompositeDiagonalPhase:
             raise ValidationError("composite cost must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeStatePrep:
-    """Unitary sending |0...0> of the listed qubits to the target amplitudes."""
-
-    qubits: tuple[int, ...]
-    amplitudes: tuple[complex, ...]
-    cost: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        amps = tuple(complex(a) for a in self.amplitudes)
-        if len(amps) != 1 << len(self.qubits):
-            raise ValidationError("amplitude count must be 2^(qubit count)")
-        if abs(sum(abs(a) ** 2 for a in amps) - 1.0) > 1e-10:
-            raise ValidationError("target amplitudes must be normalized")
-        if self.cost < 0:
-            raise ValidationError("composite cost must be nonnegative")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-Gate = (
-    PauliRotation
-    | Hadamard
-    | PhaseS
-    | CNOT
-    | CZ
-    | ControlledPhase
-    | CompositeDiagonalPhase
-    | CompositeStatePrep
-)
+Gate = PauliRotation | Hadamard | PhaseS | CNOT | CZ | ControlledPhase | CompositeDiagonalPhase
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
@@ -134,7 +104,7 @@ def gate_qubits(g: Gate) -> tuple[int, ...]:
 
 
 def gate_cost(g: Gate) -> int:
-    if isinstance(g, (CompositeDiagonalPhase, CompositeStatePrep)):
+    if isinstance(g, CompositeDiagonalPhase):
         return g.cost
     return 1
 
@@ -161,26 +131,6 @@ class Circuit:
         return sum(gate_cost(g) for g in self.gates)
 
 
-def _householder_prep(amplitudes: Sequence[complex]) -> np.ndarray:
-    """Deterministic unitary completion with the target vector as column 0."""
-    v = np.asarray(amplitudes, dtype=complex)
-    dim = v.size
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    if abs(v[0]) < 1e-300:
-        phase = 1.0 + 0.0j
-    else:
-        phase = v[0] / abs(v[0])
-    w = v - phase * e0
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(dim, dtype=complex) * phase
-    w = w / nw
-    refl = np.eye(dim, dtype=complex) - 2.0 * np.outer(w, w.conj())
-    # refl maps phase*e0 to v; fold the phase into column scaling
-    return refl * phase
-
-
 def _gate_matrix(g: Gate) -> np.ndarray | None:
     """Dense matrix over the gate's own qubits; None for diagonal fast-path gates."""
     if isinstance(g, PauliRotation):
@@ -192,8 +142,6 @@ def _gate_matrix(g: Gate) -> np.ndarray | None:
         return _S
     if isinstance(g, CNOT):
         return _CNOT
-    if isinstance(g, CompositeStatePrep):
-        return _householder_prep(g.amplitudes)
     return None
 
 
@@ -249,7 +197,7 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
 
 
 def inverse_circuit(c: Circuit) -> Circuit:
-    """Formal inverse within the gate set (state preparations have none)."""
+    """Formal inverse within the gate set."""
     inv: list[Gate] = []
     for g in reversed(c.gates):
         if isinstance(g, PauliRotation):
@@ -260,11 +208,9 @@ def inverse_circuit(c: Circuit) -> Circuit:
             inv.extend([PhaseS(g.qubit)] * 3)
         elif isinstance(g, ControlledPhase):
             inv.append(ControlledPhase(g.ctrl, g.tgt, -g.angle))
-        elif isinstance(g, CompositeDiagonalPhase):
+        else:
             fn = g.phase_function
             inv.append(CompositeDiagonalPhase(g.qubits, lambda bits, fn=fn: -fn(bits), g.cost))
-        else:
-            raise ValidationError("state preparations have no formal inverse here")
     return Circuit(c.qubit_count, tuple(inv), c.system_qubits)
 
 
@@ -398,10 +344,7 @@ def circuit_text(c: Circuit) -> str:
             lines.append(f"CZ {g.q1},{g.q2}")
         elif isinstance(g, ControlledPhase):
             lines.append(f"CPHASE {g.ctrl},{g.tgt},{g.angle!r}")
-        elif isinstance(g, CompositeDiagonalPhase):
-            qs = ",".join(str(q) for q in g.qubits)
-            lines.append(f"COMPOSITE diagonal-phase cost={g.cost} qubits={qs}")
         else:
             qs = ",".join(str(q) for q in g.qubits)
-            lines.append(f"COMPOSITE state-prep cost={g.cost} qubits={qs}")
+            lines.append(f"COMPOSITE diagonal-phase cost={g.cost} qubits={qs}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 validation/domain error, 3 capacity error,
 64 usage error. Identical flags produce byte-identical artifacts; files
-are written atomically (temp + rename). TROTTERFORGE_THREADS caps any
-internal parallelism.
+are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from .lowrank import rank_profile
 from .trotter import (
     COMMUTATOR_DIM_CAP,
     TrotterErrorReport,
+    check_commutator_order,
     commutator_norm_sum,
     error_report_csv,
     steps_for,
@@ -95,9 +95,11 @@ def _emit(text: str, out: str | None) -> None:
             os.fchmod(fh.fileno(), 0o666 & ~mask)
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write --out {out}: {exc}") from None
         raise
 
 
@@ -235,11 +237,12 @@ def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
+    check_commutator_order(args.p)
     steps = []
     for t in _float_list(args.t_values):
         args.t = t
         steps.append(_compiled_step(args.method, spec, args, False))
-    # compile first: an invalid method/spec combination exits before the costly sum
+    # an invalid order, method or spec exits before the costly sum
     alpha = commutator_norm_sum(_stage_matrices(spec), args.p)
     reports = []
     for step in steps:

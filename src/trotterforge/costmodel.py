@@ -9,9 +9,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compilers import compile_avgcost_step, compile_lowrank_step, compile_sequential_step
 from .blockenc import block_prep_cost, block_select_cost, qubitization_step_count
-from .compilers import phase_register_width
+from .compilers import (
+    compile_avgcost_step,
+    compile_lowrank_step,
+    compile_sequential_step,
+    phase_register_width,
+)
 from .decomp import bisection_decompose, boxes_for_pair
 from .errors import DomainError, ValidationError
 from .hamlib import HamiltonianSpec, PauliKind, build_power_law, norms
@@ -70,10 +74,6 @@ class ClassifiedRecurrence:
     log_power: int
     critical_exponent: float
     ratio_spread: float
-
-    def class_expression(self, n: int) -> float:
-        lg = math.log2(n) if n > 1 else 1.0
-        return n**self.exponent * lg**self.log_power
 
 
 def classify_recurrence(rec: Recurrence, sweep: Sequence[int] | None = None) -> ClassifiedRecurrence:

@@ -18,10 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, ValidationError
-from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, norms
+from .hamlib import HamiltonianSpec, IndexRegion, norms
 
 
 def _is_pow2(x: int) -> bool:

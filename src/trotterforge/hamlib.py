@@ -142,11 +142,6 @@ class IndexRegion:
     def cell_count(self) -> int:
         return sum((jhi - jlo + 1) * (khi - klo + 1) for jlo, jhi, klo, khi in self.rectangles)
 
-    def contains(self, j: int, k: int) -> bool:
-        return any(
-            jlo <= j <= jhi and klo <= k <= khi for jlo, jhi, klo, khi in self.rectangles
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:

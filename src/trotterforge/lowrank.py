@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,6 @@ import numpy as np
 from .decomp import IntervalPair, LowRankDecomposition
 from .errors import DomainError, ValidationError
 from .hamlib import HamiltonianSpec
-from .runtime import thread_cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,23 +82,12 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     """
     if spec.n != decomposition.n:
         raise ValidationError("spec and decomposition disagree on n")
-    jobs = []
+    rows = []
     for s1, s2 in spec.groups():
         mat = spec.two_local[(s1, s2)]
         for pair in decomposition.far_field:
             block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
-            jobs.append((pair, s1, s2, block))
-
-    def run(job):
-        pair, s1, s2, block = job
-        fac = truncated_svd(block, tol, pair)
-        return ProfileRow(pair.layer, pair.block, s1.value, s2.value, fac.rank, fac.residual)
-
-    cap = thread_cap()
-    if cap > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+            fac = truncated_svd(block, tol, pair)
+            rows.append(ProfileRow(pair.layer, pair.block, s1.value, s2.value, fac.rank, fac.residual))
     rho_max = max((r.rank for r in rows), default=0)
     return RankProfile(tuple(rows), max(1, rho_max))

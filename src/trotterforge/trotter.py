@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
-from .runtime import thread_cap
 
 COMMUTATOR_DIM_CAP = 1 << 10
 COMMUTATOR_ORDER_CAP = 3
@@ -54,14 +52,19 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def check_commutator_order(p: int) -> None:
+    """Raise unless the brute-force commutator sum supports order p."""
+    if not (1 <= p <= COMMUTATOR_ORDER_CAP):
+        raise DomainError(f"brute-force sum supports 1 <= p <= {COMMUTATOR_ORDER_CAP}")
+
+
 def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:
     """Sum of spectral norms of (p+1)-fold nested commutators over all tuples.
 
     Brute force: the tuple count is len(stages)^(p+1), so p is capped at 3
     and the stage dimension at 2^10.
     """
-    if not (1 <= p <= COMMUTATOR_ORDER_CAP):
-        raise DomainError(f"brute-force sum supports 1 <= p <= {COMMUTATOR_ORDER_CAP}")
+    check_commutator_order(p)
     mats = [np.asarray(h, dtype=complex) for h in stages]
     if not mats:
         return 0.0
@@ -77,14 +80,8 @@ def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:
             return _spectral_norm(nested)
         return sum(chain_sum(h @ nested - nested @ h, depth + 1) for h in mats)
 
-    def inner_sums(first: np.ndarray) -> float:
-        # sum over [H_b, ... [H_2, first]] for all inner index choices
-        return float(chain_sum(first, 0))
-
-    if len(mats) == 1 or dim <= 64:
-        return float(sum(inner_sums(m) for m in mats))
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        return float(sum(pool.map(inner_sums, mats)))
+    # each m is the innermost stage, summed over every choice of the outer ones
+    return float(sum(chain_sum(m, 0) for m in mats))
 
 
 def steps_for(alpha: float, t: float, eps: float, p: int) -> int:

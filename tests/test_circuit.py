@@ -10,7 +10,6 @@ from trotterforge.circuit import (
     CAPACITY_QUBITS,
     Circuit,
     CompositeDiagonalPhase,
-    CompositeStatePrep,
     ControlledPhase,
     Hadamard,
     PauliRotation,
@@ -128,14 +127,6 @@ def test_composite_diagonal_phase_lowering():
     assert circ.cost() == 5
 
 
-def test_composite_state_prep_column():
-    amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    gate = CompositeStatePrep((1, 2), tuple(amps), cost=3)
-    u = circuit_to_unitary(Circuit(2, (gate,)))
-    assert max_err(u[:, 0], amps) < 1e-12
-    assert max_err(u @ u.conj().T, np.eye(4)) < 1e-12
-
-
 def test_circuit_validation():
     with pytest.raises(ValidationError):
         Circuit(2, (CNOT(1, 1),))
@@ -161,12 +152,6 @@ def test_inverse_circuit_identity():
     u = circuit_to_unitary(circ)
     v = circuit_to_unitary(inverse_circuit(circ))
     assert spectral_distance(v @ u, np.eye(8)) < 1e-9
-
-
-def test_state_prep_has_no_inverse():
-    gate = CompositeStatePrep((1,), (1.0, 0.0), cost=1)
-    with pytest.raises(ValidationError):
-        inverse_circuit(Circuit(1, (gate,)))
 
 
 # -- dense Hamiltonians and evolution ------------------------------------------------

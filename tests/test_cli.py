@@ -48,13 +48,13 @@ def test_build_output_is_atomic_and_deterministic(tmp_path, capsys, monkeypatch)
     assert other.read_text() == "another writer"
     other.unlink()
 
-    # a failed rename removes its temp file and keeps the previous artifact
+    # a failed rename exits 2, removes its temp file and keeps the previous artifact
     def failing_replace(src, dst):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="rename failed"):
-        main(["build", "--n", "4", "--out", str(a)])
+    assert main(["build", "--n", "4", "--out", str(a)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {a}: rename failed")
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -239,6 +239,19 @@ def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
     assert "power of 2" in capsys.readouterr().err
 
 
+def test_error_sweep_rejects_order_before_compiling(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("step compiled for an unsupported commutator order")
+
+    for name in ("compile_sequential_step", "compile_lowrank_step", "compile_avgcost_step"):
+        monkeypatch.setattr(f"trotterforge.cli.{name}", must_not_run)
+    assert main(["error-sweep", "--n", "4", "--p", "4"]) == 2
+    assert capsys.readouterr().err == "error: brute-force sum supports 1 <= p <= 3\n"
+    # the order is checked before the method's own parameters
+    assert main(["error-sweep", "--method", "lowrank", "--n", "6", "--pauli", "xz", "--p", "4"]) == 2
+    assert "1 <= p <= 3" in capsys.readouterr().err
+
+
 # -- cost report --------------------------------------------------------------------------
 
 def test_cost_report_sequential(capsys):
@@ -318,7 +331,7 @@ def test_usage_errors_exit_64(capsys):
 def test_module_entrypoint_subprocess(tmp_path):
     cmd = [sys.executable, "-m", "trotterforge.cli", "cost-report",
            "--method", "sequential", "--n-sweep", "64,128,256,512"]
-    env = {"PATH": "/usr/bin:/bin", "TROTTERFORGE_THREADS": "1"}
+    env = {"PATH": "/usr/bin:/bin"}
     if "PYTHONPATH" in os.environ:  # an uninstalled checkout imports from src/
         env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     first = subprocess.run(cmd, capture_output=True, text=True, env=env)

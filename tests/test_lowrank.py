@@ -136,6 +136,27 @@ def test_profile_matches_dense_oracle():
         assert rank_profile(spec, dec, tol).rho_max == profile_oracle(spec, dec, tol)
 
 
+def test_profile_rows_are_group_major():
+    xx = (PauliKind.X, PauliKind.X)
+    spec = HamiltonianSpec(
+        16,
+        1,
+        {
+            ZZ: build_power_law(16, 1, 1.0).two_local[ZZ],
+            xx: build_power_law(16, 1, 2.0, xx, "seeded-random", 3).two_local[xx],
+        },
+        {},
+    )
+    dec = lowrank_decompose(16, 2)
+    want = []
+    for s1, s2 in spec.groups():
+        for pair in dec.far_field:
+            block = spec.two_local[(s1, s2)].block(list(pair.left.sites()), list(pair.right.sites()))
+            want.append((pair.layer, pair.block, s1.value, s2.value, dense_rank_oracle(block, 1e-6)))
+    rows = rank_profile(spec, dec, 1e-6).rows
+    assert [(r.layer, r.block, r.sigma, r.sigma2, r.rank) for r in rows] == want
+
+
 def test_profile_rejects_mismatched_n():
     spec = build_power_law(16, 1, 1.0)
     with pytest.raises(ValidationError):

@@ -70,12 +70,21 @@ def test_single_stage_vanishes():
     assert commutator_norm_sum([X], 3) == 0.0
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_commutator_sum_matches_enumeration(p):
+@pytest.mark.parametrize(
+    "p, count, dim",
+    [
+        pytest.param(1, 3, 4, id="1"),
+        pytest.param(2, 3, 4, id="2"),
+        pytest.param(3, 3, 4, id="3"),
+        pytest.param(1, 4, 128, id="1-dim128"),
+        pytest.param(2, 4, 128, id="2-dim128"),
+    ],
+)
+def test_commutator_sum_matches_enumeration(p, count, dim):
     rng = np.random.default_rng(p)
     stages = []
-    for _ in range(3):
-        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for _ in range(count):
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         stages.append((raw + raw.conj().T) / 2.0)
     assert commutator_norm_sum(stages, p) == pytest.approx(nested_sum_oracle(stages, p))
 
