@@ -37,6 +37,7 @@ from .circuit import (
     spectral_distance,
 )
 from .compilers import (
+    SUPPORTED_ORDERS,
     compile_avgcost_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
@@ -61,12 +62,16 @@ from .hamlib import PauliKind, build_power_law, spec_from_json, spec_to_json
 from .lowrank import rank_profile
 from .trotter import (
     COMMUTATOR_DIM_CAP,
+    COMMUTATOR_ORDER_CAP,
     TrotterErrorReport,
-    check_commutator_order,
     commutator_norm_sum,
     error_report_csv,
     steps_for,
 )
+
+
+# orders that both the product formula and the brute-force commutator sum support
+SWEEP_ORDERS = tuple(q for q in SUPPORTED_ORDERS if q <= COMMUTATOR_ORDER_CAP)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,11 +88,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f"{target.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise ValidationError(f"cannot write --out {out}: {exc}") from None
-    try:
         with os.fdopen(fd, "w") as fh:
             # mkstemp creates 0600; give the artifact the mode a plain open() would
             mask = os.umask(0)
@@ -96,10 +99,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
         os.replace(tmp, out)
     except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise ValidationError(f"cannot write --out {out}: {exc}") from None
+            # strerror leaves out the file name, which for the temp file is random
+            raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
         raise
 
 
@@ -237,7 +242,8 @@ def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
-    check_commutator_order(args.p)
+    if args.p not in SWEEP_ORDERS:
+        raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
     steps = []
     for t in _float_list(args.t_values):
         args.t = t

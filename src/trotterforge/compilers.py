@@ -1,6 +1,9 @@
 """Trotter-step compilers.
 
-Four lowering strategies share one product-formula schedule type:
+The three step compilers take the product-formula order p as ``formula``
+(1 Lie-Trotter, 2 Strang, 4 Suzuki). ``make_product_formula`` builds its
+schedule in closed form as two read-only arrays: the stage of each entry and
+its fraction of the step. Four lowering strategies:
 
 * sequential — one Pauli exponential per term, every term its own stage;
 * lowrank    — far blocks become diagonal-phase composites built from
@@ -49,39 +52,41 @@ from .lowrank import truncated_svd
 SUPPORTED_ORDERS = (1, 2, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductFormula:
-    """Stage schedule of an order-p splitting; fractions per stage sum to 1."""
+    """Stage schedule of an order-p splitting, as two read-only arrays.
+
+    Entry i runs stage ``stages[i]`` (1-based) for ``fractions[i]`` of the
+    step; the fractions of each stage sum to 1.
+    """
 
     p: int
     stage_count: int
-    schedule: tuple[tuple[int, float], ...]
+    stages: np.ndarray
+    fractions: np.ndarray
 
     def __post_init__(self) -> None:
         if self.p not in SUPPORTED_ORDERS:
             raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {self.p}")
         if self.stage_count < 1:
             raise ValidationError("need at least one stage")
-        entries = np.fromiter(
-            self.schedule, dtype=[("idx", np.int64), ("frac", float)], count=len(self.schedule)
-        )
-        idx = entries["idx"]
+        idx = np.array(self.stages, dtype=np.int64)
+        frac = np.array(self.fractions, dtype=float)
+        if idx.ndim != 1 or idx.shape != frac.shape:
+            raise ValidationError(f"stages {idx.shape} and fractions {frac.shape} need one 1-D length")
         bad = idx[(idx < 1) | (idx > self.stage_count)]
         if bad.size:
             raise ValidationError(f"stage index {bad[0]} out of range")
         # bincount adds the weights in schedule order, as a running sum per stage would
-        totals = np.bincount(idx - 1, weights=entries["frac"], minlength=self.stage_count)
+        totals = np.bincount(idx, weights=frac, minlength=self.stage_count + 1)[1:]
         off = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
         if off.size:
             total = float(totals[off[0]])
             raise ValidationError(f"stage {off[0] + 1} fractions sum to {total}, not 1")
-
-
-def _strang(stage_count: int, scale: float) -> list[tuple[int, float]]:
-    if stage_count == 1:
-        return [(1, scale)]
-    first = [(i, scale / 2.0) for i in range(1, stage_count)]
-    return first + [(stage_count, scale)] + first[::-1]
+        idx.setflags(write=False)
+        frac.setflags(write=False)
+        object.__setattr__(self, "stages", idx)
+        object.__setattr__(self, "fractions", frac)
 
 
 def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
@@ -91,19 +96,20 @@ def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
     if stage_count < 1:
         raise ValidationError("need at least one stage")
     if p == 1:
-        schedule = [(i, 1.0) for i in range(1, stage_count + 1)]
-    elif p == 2:
-        schedule = _strang(stage_count, 1.0)
-    else:
+        return ProductFormula(p, stage_count, np.arange(1, stage_count + 1), np.ones(stage_count))
+    # Strang: stages 1..S-1 for half a step, S for a whole one, then S-1..1 again
+    stages = np.concatenate([np.arange(1, stage_count), np.arange(stage_count, 0, -1)])
+    fractions = np.full(stages.size, 0.5)
+    fractions[stage_count - 1] = 1.0
+    if p == 4:
+        # five scaled Strang segments; a segment's last stage 1 meets the next one's first
         u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-        schedule = []
-        for seg in (u, u, 1.0 - 4.0 * u, u, u):
-            for idx, frac in _strang(stage_count, seg):
-                if schedule and schedule[-1][0] == idx:
-                    schedule[-1] = (idx, schedule[-1][1] + frac)
-                else:
-                    schedule.append((idx, frac))
-    return ProductFormula(p, stage_count, tuple(schedule))
+        segments = np.array([u, u, 1.0 - 4.0 * u, u, u])
+        stages = np.tile(stages, segments.size)
+        fractions = (segments[:, None] * fractions).ravel()
+        starts = np.flatnonzero(np.diff(stages, prepend=0))
+        stages, fractions = stages[starts], np.add.reduceat(fractions, starts)
+    return ProductFormula(p, stage_count, stages, fractions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +121,6 @@ class CompiledStep:
     gate_count: int
     circuit: Circuit | None
     global_phase: float
-    formula: ProductFormula
 
     def __post_init__(self) -> None:
         if self.circuit is not None and self.circuit.cost() != self.gate_count:
@@ -171,20 +176,10 @@ def sequential_terms(spec: HamiltonianSpec) -> list[tuple[list[tuple[int, PauliK
     return terms
 
 
-def _resolve_formula(formula: ProductFormula | int, stage_count: int) -> ProductFormula:
-    if isinstance(formula, int):
-        return make_product_formula(formula, stage_count)
-    if formula.stage_count != stage_count:
-        raise ValidationError(
-            f"formula has {formula.stage_count} stages, this Hamiltonian needs {stage_count}"
-        )
-    return formula
-
-
 def compile_sequential_step(
     spec: HamiltonianSpec,
     t: float,
-    formula: ProductFormula | int,
+    formula: int,
     *,
     count_only: bool = False,
 ) -> CompiledStep:
@@ -199,28 +194,27 @@ def compile_sequential_step(
         for s in sorted(spec.on_site, key=lambda s: s.value)
     ]
     term_count = sum(size for size, _ in runs)
+    fr = make_product_formula(formula, max(term_count, 1))
     phase = t * spec.identity
     if term_count == 0:
-        fr = formula if isinstance(formula, ProductFormula) else make_product_formula(formula, 1)
-        return CompiledStep("sequential", t, 0, None if count_only else Circuit(spec.n, ()), phase, fr)
-    fr = _resolve_formula(formula, term_count)
+        return CompiledStep("sequential", t, 0, None if count_only else Circuit(spec.n, ()), phase)
     if count_only:
-        stages = np.fromiter((i for i, _ in fr.schedule), dtype=np.int64, count=len(fr.schedule))
-        occurrences = np.bincount(stages - 1, minlength=term_count)
-        count, start = 0, 0
+        # occurrences[i] counts the schedule entries of stage i; stages are 1-based
+        occurrences = np.bincount(fr.stages, minlength=term_count + 1)
+        count, start = 0, 1
         for size, cost in runs:
             count += int(occurrences[start : start + size].sum()) * cost
             start += size
-        return CompiledStep("sequential", t, count, None, phase, fr)
+        return CompiledStep("sequential", t, count, None, phase)
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
     terms = sequential_terms(spec)
     gates: list[Gate] = []
-    for idx, frac in fr.schedule:
+    for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
         string, coeff = terms[idx - 1]
         gates.extend(pauli_string_exponential(string, frac * t * coeff, spec.n).gates)
     circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
-    return CompiledStep("sequential", t, circuit.cost(), circuit, phase, fr)
+    return CompiledStep("sequential", t, circuit.cost(), circuit, phase)
 
 
 # -- the stage plan shared by the decomposition methods -----------------------
@@ -324,7 +318,7 @@ def _compile_stages(
     method: str,
     spec: HamiltonianSpec,
     t: float,
-    formula: ProductFormula | int,
+    formula: int,
     count_only: bool,
     stage_ops: Callable[[tuple[PauliKind, PauliKind], CoeffMatrix, float], list[_StageOp]],
 ) -> CompiledStep:
@@ -338,12 +332,12 @@ def _compile_stages(
     stages = group_stages(spec)
     if not stages:
         raise ValidationError("spec has no terms to compile")
-    fr = _resolve_formula(formula, len(stages))
+    fr = make_product_formula(formula, len(stages))
     if not count_only and spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"verification mode caps n at {CAPACITY_QUBITS}, got {spec.n}")
     onsite = _StageOp("onsite", int(sum(np.count_nonzero(vec) for vec in spec.on_site.values())))
     plan: list[tuple[float, dict[int, PauliKind], list[_StageOp]]] = []
-    for idx, frac in fr.schedule:
+    for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
         kind, pair_key = stages[idx - 1]
         theta = frac * t
         if kind == "onsite":
@@ -354,7 +348,7 @@ def _compile_stages(
     count = sum(_wrap_cost(axis) + sum(op.cost for op in ops) for _, axis, ops in plan)
     phase = t * spec.identity
     if count_only:
-        return CompiledStep(method, t, count, None, phase, fr)
+        return CompiledStep(method, t, count, None, phase)
     gates: list[Gate] = []
     for theta, axis, ops in plan:
         changes = [basis_change(axis[q], q) for q in sorted(axis)]
@@ -365,7 +359,7 @@ def _compile_stages(
         for _, post in changes:
             gates.extend(post)
     circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
-    return CompiledStep(method, t, count, circuit, phase, fr)
+    return CompiledStep(method, t, count, circuit, phase)
 
 
 # -- lowrank ------------------------------------------------------------------
@@ -376,7 +370,7 @@ def compile_lowrank_step(
     t: float,
     tol: float,
     cutoff_size: int,
-    formula: ProductFormula | int,
+    formula: int,
     *,
     count_only: bool = False,
     eps: float = 1e-3,
@@ -421,7 +415,7 @@ def compile_avgcost_step(
     spec: HamiltonianSpec,
     t: float,
     m: int,
-    formula: ProductFormula | int,
+    formula: int,
     *,
     count_only: bool = False,
     eps: float = 1e-3,

@@ -47,7 +47,6 @@ class CoeffMatrix:
 
     n: int
     data: np.ndarray
-    width: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -63,15 +62,13 @@ class CoeffMatrix:
         object.__setattr__(self, "data", a)
 
     @classmethod
-    def from_entries(
-        cls, n: int, entries: Mapping[tuple[int, int], float], width: int | None = None
-    ) -> "CoeffMatrix":
+    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], float]) -> "CoeffMatrix":
         a = np.zeros((n, n))
         for (j, k), value in entries.items():
             if not (1 <= j < k <= n):
                 raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {n}")
             a[j - 1, k - 1] = value
-        return cls(n, a, width)
+        return cls(n, a)
 
     @classmethod
     def zeros(cls, n: int) -> "CoeffMatrix":

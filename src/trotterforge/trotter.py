@@ -52,19 +52,14 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def check_commutator_order(p: int) -> None:
-    """Raise unless the brute-force commutator sum supports order p."""
-    if not (1 <= p <= COMMUTATOR_ORDER_CAP):
-        raise DomainError(f"brute-force sum supports 1 <= p <= {COMMUTATOR_ORDER_CAP}")
-
-
 def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:
     """Sum of spectral norms of (p+1)-fold nested commutators over all tuples.
 
     Brute force: the tuple count is len(stages)^(p+1), so p is capped at 3
     and the stage dimension at 2^10.
     """
-    check_commutator_order(p)
+    if not (1 <= p <= COMMUTATOR_ORDER_CAP):
+        raise DomainError(f"brute-force sum supports 1 <= p <= {COMMUTATOR_ORDER_CAP}")
     mats = [np.asarray(h, dtype=complex) for h in stages]
     if not mats:
         return 0.0

@@ -92,40 +92,89 @@ def step_error(step, spec):
 # -- product formulas ----------------------------------------------------------------
 
 
+def schedule_oracle(p, stage_count):
+    """The (stage, fraction) list built entry by entry: Strang segments, neighbours merged."""
+
+    def strang(scale):
+        if stage_count == 1:
+            return [(1, scale)]
+        first = [(i, scale / 2.0) for i in range(1, stage_count)]
+        return first + [(stage_count, scale)] + first[::-1]
+
+    if p == 1:
+        return [(i, 1.0) for i in range(1, stage_count + 1)]
+    if p == 2:
+        return strang(1.0)
+    u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+    schedule = []
+    for seg in (u, u, 1.0 - 4.0 * u, u, u):
+        for idx, frac in strang(seg):
+            if schedule and schedule[-1][0] == idx:
+                schedule[-1] = (idx, schedule[-1][1] + frac)
+            else:
+                schedule.append((idx, frac))
+    return schedule
+
+
+def schedule_of(fr):
+    return list(zip(fr.stages.tolist(), fr.fractions.tolist()))
+
+
+@pytest.mark.parametrize("stage_count", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_schedule_matches_the_entrywise_oracle_bit_for_bit(p, stage_count):
+    fr = make_product_formula(p, stage_count)
+    assert fr.stages.dtype == np.int64 and fr.fractions.dtype == float
+    expected = schedule_oracle(p, stage_count)
+    assert fr.stages.tolist() == [i for i, _ in expected]
+    assert [f.hex() for f in fr.fractions.tolist()] == [f.hex() for _, f in expected]
+
+
 def test_first_order_schedule():
     fr = make_product_formula(1, 2)
-    assert fr.schedule == ((1, 1.0), (2, 1.0))
+    assert schedule_of(fr) == [(1, 1.0), (2, 1.0)]
 
 
 def test_strang_schedule():
     fr = make_product_formula(2, 2)
-    assert fr.schedule == ((1, 0.5), (2, 1.0), (1, 0.5))
+    assert schedule_of(fr) == [(1, 0.5), (2, 1.0), (1, 0.5)]
 
 
 def test_suzuki_schedule():
     fr = make_product_formula(4, 2)
-    assert len(fr.schedule) == 11
-    idxs = [i for i, _ in fr.schedule]
-    fracs = [f for _, f in fr.schedule]
+    assert len(fr.stages) == len(fr.fractions) == 11
+    idxs = fr.stages.tolist()
+    fracs = fr.fractions.tolist()
     assert idxs == idxs[::-1]  # palindromic
     assert fracs == pytest.approx(fracs[::-1])
     u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-    assert fr.schedule[1] == (2, pytest.approx(u))
+    assert schedule_of(fr)[1] == (2, pytest.approx(u))
     for stage in (1, 2):
-        assert sum(f for i, f in fr.schedule if i == stage) == pytest.approx(1.0)
+        assert fr.fractions[fr.stages == stage].sum() == pytest.approx(1.0)
+
+
+def test_schedule_arrays_are_read_only_copies():
+    stages, fractions = np.array([1, 2, 1]), np.array([0.5, 1.0, 0.5])
+    fr = ProductFormula(2, 2, stages, fractions)
+    stages[0] = 2
+    assert fr.stages.tolist() == [1, 2, 1]
+    with pytest.raises(ValueError):
+        fr.fractions[0] = 1.0
 
 
 def test_formula_validation():
     with pytest.raises(DomainError):
         make_product_formula(3, 2)
-    with pytest.raises(ValidationError):
-        compile_sequential_step(zz_spec(3), 0.1, make_product_formula(2, 5))
+    with pytest.raises(DomainError, match="order must be one of"):
+        compile_sequential_step(zz_spec(3), 0.1, 3)
     with pytest.raises(ValidationError, match="stage index 3 out of range"):
-        ProductFormula(2, 2, ((1, 0.5), (3, 1.0), (1, 0.5), (0, 1.0)))
+        ProductFormula(2, 2, [1, 3, 1, 0], [0.5, 1.0, 0.5, 1.0])
     with pytest.raises(ValidationError, match="stage 2 fractions sum to 0.75, not 1"):
-        ProductFormula(2, 3, ((1, 1.0), (2, 0.5), (3, 1.0), (2, 0.25)))
+        ProductFormula(2, 3, [1, 2, 3, 2], [1.0, 0.5, 1.0, 0.25])
     with pytest.raises(ValidationError, match="stage 1 fractions sum to 0.0, not 1"):
-        ProductFormula(1, 1, ())
+        ProductFormula(1, 1, np.array([], dtype=np.int64), np.array([]))
+    with pytest.raises(ValidationError, match=r"stages \(3,\) and fractions \(2,\) need one 1-D length"):
+        ProductFormula(2, 2, [1, 2, 1], [0.5, 1.0])
 
 
 # -- sequential ------------------------------------------------------------------------
