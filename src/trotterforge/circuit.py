@@ -4,15 +4,15 @@ Qubit q (1-based) owns bit q-1 of the basis index, so basis state
 |z_Q ... z_1> has index sum_q z_q 2^{q-1}. A circuit's gate list is temporal:
 the first gate acts first, so the lowered matrix is G_N ... G_1.
 
-Composite gates carry an exact semantic action plus a declared gate-count
-cost; bit-level lowering of their arithmetic is out of scope by design.
+A composite diagonal phase carries an exact phase table and a declared
+gate-count cost; bit-level lowering of its arithmetic is out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,16 +76,29 @@ class ControlledPhase:
 
 @dataclass(frozen=True, eq=False)
 class CompositeDiagonalPhase:
-    """Exact diagonal unitary e^{i phase(bits)} on the listed qubits."""
+    """Exact diagonal unitary e^{i phases[idx]}, read-only table; bit i of idx is on qubits[i]."""
 
     qubits: tuple[int, ...]
-    phase_function: Callable[[tuple[int, ...]], float]
+    phases: np.ndarray
     cost: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        table = np.asarray(self.phases, dtype=float)
+        if table.shape != (1 << len(self.qubits),):
+            raise ValidationError(f"phase table needs {1 << len(self.qubits)} entries, got {table.shape}")
+        if not np.all(np.isfinite(table)):
+            raise ValidationError("phase table entries must be finite")
+        if table.flags.writeable:
+            table = table.copy()  # the caller may still hold the input
+            table.setflags(write=False)
+        object.__setattr__(self, "phases", table)
         if self.cost < 0:
             raise ValidationError("composite cost must be nonnegative")
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so the table comes back read-only
+        return (CompositeDiagonalPhase, (self.qubits, self.phases, self.cost))
 
 
 Gate = PauliRotation | Hadamard | PhaseS | CNOT | CZ | ControlledPhase | CompositeDiagonalPhase
@@ -152,12 +165,7 @@ def _diagonal_phases(g: Gate) -> np.ndarray | None:
     if isinstance(g, ControlledPhase):
         return np.array([0.0, 0.0, 0.0, g.angle])
     if isinstance(g, CompositeDiagonalPhase):
-        k = len(g.qubits)
-        out = np.empty(1 << k)
-        for idx in range(1 << k):
-            bits = tuple((idx >> i) & 1 for i in range(k))
-            out[idx] = float(g.phase_function(bits))
-        return out
+        return g.phases
     return None
 
 
@@ -209,8 +217,7 @@ def inverse_circuit(c: Circuit) -> Circuit:
         elif isinstance(g, ControlledPhase):
             inv.append(ControlledPhase(g.ctrl, g.tgt, -g.angle))
         else:
-            fn = g.phase_function
-            inv.append(CompositeDiagonalPhase(g.qubits, lambda bits, fn=fn: -fn(bits), g.cost))
+            inv.append(CompositeDiagonalPhase(g.qubits, -g.phases, g.cost))
     return Circuit(c.qubit_count, tuple(inv), c.system_qubits)
 
 
@@ -280,15 +287,16 @@ def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:
     return float(np.linalg.svd(diff, compute_uv=False)[0])
 
 
+# one-qubit gate classes, in temporal order, that take axis p to Z (pre) and back (post)
 _BASIS_CHANGE_PRE = {
-    PauliKind.X: lambda q: [Hadamard(q)],
-    PauliKind.Y: lambda q: [PhaseS(q), PhaseS(q), PhaseS(q), Hadamard(q)],
-    PauliKind.Z: lambda q: [],
+    PauliKind.X: (Hadamard,),
+    PauliKind.Y: (PhaseS, PhaseS, PhaseS, Hadamard),
+    PauliKind.Z: (),
 }
 _BASIS_CHANGE_POST = {
-    PauliKind.X: lambda q: [Hadamard(q)],
-    PauliKind.Y: lambda q: [Hadamard(q), PhaseS(q)],
-    PauliKind.Z: lambda q: [],
+    PauliKind.X: (Hadamard,),
+    PauliKind.Y: (Hadamard, PhaseS),
+    PauliKind.Z: (),
 }
 
 
@@ -296,7 +304,7 @@ def basis_change(p: PauliKind, q: int) -> tuple[list[Gate], list[Gate]]:
     """(pre, post) gate lists conjugating axis p on qubit q to the Z axis."""
     if p == PauliKind.I:
         raise ValidationError("identity axis has no basis change")
-    return _BASIS_CHANGE_PRE[p](q), _BASIS_CHANGE_POST[p](q)
+    return [gate(q) for gate in _BASIS_CHANGE_PRE[p]], [gate(q) for gate in _BASIS_CHANGE_POST[p]]
 
 
 def pauli_string_exponential(
@@ -316,7 +324,7 @@ def pauli_string_exponential(
         return Circuit(nq, ())
     gates: list[Gate] = []
     for q, p in active:
-        gates.extend(_BASIS_CHANGE_PRE[p](q))
+        gates.extend(gate(q) for gate in _BASIS_CHANGE_PRE[p])
     qs = [q for q, _ in active]
     for q in qs[:-1]:
         gates.append(CNOT(q, qs[-1]))
@@ -324,7 +332,7 @@ def pauli_string_exponential(
     for q in reversed(qs[:-1]):
         gates.append(CNOT(q, qs[-1]))
     for q, p in reversed(active):
-        gates.extend(_BASIS_CHANGE_POST[p](q))
+        gates.extend(gate(q) for gate in _BASIS_CHANGE_POST[p])
     return Circuit(nq, tuple(gates))
 
 

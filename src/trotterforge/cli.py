@@ -1,8 +1,8 @@
 """Command-line surface: build, decompose, profile, compile, verify, report.
 
 Exit codes: 0 success, 2 validation/domain error, 3 capacity error,
-64 usage error. Identical flags produce byte-identical artifacts; files
-are written atomically (temp + rename).
+64 usage error (a non-finite or malformed number included). Identical flags
+produce byte-identical artifacts; files are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -114,19 +115,35 @@ def _pauli_pair(tag: str) -> tuple[PauliKind, PauliKind]:
     return PauliKind.from_tag(tag[0]), PauliKind.from_tag(tag[1])
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float, so that nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    """argparse type: comma-separated integers; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    """argparse type: comma-separated finite floats; empty items are skipped."""
+    return [_finite(x) for x in text.split(",") if x.strip()]
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="spec JSON path (overrides the build flags)")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=_finite, default=2.0)
     p.add_argument("--pauli", default="zz")
     p.add_argument("--signs", default="all-positive")
     p.add_argument("--seed", type=int, default=0)
@@ -144,12 +161,12 @@ def _load_spec(args):
 
 def _add_method_flags(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
     p.add_argument("--method", choices=methods, default=methods[0])
-    p.add_argument("--t", type=float, default=0.1)
+    p.add_argument("--t", type=_finite, default=0.1)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     p.add_argument("--cutoff", type=int, default=4)
     p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_finite, default=1e-3)
 
 
 def _compiled_step(method, spec, args, count_only):
@@ -245,7 +262,7 @@ def _run_error_sweep(args) -> None:
     if args.p not in SWEEP_ORDERS:
         raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
     steps = []
-    for t in _float_list(args.t_values):
+    for t in args.t_values:
         args.t = t
         steps.append(_compiled_step(args.method, spec, args, False))
     # an invalid order, method or spec exits before the costly sum
@@ -275,7 +292,7 @@ def _run_cost_report(args) -> None:
         args.d,
         args.t,
         args.eps,
-        _int_list(args.n_sweep),
+        args.n_sweep,
         p=args.p,
         tol=args.tol,
         cutoff_size=args.cutoff,
@@ -317,7 +334,7 @@ def _run_bound(args) -> None:
 
 
 def _run_chem(args) -> None:
-    report = norm_scaling_report(_int_list(args.g_sweep), omega=args.omega, eta=args.eta)
+    report = norm_scaling_report(args.g_sweep, omega=args.omega, eta=args.eta)
     _emit(report.to_csv(), args.out)
     if args.step_grid is not None:
         omega = args.omega if args.omega is not None else float(args.step_grid**3)
@@ -358,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rank-profile", help="far-field truncation ranks as CSV")
     _add_spec_flags(p)
     p.add_argument("--cutoff", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument("--out")
     p.set_defaults(run=_run_rank_profile)
 
@@ -378,48 +395,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("error-sweep", help="order-scaling CSV over a t sweep")
     _add_spec_flags(p)
     _add_method_flags(p, ("sequential", "lowrank", "avgcost"))
-    p.add_argument("--t-values", default="0.05,0.1,0.2")
+    p.add_argument("--t-values", type=_float_list, default="0.05,0.1,0.2")
     p.add_argument("--out")
     p.set_defaults(run=_run_error_sweep)
 
     p = subs.add_parser("cost-report", help="gate-count scaling CSV over an n sweep")
     p.add_argument("--method", choices=("sequential", "block", "avgcost", "lowrank"), required=True)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=_finite, default=2.0)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--eps", type=_finite, default=1e-3)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_finite)
     p.add_argument("--cutoff", type=int, default=4)
-    p.add_argument("--n-sweep", default="64,128,256,512,1024")
+    p.add_argument("--n-sweep", type=_int_list, default="64,128,256,512,1024")
     p.add_argument("--out")
     p.set_defaults(run=_run_cost_report)
 
     p = subs.add_parser("bound", help="lower-bound calculators; JSON output")
     p.add_argument("variant", choices=("volume", "diag", "ham", "discrete", "coeff"))
     p.add_argument("--mu", type=int)
-    p.add_argument("--theta-max", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--theta-max", type=_finite)
+    p.add_argument("--delta", type=_finite)
+    p.add_argument("--eps", type=_finite)
     p.add_argument("--b", type=int, default=2)
     p.add_argument("--k", type=int, help="gate set size; omit for arbitrary 2-qubit gates")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--c-red", type=float, default=1.0)
-    p.add_argument("--c-compile", type=float, default=1.0)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--c-red", type=_finite, default=1.0)
+    p.add_argument("--c-compile", type=_finite, default=1.0)
     p.add_argument("--out")
     p.set_defaults(run=_run_bound)
 
     p = subs.add_parser("chem", help="electron-gas norm scalings CSV + step report")
-    p.add_argument("--g-sweep", default="3,4,5,6,7,8,9")
-    p.add_argument("--omega", type=float)
+    p.add_argument("--g-sweep", type=_int_list, default="3,4,5,6,7,8,9")
+    p.add_argument("--omega", type=_finite)
     p.add_argument("--eta", type=int)
     p.add_argument("--step-grid", type=int)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--t", type=_finite, default=1.0)
+    p.add_argument("--eps", type=_finite, default=0.01)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--constant", type=float, default=1.0)
+    p.add_argument("--constant", type=_finite, default=1.0)
     p.add_argument("--out")
     p.set_defaults(run=_run_chem)
 

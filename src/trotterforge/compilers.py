@@ -16,9 +16,10 @@ lowrank and avgcost share one stage plan: per schedule entry, the stage's
 basis change and a list of ops (diagonal composites, ZZ ladders, on-site
 rotations), each with its declared cost and the array slice it lowers from.
 The gate count is the sum of the declared costs; the circuit is the same
-plan lowered, so the two agree by construction. Count-only mode skips the
-lowering. Verification-mode circuits are exact: the only approximations are
-the product formula itself and low-rank truncation.
+plan lowered, so the two agree by construction. Lowering a composite builds
+its phase table with one matmul over the +-1 signs of its sites; count-only
+mode skips the lowering. Verification-mode circuits are exact: the only
+approximations are the product formula itself and low-rank truncation.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def step_to_text(step: CompiledStep) -> str:
 
 # -- sequential ---------------------------------------------------------------
 
-_AXIS_OVERHEAD = {PauliKind.X: 2, PauliKind.Y: 6, PauliKind.Z: 0}
+# gates of one axis's basis change and its inverse, counted from the gates it emits
+_AXIS_OVERHEAD = {p: sum(map(len, basis_change(p, 1))) for p in (PauliKind.X, PauliKind.Y, PauliKind.Z)}
 
 
 def sequential_term_cost(axes: Sequence[PauliKind]) -> int:
@@ -257,8 +259,9 @@ def phase_register_width(n: int, t: float, eps: float) -> int:
     return max(1, math.ceil(math.log2(raw))) + 4 if raw > 1.0 else 5
 
 
-def _zsigns(bits: Sequence[int]) -> np.ndarray:
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
+def _sign_table(width: int) -> np.ndarray:
+    """Row idx holds z_i = (-1)^(bit i of idx) for i < width."""
+    return 1.0 - 2.0 * ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1)
 
 
 @dataclass(eq=False)
@@ -295,23 +298,15 @@ def _op_gates(op: _StageOp, theta: float, spec: HamiltonianSpec) -> list[Gate]:
             string = [(op.rows[r], PauliKind.Z), (op.cols[c], PauliKind.Z)]
             gates.extend(pauli_string_exponential(string, theta * float(op.data[r, c]), spec.n).gates)
         return gates
-    half = len(op.rows)
+    zu, zv = _sign_table(len(op.rows)), _sign_table(len(op.cols))
     if op.kind == "far":
-        left, sing, right = op.data.left, op.data.singulars, op.data.right
-
-        def coupling(zu, zv):
-            return float(((zu @ left) * sing) @ (right.T @ zv))
-
+        fac = op.data
+        coupling = ((zu @ fac.left) * fac.singulars) @ (fac.right.T @ zv.T)
     else:
-        values = np.ascontiguousarray(op.data)
-
-        def coupling(zu, zv):
-            return float(zu @ values @ zv)
-
-    def phase_fn(bits):
-        return -theta * coupling(_zsigns(bits[:half]), _zsigns(bits[half:]))
-
-    return [CompositeDiagonalPhase(tuple(op.rows) + tuple(op.cols), phase_fn, op.cost)]
+        coupling = zu @ np.ascontiguousarray(op.data) @ zv.T
+    # coupling[u, v] = z_u.A z_v; the row sites are the low bits of the table index
+    phases = -theta * coupling.T.ravel()
+    return [CompositeDiagonalPhase(tuple(op.rows) + tuple(op.cols), phases, op.cost)]
 
 
 def _compile_stages(
@@ -454,26 +449,14 @@ def compile_avgcost_step(
 # -- Hamming-weight-2 reduction gadget ----------------------------------------
 
 
-def _register_match_phase(target: int, reg_width: int) -> Callable:
-    def fn(bits: Sequence[int]) -> float:
-        value = sum(b << i for i, b in enumerate(bits[:reg_width]))
-        return math.pi if value == target and bits[reg_width] else 0.0
-
-    return fn
-
-
-def _binary_to_unary_pass(reg_start: int, reg_width: int, unary_start: int, n: int) -> list[Gate]:
-    """XOR the unary marker of the register's value; self-inverse."""
+def _binary_to_unary_pass(reg_start: int, reg_width: int, unary_start: int, tables: np.ndarray) -> list[Gate]:
+    """XOR the unary marker of the register's value; self-inverse. Row u of tables marks value u."""
     reg = tuple(range(reg_start, reg_start + reg_width))
     gates: list[Gate] = []
-    for u in range(1, n + 1):
-        uq = unary_start + u - 1
+    for u, table in enumerate(tables):
+        uq = unary_start + u
         gates.append(Hadamard(uq))
-        gates.append(
-            CompositeDiagonalPhase(
-                reg + (uq,), _register_match_phase(u - 1, reg_width), 2 * reg_width + 1
-            )
-        )
+        gates.append(CompositeDiagonalPhase(reg + (uq,), table, 2 * reg_width + 1))
         gates.append(Hadamard(uq))
     return gates
 
@@ -492,8 +475,13 @@ def compile_hamming2_reduction(coeffs: CoeffMatrix) -> Circuit:
     total = 2 * reg_width + n
     # construction is count-only safe at any n; the 14-qubit cap applies at lowering
     unary_start = 2 * reg_width + 1
-    j_pass = _binary_to_unary_pass(1, reg_width, unary_start, n)
-    k_pass = _binary_to_unary_pass(1 + reg_width, reg_width, unary_start, n)
+    # row u: phase pi where the register holds u and the marker (bit reg_width) is set;
+    # the j pass and the k pass share these read-only rows
+    tables = np.zeros((n, 2 << reg_width))
+    tables[np.arange(n), np.arange(n) | (1 << reg_width)] = math.pi
+    tables.setflags(write=False)
+    j_pass = _binary_to_unary_pass(1, reg_width, unary_start, tables)
+    k_pass = _binary_to_unary_pass(1 + reg_width, reg_width, unary_start, tables)
     gates: list[Gate] = list(j_pass) + list(k_pass)
     for j, k, v in coeffs.nonzero_pairs():
         gates.append(ControlledPhase(unary_start + j - 1, unary_start + k - 1, -4.0 * v))

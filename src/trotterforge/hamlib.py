@@ -28,7 +28,7 @@ class PauliKind(Enum):
     @classmethod
     def from_tag(cls, tag: str) -> "PauliKind":
         try:
-            return cls(tag.lower())
+            return cls(str(tag).lower())
         except ValueError:
             raise ValidationError(f"unknown Pauli tag {tag!r}") from None
 
@@ -156,11 +156,17 @@ class HamiltonianSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionError(f"site count must be >= 1, got {self.n}")
         if self.d not in (1, 2, 3):
             raise DimensionError(f"spatial dimension must be 1..3, got {self.d}")
         side = round(self.n ** (1.0 / self.d))
         if side**self.d != self.n:
             raise DimensionError(f"n={self.n} is not a perfect d={self.d} power")
+        if not math.isfinite(self.identity):
+            raise ValidationError("identity offset must be finite")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValidationError("alpha must be finite")
         two = {}
         for (s1, s2), mat in self.two_local.items():
             if PauliKind.I in (s1, s2):
@@ -176,6 +182,8 @@ class HamiltonianSpec:
             v = np.array(vec, dtype=float)
             if v.shape != (self.n,):
                 raise DimensionError("on-site vector length differs from spec n")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError("on-site coefficients must be finite")
             v.setflags(write=False)
             ons[s] = v
         object.__setattr__(self, "on_site", ons)
@@ -395,6 +403,25 @@ def spec_to_json(spec: HamiltonianSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
 
 
+def _group_entries(entries) -> dict[tuple[int, int], float]:
+    """{(j, k): value} of one group's [j, k, value] entries; a repeated pair is malformed."""
+    out: dict[tuple[int, int], float] = {}
+    for j, k, v in entries:
+        pair = (int(j), int(k))
+        if pair in out:
+            raise ValueError(f"pair {pair} appears twice")
+        out[pair] = float(v)
+    return out
+
+
+def _parse_field(field: str, parse, value):
+    """parse(value), with a malformed value reported as a ValidationError naming the field."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"spec field {field} is malformed: {exc}") from None
+
+
 def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
     if not isinstance(doc, Mapping):
         raise ValidationError("spec document must be a JSON object")
@@ -403,9 +430,13 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
         raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
     if "n" not in doc or "d" not in doc:
         raise ValidationError("spec document needs at least n and d")
-    n, d = int(doc["n"]), int(doc["d"])
+    n, d = _parse_field("n", int, doc["n"]), _parse_field("d", int, doc["d"])
+    HamiltonianSpec(n, d, {}, {})  # validates the lattice shape before any n x n allocation
     two_local: dict[tuple[PauliKind, PauliKind], CoeffMatrix] = {}
-    for term in doc.get("terms", []):
+    terms = doc.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValidationError("spec field terms must be a JSON array")
+    for term in terms:
         if not isinstance(term, Mapping):
             raise ValidationError("each term must be a JSON object")
         bad = set(term) - _TERM_FIELDS
@@ -416,13 +447,17 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
             raise ValidationError(f"term lacks fields: {sorted(missing)}")
         s1 = PauliKind.from_tag(term["sigma"])
         s2 = PauliKind.from_tag(term["sigma2"])
-        entries = {(int(j), int(k)): float(v) for j, k, v in term.get("entries", [])}
+        group = f"({s1.value},{s2.value})"
+        entries = _parse_field(f"entries of {group}", _group_entries, term.get("entries", []))
         if (s1, s2) in two_local:
-            raise ValidationError(f"duplicate term group ({s1.value},{s2.value})")
+            raise ValidationError(f"duplicate term group {group}")
         two_local[(s1, s2)] = CoeffMatrix.from_entries(n, entries)
+    onsite = doc.get("onsite", {})
+    if not isinstance(onsite, Mapping):
+        raise ValidationError("spec field onsite must be a JSON object")
     on_site = {
-        PauliKind.from_tag(tag): np.array(vec, dtype=float)
-        for tag, vec in doc.get("onsite", {}).items()
+        PauliKind.from_tag(tag): _parse_field(f"onsite.{tag}", lambda vec: np.array(vec, dtype=float), vec)
+        for tag, vec in onsite.items()
     }
     alpha = doc.get("alpha")
     return HamiltonianSpec(
@@ -430,8 +465,8 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
         d,
         two_local,
         on_site,
-        identity=float(doc.get("identity", 0.0)),
-        alpha=None if alpha is None else float(alpha),
+        identity=_parse_field("identity", float, doc.get("identity", 0.0)),
+        alpha=None if alpha is None else _parse_field("alpha", float, alpha),
     )
 
 

@@ -118,13 +118,32 @@ def test_diagonal_gates():
 
 
 def test_composite_diagonal_phase_lowering():
-    gate = CompositeDiagonalPhase((1, 3), lambda bits: 0.2 * bits[0] + 0.9 * bits[1], cost=5)
+    # entry idx: bit 0 of idx on qubit 1, bit 1 on qubit 3
+    gate = CompositeDiagonalPhase((1, 3), [0.0, 0.2, 0.9, 0.2 + 0.9], cost=5)
     circ = Circuit(3, (gate,))
     u = circuit_to_unitary(circ)
     x = np.arange(8)
     want = np.exp(1j * (0.2 * ((x >> 0) & 1) + 0.9 * ((x >> 2) & 1)))
     assert max_err(u, np.diag(want)) < 1e-12
     assert circ.cost() == 5
+
+
+def test_composite_phase_table_is_checked_and_read_only():
+    with pytest.raises(ValidationError):
+        CompositeDiagonalPhase((1, 2), [0.0, 0.1, 0.2], cost=1)  # two qubits need 4 entries
+    with pytest.raises(ValidationError):
+        CompositeDiagonalPhase((1,), np.zeros((2, 1)), cost=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            CompositeDiagonalPhase((1,), [0.0, bad], cost=1)
+    given = np.array([0.0, 0.5])
+    gate = CompositeDiagonalPhase((1,), given, cost=1)
+    given[1] = 9.0  # the writable input was copied
+    assert gate.phases.tolist() == [0.0, 0.5] and gate.phases.dtype == np.float64
+    with pytest.raises(ValueError):
+        gate.phases[0] = 1.0
+    # read-only input is shared, not copied
+    assert CompositeDiagonalPhase((2,), gate.phases, cost=1).phases is gate.phases
 
 
 def test_circuit_validation():
@@ -146,7 +165,7 @@ def test_inverse_circuit_identity():
             PauliRotation("y", 2, 0.8),
             CZ(2, 3),
             ControlledPhase(1, 2, -0.3),
-            CompositeDiagonalPhase((1, 2, 3), lambda b: 0.1 * sum(b), cost=2),
+            CompositeDiagonalPhase((1, 2, 3), 0.1 * np.array([0, 1, 1, 2, 1, 2, 2, 3]), cost=2),
         ),
     )
     u = circuit_to_unitary(circ)

@@ -338,6 +338,73 @@ def test_usage_errors_exit_64(capsys):
         capsys.readouterr()
 
 
+def exit_code_and_stderr(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tracebacks before float and list flags were checked at parse time
+        "compile --n 4 --t nan --method avgcost",
+        "compile --n 4 --t inf --method lowrank --cutoff 1 --count-only",
+        "cost-report --method avgcost --alpha 1.5 --t nan",
+        "chem --g-sweep 3,4 --step-grid 2 --t nan",
+        "error-sweep --n 4 --t-values abc",
+        "cost-report --method sequential --n-sweep 64,abc",
+        "chem --g-sweep x",
+        # wrong results with exit 0
+        "verify --n 4 --method lowrank --cutoff 1 --tol nan",
+        "compile --n 4 --t nan --count-only",
+        "chem --g-sweep 3,4 --omega nan",
+        "build --n 4 --alpha inf",
+        # exit 2 from the library before
+        "bound ham --b 64 --k 1000 --n 64 --eps nan",
+    ],
+)
+def test_non_finite_or_malformed_numbers_are_usage_errors(capsys, argv):
+    rc, err = exit_code_and_stderr(capsys, argv.split())
+    assert rc == 64
+    assert err.splitlines()[-1].startswith("usage error: argument --")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2]]}]}',
+         "spec field entries of (z,z) is malformed"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, "a"]]}]}',
+         "spec field entries of (z,z) is malformed"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 0.5], [1, 2, 0.7]]}]}',
+         "pair (1, 2) appears twice"),
+        ('{"n": "x", "d": 1}', "spec field n is malformed"),
+        ('{"n": 4, "d": 1, "onsite": [1]}', "spec field onsite must be a JSON object"),
+        ('{"n": 4, "d": 1, "onsite": {"z": [NaN, 0, 0, 0]}}', "on-site coefficients must be finite"),
+        ('{"n": 4, "d": 1, "alpha": NaN}', "alpha must be finite"),
+        ('{"n": 4, "d": 1, "identity": Infinity, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 1.0]]}]}',
+         "identity offset must be finite"),
+        ('{"n": -1, "d": 1, "terms": [{"sigma": "z", "sigma2": "z"}]}', "site count must be >= 1"),
+        ('{"n": 4, "d": 1, "terms": 5}', "spec field terms must be a JSON array"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": 5, "sigma2": "z"}]}', "unknown Pauli tag 5"),
+    ],
+    ids=["short-entry", "text-value", "repeated-pair", "text-n", "onsite-list", "nan-onsite",
+         "nan-alpha", "inf-identity", "negative-n", "terms-number", "sigma-number"],
+)
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, message, command):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    rc, err = exit_code_and_stderr(capsys, [command, "--input", str(path)])
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     cmd = [sys.executable, "-m", "trotterforge.cli", "cost-report",
            "--method", "sequential", "--n-sweep", "64,128,256,512"]

@@ -1,7 +1,12 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 
+import trotterforge.compilers as compilers
 from trotterforge.circuit import (
+    CompositeDiagonalPhase,
     ControlledPhase,
     circuit_to_unitary,
     exact_evolution,
@@ -464,3 +469,73 @@ def test_reduction_overhead_model():
         phases = sum(isinstance(g, ControlledPhase) for g in circ.gates)
         assert phases == 1
         assert circ.cost() - phases == 4 * n * (2 * w + 3)
+
+
+# -- phase tables --------------------------------------------------------------------------
+
+
+def closure_phase(op, theta, bits):
+    """The per-basis-state formulas the phase tables replaced, one state at a time."""
+    z = 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    zu, zv = z[: len(op.rows)], z[len(op.rows) :]
+    if op.kind == "far":
+        left, sing, right = op.data.left, op.data.singulars, op.data.right
+        coupling = float(((zu @ left) * sing) @ (right.T @ zv))
+    else:
+        coupling = float(zu @ np.ascontiguousarray(op.data) @ zv)
+    return -theta * coupling
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("pair", [XX, (PauliKind.Y, PauliKind.Y), ZZ], ids=["xx", "yy", "zz"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p):
+    seen = []
+    op_gates = compilers._op_gates
+
+    def recording(op, theta, spec):
+        gates = op_gates(op, theta, spec)
+        if op.kind in ("far", "cell"):
+            seen.append((op, theta, gates))
+        return gates
+
+    monkeypatch.setattr(compilers, "_op_gates", recording)
+    spec = build_power_law(n, 1, 1.5, pair, "seeded-random", seed=n + p)
+    compile_lowrank_step(spec, 0.3, 1e-9, n // 4, p)
+    compile_avgcost_step(spec, 0.3, n // 4, p)
+    assert {op.kind for op, _, _ in seen} == {"far", "cell"}
+    for op, theta, (gate,) in seen:
+        k = len(gate.qubits)
+        want = [closure_phase(op, theta, [(idx >> i) & 1 for i in range(k)]) for idx in range(1 << k)]
+        assert gate.qubits == tuple(op.rows) + tuple(op.cols)
+        assert np.array_equal(gate.phases, want)
+
+
+def test_gadget_tables_hold_one_pi_each():
+    n, w = 16, 4
+    circ = compile_hamming2_reduction(CoeffMatrix.zeros(n))
+    composites = [g for g in circ.gates if isinstance(g, CompositeDiagonalPhase)]
+    assert len(composites) == 4 * n
+    unary_start = 2 * w + 1
+    for g in composites:
+        u = g.qubits[-1] - unary_start + 1
+        assert np.flatnonzero(g.phases).tolist() == [(u - 1) | (1 << w)]
+        assert g.phases[(u - 1) | (1 << w)] == math.pi
+    # the j pass (register 1..w) and the k pass (register w+1..2w) share one table per marker
+    j_gate = next(g for g in composites if g.qubits[0] == 1)
+    k_gate = next(g for g in composites if g.qubits[0] == w + 1)
+    assert np.shares_memory(j_gate.phases, k_gate.phases)
+
+
+def test_lowered_circuits_survive_pickle():
+    spec = mixed_group_spec(8)
+    circuits = [
+        compile_lowrank_step(spec, 0.2, 1e-9, 2, 2).circuit,
+        compile_avgcost_step(spec, 0.2, 2, 2).circuit,
+        compile_hamming2_reduction(build_power_law(4, 1, 2.0).two_local[ZZ]),
+    ]
+    for circ in circuits:
+        again = pickle.loads(pickle.dumps(circ))
+        assert np.array_equal(circuit_to_unitary(again), circuit_to_unitary(circ))
+        tables = [g.phases for g in again.gates if isinstance(g, CompositeDiagonalPhase)]
+        assert tables and not any(t.flags.writeable for t in tables)

@@ -6,6 +6,7 @@ import pytest
 import trotterforge
 
 MODULES = sorted(p for p in Path(trotterforge.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +27,6 @@ def test_unused_import_check_sees_attribute_and_annotation_use():
     assert unused_imports(source) == ["math"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
