@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, ValidationError
-from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind
+from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
 CAPACITY_QUBITS = 14
 
@@ -26,6 +26,7 @@ _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )  # index = z_ctrl + 2 z_tgt
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 @dataclass(frozen=True)
@@ -221,28 +222,18 @@ def inverse_circuit(c: Circuit) -> Circuit:
     return Circuit(c.qubit_count, tuple(inv), c.system_qubits)
 
 
-def pauli_term_matrix(string: Sequence[tuple[int, PauliKind]], n: int) -> np.ndarray:
-    """Dense matrix of a Pauli string on n qubits; every entry is 0, +-1 or +-i."""
-    axes = dict(string)
-    out = PAULI_MATRICES[axes.get(n, PauliKind.I)]
-    for q in range(n - 1, 0, -1):
-        out = np.kron(out, PAULI_MATRICES[axes.get(q, PauliKind.I)])
-    return out
-
-
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense Hermitian matrix of the full 2-local spec."""
+    """Dense Hermitian matrix of the full 2-local spec, one scatter per Pauli term."""
     if spec.n > CAPACITY_QUBITS:
         raise CapacityError(f"n={spec.n} exceeds the dense cap {CAPACITY_QUBITS}")
     dim = 1 << spec.n
     h = np.zeros((dim, dim), dtype=complex)
-    for (s1, s2), mat in spec.two_local.items():
-        for j, k, v in mat.nonzero_pairs():
-            h += v * pauli_term_matrix([(j, s1), (k, s2)], spec.n)
-    for s, vec in spec.on_site.items():
-        for j in range(1, spec.n + 1):
-            if vec[j - 1] != 0.0:
-                h += vec[j - 1] * pauli_term_matrix([(j, s)], spec.n)
+    table = pauli_table(spec)
+    b = np.arange(dim)
+    for x, z, c in zip(table.x.tolist(), table.z.tolist(), table.coeff.tolist()):
+        # P|b> = i^{|x & z|} (-1)^{|b & z|} |b ^ x>: one entry per column
+        value = c * _I_POWERS[(x & z).bit_count() % 4]
+        h[b ^ x, b] += np.where(np.bitwise_count(b & z) & 1, -value, value)
     if spec.identity != 0.0:
         h += spec.identity * np.eye(dim, dtype=complex)
     return h

@@ -34,7 +34,6 @@ from .circuit import (
     CAPACITY_QUBITS,
     circuit_text,
     exact_evolution,
-    pauli_term_matrix,
     spectral_distance,
 )
 from .compilers import (
@@ -44,7 +43,6 @@ from .compilers import (
     compile_lowrank_step,
     compile_sequential_step,
     lowered_step_unitary,
-    sequential_terms,
     step_cost_json,
     step_to_text,
 )
@@ -59,20 +57,20 @@ from .decomp import (
     subdivision_to_json,
 )
 from .errors import CapacityError, ValidationError
-from .hamlib import PauliKind, build_power_law, spec_from_json, spec_to_json
+from .hamlib import PauliKind, build_power_law, pauli_table, spec_from_json, spec_to_json
 from .lowrank import rank_profile
 from .trotter import (
     COMMUTATOR_DIM_CAP,
-    COMMUTATOR_ORDER_CAP,
+    PAULI_COMMUTATOR_ORDERS,
     TrotterErrorReport,
-    commutator_norm_sum,
     error_report_csv,
+    pauli_commutator_sum,
     steps_for,
 )
 
 
-# orders that both the product formula and the brute-force commutator sum support
-SWEEP_ORDERS = tuple(q for q in SUPPORTED_ORDERS if q <= COMMUTATOR_ORDER_CAP)
+# orders that both the product formula and the closed-form commutator sum support
+SWEEP_ORDERS = tuple(q for q in SUPPORTED_ORDERS if q in PAULI_COMMUTATOR_ORDERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,13 +178,6 @@ def _compiled_step(method, spec, args, count_only):
     return compile_avgcost_step(spec, args.t, m, args.p, count_only=count_only, eps=args.eps)
 
 
-def _stage_matrices(spec):
-    sites = COMMUTATOR_DIM_CAP.bit_length() - 1
-    if spec.n > sites:
-        raise CapacityError(f"commutator sums are capped at {sites} sites, got {spec.n}")
-    return [coeff * pauli_term_matrix(string, spec.n) for string, coeff in sequential_terms(spec)]
-
-
 # -- subcommand bodies ----------------------------------------------------------
 
 
@@ -265,8 +256,13 @@ def _run_error_sweep(args) -> None:
     for t in args.t_values:
         args.t = t
         steps.append(_compiled_step(args.method, spec, args, False))
-    # an invalid order, method or spec exits before the costly sum
-    alpha = commutator_norm_sum(_stage_matrices(spec), args.p)
+    # an invalid order, method or spec exits before the commutator sum; the
+    # site cap is kept until the dense exact evolution is sized by memory
+    sites = COMMUTATOR_DIM_CAP.bit_length() - 1
+    if spec.n > sites:
+        raise CapacityError(f"commutator sums are capped at {sites} sites, got {spec.n}")
+    table = pauli_table(spec)
+    alpha = pauli_commutator_sum(table.x, table.z, table.coeff, args.p)
     reports = []
     for step in steps:
         t = step.t

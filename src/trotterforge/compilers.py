@@ -89,6 +89,10 @@ class ProductFormula:
         object.__setattr__(self, "stages", idx)
         object.__setattr__(self, "fractions", frac)
 
+    def __reduce__(self):
+        # unpickling runs the constructor, so the arrays come back read-only
+        return (ProductFormula, (self.p, self.stage_count, self.stages, self.fractions))
+
 
 def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
     """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion."""

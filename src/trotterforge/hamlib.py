@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, IndexRangeError, ValidationError
+from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError
 
 
 class PauliKind(Enum):
@@ -41,6 +42,17 @@ PAULI_MATRICES: dict[PauliKind, np.ndarray] = {
 }
 
 
+def check_coeff_capacity(n: int) -> None:
+    """Raise CapacityError if one dense n x n float64 matrix exceeds physical memory."""
+    need = 8 * n * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CapacityError(
+            f"a {n} x {n} coefficient matrix needs {need / 2**30:.1f} GiB,"
+            f" more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CoeffMatrix:
     """Strictly upper-triangular real coefficient matrix over site pairs."""
@@ -61,8 +73,13 @@ class CoeffMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
+    def __reduce__(self):
+        # unpickling runs the constructor, so the matrix comes back read-only
+        return (CoeffMatrix, (self.n, self.data))
+
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[tuple[int, int], float]) -> "CoeffMatrix":
+        check_coeff_capacity(n)
         a = np.zeros((n, n))
         for (j, k), value in entries.items():
             if not (1 <= j < k <= n):
@@ -188,6 +205,13 @@ class HamiltonianSpec:
             ons[s] = v
         object.__setattr__(self, "on_site", ons)
 
+    def __reduce__(self):
+        # unpickling runs the constructor, so the arrays come back read-only
+        return (
+            HamiltonianSpec,
+            (self.n, self.d, self.two_local, self.on_site, self.identity, self.alpha),
+        )
+
     @property
     def side(self) -> int:
         return round(self.n ** (1.0 / self.d))
@@ -212,6 +236,67 @@ class HamiltonianSpec:
         return sorted(self.two_local.keys(), key=lambda p: (p[0].value, p[1].value))
 
 
+# -- Pauli terms as bit masks ---------------------------------------------------
+
+# qubit q sits on bit q-1 of both masks, as in circuit's basis index
+_X_BIT = {PauliKind.X: 1, PauliKind.Y: 1, PauliKind.Z: 0}
+_Z_BIT = {PauliKind.X: 0, PauliKind.Y: 1, PauliKind.Z: 1}
+# masks are int64; bit 63 stays clear because np.bitwise_count counts |value|
+_MASK_SITE_CAP = 63
+
+
+@dataclass(frozen=True, eq=False)
+class PauliTable:
+    """Read-only Pauli terms, one row each: the string's x and z bit masks and its coefficient.
+
+    A row is c * i^{|x & z|} X^x Z^z, so P|b> = i^{|x & z|} (-1)^{|b & z|} |b ^ x>.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    coeff: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("x", np.int64), ("z", np.int64), ("coeff", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if self.x.ndim != 1 or not self.x.shape == self.z.shape == self.coeff.shape:
+            raise ValidationError("pauli table columns need one 1-D length")
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so the columns come back read-only
+        return (PauliTable, (self.x, self.z, self.coeff))
+
+
+def pauli_table(spec: HamiltonianSpec) -> PauliTable:
+    """Every nonzero term as a mask row, in (sigma, sigma', j, k) order, on-site terms last.
+
+    This is the row order of ``compilers.sequential_terms``; the identity
+    offset is not a row.
+    """
+    if spec.n > _MASK_SITE_CAP:
+        raise CapacityError(f"pauli tables hold at most {_MASK_SITE_CAP} sites, got {spec.n}")
+    xs, zs, cs = [], [], []
+    for s1, s2 in spec.groups():
+        data = spec.two_local[(s1, s2)].data
+        js, ks = np.nonzero(data)  # row-major, so (j, k) order
+        bj, bk = 1 << js, 1 << ks
+        xs.append(_X_BIT[s1] * bj | _X_BIT[s2] * bk)
+        zs.append(_Z_BIT[s1] * bj | _Z_BIT[s2] * bk)
+        cs.append(data[js, ks])
+    for s in sorted(spec.on_site, key=lambda s: s.value):
+        vec = spec.on_site[s]
+        (js,) = np.nonzero(vec)
+        bj = 1 << js
+        xs.append(_X_BIT[s] * bj)
+        zs.append(_Z_BIT[s] * bj)
+        cs.append(vec[js])
+    if not cs:
+        return PauliTable((), (), ())
+    return PauliTable(np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+
+
 SIGN_RULES = ("all-positive", "alternating", "seeded-random")
 
 
@@ -231,6 +316,7 @@ def build_power_law(
     if sign_rule not in SIGN_RULES:
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
+    check_coeff_capacity(n)
     js, ks = np.triu_indices(n, 1)
     coords = np.arange(n)
     d2 = np.zeros(js.size, dtype=np.int64)

@@ -13,6 +13,7 @@ from .errors import CapacityError, DomainError, ValidationError
 
 COMMUTATOR_DIM_CAP = 1 << 10
 COMMUTATOR_ORDER_CAP = 3
+PAULI_COMMUTATOR_ORDERS = (1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +78,32 @@ def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:
 
     # each m is the innermost stage, summed over every choice of the outer ones
     return float(sum(chain_sum(m, 0) for m in mats))
+
+
+def pauli_commutator_sum(x: np.ndarray, z: np.ndarray, coeff: np.ndarray, p: int) -> float:
+    """commutator_norm_sum of the stages coeff[a] * P_a, in closed form from the (x, z) masks.
+
+    Two Pauli strings commute or anticommute, so a nested commutator is 0 or
+    2^p prod|c| times a Pauli string. With w = |coeff| and A_ab = 1 when P_a and
+    P_b anticommute:
+      p=1: 2 sum_ab w_a w_b A_ab
+      p=2: 4 sum_ab w_a w_b A_ab sum_c w_c (A_ca xor A_cb),
+    where the inner sum is s_a + s_b - 2 (A diag(w) A)_ab with s = A w.
+    """
+    if p not in PAULI_COMMUTATOR_ORDERS:
+        raise DomainError(f"pauli commutator sum supports p in {PAULI_COMMUTATOR_ORDERS}, got {p}")
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    w = np.abs(np.asarray(coeff, dtype=float))
+    if x.ndim != 1 or x.shape != z.shape or x.shape != w.shape:
+        raise ValidationError("masks and coefficients need one 1-D length")
+    # symplectic form: P_a, P_b anticommute iff |x_a & z_b| + |z_a & x_b| is odd
+    overlap = (x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :])
+    a = (np.bitwise_count(overlap) & 1).astype(float)
+    if p == 1:
+        return 2.0 * float(w @ a @ w)
+    s = a @ w
+    inner = s[:, None] + s[None, :] - 2.0 * ((a * w) @ a)
+    return 4.0 * float(w @ (a * inner) @ w)
 
 
 def steps_for(alpha: float, t: float, eps: float, p: int) -> int:

@@ -24,8 +24,9 @@ from trotterforge.circuit import (
     spectral_distance,
     subspace_distance,
 )
+from trotterforge.compilers import sequential_terms
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind
+from trotterforge.hamlib import PAULI_MATRICES, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -51,6 +52,26 @@ def dense_oracle(spec):
         for j in range(1, n + 1):
             h += vec[j - 1] * op_on(n, j, kinds[s])
     return h + spec.identity * np.eye(1 << n)
+
+
+def pauli_term_matrix(string, n):
+    """Dense Pauli string on n qubits by n-fold kron; every entry is 0, +-1 or +-i."""
+    axes = dict(string)
+    out = PAULI_MATRICES[axes.get(n, PauliKind.I)]
+    for q in range(n - 1, 0, -1):
+        out = np.kron(out, PAULI_MATRICES[axes.get(q, PauliKind.I)])
+    return out
+
+
+def kron_hamiltonian(spec):
+    """H as a sum of kron matrices, added in sequential_terms order with the identity last."""
+    dim = 1 << spec.n
+    h = np.zeros((dim, dim), dtype=complex)
+    for string, coeff in sequential_terms(spec):
+        h += coeff * pauli_term_matrix(string, spec.n)
+    if spec.identity != 0.0:
+        h += spec.identity * np.eye(dim, dtype=complex)
+    return h
 
 
 def evolution_oracle(spec, t):
@@ -193,6 +214,39 @@ def test_dense_hamiltonian_mixed_terms():
     }
     spec = HamiltonianSpec(2, 1, mats, {PauliKind.X: np.array([0.2, 0.0])}, identity=0.5)
     assert max_err(dense_hamiltonian(spec), dense_oracle(spec)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, tags, onsite, identity",
+    [
+        pytest.param(n, tags, onsite, identity, id=f"{'+'.join(tags)}+{onsite or '-'}-n{n}")
+        for n, tags, onsite, identity in [
+            (2, ["xy"], "", 0.0),
+            (3, ["yy"], "z", 0.5),
+            (4, ["xz"], "xyz", 0.0),
+            (5, ["xy", "yy", "zz"], "x", -1.25),
+            (6, ["xz", "yz", "zx", "zy"], "xy", 0.3),
+            (8, ["xz", "yy"], "xz", 2.0),
+            (8, ["xx", "xy", "yx", "yy"], "y", 0.0),
+        ]
+    ],
+)
+def test_dense_hamiltonian_matches_kron_oracle_bit_for_bit(n, tags, onsite, identity):
+    pairs = [(PauliKind.from_tag(t[0]), PauliKind.from_tag(t[1])) for t in tags]
+    groups = {
+        pair: build_power_law(n, 1, 1.5, pair, "seeded-random", i).two_local[pair]
+        for i, pair in enumerate(pairs)
+    }
+    rng = np.random.default_rng(n)
+    fields = {}
+    for tag in onsite:
+        vec = rng.normal(size=n)
+        vec[rng.integers(n)] = 0.0
+        fields[PauliKind.from_tag(tag)] = vec
+    spec = HamiltonianSpec(n, 1, groups, fields, identity=identity)
+    got, want = dense_hamiltonian(spec), kron_hamiltonian(spec)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_dense_capacity_cap():

@@ -238,11 +238,45 @@ def test_error_sweep_csv(capsys):
     assert all(int(row.split(",")[6]) >= 1 for row in lines[1:])
 
 
+# captured at the parent commit from the brute-force commutator sum:
+# p -> (alpha_comm, [(t, bound, empirical, r)])
+ERROR_SWEEP_GOLDEN = {
+    1: (17.13888888888889, [
+        (0.05, 0.04284722222222223, 0.006950772384886447, 43),
+        (0.1, 0.17138888888888892, 0.027872049073882185, 172),
+        (0.2, 0.6855555555555557, 0.11165500406665164, 686),
+    ]),
+    2: (126.66975308641975, [
+        (0.05, 0.015833719135802473, 0.0001491456866321167, 4),
+        (0.1, 0.12666975308641978, 0.0011884996206573428, 12),
+        (0.2, 1.0133580246913583, 0.009361182484190786, 32),
+    ]),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_error_sweep_golden(capsys, p):
+    rc, out = run_cli(capsys, "error-sweep", "--n", "5", "--pauli", "xz", "--p", str(p))
+    assert rc == 0
+    lines = out.splitlines()
+    alpha, rows = ERROR_SWEEP_GOLDEN[p]
+    assert lines[0] == "method,p,t,alpha_comm,bound,empirical,r"
+    assert len(lines) == 1 + len(rows)
+    for line, (t, bound, empirical, r) in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[:3] == ["sequential", str(p), repr(t)]
+        assert float(cells[3]) == pytest.approx(alpha, rel=1e-12, abs=0.0)
+        assert float(cells[4]) == pytest.approx(bound, rel=1e-12, abs=0.0)
+        # the distance comes from LAPACK, so another build may move its last digits
+        assert float(cells[5]) == pytest.approx(empirical, rel=1e-9, abs=0.0)
+        assert int(cells[6]) == r
+
+
 def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("commutator sum computed for an invalid request")
 
-    monkeypatch.setattr("trotterforge.cli.commutator_norm_sum", must_not_run)
+    monkeypatch.setattr("trotterforge.cli.pauli_commutator_sum", must_not_run)
     assert main(["error-sweep", "--method", "lowrank", "--n", "6", "--pauli", "xz"]) == 2
     assert "power of 2" in capsys.readouterr().err
 
@@ -403,6 +437,18 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, message, command):
     assert rc == 2
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_oversized_spec_is_a_capacity_error(tmp_path, capsys, command):
+    # a dense 10^6 x 10^6 coefficient matrix needs 7.3 TiB; it used to fail inside numpy
+    path = tmp_path / "spec.json"
+    path.write_text('{"n": 1000000, "d": 1, "terms": [{"sigma": "z", "sigma2": "z"}]}')
+    for argv in ([command, "--input", str(path)], [command, "--n", "1000000"]):
+        rc, err = exit_code_and_stderr(capsys, argv)
+        assert rc == 3
+        assert err.startswith("capacity error: a 1000000 x 1000000 coefficient matrix needs")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_module_entrypoint_subprocess(tmp_path):

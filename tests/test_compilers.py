@@ -539,3 +539,13 @@ def test_lowered_circuits_survive_pickle():
         assert np.array_equal(circuit_to_unitary(again), circuit_to_unitary(circ))
         tables = [g.phases for g in again.gates if isinstance(g, CompositeDiagonalPhase)]
         assert tables and not any(t.flags.writeable for t in tables)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_pickled_formula_stays_read_only(p):
+    formula = make_product_formula(p, 5)
+    loaded = pickle.loads(pickle.dumps(formula))
+    assert (loaded.p, loaded.stage_count) == (formula.p, formula.stage_count)
+    assert np.array_equal(loaded.stages, formula.stages)
+    assert np.array_equal(loaded.fractions, formula.fractions)
+    assert not loaded.stages.flags.writeable and not loaded.fractions.flags.writeable

@@ -1,12 +1,15 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotterforge.compilers import sequential_terms
 from trotterforge.errors import (
+    CapacityError,
     DimensionError,
     DomainError,
     IndexRangeError,
@@ -17,12 +20,15 @@ from trotterforge.hamlib import (
     HamiltonianSpec,
     IndexRegion,
     PauliKind,
+    PauliTable,
     build_power_law,
+    check_coeff_capacity,
     coeff_oracle,
     fixed_point_round,
     norms,
     pauli_decompose_term,
     pauli_reconstruct,
+    pauli_table,
     spec_from_json,
     spec_to_json,
 )
@@ -340,3 +346,77 @@ def test_spec_json_rejects_unknown_fields():
 def test_spec_json_rejects_malformed_documents(text):
     with pytest.raises(ValidationError):
         spec_from_json(text)
+
+
+# -- Pauli tables --------------------------------------------------------------------
+
+
+def mixed_table_spec():
+    """Three groups in reverse tag order, on-site fields with zeros, and an identity offset."""
+    n = 6
+    groups = {
+        pair: build_power_law(n, 1, 1.5, pair, "seeded-random", i).two_local[pair]
+        for i, pair in enumerate([(PauliKind.Z, PauliKind.X), (PauliKind.Y, PauliKind.Y), (PauliKind.X, PauliKind.Z)])
+    }
+    fields = {
+        PauliKind.Z: np.array([0.5, 0.0, -0.25, 0.0, 1.0, 0.125]),
+        PauliKind.X: np.array([0.0, 1.5, 0.0, -2.0, 0.0, 0.0]),
+    }
+    return HamiltonianSpec(n, 1, groups, fields, identity=0.75)
+
+
+def test_pauli_table_rows_follow_sequential_terms():
+    spec = mixed_table_spec()
+    table = pauli_table(spec)
+    terms = sequential_terms(spec)
+    xbit = {PauliKind.X: 1, PauliKind.Y: 1, PauliKind.Z: 0}
+    zbit = {PauliKind.X: 0, PauliKind.Y: 1, PauliKind.Z: 1}
+    want_x = [sum(xbit[s] << (q - 1) for q, s in string) for string, _ in terms]
+    want_z = [sum(zbit[s] << (q - 1) for q, s in string) for string, _ in terms]
+    assert table.x.tolist() == want_x
+    assert table.z.tolist() == want_z
+    assert table.coeff.tolist() == [c for _, c in terms]
+    assert table.x.dtype == table.z.dtype == np.int64 and table.coeff.dtype == np.float64
+    assert not any(a.flags.writeable for a in (table.x, table.z, table.coeff))
+
+
+def test_pauli_table_edges():
+    empty = pauli_table(HamiltonianSpec(3, 1, {}, {}, identity=1.0))
+    assert empty.x.shape == empty.z.shape == empty.coeff.shape == (0,)
+    with pytest.raises(CapacityError):
+        pauli_table(HamiltonianSpec(64, 1, {}, {}))
+    with pytest.raises(ValidationError):
+        PauliTable([1, 2], [0], [1.0, 1.0])
+
+
+def test_pickled_spec_objects_stay_read_only():
+    spec = mixed_table_spec()
+    loaded = pickle.loads(pickle.dumps(spec))
+    assert (loaded.n, loaded.d, loaded.identity, loaded.alpha) == (spec.n, spec.d, spec.identity, spec.alpha)
+    assert list(loaded.two_local) == list(spec.two_local)
+    for pair, mat in spec.two_local.items():
+        again = loaded.two_local[pair]
+        assert again.n == mat.n and np.array_equal(again.data, mat.data)
+        assert not again.data.flags.writeable
+    assert list(loaded.on_site) == list(spec.on_site)
+    for kind, vec in spec.on_site.items():
+        assert np.array_equal(loaded.on_site[kind], vec) and not loaded.on_site[kind].flags.writeable
+    mat = build_power_law(4, 1, 2.0).two_local[ZZ]
+    again = pickle.loads(pickle.dumps(mat))
+    assert np.array_equal(again.data, mat.data) and not again.data.flags.writeable
+    table = pauli_table(spec)
+    again = pickle.loads(pickle.dumps(table))
+    for name in ("x", "z", "coeff"):
+        assert np.array_equal(getattr(again, name), getattr(table, name))
+        assert not getattr(again, name).flags.writeable
+
+
+def test_coefficient_capacity_is_checked_before_allocating():
+    check_coeff_capacity(1024)  # the far-field benchmark size: 8 MiB
+    for build in (
+        lambda: check_coeff_capacity(10**6),
+        lambda: CoeffMatrix.from_entries(10**6, {}),
+        lambda: build_power_law(10**6, 1, 2.0),
+    ):
+        with pytest.raises(CapacityError, match="coefficient matrix needs 7450.6 GiB"):
+            build()

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trotterforge.compilers import sequential_terms
 from trotterforge.errors import CapacityError, DomainError, ValidationError
+from trotterforge.hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, build_power_law, pauli_table
 from trotterforge.trotter import (
     SimulationRequest,
     TrotterErrorReport,
@@ -11,6 +13,7 @@ from trotterforge.trotter import (
     error_report_csv,
     fermionic_error_norms,
     induced_1norm,
+    pauli_commutator_sum,
     restricted_induced_1norm,
     step_count,
     steps_for,
@@ -45,6 +48,31 @@ def nested_sum_oracle(stages, p):
             idx[pos] = 0
         else:
             return total
+
+
+def kron_term(string, n):
+    """Dense Pauli string on n qubits, qubit q on bit q-1 of the basis index."""
+    axes = dict(string)
+    out = PAULI_MATRICES[axes.get(n, PauliKind.I)]
+    for q in range(n - 1, 0, -1):
+        out = np.kron(out, PAULI_MATRICES[axes.get(q, PauliKind.I)])
+    return out
+
+
+def pauli_spec(n, tags, seed, onsite=""):
+    """Seeded-random power-law groups plus seeded on-site fields with one zero site each."""
+    pairs = [(PauliKind.from_tag(t[0]), PauliKind.from_tag(t[1])) for t in tags]
+    groups = {
+        pair: build_power_law(n, 1, 1.5, pair, "seeded-random", seed + i).two_local[pair]
+        for i, pair in enumerate(pairs)
+    }
+    rng = np.random.default_rng(seed)
+    fields = {}
+    for tag in onsite:
+        vec = rng.uniform(-1.0, 1.0, n)
+        vec[rng.integers(n)] = 0.0
+        fields[PauliKind.from_tag(tag)] = vec
+    return HamiltonianSpec(n, 1, groups, fields)
 
 
 def top_eta_oracle(matrix, eta):
@@ -104,6 +132,45 @@ def test_commutator_caps():
         commutator_norm_sum([np.eye(2048)], 1)
     with pytest.raises(ValidationError):
         commutator_norm_sum([X, np.eye(4)], 1)
+
+
+PAULI_SUM_CASES = [
+    pytest.param(n, tags, onsite, id=f"{'+'.join(tags)}{'+' + onsite if onsite else ''}-n{n}")
+    for n, tags, onsite in [
+        (3, ["xz"], ""),
+        (4, ["xz"], ""),
+        (6, ["xz"], ""),
+        (4, ["xy"], ""),
+        (5, ["xy"], ""),
+        (3, ["yy"], ""),
+        (5, ["yy"], "x"),
+        (3, ["xx", "zz"], "xz"),
+        (4, ["xz", "yy"], "xz"),
+        (4, ["zx", "xz"], "xz"),
+    ]
+]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("n, tags, onsite", PAULI_SUM_CASES)
+def test_pauli_commutator_sum_matches_brute_force(n, tags, onsite, p):
+    spec = pauli_spec(n, tags, seed=n + p, onsite=onsite)
+    stages = [coeff * kron_term(string, n) for string, coeff in sequential_terms(spec)]
+    table = pauli_table(spec)
+    fast = pauli_commutator_sum(table.x, table.z, table.coeff, p)
+    assert fast > 0.0 or tags == ["yy"] and not onsite  # YY terms alone all commute
+    assert fast == pytest.approx(commutator_norm_sum(stages, p), rel=1e-12, abs=0.0)
+
+
+def test_pauli_commutator_sum_small_cases():
+    # X and Z on one qubit: ||[Z, X]|| + ||[X, Z]|| = 4; Z and Z commute
+    assert pauli_commutator_sum([1, 0], [0, 1], [1.0, -1.0], 1) == 4.0
+    assert pauli_commutator_sum([0, 0], [1, 1], [1.0, 2.0], 2) == 0.0
+    assert pauli_commutator_sum([], [], [], 2) == 0.0
+    with pytest.raises(DomainError):
+        pauli_commutator_sum([1], [0], [1.0], 3)
+    with pytest.raises(ValidationError):
+        pauli_commutator_sum([1, 2], [0], [1.0, 1.0], 1)
 
 
 # -- step counts -----------------------------------------------------------------------
