@@ -6,6 +6,11 @@ the first gate acts first, so the lowered matrix is G_N ... G_1.
 
 A composite diagonal phase carries an exact phase table and a declared
 gate-count cost; bit-level lowering of its arithmetic is out of scope.
+
+Lowering updates one dense matrix gate by gate and copies it into no permuted
+layout: a CNOT swaps row blocks in place, a one-qubit gate is a batched 2x2
+matmul on a reshaped view, and a diagonal gate multiplies rows by phases.
+Tests check each, bit for bit, against applying the gate's matrix on moved axes.
 """
 
 from __future__ import annotations
@@ -16,16 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import CapacityError, DomainError, ValidationError, check_memory
 from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
 CAPACITY_QUBITS = 14
+# 2^n x 2^n complex matrices alive at once when a step is checked against exact
+# evolution: the lowered step and H, plus four in exact_evolution (eigh's input
+# copy, its two workspaces and V; then V, V e^{-itw}, V^dagger and the product)
+DENSE_COPIES = 6
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)  # index = z_ctrl + 2 z_tgt
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
@@ -145,18 +151,13 @@ class Circuit:
         return sum(gate_cost(g) for g in self.gates)
 
 
-def _gate_matrix(g: Gate) -> np.ndarray | None:
-    """Dense matrix over the gate's own qubits; None for diagonal fast-path gates."""
+def _one_qubit_matrix(g: PauliRotation | Hadamard | PhaseS) -> np.ndarray:
     if isinstance(g, PauliRotation):
         p = PAULI_MATRICES[PauliKind(g.axis)]
         return math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
     if isinstance(g, Hadamard):
         return _H
-    if isinstance(g, PhaseS):
-        return _S
-    if isinstance(g, CNOT):
-        return _CNOT
-    return None
+    return _S
 
 
 def _diagonal_phases(g: Gate) -> np.ndarray | None:
@@ -170,17 +171,19 @@ def _diagonal_phases(g: Gate) -> np.ndarray | None:
     return None
 
 
-def _apply_dense(u: np.ndarray, op: np.ndarray, qubits: Sequence[int], nq: int) -> np.ndarray:
-    k = len(qubits)
+def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int) -> None:
+    """Apply CNOT in place: swap the target-0 and target-1 rows where the control bit is 1."""
     dim = u.shape[0]
-    t = u.reshape((2,) * nq + (dim,))
-    # op row index has qubits[0] as its least significant bit
-    axes = [nq - q for q in reversed(qubits)]
-    t = np.moveaxis(t, axes, range(k))
-    shape = t.shape
-    t = op @ t.reshape(1 << k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(t.reshape(dim, dim))
+    hi, lo = max(ctrl, tgt) - 1, min(ctrl, tgt) - 1
+    # a view, since u is C-contiguous: axis 1 is bit hi, axis 3 is bit lo
+    v = u.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) * dim)
+    if ctrl - 1 == hi:
+        a, b = v[:, 1, :, 0], v[:, 1, :, 1]
+    else:
+        a, b = v[:, 0, :, 1], v[:, 1, :, 1]
+    held = a.copy()
+    a[...] = b
+    b[...] = held
 
 
 def _apply_diagonal(u: np.ndarray, phases: np.ndarray, qubits: Sequence[int], nq: int) -> np.ndarray:
@@ -195,13 +198,19 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     """Lower to the dense product G_N ... G_1."""
     if c.qubit_count > CAPACITY_QUBITS:
         raise CapacityError(f"{c.qubit_count} qubits exceed the dense cap {CAPACITY_QUBITS}")
-    u = np.eye(1 << c.qubit_count, dtype=complex)
+    dim = 1 << c.qubit_count
+    u = np.eye(dim, dtype=complex)
     for g in c.gates:
+        if isinstance(g, CNOT):
+            _swap_cnot_rows(u, g.ctrl, g.tgt)
+            continue
         phases = _diagonal_phases(g)
         if phases is not None:
             u = _apply_diagonal(u, phases, gate_qubits(g), c.qubit_count)
         else:
-            u = _apply_dense(u, _gate_matrix(g), gate_qubits(g), c.qubit_count)
+            # rows split as (bits above the qubit, its bit, bits below it x columns)
+            rows = u.reshape(dim >> g.qubit, 2, (1 << (g.qubit - 1)) * dim)
+            u = np.matmul(_one_qubit_matrix(g), rows).reshape(dim, dim)
     return u
 
 
@@ -239,6 +248,15 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     return h
 
 
+def check_dense_capacity(n: int) -> None:
+    """Raise CapacityError if an n-qubit step checked against exact evolution exceeds the cap or memory."""
+    if n > CAPACITY_QUBITS:
+        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {n}")
+    dim = 1 << n
+    what = f"checking a {n}-qubit step against exact evolution ({DENSE_COPIES} dense {dim} x {dim} matrices)"
+    check_memory(DENSE_COPIES * 16 * dim * dim, what)
+
+
 def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """e^{-itH} by Hermitian eigendecomposition."""
     h = dense_hamiltonian(spec)
@@ -257,11 +275,7 @@ def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
 def hamming_projector_mask(n: int, eta: int) -> np.ndarray:
     if not (0 <= eta <= n):
         raise DomainError(f"Hamming weight must be in [0, {n}], got {eta}")
-    x = np.arange(1 << n)
-    counts = np.zeros(1 << n, dtype=int)
-    for q in range(n):
-        counts += (x >> q) & 1
-    return counts == eta
+    return np.bitwise_count(np.arange(1 << n)) == eta
 
 
 def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:

@@ -31,7 +31,7 @@ from .chem import (
     system_to_json,
 )
 from .circuit import (
-    CAPACITY_QUBITS,
+    check_dense_capacity,
     circuit_text,
     exact_evolution,
     spectral_distance,
@@ -231,8 +231,7 @@ def _run_compile(args) -> None:
 
 def _run_verify(args) -> None:
     spec = _load_spec(args)
-    if spec.n > CAPACITY_QUBITS:
-        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
+    check_dense_capacity(spec.n)
     step = _compiled_step(args.method, spec, args, False)
     distance = spectral_distance(lowered_step_unitary(step), exact_evolution(spec, args.t))
     doc = {
@@ -248,8 +247,7 @@ def _run_verify(args) -> None:
 
 def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
-    if spec.n > CAPACITY_QUBITS:
-        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {spec.n}")
+    check_dense_capacity(spec.n)
     if args.p not in SWEEP_ORDERS:
         raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
     steps = []
@@ -257,7 +255,7 @@ def _run_error_sweep(args) -> None:
         args.t = t
         steps.append(_compiled_step(args.method, spec, args, False))
     # an invalid order, method or spec exits before the commutator sum; the
-    # site cap is kept until the dense exact evolution is sized by memory
+    # site cap of the brute-force sum it replaced is kept, so n > 10 exits 3
     sites = COMMUTATOR_DIM_CAP.bit_length() - 1
     if spec.n > sites:
         raise CapacityError(f"commutator sums are capped at {sites} sites, got {spec.n}")

@@ -1,10 +1,12 @@
-"""Error hierarchy shared by every module.
+"""Error hierarchy shared by every module, and the memory check behind CapacityError.
 
 ValidationError and its subclasses map to CLI exit code 2,
 CapacityError to exit code 3.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class TrotterForgeError(Exception):
@@ -28,4 +30,14 @@ class IndexRangeError(ValidationError):
 
 
 class CapacityError(TrotterForgeError):
-    """Request exceeds the dense-verification size cap."""
+    """Request exceeds a size cap or the physical memory of the machine."""
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise CapacityError if ``need`` bytes for ``what`` exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise CapacityError(
+            f"{what} needs {need / 2**30:.1f} GiB,"
+            f" more than the {have / 2**30:.1f} GiB of physical memory"
+        )

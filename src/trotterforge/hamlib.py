@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError
+from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError, check_memory
 
 
 class PauliKind(Enum):
@@ -44,13 +43,7 @@ PAULI_MATRICES: dict[PauliKind, np.ndarray] = {
 
 def check_coeff_capacity(n: int) -> None:
     """Raise CapacityError if one dense n x n float64 matrix exceeds physical memory."""
-    need = 8 * n * n
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise CapacityError(
-            f"a {n} x {n} coefficient matrix needs {need / 2**30:.1f} GiB,"
-            f" more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    check_memory(8 * n * n, f"a {n} x {n} coefficient matrix")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from trotterforge.circuit import (
@@ -14,6 +17,7 @@ from trotterforge.circuit import (
     Hadamard,
     PauliRotation,
     PhaseS,
+    check_dense_capacity,
     circuit_text,
     circuit_to_unitary,
     dense_hamiltonian,
@@ -24,7 +28,12 @@ from trotterforge.circuit import (
     spectral_distance,
     subspace_distance,
 )
-from trotterforge.compilers import sequential_terms
+from trotterforge.compilers import (
+    compile_avgcost_step,
+    compile_lowrank_step,
+    compile_sequential_step,
+    sequential_terms,
+)
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import PAULI_MATRICES, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 
@@ -76,6 +85,54 @@ def kron_hamiltonian(spec):
 
 def evolution_oracle(spec, t):
     return expm(-1j * t * dense_oracle(spec))
+
+
+_ORACLE_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_ORACLE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
+_ORACLE_CNOT = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+)  # index = z_ctrl + 2 z_tgt
+
+
+def oracle_gate(g):
+    """(qubits, dense matrix) or (qubits, diagonal phase angles), index bit i on qubits[i]."""
+    if isinstance(g, PauliRotation):
+        p = PAULI_MATRICES[PauliKind(g.axis)]
+        return (g.qubit,), math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
+    if isinstance(g, Hadamard):
+        return (g.qubit,), _ORACLE_H
+    if isinstance(g, PhaseS):
+        return (g.qubit,), _ORACLE_S
+    if isinstance(g, CNOT):
+        return (g.ctrl, g.tgt), _ORACLE_CNOT
+    if isinstance(g, CZ):
+        return (g.q1, g.q2), np.array([0.0, 0.0, 0.0, math.pi])
+    if isinstance(g, ControlledPhase):
+        return (g.ctrl, g.tgt), np.array([0.0, 0.0, 0.0, g.angle])
+    return g.qubits, g.phases
+
+
+def moveaxis_lowering(c):
+    """Slow lowering: each gate's matrix applied on its qubit axes moved to the front."""
+    nq = c.qubit_count
+    dim = 1 << nq
+    x = np.arange(dim)
+    u = np.eye(dim, dtype=complex)
+    for g in c.gates:
+        qubits, op = oracle_gate(g)
+        if op.ndim == 1:
+            sub = np.zeros(dim, dtype=np.int64)
+            for i, q in enumerate(qubits):
+                sub |= ((x >> (q - 1)) & 1) << i
+            u = np.exp(1j * op[sub])[:, None] * u
+            continue
+        k = len(qubits)
+        axes = [nq - q for q in reversed(qubits)]  # op row index has qubits[0] as its low bit
+        t = np.moveaxis(u.reshape((2,) * nq + (dim,)), axes, range(k))
+        shape = t.shape
+        t = op @ t.reshape(1 << k, -1)
+        u = np.ascontiguousarray(np.moveaxis(t.reshape(shape), range(k), axes).reshape(dim, dim))
+    return u
 
 
 def max_err(u, v):
@@ -194,6 +251,74 @@ def test_inverse_circuit_identity():
     assert spectral_distance(v @ u, np.eye(8)) < 1e-9
 
 
+angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 8))
+    qubit = st.integers(1, n)
+    kinds = [
+        st.builds(PauliRotation, st.sampled_from("xyz"), qubit, angles),
+        st.builds(Hadamard, qubit),
+        st.builds(PhaseS, qubit),
+        st.lists(qubit, min_size=1, max_size=min(n, 3), unique=True).flatmap(
+            lambda qs: st.lists(angles, min_size=1 << len(qs), max_size=1 << len(qs)).map(
+                lambda table: CompositeDiagonalPhase(tuple(qs), table, cost=1)
+            )
+        ),
+    ]
+    if n >= 2:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        kinds += [
+            pair.map(lambda qs: CNOT(*qs)),
+            pair.map(lambda qs: CZ(*qs)),
+            st.tuples(pair, angles).map(lambda a: ControlledPhase(*a[0], a[1])),
+        ]
+    return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=16))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_lowering_matches_moveaxis_oracle_bit_for_bit(circ):
+    assert np.array_equal(circuit_to_unitary(circ), moveaxis_lowering(circ))
+
+
+def cnot_placements():
+    for n in (2, 3, 5, 8):
+        pairs = {(1, 2), (2, 1), (1, n), (n, 1), (n - 1, n), (n, n - 1), (2, n), (n, 2)}
+        if n >= 4:
+            pairs |= {(2, n - 1), (n - 1, 2), (2, 3), (3, 2)}
+        for ctrl, tgt in sorted(pairs):
+            if ctrl != tgt:
+                yield pytest.param(n, ctrl, tgt, id=f"n{n}-c{ctrl}-t{tgt}")
+
+
+@pytest.mark.parametrize("n, ctrl, tgt", list(cnot_placements()))
+def test_cnot_row_swap_matches_moveaxis_oracle(n, ctrl, tgt):
+    # rotations first, so the CNOT permutes rows of a dense matrix
+    layer = [PauliRotation("y", q, 0.3 + 0.1 * q) for q in range(1, n + 1)]
+    layer += [PauliRotation("x", q, -0.2 * q) for q in range(1, n + 1)]
+    circ = Circuit(n, (*layer, CNOT(ctrl, tgt), Hadamard(ctrl), CNOT(tgt, ctrl)))
+    assert np.array_equal(circuit_to_unitary(circ), moveaxis_lowering(circ))
+
+
+@pytest.mark.parametrize("method", ["sequential", "lowrank", "avgcost"])
+def test_mixed_step_lowering_matches_moveaxis_oracle(method):
+    xx, zz = (PauliKind.X, PauliKind.X), (PauliKind.Z, PauliKind.Z)
+    groups = {
+        xx: build_power_law(8, 1, 2.0, xx, "seeded-random", 0).two_local[xx],
+        zz: build_power_law(8, 1, 1.0, zz, "seeded-random", 1).two_local[zz],
+    }
+    spec = HamiltonianSpec(8, 1, groups, {})
+    step = {
+        "sequential": lambda: compile_sequential_step(spec, 0.1, 2),
+        "lowrank": lambda: compile_lowrank_step(spec, 0.1, 1e-9, 4, 2),
+        "avgcost": lambda: compile_avgcost_step(spec, 0.1, 2, 2),
+    }[method]()
+    assert np.array_equal(circuit_to_unitary(step.circuit), moveaxis_lowering(step.circuit))
+
+
 # -- dense Hamiltonians and evolution ------------------------------------------------
 
 
@@ -282,6 +407,36 @@ def test_hamming_mask():
     assert hamming_projector_mask(2, 0).tolist() == [True, False, False, False]
     with pytest.raises(DomainError):
         hamming_projector_mask(3, 4)
+
+
+def test_hamming_mask_matches_bit_loop():
+    for n in range(11):
+        x = np.arange(1 << n)
+        counts = np.zeros(1 << n, dtype=int)
+        for q in range(n):
+            counts += (x >> q) & 1
+        for eta in range(n + 1):
+            assert np.array_equal(hamming_projector_mask(n, eta), counts == eta)
+
+
+def fake_physical_memory(monkeypatch, gib):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(gib * 2**30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+
+def test_dense_capacity_counts_six_copies(monkeypatch):
+    check_dense_capacity(10)  # 96 MiB, under the real memory of any test machine
+    fake_physical_memory(monkeypatch, 8)
+    check_dense_capacity(13)  # 6 x 1 GiB
+    message = (r"^checking a 14-qubit step against exact evolution \(6 dense 16384 x 16384 matrices\)"
+               r" needs 24.0 GiB, more than the 8.0 GiB of physical memory$")
+    with pytest.raises(CapacityError, match=message):
+        check_dense_capacity(14)
+    with pytest.raises(CapacityError, match="^verification is capped at 14 qubits, got 15$"):
+        check_dense_capacity(CAPACITY_QUBITS + 1)  # before 1 << n is sized
+    fake_physical_memory(monkeypatch, 0.09)
+    with pytest.raises(CapacityError, match="needs 0.1 GiB"):
+        check_dense_capacity(10)
 
 
 def test_distance_shape_mismatch():

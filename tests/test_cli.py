@@ -451,6 +451,24 @@ def test_oversized_spec_is_a_capacity_error(tmp_path, capsys, command):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "error-sweep"])
+def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, command):
+    # 6 dense 4096 x 4096 complex matrices need 1.5 GiB; pretend there is 1 GiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (1 << 30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def never(*args, **kwargs):
+        raise AssertionError("compiled before the memory check")
+
+    monkeypatch.setattr("trotterforge.cli.compile_sequential_step", never)
+    rc, err = exit_code_and_stderr(capsys, [command, "--n", "12"])
+    assert rc == 3
+    assert err == (
+        "capacity error: checking a 12-qubit step against exact evolution"
+        " (6 dense 4096 x 4096 matrices) needs 1.5 GiB, more than the 1.0 GiB of physical memory\n"
+    )
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     cmd = [sys.executable, "-m", "trotterforge.cli", "cost-report",
            "--method", "sequential", "--n-sweep", "64,128,256,512"]
