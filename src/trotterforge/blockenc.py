@@ -1,6 +1,7 @@
 """Block encodings, the qubitization walk operator, and its cost model.
 
-The exact constructions are dense matrices for desk-scale verification.
+The exact constructions are dense matrices for desk-scale verification;
+each is sized against physical memory before it is allocated.
 The cost functions at the bottom are the declared gate-count model used by
 the compilers module; their constants are recorded, not claimed optimal.
 """
@@ -14,9 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomp import BoxGrid
-from .errors import CapacityError, DomainError, ValidationError
-
-CAPACITY_DIM = 1 << 14
+from .errors import DomainError, ValidationError, check_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +68,14 @@ def build_lcu_encoding(terms: Sequence[tuple[float, np.ndarray]]) -> BlockEncodi
         if m.shape != (ds, ds):
             raise ValidationError("term unitaries must share one dimension")
     branches = 1 << max(1, (len(terms) - 1).bit_length()) if len(terms) > 1 else 1
-    if branches * ds > CAPACITY_DIM:
-        raise CapacityError("combined encoding dimension exceeds the dense cap")
+    big = branches * ds
+    # u; the terms, g, g^dag and g^dag u (big x ds each); three ds x ds in the Hermitian test
+    check_memory(16 * big * (big + 7 * ds), f"an LCU encoding of dimension {big}")
     lam = float(weights.sum())
     amps = np.zeros(branches)
     amps[: len(terms)] = np.sqrt(weights / lam)
     g = np.kron(amps.reshape(-1, 1), np.eye(ds, dtype=complex))
-    u = np.zeros((branches * ds, branches * ds), dtype=complex)
+    u = np.zeros((big, big), dtype=complex)
     for idx in range(branches):
         block = mats[idx] if idx < len(mats) else np.eye(ds, dtype=complex)
         u[idx * ds : (idx + 1) * ds, idx * ds : (idx + 1) * ds] = block
@@ -134,13 +134,13 @@ def build_selection(
     if not pairs:
         raise ValidationError("need at least one pair")
     branches = 1 << max(1, (len(pairs) - 1).bit_length()) if len(pairs) > 1 else 1
-    if branches * (1 << n) > CAPACITY_DIM:
-        raise CapacityError("selection dimension exceeds the dense cap")
+    dim = branches << n
+    check_memory(8 * dim * (dim + 8), f"a selection of dimension {dim}")  # the matrix and a few vectors
     if signs is None:
         signs = [1.0] * len(pairs)
     if len(signs) != len(pairs):
         raise ValidationError("one sign per pair required")
-    diag = np.ones(branches * (1 << n))
+    diag = np.ones(dim)
     for idx, ((u, v), s) in enumerate(zip(pairs, signs)):
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise ValidationError(f"bad pair ({u},{v})")
@@ -158,20 +158,18 @@ def walk_operator(enc: BlockEncoding) -> np.ndarray:
     if not enc.hermitian:
         raise ValidationError("walk operator requires a Hermitian-flagged encoding")
     big = enc.u.shape[0]
-    if 2 * big > CAPACITY_DIM:
-        raise CapacityError("walk operator dimension exceeds the dense cap")
+    # refl, sel and the result, plus under one more for gplus and the copy of U^dag
+    check_memory(4 * 16 * (2 * big) ** 2, f"a walk operator of dimension {2 * big}")
     ds = enc.g0.shape[1]
     gplus = np.zeros((2 * big, ds), dtype=complex)
     gplus[:big] = enc.g0 / math.sqrt(2.0)
     gplus[big:] = enc.g1 / math.sqrt(2.0)
     refl = 2.0 * (gplus @ gplus.conj().T) - np.eye(2 * big, dtype=complex)
-    ctrl = np.zeros((2 * big, 2 * big), dtype=complex)
-    ctrl[:big, :big] = enc.u
-    ctrl[big:, big:] = enc.u.conj().T
-    swap = np.zeros((2 * big, 2 * big), dtype=complex)
-    swap[:big, big:] = np.eye(big)
-    swap[big:, :big] = np.eye(big)
-    return swap @ ctrl @ refl
+    # (X (x) I)(|0><0| (x) U + |1><1| (x) U^dag): the controlled U with its halves swapped
+    sel = np.zeros((2 * big, 2 * big), dtype=complex)
+    sel[big:, :big] = enc.u
+    sel[:big, big:] = enc.u.conj().T
+    return sel @ refl
 
 
 def walk_invariant_phases(enc: BlockEncoding) -> tuple[np.ndarray, np.ndarray]:

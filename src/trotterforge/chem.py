@@ -17,11 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_memory
 from .hamlib import CoeffMatrix
 from .trotter import fermionic_error_norms, steps_for
-
-JW_MODE_CAP = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +144,7 @@ _I2 = np.eye(2, dtype=complex)
 
 def _annihilation(mode: int, n: int) -> np.ndarray:
     """Mode 1 is the fastest (least significant) tensor index."""
-    factors = []
-    for i in range(n, 0, -1):
-        if i < mode:
-            factors.append(_Z2)
-        elif i == mode:
-            factors.append(_SIGMA_MINUS)
-        else:
-            factors.append(_I2)
+    factors = [_Z2 if i < mode else _SIGMA_MINUS if i == mode else _I2 for i in range(n, 0, -1)]
     return reduce(np.kron, factors)
 
 
@@ -165,11 +156,11 @@ def _occupation_bits(n: int) -> np.ndarray:
 def jw_matrix(system: ElectronicSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (H, T, V) with H = T + V; total occupation commutes with H."""
     n = system.n
-    if n > JW_MODE_CAP:
-        raise CapacityError(f"dense encoding is capped at {JW_MODE_CAP} modes, got {n}")
+    dim = 1 << n
+    what = f"a dense {n}-mode Jordan-Wigner encoding ({dim} x {dim})"
+    check_memory((n + 6) * 16 * dim * dim, what)  # n annihilators, T, V, H and three temporaries
     ann = [_annihilation(j, n) for j in range(1, n + 1)]
     bits = _occupation_bits(n)
-    dim = 1 << n
     t_mat = np.zeros((dim, dim), dtype=complex)
     for j in range(n):
         for k in range(n):

@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError, check_memory
+from .errors import DomainError, ValidationError, check_memory
 from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
-CAPACITY_QUBITS = 14
-# 2^n x 2^n complex matrices alive at once when a step is checked against exact
-# evolution: the lowered step and H, plus four in exact_evolution (eigh's input
-# copy, its two workspaces and V; then V, V e^{-itw}, V^dagger and the product)
+# Upper bound on the 2^n x 2^n complex matrices alive at once when a step is checked against
+# exact evolution. The peak is in eigh: the lowered step, H, eigh's copy of H, its workspaces
+# and V. H is freed when eigh returns, so V, V e^{-itw}, V^dagger and the product stay below.
 DENSE_COPIES = 6
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -114,12 +113,10 @@ Gate = PauliRotation | Hadamard | PhaseS | CNOT | CZ | ControlledPhase | Composi
 def gate_qubits(g: Gate) -> tuple[int, ...]:
     if isinstance(g, (PauliRotation, Hadamard, PhaseS)):
         return (g.qubit,)
-    if isinstance(g, CNOT):
+    if isinstance(g, (CNOT, ControlledPhase)):
         return (g.ctrl, g.tgt)
     if isinstance(g, CZ):
         return (g.q1, g.q2)
-    if isinstance(g, ControlledPhase):
-        return (g.ctrl, g.tgt)
     return g.qubits
 
 
@@ -196,9 +193,9 @@ def _apply_diagonal(u: np.ndarray, phases: np.ndarray, qubits: Sequence[int], nq
 
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
     """Lower to the dense product G_N ... G_1."""
-    if c.qubit_count > CAPACITY_QUBITS:
-        raise CapacityError(f"{c.qubit_count} qubits exceed the dense cap {CAPACITY_QUBITS}")
     dim = 1 << c.qubit_count
+    what = f"lowering a {c.qubit_count}-qubit circuit (2 dense {dim} x {dim} matrices)"
+    check_memory(2 * 16 * dim * dim, what)  # the matrix, and the one a one-qubit or diagonal gate writes
     u = np.eye(dim, dtype=complex)
     for g in c.gates:
         if isinstance(g, CNOT):
@@ -233,9 +230,8 @@ def inverse_circuit(c: Circuit) -> Circuit:
 
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix of the full 2-local spec, one scatter per Pauli term."""
-    if spec.n > CAPACITY_QUBITS:
-        raise CapacityError(f"n={spec.n} exceeds the dense cap {CAPACITY_QUBITS}")
     dim = 1 << spec.n
+    check_memory(16 * dim * dim, f"a dense {spec.n}-qubit Hamiltonian ({dim} x {dim})")
     h = np.zeros((dim, dim), dtype=complex)
     table = pauli_table(spec)
     b = np.arange(dim)
@@ -244,14 +240,12 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
         value = c * _I_POWERS[(x & z).bit_count() % 4]
         h[b ^ x, b] += np.where(np.bitwise_count(b & z) & 1, -value, value)
     if spec.identity != 0.0:
-        h += spec.identity * np.eye(dim, dtype=complex)
+        h.ravel()[:: dim + 1] += spec.identity  # the diagonal of h, in place
     return h
 
 
 def check_dense_capacity(n: int) -> None:
-    """Raise CapacityError if an n-qubit step checked against exact evolution exceeds the cap or memory."""
-    if n > CAPACITY_QUBITS:
-        raise CapacityError(f"verification is capped at {CAPACITY_QUBITS} qubits, got {n}")
+    """Raise CapacityError if an n-qubit step checked against exact evolution exceeds physical memory."""
     dim = 1 << n
     what = f"checking a {n}-qubit step against exact evolution ({DENSE_COPIES} dense {dim} x {dim} matrices)"
     check_memory(DENSE_COPIES * 16 * dim * dim, what)
@@ -259,8 +253,8 @@ def check_dense_capacity(n: int) -> None:
 
 def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """e^{-itH} by Hermitian eigendecomposition."""
-    h = dense_hamiltonian(spec)
-    w, v = np.linalg.eigh(h)
+    # unbound, so that H is released as soon as eigh returns
+    w, v = np.linalg.eigh(dense_hamiltonian(spec))
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 

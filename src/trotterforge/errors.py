@@ -7,6 +7,7 @@ CapacityError to exit code 3.
 from __future__ import annotations
 
 import os
+from decimal import Decimal
 
 
 class TrotterForgeError(Exception):
@@ -30,14 +31,17 @@ class IndexRangeError(ValidationError):
 
 
 class CapacityError(TrotterForgeError):
-    """Request exceeds a size cap or the physical memory of the machine."""
+    """Request exceeds the physical memory of the machine, or a representation limit."""
+
+
+def _gib(nbytes: int) -> str:
+    # Decimal divides an int of any size, where float division overflows past 2^1024
+    gib = Decimal(nbytes) / 2**30
+    return f"{gib:.1f} GiB" if gib < 10**6 else f"{gib:.2e} GiB"
 
 
 def check_memory(need: int, what: str) -> None:
-    """Raise CapacityError if ``need`` bytes for ``what`` exceed physical memory."""
+    """Raise CapacityError if ``need`` bytes for ``what`` (counted at its peak) exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise CapacityError(
-            f"{what} needs {need / 2**30:.1f} GiB,"
-            f" more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+        raise CapacityError(f"{what} needs {_gib(need)}, more than the {_gib(have)} of physical memory")

@@ -9,9 +9,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_memory
 
-COMMUTATOR_DIM_CAP = 1 << 10
 COMMUTATOR_ORDER_CAP = 3
 PAULI_COMMUTATOR_ORDERS = (1, 2)
 
@@ -56,20 +55,20 @@ def _spectral_norm(m: np.ndarray) -> float:
 def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:
     """Sum of spectral norms of (p+1)-fold nested commutators over all tuples.
 
-    Brute force: the tuple count is len(stages)^(p+1), so p is capped at 3
-    and the stage dimension at 2^10.
+    Brute force: the tuple count is len(stages)^(p+1), so p is capped at 3;
+    the matrices are sized against physical memory before any is made.
     """
     if not (1 <= p <= COMMUTATOR_ORDER_CAP):
         raise DomainError(f"brute-force sum supports 1 <= p <= {COMMUTATOR_ORDER_CAP}")
-    mats = [np.asarray(h, dtype=complex) for h in stages]
-    if not mats:
+    if len(stages) == 0:
         return 0.0
-    dim = mats[0].shape[0]
-    if dim > COMMUTATOR_DIM_CAP:
-        raise CapacityError(f"stage dimension {dim} exceeds {COMMUTATOR_DIM_CAP}")
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValidationError("stages must share one square dimension")
+    dim = np.shape(stages[0])[0]
+    # the stages, one commutator per depth of a chain, and two products (or the SVD's copy)
+    need = (len(stages) + p + 2) * 16 * dim * dim
+    check_memory(need, f"a commutator sum over {len(stages)} stages of dimension {dim}")
+    mats = [np.asarray(h, dtype=complex) for h in stages]
+    if any(m.shape != (dim, dim) for m in mats):
+        raise ValidationError("stages must share one square dimension")
 
     def chain_sum(nested: np.ndarray, depth: int) -> float:
         if depth == p:

@@ -18,7 +18,7 @@ from trotterforge.blockenc import (
     walk_operator,
 )
 from trotterforge.decomp import nested_boxes
-from trotterforge.errors import DomainError, ValidationError
+from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import PauliKind, build_power_law
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,6 +229,25 @@ def test_walk_rejects_non_hermitian():
     bad = BlockEncoding(enc.g0, enc.g1, enc.u, enc.lam, hermitian=False)
     with pytest.raises(ValidationError):
         walk_operator(bad)
+
+
+def test_dense_builders_refuse_before_allocating(fake_physical_memory, monkeypatch):
+    terms = [(1.0, np.eye(64)), (2.0, np.eye(64))]
+    enc = build_lcu_encoding(terms)  # 0.6 MiB, built before memory is faked
+    fake_physical_memory(2**-11)  # 0.5 MiB
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    for name in ("zeros", "ones", "eye", "kron", "diag"):
+        monkeypatch.setattr(np, name, never)
+    for build, what in (
+        (lambda: build_lcu_encoding(terms), "an LCU encoding of dimension 128"),
+        (lambda: build_selection([(1, 2)], 9), "a selection of dimension 512"),
+        (lambda: walk_operator(enc), "a walk operator of dimension 256"),
+    ):
+        with pytest.raises(CapacityError, match=f"^{what} needs"):
+            build()
 
 
 # -- step count ---------------------------------------------------------------------------

@@ -204,9 +204,10 @@ def test_encoded_parts_commute_with_total_occupation():
         assert np.abs(mat @ total_n - total_n @ mat).max() < 1e-10
 
 
-def test_encoding_capacity():
+def test_encoding_capacity(fake_physical_memory):
     n = 11
-    with pytest.raises(CapacityError):
+    fake_physical_memory(1)
+    with pytest.raises(CapacityError, match=r"^a dense 11-mode Jordan-Wigner encoding .* needs 1.1 GiB"):
         jw_matrix(ElectronicSystem(n, 1, 1.0, np.eye(n), np.zeros((n, n))))
 
 

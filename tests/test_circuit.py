@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from scipy.linalg import expm
 from trotterforge.circuit import (
     CNOT,
     CZ,
-    CAPACITY_QUBITS,
     Circuit,
     CompositeDiagonalPhase,
     ControlledPhase,
@@ -224,13 +222,14 @@ def test_composite_phase_table_is_checked_and_read_only():
     assert CompositeDiagonalPhase((2,), gate.phases, cost=1).phases is gate.phases
 
 
-def test_circuit_validation():
+def test_circuit_validation(fake_physical_memory):
     with pytest.raises(ValidationError):
         Circuit(2, (CNOT(1, 1),))
     with pytest.raises(ValidationError):
         Circuit(2, (Hadamard(3),))
-    with pytest.raises(CapacityError):
-        circuit_to_unitary(Circuit(CAPACITY_QUBITS + 1, ()))
+    fake_physical_memory(1)
+    with pytest.raises(CapacityError, match=r"^lowering a 14-qubit circuit .* needs 8.0 GiB"):
+        circuit_to_unitary(Circuit(14, ()))
 
 
 def test_inverse_circuit_identity():
@@ -374,9 +373,10 @@ def test_dense_hamiltonian_matches_kron_oracle_bit_for_bit(n, tags, onsite, iden
     assert got.tobytes() == want.tobytes()
 
 
-def test_dense_capacity_cap():
-    with pytest.raises(CapacityError):
-        dense_hamiltonian(zz_chain_spec(CAPACITY_QUBITS + 1))
+def test_dense_capacity_cap(fake_physical_memory):
+    fake_physical_memory(1)
+    with pytest.raises(CapacityError, match=r"^a dense 15-qubit Hamiltonian .* needs 16.0 GiB"):
+        dense_hamiltonian(zz_chain_spec(15))
 
 
 # -- distances -------------------------------------------------------------------------
@@ -419,22 +419,15 @@ def test_hamming_mask_matches_bit_loop():
             assert np.array_equal(hamming_projector_mask(n, eta), counts == eta)
 
 
-def fake_physical_memory(monkeypatch, gib):
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(gib * 2**30) // 4096}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-
-
-def test_dense_capacity_counts_six_copies(monkeypatch):
+def test_dense_capacity_counts_six_copies(fake_physical_memory):
     check_dense_capacity(10)  # 96 MiB, under the real memory of any test machine
-    fake_physical_memory(monkeypatch, 8)
+    fake_physical_memory(8)
     check_dense_capacity(13)  # 6 x 1 GiB
     message = (r"^checking a 14-qubit step against exact evolution \(6 dense 16384 x 16384 matrices\)"
                r" needs 24.0 GiB, more than the 8.0 GiB of physical memory$")
     with pytest.raises(CapacityError, match=message):
         check_dense_capacity(14)
-    with pytest.raises(CapacityError, match="^verification is capped at 14 qubits, got 15$"):
-        check_dense_capacity(CAPACITY_QUBITS + 1)  # before 1 << n is sized
-    fake_physical_memory(monkeypatch, 0.09)
+    fake_physical_memory(0.09)
     with pytest.raises(CapacityError, match="needs 0.1 GiB"):
         check_dense_capacity(10)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from trotterforge.cli import main
@@ -272,6 +273,16 @@ def test_error_sweep_golden(capsys, p):
         assert int(cells[6]) == r
 
 
+def test_error_sweep_admits_any_size_that_fits(capsys, monkeypatch):
+    # n=11 was refused by a fixed 10-site cap; the dense matrices are stubbed here
+    monkeypatch.setattr("trotterforge.cli.lowered_step_unitary", lambda step: np.eye(2))
+    monkeypatch.setattr("trotterforge.cli.exact_evolution", lambda spec, t: np.eye(2))
+    rc, out = run_cli(capsys, "error-sweep", "--n", "11", "--pauli", "xz", "--t-values", "0.1")
+    assert rc == 0
+    header, row = out.splitlines()
+    assert row.startswith("sequential,2,0.1,") and row.split(",")[5] == "0.0"
+
+
 def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("commutator sum computed for an invalid request")
@@ -452,10 +463,9 @@ def test_oversized_spec_is_a_capacity_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "error-sweep"])
-def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, command):
+def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, fake_physical_memory, command):
     # 6 dense 4096 x 4096 complex matrices need 1.5 GiB; pretend there is 1 GiB
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (1 << 30) // 4096}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    fake_physical_memory(1)
 
     def never(*args, **kwargs):
         raise AssertionError("compiled before the memory check")
@@ -467,6 +477,15 @@ def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, command):
         "capacity error: checking a 12-qubit step against exact evolution"
         " (6 dense 4096 x 4096 matrices) needs 1.5 GiB, more than the 1.0 GiB of physical memory\n"
     )
+
+
+@pytest.mark.parametrize("command", [["verify"], ["error-sweep"], ["compile", "--method", "lowrank"]])
+def test_needs_past_float_range_exit_3_on_one_line(capsys, command):
+    # 16 * 4^1024 bytes overflow a float; the memory check must still say so in one line
+    rc, err = exit_code_and_stderr(capsys, command + ["--n", "1024"])
+    assert rc == 3
+    assert err.startswith("capacity error: ") and err.endswith("GiB of physical memory\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_module_entrypoint_subprocess(tmp_path):

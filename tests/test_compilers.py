@@ -224,12 +224,33 @@ def test_sequential_count_only_matches_verification():
         assert counted.gate_count == full.gate_count == full.circuit.cost()
 
 
-def test_sequential_capacity_only_in_verification():
+def test_sequential_capacity_only_in_verification(fake_physical_memory):
     spec = build_power_law(15, 1, 2.0)
+    fake_physical_memory(5e-5)  # 52 KiB, under the 110 KiB of the 627 lowered gates
     counted = compile_sequential_step(spec, 0.1, 2, count_only=True)
     assert counted.gate_count > 0
     with pytest.raises(CapacityError):
         compile_sequential_step(spec, 0.1, 2)
+
+
+def test_lowrank_lowers_past_the_former_qubit_cap():
+    spec = build_power_law(32, 1, 2.0)  # about 2 MiB of phase tables
+    full = compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
+    counted = compile_lowrank_step(spec, 0.1, 1e-9, 4, 2, count_only=True)
+    assert full.gate_count == counted.gate_count == full.circuit.cost()
+
+
+def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, monkeypatch):
+    spec = build_power_law(32, 1, 2.0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("lowered before the memory check")
+
+    monkeypatch.setattr(compilers, "_op_gates", never)
+    fake_physical_memory(2**-11)  # 0.5 MiB; the phase tables alone take 1.5 MiB
+    message = r"^lowering the lowrank step on 32 qubits \(492 gates, \d+ composites\) needs"
+    with pytest.raises(CapacityError, match=message):
+        compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
 
 
 def test_sequential_term_order():

@@ -14,6 +14,7 @@ from trotterforge.errors import (
     DomainError,
     IndexRangeError,
     ValidationError,
+    check_memory,
 )
 from trotterforge.hamlib import (
     CoeffMatrix,
@@ -413,10 +414,17 @@ def test_pickled_spec_objects_stay_read_only():
 
 def test_coefficient_capacity_is_checked_before_allocating():
     check_coeff_capacity(1024)  # the far-field benchmark size: 8 MiB
-    for build in (
-        lambda: check_coeff_capacity(10**6),
-        lambda: CoeffMatrix.from_entries(10**6, {}),
-        lambda: build_power_law(10**6, 1, 2.0),
+    for build, gib in (
+        (lambda: check_coeff_capacity(10**6), "7450.6"),
+        (lambda: CoeffMatrix.from_entries(10**6, {}), "29802.3"),  # 4 copies at the peak
+        (lambda: build_power_law(10**6, 1, 2.0), "37252.9"),  # 5 copies at the peak
     ):
-        with pytest.raises(CapacityError, match="coefficient matrix needs 7450.6 GiB"):
+        with pytest.raises(CapacityError, match=f"coefficient matrix needs {gib} GiB"):
             build()
+
+
+def test_memory_check_states_needs_past_float_range(fake_physical_memory):
+    fake_physical_memory(8)
+    message = r"^x needs 2.89e\+609 GiB, more than the 8.0 GiB of physical memory$"
+    with pytest.raises(CapacityError, match=message):
+        check_memory(6 * 16 * 4**1024, "x")  # float division overflows here

@@ -125,11 +125,12 @@ def test_commutator_sum_permutation_invariant():
     assert commutator_norm_sum(stages[::-1], 2) == pytest.approx(forward)
 
 
-def test_commutator_caps():
+def test_commutator_caps(fake_physical_memory):
     with pytest.raises(DomainError):
         commutator_norm_sum([X, Z], 4)
-    with pytest.raises(CapacityError):
-        commutator_norm_sum([np.eye(2048)], 1)
+    fake_physical_memory(0.125)
+    with pytest.raises(CapacityError, match="^a commutator sum over 1 stages of dimension 2048 needs"):
+        commutator_norm_sum([np.eye(2048)], 1)  # 4 x 64 MiB
     with pytest.raises(ValidationError):
         commutator_norm_sum([X, np.eye(4)], 1)
 
