@@ -194,7 +194,7 @@ def _apply_diagonal(u: np.ndarray, phases: np.ndarray, qubits: Sequence[int], nq
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
     """Lower to the dense product G_N ... G_1."""
     dim = 1 << c.qubit_count
-    what = f"lowering a {c.qubit_count}-qubit circuit (2 dense {dim} x {dim} matrices)"
+    what = f"lowering a {c.qubit_count}-qubit circuit (2 dense 2^{c.qubit_count} x 2^{c.qubit_count} matrices)"
     check_memory(2 * 16 * dim * dim, what)  # the matrix, and the one a one-qubit or diagonal gate writes
     u = np.eye(dim, dtype=complex)
     for g in c.gates:
@@ -231,7 +231,7 @@ def inverse_circuit(c: Circuit) -> Circuit:
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix of the full 2-local spec, one scatter per Pauli term."""
     dim = 1 << spec.n
-    check_memory(16 * dim * dim, f"a dense {spec.n}-qubit Hamiltonian ({dim} x {dim})")
+    check_memory(16 * dim * dim, f"a dense {spec.n}-qubit Hamiltonian (2^{spec.n} x 2^{spec.n})")
     h = np.zeros((dim, dim), dtype=complex)
     table = pauli_table(spec)
     b = np.arange(dim)
@@ -247,7 +247,7 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 def check_dense_capacity(n: int) -> None:
     """Raise CapacityError if an n-qubit step checked against exact evolution exceeds physical memory."""
     dim = 1 << n
-    what = f"checking a {n}-qubit step against exact evolution ({DENSE_COPIES} dense {dim} x {dim} matrices)"
+    what = f"checking a {n}-qubit step against exact evolution ({DENSE_COPIES} dense 2^{n} x 2^{n} matrices)"
     check_memory(DENSE_COPIES * 16 * dim * dim, what)
 
 

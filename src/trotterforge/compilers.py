@@ -46,7 +46,7 @@ from .circuit import (
 )
 from .decomp import bisection_decompose, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_memory
-from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind
+from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
 from .lowrank import truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
@@ -181,20 +181,6 @@ def sequential_term_cost(axes: Sequence[PauliKind]) -> int:
     return sum(_AXIS_OVERHEAD[p] for p in active) + 2 * (len(active) - 1) + 1
 
 
-def sequential_terms(spec: HamiltonianSpec) -> list[tuple[list[tuple[int, PauliKind]], float]]:
-    """Every nonzero term in (sigma, sigma', j, k) order, on-site terms last."""
-    terms: list[tuple[list[tuple[int, PauliKind]], float]] = []
-    for s1, s2 in spec.groups():
-        for j, k, v in spec.two_local[(s1, s2)].nonzero_pairs():
-            terms.append(([(j, s1), (k, s2)], v))
-    for s in sorted(spec.on_site, key=lambda s: s.value):
-        vec = spec.on_site[s]
-        for j in range(1, spec.n + 1):
-            if vec[j - 1] != 0.0:
-                terms.append(([(j, s)], float(vec[j - 1])))
-    return terms
-
-
 def compile_sequential_step(
     spec: HamiltonianSpec,
     t: float,
@@ -203,15 +189,9 @@ def compile_sequential_step(
     count_only: bool = False,
 ) -> CompiledStep:
     """One Pauli exponential per nonzero term; each term is its own stage."""
-    # Stages run over the terms in sequential_terms order: each group's
-    # nonzero pairs, then each on-site kind's nonzero sites.
-    runs = [
-        (int(np.count_nonzero(spec.two_local[pair].data)), sequential_term_cost(pair))
-        for pair in spec.groups()
-    ] + [
-        (int(np.count_nonzero(spec.on_site[s])), sequential_term_cost([s]))
-        for s in sorted(spec.on_site, key=lambda s: s.value)
-    ]
+    # stages run over the terms in spec.term_groups() order, one run of equal cost per group
+    groups = spec.term_groups()
+    runs = [(int(np.count_nonzero(coeffs)), sequential_term_cost(kinds)) for kinds, coeffs in groups]
     term_count = sum(size for size, _ in runs)
     fr = make_product_formula(formula, max(term_count, 1))
     phase = t * spec.identity
@@ -226,7 +206,7 @@ def compile_sequential_step(
     if count_only:
         return CompiledStep("sequential", t, count, None, phase)
     _check_lowering_memory("sequential", spec.n, count)  # every gate here costs 1
-    terms = sequential_terms(spec)
+    terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
     gates: list[Gate] = []
     for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
         string, coeff = terms[idx - 1]
@@ -236,16 +216,6 @@ def compile_sequential_step(
 
 
 # -- the stage plan shared by the decomposition methods -----------------------
-
-
-def group_stages(spec: HamiltonianSpec) -> list[tuple[str, tuple[PauliKind, PauliKind] | None]]:
-    """Coarse stages: one per (sigma, sigma') matrix, plus one on-site stage."""
-    stages: list[tuple[str, tuple[PauliKind, PauliKind] | None]] = [
-        ("two_local", pair) for pair in spec.groups()
-    ]
-    if any(np.any(vec != 0.0) for vec in spec.on_site.values()):
-        stages.append(("onsite", None))
-    return stages
 
 
 def _stage_axis_map(mat: CoeffMatrix, s1: PauliKind, s2: PauliKind) -> dict[int, PauliKind]:
@@ -301,13 +271,12 @@ class _StageOp:
 
 def _op_gates(op: _StageOp, theta: float, spec: HamiltonianSpec) -> list[Gate]:
     if op.kind == "onsite":
-        gates: list[Gate] = []
-        for s in sorted(spec.on_site, key=lambda s: s.value):
-            vec = spec.on_site[s]
-            for j in range(1, spec.n + 1):
-                if vec[j - 1] != 0.0:
-                    gates.append(PauliRotation(s.value, j, 2.0 * theta * float(vec[j - 1])))
-        return gates
+        return [
+            PauliRotation(kinds[0].value, q, 2.0 * theta * c)
+            for kinds, coeffs in spec.term_groups()
+            if len(kinds) == 1
+            for (q,), c in nonzero_terms(coeffs)
+        ]
     if op.kind == "ladder":
         gates = []
         for r, c in zip(*np.nonzero(op.data)):
@@ -335,21 +304,24 @@ def _compile_stages(
 ) -> CompiledStep:
     """Plan every schedule entry of the group stages, then count or lower the plan.
 
-    A two-local stage is the basis change of its axis map, the ops
-    ``stage_ops(pair, matrix, theta)`` lists, and the inverse basis change;
-    the on-site stage is one rotation op. The gate count is the sum of the
-    declared costs, and the circuit is the same plan lowered gate by gate.
+    The stages are one per (sigma, sigma') matrix, then one on-site stage
+    (``None``) if any field is nonzero. A two-local stage is the basis change
+    of its axis map, the ops ``stage_ops(pair, matrix, theta)`` lists, and the
+    inverse basis change; the on-site stage is one rotation op. The gate count
+    is the sum of the declared costs, and the circuit is the same plan lowered.
     """
-    stages = group_stages(spec)
+    stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
+    if any(np.any(vec != 0.0) for vec in spec.on_site.values()):
+        stages.append(None)
     if not stages:
         raise ValidationError("spec has no terms to compile")
     fr = make_product_formula(formula, len(stages))
     onsite = _StageOp("onsite", int(sum(np.count_nonzero(vec) for vec in spec.on_site.values())))
     plan: list[tuple[float, dict[int, PauliKind], list[_StageOp]]] = []
     for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
-        kind, pair_key = stages[idx - 1]
+        pair_key = stages[idx - 1]
         theta = frac * t
-        if kind == "onsite":
+        if pair_key is None:
             plan.append((theta, {}, [onsite]))
         else:
             mat = spec.two_local[pair_key]

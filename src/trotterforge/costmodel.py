@@ -182,8 +182,7 @@ def block_step_count(spec: HamiltonianSpec, t: float, eps: float) -> int:
     dec = bisection_decompose(spec.n)
     width = phase_register_width(spec.n, t, eps)
     total = 0
-    for pair_key in spec.groups():
-        mat = spec.two_local[pair_key]
+    for mat in spec.two_local.values():
         for pair in dec.pairs:
             vec1 = norms(mat, "restricted_1", region=pair.cross_region())
             if vec1 == 0.0:

@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 from .hamlib import HamiltonianSpec, IndexRegion, norms
 
@@ -294,13 +296,11 @@ class AmplificationReport:
 def _is_exact_power_law(spec: HamiltonianSpec) -> bool:
     if spec.alpha is None or spec.d != 1:
         return False
-    for mat in spec.two_local.values():
-        for j in range(1, spec.n + 1):
-            for k in range(j + 1, spec.n + 1):
-                expect = 1.0 / (k - j) ** spec.alpha
-                if abs(abs(mat.value(j, k)) - expect) > 1e-9 * expect:
-                    return False
-    return True
+    js, ks = np.triu_indices(spec.n, 1)
+    expect = 1.0 / (ks - js).astype(float) ** spec.alpha
+    return all(
+        np.all(np.abs(np.abs(mat.data[js, ks]) - expect) <= 1e-9 * expect) for mat in spec.two_local.values()
+    )
 
 
 def amplification_ratios(
@@ -322,7 +322,7 @@ def amplification_ratios(
     rows = []
     lam_block = 1.0
     lam_avg = 1.0 if m is not None else None
-    for (s1, s2), mat in sorted(spec.two_local.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
+    for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.pairs:
             vec1 = norms(mat, "restricted_1", region=pair.cross_region())
             if vec1 > 0.0:

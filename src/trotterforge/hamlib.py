@@ -61,7 +61,8 @@ class CoeffMatrix:
             raise DimensionError(f"expected shape {(self.n, self.n)}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValidationError("coefficient entries must be finite")
-        if np.any(np.tril(a) != 0.0):
+        # the lower triangle 64 rows at a time, so no n x n temporary is made
+        if any(np.tril(a[i : i + 64, : i + 64], i).any() for i in range(0, self.n, 64)):
             raise ValidationError("entries are defined only for j < k")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -71,14 +72,27 @@ class CoeffMatrix:
         return (CoeffMatrix, (self.n, self.data))
 
     @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], float]) -> "CoeffMatrix":
-        check_coeff_capacity(n, copies=4)  # a, then CoeffMatrix's copy and tril test: 3.1 measured
+    def from_pairs(cls, n: int, pairs: np.ndarray, values: np.ndarray, *, held: int = 0) -> "CoeffMatrix":
+        """Matrix with values[i] at the 1-based pair pairs[i], filled in one scatter.
+
+        ``pairs`` and ``values`` are checked columns from ``_entry_columns``;
+        ``held`` counts the n x n matrices the caller already holds.
+        """
+        # a, CoeffMatrix's copy and its finite test: tracemalloc peak 2.1 copies past
+        # the entry arrays, 3.6 with them when every pair has an entry
+        check_coeff_capacity(n, copies=held + 3)
+        j, k = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero(~((1 <= j) & (j < k) & (k <= n)))
+        if bad.size:
+            j, k = pairs[bad[0]]
+            raise IndexRangeError(f"pair ({int(j)},{int(k)}) outside 1 <= j < k <= {n}")
         a = np.zeros((n, n))
-        for (j, k), value in entries.items():
-            if not (1 <= j < k <= n):
-                raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {n}")
-            a[j - 1, k - 1] = value
+        a[j.astype(np.int64) - 1, k.astype(np.int64) - 1] = values
         return cls(n, a)
+
+    @classmethod
+    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], float]) -> "CoeffMatrix":
+        return cls.from_pairs(n, *_entry_columns([(j, k, v) for (j, k), v in entries.items()]))
 
     @classmethod
     def zeros(cls, n: int) -> "CoeffMatrix":
@@ -99,15 +113,10 @@ class CoeffMatrix:
         return float(self.data[lo - 1, hi - 1])
 
     def entries(self) -> dict[tuple[int, int], float]:
-        js, ks = np.nonzero(self.data)
-        return {(int(j) + 1, int(k) + 1): float(self.data[j, k]) for j, k in zip(js, ks)}
+        return {(j, k): v for (j, k), v in nonzero_terms(self.data)}
 
     def nonzero_pairs(self) -> Iterator[tuple[int, int, float]]:
-        js, ks = np.nonzero(self.data)
-        order = np.lexsort((ks, js))
-        for i in order:
-            j, k = int(js[i]), int(ks[i])
-            yield j + 1, k + 1, float(self.data[j, k])
+        yield from ((j, k, v) for (j, k), v in nonzero_terms(self.data))
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Dense sub-block of symmetric-completion values, 1-based index lists."""
@@ -177,8 +186,9 @@ class HamiltonianSpec:
             raise ValidationError("identity offset must be finite")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ValidationError("alpha must be finite")
+        # the one term order: groups and on-site kinds by tag, whatever order they came in
         two = {}
-        for (s1, s2), mat in self.two_local.items():
+        for (s1, s2), mat in sorted(self.two_local.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
             if PauliKind.I in (s1, s2):
                 raise ValidationError("identity cannot carry a 2-local coefficient matrix")
             if mat.n != self.n:
@@ -186,7 +196,7 @@ class HamiltonianSpec:
             two[(s1, s2)] = mat
         object.__setattr__(self, "two_local", two)
         ons = {}
-        for s, vec in self.on_site.items():
+        for s, vec in sorted(self.on_site.items(), key=lambda kv: kv[0].value):
             if s == PauliKind.I:
                 raise ValidationError("identity offset belongs in the identity field")
             v = np.array(vec, dtype=float)
@@ -224,9 +234,21 @@ class HamiltonianSpec:
         cj, ck = self.coords(j), self.coords(k)
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(cj, ck)))
 
-    def groups(self) -> list[tuple[PauliKind, PauliKind]]:
-        """2-local groups in deterministic (sigma, sigma') tag order."""
-        return sorted(self.two_local.keys(), key=lambda p: (p[0].value, p[1].value))
+    def term_groups(self) -> list[tuple[tuple[PauliKind, ...], np.ndarray]]:
+        """The one term order: (kinds, coefficients) of the 2-local groups, then of the on-site kinds.
+
+        Both run in tag order, as the constructor inserts them. np.nonzero of a
+        group's n x n matrix or length-n vector lists its terms' 0-based sites
+        in order: (j, k) row-major, or by site.
+        """
+        two = [(pair, mat.data) for pair, mat in self.two_local.items()]
+        return two + [((s,), vec) for s, vec in self.on_site.items()]
+
+
+def nonzero_terms(coeffs: np.ndarray) -> list[tuple[list[int], float]]:
+    """(1-based sites, coefficient) of each nonzero term of one term group, in order."""
+    sites = np.nonzero(coeffs)
+    return list(zip((np.transpose(sites) + 1).tolist(), coeffs[sites].tolist()))
 
 
 # -- Pauli terms as bit masks ---------------------------------------------------
@@ -263,28 +285,19 @@ class PauliTable:
 
 
 def pauli_table(spec: HamiltonianSpec) -> PauliTable:
-    """Every nonzero term as a mask row, in (sigma, sigma', j, k) order, on-site terms last.
+    """Every nonzero term as a mask row, in ``spec.term_groups()`` order.
 
-    This is the row order of ``compilers.sequential_terms``; the identity
-    offset is not a row.
+    The identity offset is not a row.
     """
     if spec.n > _MASK_SITE_CAP:
         raise CapacityError(f"pauli tables hold at most {_MASK_SITE_CAP} sites, got {spec.n}")
     xs, zs, cs = [], [], []
-    for s1, s2 in spec.groups():
-        data = spec.two_local[(s1, s2)].data
-        js, ks = np.nonzero(data)  # row-major, so (j, k) order
-        bj, bk = 1 << js, 1 << ks
-        xs.append(_X_BIT[s1] * bj | _X_BIT[s2] * bk)
-        zs.append(_Z_BIT[s1] * bj | _Z_BIT[s2] * bk)
-        cs.append(data[js, ks])
-    for s in sorted(spec.on_site, key=lambda s: s.value):
-        vec = spec.on_site[s]
-        (js,) = np.nonzero(vec)
-        bj = 1 << js
-        xs.append(_X_BIT[s] * bj)
-        zs.append(_Z_BIT[s] * bj)
-        cs.append(vec[js])
+    for kinds, coeffs in spec.term_groups():
+        sites = np.nonzero(coeffs)
+        # the sites of one term differ, so adding their bits is or-ing them
+        xs.append(sum(_X_BIT[s] << q for s, q in zip(kinds, sites)))
+        zs.append(sum(_Z_BIT[s] << q for s, q in zip(kinds, sites)))
+        cs.append(coeffs[sites])
     if not cs:
         return PauliTable((), (), ())
     return PauliTable(np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
@@ -309,7 +322,7 @@ def build_power_law(
     if sign_rule not in SIGN_RULES:
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
-    check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.6 copies at most
+    check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.5 copies at n=1024 and 2048
     js, ks = np.triu_indices(n, 1)
     coords = np.arange(n)
     d2 = np.zeros(js.size, dtype=np.int64)
@@ -460,15 +473,13 @@ _TERM_FIELDS = {"sigma", "sigma2", "entries"}
 
 
 def spec_to_dict(spec: HamiltonianSpec) -> dict:
-    terms = []
-    for s1, s2 in spec.groups():
-        mat = spec.two_local[(s1, s2)]
-        entries = [[j, k, v] for j, k, v in mat.nonzero_pairs()]
-        terms.append({"sigma": s1.value, "sigma2": s2.value, "entries": entries})
-    onsite = {
-        s.value: [float(x) for x in vec]
-        for s, vec in sorted(spec.on_site.items(), key=lambda kv: kv[0].value)
-    }
+    terms, onsite = [], {}
+    for kinds, coeffs in spec.term_groups():
+        if len(kinds) == 1:
+            onsite[kinds[0].value] = coeffs.tolist()  # the whole vector, zeros included
+        else:
+            entries = [[j, k, v] for (j, k), v in nonzero_terms(coeffs)]
+            terms.append({"sigma": kinds[0].value, "sigma2": kinds[1].value, "entries": entries})
     return {
         "n": spec.n,
         "d": spec.d,
@@ -483,22 +494,38 @@ def spec_to_json(spec: HamiltonianSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
 
 
-def _group_entries(entries) -> dict[tuple[int, int], float]:
-    """{(j, k): value} of one group's [j, k, value] entries; a repeated pair is malformed."""
-    out: dict[tuple[int, int], float] = {}
-    for j, k, v in entries:
-        pair = (int(j), int(k))
-        if pair in out:
-            raise ValueError(f"pair {pair} appears twice")
-        out[pair] = float(v)
-    return out
+def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, values) of one group's [j, k, value] entries, as (m, 2) and (m,) float arrays.
+
+    Raises ValueError unless the entries form an (m, 3) array whose indices
+    are integers below 2^53 (which a float holds exactly), with no repeated
+    pair; a repeat is reported at its second occurrence in file order.
+    """
+    rows = np.array(entries, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"expected [j, k, value] entries, got an array of shape {rows.shape}")
+    pairs = rows[:, :2]
+    inexact = np.flatnonzero(~((np.abs(pairs) < 2.0**53) & (pairs == np.floor(pairs))).all(axis=1))
+    if inexact.size:
+        j, k = entries[inexact[0]][:2]  # as written, since the float may have rounded it
+        raise ValueError(f"pair ({j}, {k}) has an index that is not an integer below 2^53")
+    # a stable sort keeps equal pairs in file order, so every repeat after the first is a second occurrence
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ordered = pairs[order]
+    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    if repeats.size:
+        j, k = pairs[repeats.min()]
+        raise ValueError(f"pair ({int(j)}, {int(k)}) appears twice")
+    return pairs, rows[:, 2]
 
 
 def _parse_field(field: str, parse, value):
     """parse(value), with a malformed value reported as a ValidationError naming the field."""
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"spec field {field} is malformed: {exc}") from None
 
 
@@ -528,10 +555,10 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
         s1 = PauliKind.from_tag(term["sigma"])
         s2 = PauliKind.from_tag(term["sigma2"])
         group = f"({s1.value},{s2.value})"
-        entries = _parse_field(f"entries of {group}", _group_entries, term.get("entries", []))
+        pairs, values = _parse_field(f"entries of {group}", _entry_columns, term.get("entries", []))
         if (s1, s2) in two_local:
             raise ValidationError(f"duplicate term group {group}")
-        two_local[(s1, s2)] = CoeffMatrix.from_entries(n, entries)
+        two_local[(s1, s2)] = CoeffMatrix.from_pairs(n, pairs, values, held=len(two_local))
     onsite = doc.get("onsite", {})
     if not isinstance(onsite, Mapping):
         raise ValidationError("spec field onsite must be a JSON object")

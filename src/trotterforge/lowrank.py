@@ -83,8 +83,7 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     if spec.n != decomposition.n:
         raise ValidationError("spec and decomposition disagree on n")
     rows = []
-    for s1, s2 in spec.groups():
-        mat = spec.two_local[(s1, s2)]
+    for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.far_field:
             block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
             fac = truncated_svd(block, tol, pair)

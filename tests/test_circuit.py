@@ -30,10 +30,16 @@ from trotterforge.compilers import (
     compile_avgcost_step,
     compile_lowrank_step,
     compile_sequential_step,
-    sequential_terms,
 )
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import PAULI_MATRICES, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import (
+    PAULI_MATRICES,
+    CoeffMatrix,
+    HamiltonianSpec,
+    PauliKind,
+    build_power_law,
+    nonzero_terms,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -71,11 +77,12 @@ def pauli_term_matrix(string, n):
 
 
 def kron_hamiltonian(spec):
-    """H as a sum of kron matrices, added in sequential_terms order with the identity last."""
+    """H as a sum of kron matrices, added in term_groups() order with the identity last."""
     dim = 1 << spec.n
     h = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in sequential_terms(spec):
-        h += coeff * pauli_term_matrix(string, spec.n)
+    for kinds, coeffs in spec.term_groups():
+        for sites, coeff in nonzero_terms(coeffs):
+            h += coeff * pauli_term_matrix(list(zip(sites, kinds)), spec.n)
     if spec.identity != 0.0:
         h += spec.identity * np.eye(dim, dtype=complex)
     return h
@@ -423,7 +430,7 @@ def test_dense_capacity_counts_six_copies(fake_physical_memory):
     check_dense_capacity(10)  # 96 MiB, under the real memory of any test machine
     fake_physical_memory(8)
     check_dense_capacity(13)  # 6 x 1 GiB
-    message = (r"^checking a 14-qubit step against exact evolution \(6 dense 16384 x 16384 matrices\)"
+    message = (r"^checking a 14-qubit step against exact evolution \(6 dense 2\^14 x 2\^14 matrices\)"
                r" needs 24.0 GiB, more than the 8.0 GiB of physical memory$")
     with pytest.raises(CapacityError, match=message):
         check_dense_capacity(14)

@@ -83,6 +83,26 @@ def test_build_input_passthrough(tmp_path, capsys):
     assert json.loads(out) == json.loads(path.read_text())
 
 
+def test_build_emits_the_one_term_order_whatever_the_file_order(tmp_path, capsys):
+    zz = {"sigma": "z", "sigma2": "z", "entries": [[2, 4, -0.25], [1, 2, 0.5]]}
+    xy = {"sigma": "x", "sigma2": "y", "entries": [[3, 4, 0.7], [1, 4, 0.2]]}
+    onsite = {"z": [0.1, 0.0, -0.3, 0.2], "x": [0.0, 0.5, 0.0, 0.0]}
+    outputs = []
+    for terms, kinds in (([zz, xy], "zx"), ([xy, zz], "xz")):
+        doc = {"n": 4, "d": 1, "terms": terms, "onsite": {kind: onsite[kind] for kind in kinds}}
+        path = tmp_path / f"{kinds}.json"
+        path.write_text(json.dumps(doc))
+        rc, out = run_cli(capsys, "build", "--input", str(path))
+        assert rc == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    terms = json.loads(outputs[0])["terms"]
+    assert [(t["sigma"], t["entries"]) for t in terms] == [
+        ("x", [[1, 4, 0.2], [3, 4, 0.7]]),
+        ("z", [[1, 2, 0.5], [2, 4, -0.25]]),
+    ]
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -436,9 +456,24 @@ def test_non_finite_or_malformed_numbers_are_usage_errors(capsys, argv):
         ('{"n": -1, "d": 1, "terms": [{"sigma": "z", "sigma2": "z"}]}', "site count must be >= 1"),
         ('{"n": 4, "d": 1, "terms": 5}', "spec field terms must be a JSON array"),
         ('{"n": 4, "d": 1, "terms": [{"sigma": 5, "sigma2": "z"}]}', "unknown Pauli tag 5"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [1, 2, 0.5]}]}',
+         "spec field entries of (z,z) is malformed: expected [j, k, value] entries, got an array of shape (3,)"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 1.5, 0.5]]}]}',
+         "malformed: pair (1, 1.5) has an index that is not an integer below 2^53"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 1180591620717411303424, 0.5]]}]}',
+         "malformed: pair (1, 1180591620717411303424) has an index that is not an integer below 2^53"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 0.5], [3, 5, 0.1], [0, 1, 0.2]]}]}',
+         "error: pair (3,5) outside 1 <= j < k <= 4"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 4, 0.1], [2, 3, 0.2], [2, 3, 0.3], [1, 4, 0.4]]}]}',
+         "malformed: pair (2, 3) appears twice"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 1%s, 0.5]]}]}' % ("0" * 400),
+         "spec field entries of (z,z) is malformed"),
+        ('{"n": 1e400, "d": 1}', "spec field n is malformed"),
     ],
     ids=["short-entry", "text-value", "repeated-pair", "text-n", "onsite-list", "nan-onsite",
-         "nan-alpha", "inf-identity", "negative-n", "terms-number", "sigma-number"],
+         "nan-alpha", "inf-identity", "negative-n", "terms-number", "sigma-number", "flat-entries",
+         "fractional-index", "index-2-to-70", "range-after-valid-pair", "second-occurrence",
+         "index-past-float-range", "n-past-float-range"],
 )
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, message, command):
@@ -462,9 +497,32 @@ def test_oversized_spec_is_a_capacity_error(tmp_path, capsys, command):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_spec_groups_are_sized_together(tmp_path, capsys, monkeypatch, fake_physical_memory):
+    # one 1024 x 1024 matrix is 8 MiB and a group peaks at 3 copies past those held:
+    # 28 MiB admits either group alone, but not the second beside the first
+    group = {"sigma": "z", "sigma2": "z", "entries": [[1, 2, 0.5]]}
+    fake_physical_memory(28 / 1024)
+    sizes = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        sizes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    for terms, want in (([group], 0), ([dict(group, sigma="x")], 0), ([group, dict(group, sigma="x")], 3)):
+        sizes.clear()
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1024, "d": 1, "terms": terms}))
+        rc, err = exit_code_and_stderr(capsys, ["build", "--input", str(path)])
+        assert rc == want
+        assert sizes.count((1024, 1024)) == 1  # the second group is refused before it allocates
+    assert err.startswith("capacity error: a 1024 x 1024 coefficient matrix needs") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["verify", "error-sweep"])
 def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, fake_physical_memory, command):
-    # 6 dense 4096 x 4096 complex matrices need 1.5 GiB; pretend there is 1 GiB
+    # 6 dense 2^12 x 2^12 complex matrices need 1.5 GiB; pretend there is 1 GiB
     fake_physical_memory(1)
 
     def never(*args, **kwargs):
@@ -475,7 +533,7 @@ def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, fake_phys
     assert rc == 3
     assert err == (
         "capacity error: checking a 12-qubit step against exact evolution"
-        " (6 dense 4096 x 4096 matrices) needs 1.5 GiB, more than the 1.0 GiB of physical memory\n"
+        " (6 dense 2^12 x 2^12 matrices) needs 1.5 GiB, more than the 1.0 GiB of physical memory\n"
     )
 
 
@@ -486,6 +544,7 @@ def test_needs_past_float_range_exit_3_on_one_line(capsys, command):
     assert rc == 3
     assert err.startswith("capacity error: ") and err.endswith("GiB of physical memory\n")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert len(err) < 200  # sizes print as 2^n, not as 309-digit numbers
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -6,10 +6,13 @@ import pytest
 
 import trotterforge.compilers as compilers
 from trotterforge.circuit import (
+    Circuit,
     CompositeDiagonalPhase,
     ControlledPhase,
+    circuit_text,
     circuit_to_unitary,
     exact_evolution,
+    pauli_string_exponential,
     spectral_distance,
 )
 from trotterforge.compilers import (
@@ -22,13 +25,12 @@ from trotterforge.compilers import (
     lowered_step_unitary,
     make_product_formula,
     phase_register_width,
-    sequential_terms,
     step_cost_json,
     step_to_text,
 )
 from trotterforge.decomp import lowrank_decompose
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, nonzero_terms
 
 XX = (PauliKind.X, PauliKind.X)
 XY = (PauliKind.X, PauliKind.Y)
@@ -41,8 +43,7 @@ ZZ = (PauliKind.Z, PauliKind.Z)
 def truncation_bound_oracle(spec, cutoff, tol):
     """Sum over far blocks of the 1-norm of the dropped part, from a dense SVD."""
     total = 0.0
-    for key in spec.groups():
-        mat = spec.two_local[key]
+    for mat in spec.two_local.values():
         for pair in lowrank_decompose(spec.n, cutoff).far_field:
             block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
             u, s, vt = np.linalg.svd(block, full_matrices=False)
@@ -254,10 +255,18 @@ def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, m
 
 
 def test_sequential_term_order():
-    spec = mixed_group_spec(4)
-    terms = sequential_terms(spec)
-    keys = [(s1.value, s2.value, q1, q2) for ((q1, s1), (q2, s2)), _ in terms]
-    assert keys == sorted(keys)
+    # groups and on-site kinds handed over out of tag order still run in term_groups() order
+    base = onsite_two_group_spec(4)
+    spec = HamiltonianSpec(4, 1, dict(reversed(base.two_local.items())), dict(reversed(base.on_site.items())))
+    assert [kinds for kinds, _ in spec.term_groups()] == [XY, ZZ, (PauliKind.Y,), (PauliKind.Z,)]
+    want = [
+        gate
+        for kinds, coeffs in spec.term_groups()
+        for sites, c in nonzero_terms(coeffs)
+        for gate in pauli_string_exponential(list(zip(sites, kinds)), 0.3 * c, 4).gates
+    ]
+    assert step_to_text(compile_sequential_step(spec, 0.3, 1)) == circuit_text(Circuit(4, tuple(want)))
+    assert step_to_text(compile_sequential_step(base, 0.3, 1)) == circuit_text(Circuit(4, tuple(want)))
 
 
 # -- lowrank ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trotterforge.decomp import (
     Interval,
+    _is_exact_power_law,
     IntervalPair,
     amplification_ratios,
     bisection_decompose,
@@ -70,6 +71,19 @@ def cross_block_vec1(mat, n):
 
 def spec_of(mat):
     return HamiltonianSpec(mat.n, 1, {ZZ: mat}, {})
+
+
+def exact_power_law_oracle(spec):
+    """Pair-by-pair check of |beta_jk| = 1/(k-j)^alpha to 1e-9 relative, on 1D chains."""
+    if spec.alpha is None or spec.d != 1:
+        return False
+    for mat in spec.two_local.values():
+        for j in range(1, spec.n + 1):
+            for k in range(j + 1, spec.n + 1):
+                expect = 1.0 / (k - j) ** spec.alpha
+                if abs(abs(mat.value(j, k)) - expect) > 1e-9 * expect:
+                    return False
+    return True
 
 
 # -- bisection --------------------------------------------------------------------
@@ -249,6 +263,28 @@ def test_single_entry_in_weight4_box():
     mat = CoeffMatrix.from_entries(8, {(2, 6): 0.7})
     report = amplification_ratios(spec_of(mat), bisection_decompose(8))
     assert report.lambda_block == pytest.approx(4.0)
+
+
+def test_exact_power_law_check_on_the_upper_triangle():
+    exact = build_power_law(16, 1, 2.0, sign_rule="alternating")
+    data = exact.two_local[ZZ].data
+
+    def edited(j, k, value):
+        bent = data.copy()
+        bent[j, k] = value
+        return HamiltonianSpec(16, 1, {ZZ: CoeffMatrix(16, bent)}, {}, alpha=2.0)
+
+    cases = [
+        (exact, True),
+        (edited(2, 9, data[2, 9] * (1 + 1e-10)), True),  # inside the 1e-9 relative tolerance
+        (edited(2, 9, data[2, 9] * (1 + 1e-8)), False),  # one perturbed entry
+        (edited(0, 15, 0.0), False),  # one zeroed entry
+        (build_power_law(16, 2, 2.0), False),  # d=2 is not checked
+        (spec_of(exact.two_local[ZZ]), False),  # no alpha claimed
+    ]
+    for spec, want in cases:
+        assert _is_exact_power_law(spec) is want
+        assert exact_power_law_oracle(spec) is want
 
 
 def test_amplification_rejects_mismatched_n():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotterforge.compilers import sequential_terms
 from trotterforge.errors import (
     CapacityError,
     DimensionError,
@@ -29,6 +28,7 @@ from trotterforge.hamlib import (
     norms,
     pauli_decompose_term,
     pauli_reconstruct,
+    nonzero_terms,
     pauli_table,
     spec_from_json,
     spec_to_json,
@@ -292,6 +292,14 @@ def test_pauli_decompose_rejects_non_hermitian():
 def test_coeff_matrix_rejects_lower_triangle():
     with pytest.raises(ValidationError):
         CoeffMatrix(3, np.ones((3, 3)))
+    # one entry at a time, across and inside the row bands of the check
+    n = 130
+    CoeffMatrix(n, np.triu(np.ones((n, n)), 1))
+    for j, k in ((0, 0), (63, 63), (64, 63), (64, 64), (129, 0), (129, 128), (129, 129), (70, 5)):
+        a = np.zeros((n, n))
+        a[j, k] = 1.0
+        with pytest.raises(ValidationError, match="entries are defined only for j < k"):
+            CoeffMatrix(n, a)
 
 
 def test_spec_rejects_identity_group():
@@ -366,10 +374,34 @@ def mixed_table_spec():
     return HamiltonianSpec(n, 1, groups, fields, identity=0.75)
 
 
-def test_pauli_table_rows_follow_sequential_terms():
+def tag_order_terms(spec):
+    """Every nonzero term, pair by pair: groups by tag, then (j, k); on-site kinds by tag, then site."""
+    n, terms = spec.n, []
+    for s1, s2 in sorted(spec.two_local, key=lambda p: (p[0].value, p[1].value)):
+        data = spec.two_local[(s1, s2)].data
+        for j in range(n):
+            terms += [([(j + 1, s1), (k + 1, s2)], data[j, k]) for k in range(n) if data[j, k] != 0.0]
+    for s in sorted(spec.on_site, key=lambda s: s.value):
+        terms += [([(j + 1, s)], c) for j, c in enumerate(spec.on_site[s]) if c != 0.0]
+    return terms
+
+
+def test_term_groups_are_the_one_term_order():
+    spec = mixed_table_spec()  # groups and on-site kinds given out of tag order
+    X, Y, Z = PauliKind.X, PauliKind.Y, PauliKind.Z
+    assert [kinds for kinds, _ in spec.term_groups()] == [(X, Z), (Y, Y), (Z, X), (X,), (Z,)]
+    assert list(spec.two_local) == [(X, Z), (Y, Y), (Z, X)] and list(spec.on_site) == [X, Z]
+    got = [
+        (list(zip(sites, kinds)), c) for kinds, coeffs in spec.term_groups() for sites, c in nonzero_terms(coeffs)
+    ]
+    assert got == tag_order_terms(spec)
+    assert all(isinstance(q, int) for string, _ in got for q, _ in string)
+
+
+def test_pauli_table_rows_follow_term_groups():
     spec = mixed_table_spec()
     table = pauli_table(spec)
-    terms = sequential_terms(spec)
+    terms = tag_order_terms(spec)
     xbit = {PauliKind.X: 1, PauliKind.Y: 1, PauliKind.Z: 0}
     zbit = {PauliKind.X: 0, PauliKind.Y: 1, PauliKind.Z: 1}
     want_x = [sum(xbit[s] << (q - 1) for q, s in string) for string, _ in terms]
@@ -416,7 +448,7 @@ def test_coefficient_capacity_is_checked_before_allocating():
     check_coeff_capacity(1024)  # the far-field benchmark size: 8 MiB
     for build, gib in (
         (lambda: check_coeff_capacity(10**6), "7450.6"),
-        (lambda: CoeffMatrix.from_entries(10**6, {}), "29802.3"),  # 4 copies at the peak
+        (lambda: CoeffMatrix.from_entries(10**6, {}), "22351.7"),  # 3 copies at the peak
         (lambda: build_power_law(10**6, 1, 2.0), "37252.9"),  # 5 copies at the peak
     ):
         with pytest.raises(CapacityError, match=f"coefficient matrix needs {gib} GiB"):

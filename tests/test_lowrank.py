@@ -31,8 +31,7 @@ def cauchy_block(n):
 def profile_oracle(spec, dec, tol):
     """rho_max recomputed with the dense SVD oracle over every far-field block."""
     best = 0
-    for key in spec.groups():
-        mat = spec.two_local[key]
+    for mat in spec.two_local.values():
         for pair in dec.far_field:
             block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
             best = max(best, dense_rank_oracle(block, tol))
@@ -149,7 +148,7 @@ def test_profile_rows_are_group_major():
     )
     dec = lowrank_decompose(16, 2)
     want = []
-    for s1, s2 in spec.groups():
+    for s1, s2 in (xx, ZZ):  # tag order, whatever order the spec was given
         for pair in dec.far_field:
             block = spec.two_local[(s1, s2)].block(list(pair.left.sites()), list(pair.right.sites()))
             want.append((pair.layer, pair.block, s1.value, s2.value, dense_rank_oracle(block, 1e-6)))

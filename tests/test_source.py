@@ -30,3 +30,40 @@ def test_unused_import_check_sees_attribute_and_annotation_use():
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+SRC_MODULES = sorted(Path(trotterforge.__file__).parent.glob("*.py"))
+
+
+def unread_private_names(trees: dict) -> list[str]:
+    """module:name of each module-level _private function, class or constant no module reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            unread += [f"{module}:{name}" for name in names if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_unread_private_check_sees_reads_across_modules():
+    a = ast.parse("_USED = 1\n_UNUSED = 2\ndef _dead():\n    pass\ndef _called():\n    return _USED\n")
+    b = ast.parse("from .a import _called\n_called()\n")
+    assert unread_private_names({"a": a, "b": b}) == ["a:_UNUSED", "a:_dead"]
+
+
+def test_every_private_helper_in_src_is_read():
+    assert unread_private_names({p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}) == []

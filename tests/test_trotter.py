@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotterforge.compilers import sequential_terms
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, build_power_law, pauli_table
+from trotterforge.hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, build_power_law, nonzero_terms, pauli_table
 from trotterforge.trotter import (
     SimulationRequest,
     TrotterErrorReport,
@@ -156,7 +155,11 @@ PAULI_SUM_CASES = [
 @pytest.mark.parametrize("n, tags, onsite", PAULI_SUM_CASES)
 def test_pauli_commutator_sum_matches_brute_force(n, tags, onsite, p):
     spec = pauli_spec(n, tags, seed=n + p, onsite=onsite)
-    stages = [coeff * kron_term(string, n) for string, coeff in sequential_terms(spec)]
+    stages = [
+        coeff * kron_term(list(zip(sites, kinds)), n)
+        for kinds, coeffs in spec.term_groups()
+        for sites, coeff in nonzero_terms(coeffs)
+    ]
     table = pauli_table(spec)
     fast = pauli_commutator_sum(table.x, table.z, table.coeff, p)
     assert fast > 0.0 or tags == ["yy"] and not onsite  # YY terms alone all commute
