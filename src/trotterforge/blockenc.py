@@ -120,35 +120,6 @@ def build_boxed_preparation(block: np.ndarray, config: PreparationConfig) -> Pre
     return PreparedBlock(state, one_norm / box_norm, error, tilde)
 
 
-def _zz_diag(n: int, u: int, v: int) -> np.ndarray:
-    x = np.arange(1 << n)
-    zu = 1.0 - 2.0 * ((x >> (u - 1)) & 1)
-    zv = 1.0 - 2.0 * ((x >> (v - 1)) & 1)
-    return zu * zv
-
-
-def build_selection(
-    pairs: Sequence[tuple[int, int]], n: int, signs: Sequence[float] | None = None
-) -> np.ndarray:
-    """Diagonal selection sum_idx |idx><idx| (x) (+/-)Z_u Z_v; identity on padding."""
-    if not pairs:
-        raise ValidationError("need at least one pair")
-    branches = 1 << max(1, (len(pairs) - 1).bit_length()) if len(pairs) > 1 else 1
-    dim = branches << n
-    check_memory(8 * dim * (dim + 8), f"a selection of dimension {dim}")  # the matrix and a few vectors
-    if signs is None:
-        signs = [1.0] * len(pairs)
-    if len(signs) != len(pairs):
-        raise ValidationError("one sign per pair required")
-    diag = np.ones(dim)
-    for idx, ((u, v), s) in enumerate(zip(pairs, signs)):
-        if not (1 <= u <= n and 1 <= v <= n) or u == v:
-            raise ValidationError(f"bad pair ({u},{v})")
-        sgn = 1.0 if s >= 0 else -1.0
-        diag[idx << n : (idx + 1) << n] = sgn * _zz_diag(n, u, v)
-    return np.diag(diag)
-
-
 def walk_operator(enc: BlockEncoding) -> np.ndarray:
     """Angle-free iterate (X (x) I)(|0><0| (x) U + |1><1| (x) U^dag)(2|G+><G+| - I).
 

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_memory
-from .hamlib import CoeffMatrix
 from .trotter import fermionic_error_norms, steps_for
 
 
@@ -109,11 +108,6 @@ def build_uniform_electron_gas(
     if eta is None:
         eta = max(1, n // 2)
     return ElectronicSystem(n, eta, float(omega), tau, nu, grid=g, nuclei=tuple(nuclei))
-
-
-def coulomb_coeff_matrix(system: ElectronicSystem) -> CoeffMatrix:
-    """Upper-triangular view of nu for the pair-decomposition machinery."""
-    return CoeffMatrix(system.n, np.triu(system.nu, k=1))
 
 
 def external_potential_strength(system: ElectronicSystem) -> float:
@@ -267,16 +261,3 @@ def system_to_json(system: ElectronicSystem) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def system_from_json(text: str) -> ElectronicSystem:
-    doc = json.loads(text)
-    unknown = set(doc) - {"grid", "omega", "eta", "nuclei"}
-    if unknown:
-        raise ValidationError(f"unknown system fields: {sorted(unknown)}")
-    nuclei = tuple(
-        (float(item["charge"]), tuple(float(c) for c in item["pos"]))
-        for item in doc.get("nuclei", [])
-    )
-    return build_uniform_electron_gas(
-        int(doc["grid"]), float(doc["omega"]), eta=doc.get("eta"), nuclei=nuclei
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +25,11 @@ from .errors import DomainError, ValidationError, check_memory
 from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
 # Upper bound on the 2^n x 2^n complex matrices alive at once when a step is checked against
-# exact evolution. The peak is in eigh: the lowered step, H, eigh's copy of H, its workspaces
+# exact evolution. verify peaks in eigh: the lowered step, H, eigh's copy of H, its workspaces
 # and V. H is freed when eigh returns, so V, V e^{-itw}, V^dagger and the product stay below.
+# error-sweep keeps V for the whole sweep but runs eigh before it lowers any step, so it peaks
+# at five: in eigh, and in the distance (V, e^{-itH}, the lowered step, their difference and
+# the SVD's copy).
 DENSE_COPIES = 6
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -211,23 +214,6 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
-def inverse_circuit(c: Circuit) -> Circuit:
-    """Formal inverse within the gate set."""
-    inv: list[Gate] = []
-    for g in reversed(c.gates):
-        if isinstance(g, PauliRotation):
-            inv.append(PauliRotation(g.axis, g.qubit, -g.angle))
-        elif isinstance(g, (Hadamard, CNOT, CZ)):
-            inv.append(g)
-        elif isinstance(g, PhaseS):
-            inv.extend([PhaseS(g.qubit)] * 3)
-        elif isinstance(g, ControlledPhase):
-            inv.append(ControlledPhase(g.ctrl, g.tgt, -g.angle))
-        else:
-            inv.append(CompositeDiagonalPhase(g.qubits, -g.phases, g.cost))
-    return Circuit(c.qubit_count, tuple(inv), c.system_qubits)
-
-
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix of the full 2-local spec, one scatter per Pauli term."""
     dim = 1 << spec.n
@@ -253,9 +239,15 @@ def check_dense_capacity(n: int) -> None:
 
 def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
     """e^{-itH} by Hermitian eigendecomposition."""
+    return next(exact_evolutions(spec, (t,)))
+
+
+def exact_evolutions(spec: HamiltonianSpec, ts: Iterable[float]) -> Iterator[np.ndarray]:
+    """e^{-itH} for each t in ts, from one eigendecomposition made at the first request."""
     # unbound, so that H is released as soon as eigh returns
     w, v = np.linalg.eigh(dense_hamiltonian(spec))
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    for t in ts:
+        yield (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .circuit import (
     check_dense_capacity,
     circuit_text,
     exact_evolution,
+    exact_evolutions,
     spectral_distance,
 )
 from .compilers import (
@@ -45,7 +46,6 @@ from .compilers import (
     compile_sequential_step,
     lowered_step_unitary,
     step_cost_json,
-    step_to_text,
 )
 from .costmodel import balanced_subdivision, gate_count_report
 from .decomp import (
@@ -212,21 +212,20 @@ def _run_compile(args) -> None:
         if mat is None:
             raise ValidationError("the gadget needs a ZZ coefficient group")
         circuit = compile_hamming2_reduction(mat)
-        _emit(circuit_text(circuit), args.out)
-        sidecar = json.dumps(
+        cost = json.dumps(
             {"method": "hamming2", "gates": circuit.cost(), "qubits": circuit.qubit_count},
             indent=2,
             sort_keys=True,
         )
-        _emit(sidecar, f"{args.out}.cost.json" if args.out else None)
-        return
-    step = _compiled_step(args.method, spec, args, args.count_only)
+    else:
+        step = _compiled_step(args.method, spec, args, args.count_only)
+        circuit, cost = step.circuit, step_cost_json(step)
     if args.count_only:
         # no gate list to print; the cost document goes to the primary path
-        _emit(step_cost_json(step), args.out)
+        _emit(cost, args.out)
         return
-    _emit(step_to_text(step), args.out)
-    _emit(step_cost_json(step), f"{args.out}.cost.json" if args.out else None)
+    _emit(circuit_text(circuit), args.out)
+    _emit(cost, f"{args.out}.cost.json" if args.out else None)
 
 
 def _run_verify(args) -> None:
@@ -258,9 +257,10 @@ def _run_error_sweep(args) -> None:
     table = pauli_table(spec)
     alpha = pauli_commutator_sum(table.x, table.z, table.coeff, args.p)
     reports = []
-    for step in steps:
+    # one eigendecomposition for the sweep, made before any step is lowered
+    for step, exact in zip(steps, exact_evolutions(spec, args.t_values)):
         t = step.t
-        empirical = spectral_distance(lowered_step_unitary(step), exact_evolution(spec, t))
+        empirical = spectral_distance(lowered_step_unitary(step), exact)
         reports.append(
             TrotterErrorReport(
                 method=args.method,

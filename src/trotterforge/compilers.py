@@ -40,11 +40,10 @@ from .circuit import (
     Hadamard,
     PauliRotation,
     basis_change,
-    circuit_text,
     circuit_to_unitary,
     pauli_string_exponential,
 )
-from .decomp import bisection_decompose, cells_for_pair, lowrank_decompose
+from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_memory
 from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
 from .lowrank import truncated_svd
@@ -145,12 +144,6 @@ def step_cost_json(step: CompiledStep) -> str:
                 composites.append({"kind": "diagonal-phase", "cost": g.cost})
     doc = {"method": step.method, "gates": step.gate_count, "composites": composites}
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def step_to_text(step: CompiledStep) -> str:
-    if step.circuit is None:
-        raise ValidationError("count-only steps carry no circuit to export")
-    return circuit_text(step.circuit)
 
 
 # Peak bytes per lowered gate object: tracemalloc measured 170-180 B on
@@ -418,13 +411,10 @@ def compile_avgcost_step(
         ops = []
         for pair in dec.pairs:
             for cell in cells_for_pair(pair, m):
-                jlo, jhi, klo, khi = cell.region.rectangles[0]
-                sub = mat.data[jlo - 1 : jhi, klo - 1 : khi]
-                cell_1 = float(np.abs(sub).sum())
+                sub, cell_1, ratio = cell_norms(mat.data, cell)
                 if cell_1 == 0.0:
                     continue
-                cell_max = float(np.abs(sub).max())
-                ratio = cell.width_j * cell.width_k * cell_max / cell_1
+                jlo, jhi, klo, khi = cell.region.rectangles[0]
                 steps = qubitization_step_count(cell_1 * abs(theta), eps)
                 cost = steps * (
                     cell_prep_cost(cell.width_j, cell.width_k, ratio)

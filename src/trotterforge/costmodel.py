@@ -16,9 +16,9 @@ from .compilers import (
     compile_sequential_step,
     phase_register_width,
 )
-from .decomp import bisection_decompose, boxes_for_pair
+from .decomp import bisection_decompose, pair_box_norms
 from .errors import DomainError, ValidationError
-from .hamlib import HamiltonianSpec, PauliKind, build_power_law, norms
+from .hamlib import HamiltonianSpec, PauliKind, build_power_law
 
 REPORT_METHODS = ("sequential", "block", "avgcost", "lowrank")
 
@@ -184,15 +184,12 @@ def block_step_count(spec: HamiltonianSpec, t: float, eps: float) -> int:
     total = 0
     for mat in spec.two_local.values():
         for pair in dec.pairs:
-            vec1 = norms(mat, "restricted_1", region=pair.cross_region())
+            vec1, box1, ratio = pair_box_norms(mat, pair)
             if vec1 == 0.0:
                 continue
-            box1 = norms(mat, "box_1", boxes=boxes_for_pair(pair))
             steps = qubitization_step_count(box1 * abs(t), eps)
             half = pair.left.length
-            total += steps * (
-                block_select_cost(half) + block_prep_cost(half, box1 / vec1, width)
-            )
+            total += steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
     return total
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .hamlib import HamiltonianSpec, IndexRegion, norms
+from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, norms
 
 
 def _is_pow2(x: int) -> bool:
@@ -274,6 +274,33 @@ def cells_for_pair(pair: IntervalPair, m: int) -> list[Cell]:
     return out
 
 
+def pair_box_norms(mat: CoeffMatrix, pair: IntervalPair) -> tuple[float, float, float]:
+    """(vec1, box1, lambda_block) of the pair's cross block: its 1-norm, its box norm, and box1 / vec1.
+
+    lambda_block is at most 2^alpha on a power law. An all-zero block gives
+    (0, 0, 1) without reading its boxes.
+    """
+    vec1 = norms(mat, "restricted_1", region=pair.cross_region())
+    if vec1 == 0.0:
+        return 0.0, 0.0, 1.0
+    box1 = norms(mat, "box_1", boxes=boxes_for_pair(pair))
+    return vec1, box1, box1 / vec1
+
+
+def cell_norms(data: np.ndarray, cell: Cell) -> tuple[np.ndarray, float, float]:
+    """(slice, cell_1, lambda_avg) of one cell of an upper-triangular coefficient array.
+
+    lambda_avg = width_j * width_k * max|beta| / cell_1 over the slice; an
+    all-zero cell gives ratio 1.
+    """
+    jlo, jhi, klo, khi = cell.region.rectangles[0]
+    sub = data[jlo - 1 : jhi, klo - 1 : khi]
+    cell_1 = float(np.abs(sub).sum())
+    if cell_1 == 0.0:
+        return sub, 0.0, 1.0
+    return sub, cell_1, cell.width_j * cell.width_k * float(np.abs(sub).max()) / cell_1
+
+
 @dataclass(frozen=True)
 class RatioRow:
     kind: str
@@ -310,7 +337,7 @@ def amplification_ratios(
 ) -> AmplificationReport:
     """Worst-case box-norm and cell-norm amplification over all pairs.
 
-    All-zero regions are skipped (ratio 1, no work needed there).
+    All-zero regions have ratio 1 (no work needed there).
     """
     if spec.n != decomposition.n:
         raise ValidationError("spec and decomposition disagree on n")
@@ -324,23 +351,13 @@ def amplification_ratios(
     lam_avg = 1.0 if m is not None else None
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.pairs:
-            vec1 = norms(mat, "restricted_1", region=pair.cross_region())
-            if vec1 > 0.0:
-                box1 = norms(mat, "box_1", boxes=boxes_for_pair(pair))
-                ratio = box1 / vec1
-            else:
-                ratio = 1.0
+            ratio = pair_box_norms(mat, pair)[2]
             rows.append(RatioRow("block", s1.value, s2.value, pair.layer, pair.block, None, None, ratio))
             lam_block = max(lam_block, ratio)
             if m is None:
                 continue
             for cell in cells_for_pair(pair, m):
-                cell_1 = norms(mat, "restricted_1", region=cell.region)
-                if cell_1 > 0.0:
-                    cell_max = norms(mat, "restricted_max", region=cell.region)
-                    cratio = cell.width_j * cell.width_k * cell_max / cell_1
-                else:
-                    cratio = 1.0
+                cratio = cell_norms(mat.data, cell)[2]
                 rows.append(
                     RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio)
                 )

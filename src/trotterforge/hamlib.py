@@ -1,9 +1,10 @@
-"""Two-local Hamiltonian coefficient data and the norms used everywhere else.
+"""Two-local Hamiltonian coefficient data and the region norms of its pairs.
 
 Coefficient matrices live on the strict upper triangle (1 <= j < k <= n).
-Induced norms complete them symmetrically; restricted norms read a region
-of index pairs; the box norm takes explicit (weight, region) groupings so
-the geometry of the grouping stays in the decomp module.
+``norms`` reads their symmetric completion in two kinds: ``restricted_1``,
+the 1-norm over a region of index pairs, and ``box_1``, the sum of
+weight x region max over explicit (weight, region) groupings, so the
+geometry of the grouping stays in the decomp module.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class CoeffMatrix:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionError(f"site count must be >= 1, got {self.n}")
-        a = np.array(self.data, dtype=float)
+        a = np.asarray(self.data, dtype=float)
         if a.shape != (self.n, self.n):
             raise DimensionError(f"expected shape {(self.n, self.n)}, got {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -64,7 +65,9 @@ class CoeffMatrix:
         # the lower triangle 64 rows at a time, so no n x n temporary is made
         if any(np.tril(a[i : i + 64, : i + 64], i).any() for i in range(0, self.n, 64)):
             raise ValidationError("entries are defined only for j < k")
-        a.setflags(write=False)
+        if a.flags.writeable:
+            a = a.copy()  # the caller may still hold the input
+            a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
     def __reduce__(self):
@@ -78,9 +81,9 @@ class CoeffMatrix:
         ``pairs`` and ``values`` are checked columns from ``_entry_columns``;
         ``held`` counts the n x n matrices the caller already holds.
         """
-        # a, CoeffMatrix's copy and its finite test: tracemalloc peak 2.1 copies past
-        # the entry arrays, 3.6 with them when every pair has an entry
-        check_coeff_capacity(n, copies=held + 3)
+        # a and the scatter's index columns: tracemalloc peak 2.0 copies past the
+        # entry arrays when every pair has an entry (3.5 with them), 1.1 for one entry
+        check_coeff_capacity(n, copies=held + 2)
         j, k = pairs[:, 0], pairs[:, 1]
         bad = np.flatnonzero(~((1 <= j) & (j < k) & (k <= n)))
         if bad.size:
@@ -88,29 +91,19 @@ class CoeffMatrix:
             raise IndexRangeError(f"pair ({int(j)},{int(k)}) outside 1 <= j < k <= {n}")
         a = np.zeros((n, n))
         a[j.astype(np.int64) - 1, k.astype(np.int64) - 1] = values
+        a.setflags(write=False)  # handed over, so the constructor keeps it uncopied
         return cls(n, a)
 
     @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], float]) -> "CoeffMatrix":
-        return cls.from_pairs(n, *_entry_columns([(j, k, v) for (j, k), v in entries.items()]))
-
-    @classmethod
     def zeros(cls, n: int) -> "CoeffMatrix":
-        return cls(n, np.zeros((n, n)))
+        a = np.zeros((n, n))
+        a.setflags(write=False)
+        return cls(n, a)
 
     def value(self, j: int, k: int) -> float:
         if not (1 <= j < k <= self.n):
             raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {self.n}")
         return float(self.data[j - 1, k - 1])
-
-    def sym_value(self, j: int, k: int) -> float:
-        """Symmetric-completion read; 0 on the diagonal."""
-        if j == k:
-            return 0.0
-        lo, hi = (j, k) if j < k else (k, j)
-        if not (1 <= lo and hi <= self.n):
-            raise IndexRangeError(f"pair ({j},{k}) out of range")
-        return float(self.data[lo - 1, hi - 1])
 
     def entries(self) -> dict[tuple[int, int], float]:
         return {(j, k): v for (j, k), v in nonzero_terms(self.data)}
@@ -154,9 +147,6 @@ class IndexRegion:
             for j in range(jlo, jhi + 1):
                 for k in range(klo, khi + 1):
                     yield j, k
-
-    def cell_count(self) -> int:
-        return sum((jhi - jlo + 1) * (khi - klo + 1) for jlo, jhi, klo, khi in self.rectangles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +312,7 @@ def build_power_law(
     if sign_rule not in SIGN_RULES:
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
-    check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.5 copies at n=1024 and 2048
+    check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.1 copies at n=1024 and 2048
     js, ks = np.triu_indices(n, 1)
     coords = np.arange(n)
     d2 = np.zeros(js.size, dtype=np.int64)
@@ -340,11 +330,14 @@ def build_power_law(
         signs = np.where(np.random.default_rng(seed).integers(2, size=js.size), 1.0, -1.0)
     else:
         signs = 1.0
+    flat, values = js * n + ks, signs * mags
+    # allocated once the temporaries are freed, so the kept matrix takes their memory rather
+    # than pinning the heap above it (a cost-report sweep to n=1024 peaks 3-5 MiB lower)
+    del js, ks, d2, inverse, mags, signs
     a = np.zeros((n, n))
-    a[js, ks] = signs * mags
-    del js, ks, d2, inverse, mags, signs  # frees 2.5 copies before CoeffMatrix makes its own
-    mat = CoeffMatrix(n, a)
-    return HamiltonianSpec(n, d, {pauli_pair: mat}, {}, alpha=alpha)
+    np.put(a, flat, values)
+    a.setflags(write=False)  # handed over, so the constructor keeps it uncopied
+    return HamiltonianSpec(n, d, {pauli_pair: CoeffMatrix(n, a)}, {}, alpha=alpha)
 
 
 def fixed_point_round(value: float, width: int) -> float:
@@ -374,54 +367,29 @@ def coeff_oracle(
     return fixed_point_round(value, width)
 
 
-NORM_KINDS = (
-    "vec1",
-    "max",
-    "euclid",
-    "induced1",
-    "induced1_restricted",
-    "restricted_max",
-    "restricted_1",
-    "box_1",
-)
+NORM_KINDS = ("restricted_1", "box_1")
 
 
 def norms(
     matrix: CoeffMatrix,
     kind: str,
     *,
-    eta: int | None = None,
     region: IndexRegion | None = None,
     boxes: Iterable[tuple[int, IndexRegion]] | None = None,
 ) -> float:
+    """restricted_1: the 1-norm over ``region``; box_1: the sum of weight x max over ``boxes``."""
     if kind not in NORM_KINDS:
         raise ValidationError(f"unknown norm kind {kind!r}")
-    if kind in ("restricted_max", "restricted_1"):
+    if kind == "restricted_1":
         if region is None:
-            raise ValidationError(f"{kind} needs a region")
-        return _region_norm(matrix, region, kind == "restricted_max")
-    if kind == "box_1":
-        if boxes is None:
-            raise ValidationError("box_1 needs (weight, region) boxes")
-        total = 0.0
-        for weight, reg in boxes:
-            total += weight * _region_norm(matrix, reg, use_max=True)
-        return total
-    a = np.abs(matrix.data)
-    if kind == "vec1":
-        return float(a.sum())
-    if kind == "max":
-        return float(a.max()) if a.size else 0.0
-    if kind == "euclid":
-        return float(math.sqrt((a * a).sum()))
-    if kind in ("induced1", "induced1_restricted"):
-        sym = a + a.T
-        if kind == "induced1":
-            return float(sym.sum(axis=1).max())
-        if eta is None or not (1 <= eta <= matrix.n):
-            raise DomainError(f"eta must satisfy 1 <= eta <= {matrix.n}, got {eta}")
-        rows = np.sort(sym, axis=1)[:, ::-1][:, :eta]
-        return float(rows.sum(axis=1).max())
+            raise ValidationError("restricted_1 needs a region")
+        return _region_norm(matrix, region, use_max=False)
+    if boxes is None:
+        raise ValidationError("box_1 needs (weight, region) boxes")
+    total = 0.0
+    for weight, reg in boxes:
+        total += weight * _region_norm(matrix, reg, use_max=True)
+    return total
 
 
 def _region_norm(matrix: CoeffMatrix, region: IndexRegion, use_max: bool) -> float:
@@ -441,29 +409,6 @@ def _region_norm(matrix: CoeffMatrix, region: IndexRegion, use_max: bool) -> flo
         return 0.0
     values = np.concatenate(parts)
     return float(values.max() if use_max else np.cumsum(values)[-1])
-
-
-def pauli_decompose_term(m: np.ndarray) -> dict[tuple[PauliKind, PauliKind], float]:
-    """Coefficients of a 4x4 Hermitian M over the 16 Pauli tensor products."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-12:
-        raise ValidationError("matrix is not Hermitian to 1e-12")
-    out = {}
-    for s1 in PauliKind:
-        for s2 in PauliKind:
-            basis = np.kron(PAULI_MATRICES[s1], PAULI_MATRICES[s2])
-            c = np.trace(m @ basis) / 4.0
-            out[(s1, s2)] = float(c.real)
-    return out
-
-
-def pauli_reconstruct(coeffs: Mapping[tuple[PauliKind, PauliKind], float]) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for (s1, s2), c in coeffs.items():
-        m += c * np.kron(PAULI_MATRICES[s1], PAULI_MATRICES[s2])
-    return m
 
 
 # -- JSON serialization -------------------------------------------------------

@@ -2,6 +2,13 @@ import os
 
 import pytest
 
+from trotterforge.hamlib import CoeffMatrix, _entry_columns
+
+
+def coeff_matrix(n, entries):
+    """CoeffMatrix from {(j, k): value}, parsed and scattered as a spec file's entries are."""
+    return CoeffMatrix.from_pairs(n, *_entry_columns([(j, k, v) for (j, k), v in entries.items()]))
+
 
 @pytest.fixture
 def fake_physical_memory(monkeypatch):

@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
+from conftest import coeff_matrix
 from trotterforge.blockenc import (
     PreparationConfig,
     build_boxed_preparation,
@@ -46,7 +47,7 @@ from trotterforge.costmodel import (
     solve_coupled_recurrence,
 )
 from trotterforge.decomp import bisection_decompose, lowrank_decompose, nested_boxes
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import HamiltonianSpec, PauliKind, build_power_law
 from trotterforge.lowrank import rank_profile
 from trotterforge.trotter import fermionic_error_norms
 
@@ -339,7 +340,7 @@ def test_09_weight2_phase_gadget():
             for j in range(1, n + 1)
             for k in range(j + 1, n + 1)
         }
-        circ = compile_hamming2_reduction(CoeffMatrix.from_entries(n, betas))
+        circ = compile_hamming2_reduction(coeff_matrix(n, betas))
         u = circuit_to_unitary(circ)
         for j in range(1, n + 1):
             for k in range(1, n + 1):

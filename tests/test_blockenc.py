@@ -10,7 +10,6 @@ from trotterforge.blockenc import (
     block_select_cost,
     build_boxed_preparation,
     build_lcu_encoding,
-    build_selection,
     cell_prep_cost,
     cell_select_cost,
     qubitization_step_count,
@@ -148,44 +147,6 @@ def test_preparation_config_validation():
         build_boxed_preparation(np.ones((3, 4)), PreparationConfig(nested_boxes(4)))
 
 
-# -- selection ---------------------------------------------------------------------------
-
-
-def zz_values(n, u, v):
-    x = np.arange(1 << n)
-    return (1.0 - 2.0 * ((x >> (u - 1)) & 1)) * (1.0 - 2.0 * ((x >> (v - 1)) & 1))
-
-
-def test_selection_single_pair():
-    sel = build_selection([(1, 2)], 2)
-    assert np.abs(sel - np.diag([1, -1, -1, 1.0])).max() < 1e-12
-
-
-def test_selection_two_pairs_direct_sum():
-    sel = build_selection([(1, 2), (1, 3)], 3)
-    assert sel.shape == (16, 16)
-    d = np.diag(sel).real
-    assert np.allclose(d[:8], zz_values(3, 1, 2))
-    assert np.allclose(d[8:], zz_values(3, 1, 3))
-    assert unitary_residual(sel) < 1e-12
-    assert np.abs(sel - sel.conj().T).max() < 1e-12
-
-
-def test_selection_padding_is_identity():
-    sel = build_selection([(1, 2), (2, 3), (1, 3)], 3)  # 4 branches, one padded
-    assert np.allclose(np.diag(sel)[3 * 8 :], 1.0)
-
-
-def test_selection_signs():
-    sel = build_selection([(1, 2)], 2, signs=[-1.0])
-    assert np.allclose(np.diag(sel).real, [-1, 1, 1, -1])
-
-
-def test_selection_rejects_bad_pair():
-    with pytest.raises(ValidationError):
-        build_selection([(1, 1)], 2)
-
-
 # -- walk operator ---------------------------------------------------------------------
 
 
@@ -243,7 +204,6 @@ def test_dense_builders_refuse_before_allocating(fake_physical_memory, monkeypat
         monkeypatch.setattr(np, name, never)
     for build, what in (
         (lambda: build_lcu_encoding(terms), "an LCU encoding of dimension 128"),
-        (lambda: build_selection([(1, 2)], 9), "a selection of dimension 512"),
         (lambda: walk_operator(enc), "a walk operator of dimension 256"),
     ):
         with pytest.raises(CapacityError, match=f"^{what} needs"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coeff_matrix
 from trotterforge.bounds import (
     LOG_BASE,
     THETA_CEILING,
@@ -355,12 +356,11 @@ def test_reduction_overhead_tracks_bound_model():
     # stays within a narrow constant band
     from trotterforge.compilers import compile_hamming2_reduction
     from trotterforge.circuit import ControlledPhase
-    from trotterforge.hamlib import CoeffMatrix
 
     eps = 1e-3
     ratios = []
     for n in (4, 8, 16):
-        circ = compile_hamming2_reduction(CoeffMatrix.from_entries(n, {(1, 2): 0.1}))
+        circ = compile_hamming2_reduction(coeff_matrix(n, {(1, 2): 0.1}))
         phases = sum(isinstance(g, ControlledPhase) for g in circ.gates)
         fixed = circ.cost() - phases
         w = n.bit_length() - 1

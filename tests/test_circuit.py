@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import coeff_matrix
 from trotterforge.circuit import (
     CNOT,
     CZ,
@@ -20,8 +21,8 @@ from trotterforge.circuit import (
     circuit_to_unitary,
     dense_hamiltonian,
     exact_evolution,
+    exact_evolutions,
     hamming_projector_mask,
-    inverse_circuit,
     pauli_string_exponential,
     spectral_distance,
     subspace_distance,
@@ -34,7 +35,6 @@ from trotterforge.compilers import (
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import (
     PAULI_MATRICES,
-    CoeffMatrix,
     HamiltonianSpec,
     PauliKind,
     build_power_law,
@@ -239,24 +239,6 @@ def test_circuit_validation(fake_physical_memory):
         circuit_to_unitary(Circuit(14, ()))
 
 
-def test_inverse_circuit_identity():
-    circ = Circuit(
-        3,
-        (
-            Hadamard(1),
-            PhaseS(2),
-            CNOT(1, 3),
-            PauliRotation("y", 2, 0.8),
-            CZ(2, 3),
-            ControlledPhase(1, 2, -0.3),
-            CompositeDiagonalPhase((1, 2, 3), 0.1 * np.array([0, 1, 1, 2, 1, 2, 2, 3]), cost=2),
-        ),
-    )
-    u = circuit_to_unitary(circ)
-    v = circuit_to_unitary(inverse_circuit(circ))
-    assert spectral_distance(v @ u, np.eye(8)) < 1e-9
-
-
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 
@@ -330,7 +312,7 @@ def test_mixed_step_lowering_matches_moveaxis_oracle(method):
 
 def zz_chain_spec(n, value=1.0):
     entries = {(j, j + 1): value for j in range(1, n)}
-    return HamiltonianSpec(n, 1, {(PauliKind.Z, PauliKind.Z): CoeffMatrix.from_entries(n, entries)}, {})
+    return HamiltonianSpec(n, 1, {(PauliKind.Z, PauliKind.Z): coeff_matrix(n, entries)}, {})
 
 
 def test_exact_evolution_vs_expm():
@@ -338,10 +320,17 @@ def test_exact_evolution_vs_expm():
     assert spectral_distance(exact_evolution(spec, 0.3), evolution_oracle(spec, 0.3)) < 1e-9
 
 
+def test_exact_evolutions_match_one_evolution_per_t():
+    spec = build_power_law(4, 1, 1.5, (PauliKind.X, PauliKind.Z), "seeded-random", 2)
+    ts = (0.05, 0.1, 0.2, 0.1)
+    for t, u in zip(ts, exact_evolutions(spec, ts), strict=True):
+        assert np.array_equal(u, exact_evolution(spec, t))
+
+
 def test_dense_hamiltonian_mixed_terms():
     mats = {
-        (PauliKind.X, PauliKind.Y): CoeffMatrix.from_entries(2, {(1, 2): 0.4}),
-        (PauliKind.Z, PauliKind.Z): CoeffMatrix.from_entries(2, {(1, 2): -1.1}),
+        (PauliKind.X, PauliKind.Y): coeff_matrix(2, {(1, 2): 0.4}),
+        (PauliKind.Z, PauliKind.Z): coeff_matrix(2, {(1, 2): -1.1}),
     }
     spec = HamiltonianSpec(2, 1, mats, {PauliKind.X: np.array([0.2, 0.0])}, identity=0.5)
     assert max_err(dense_hamiltonian(spec), dense_oracle(spec)) < 1e-12

@@ -174,13 +174,20 @@ def test_compile_count_only_emits_cost_json(capsys):
     assert doc["method"] == "lowrank" and doc["gates"] > 0
 
 
-def test_compile_hamming2(capsys):
+def test_compile_hamming2(tmp_path, capsys):
     rc, out = run_cli(capsys, "compile", "--method", "hamming2", "--n", "4")
     assert rc == 0
     text, brace, tail = out.partition("{")
     assert text.strip()  # gate listing comes first
     doc = json.loads(brace + tail)
     assert doc["method"] == "hamming2" and doc["qubits"] == 8
+    # --count-only prints the cost document alone, and --out gets no .cost.json sidecar
+    rc, out = run_cli(capsys, "compile", "--method", "hamming2", "--n", "4", "--count-only")
+    assert rc == 0 and out == brace + tail
+    path = tmp_path / "gadget.json"
+    assert main(["compile", "--method", "hamming2", "--n", "4", "--count-only", "--out", str(path)]) == 0
+    assert path.read_text() == brace + tail
+    assert [p.name for p in tmp_path.iterdir()] == ["gadget.json"]
 
 
 def test_compile_hamming2_needs_zz_group(capsys):
@@ -296,11 +303,20 @@ def test_error_sweep_golden(capsys, p):
 def test_error_sweep_admits_any_size_that_fits(capsys, monkeypatch):
     # n=11 was refused by a fixed 10-site cap; the dense matrices are stubbed here
     monkeypatch.setattr("trotterforge.cli.lowered_step_unitary", lambda step: np.eye(2))
-    monkeypatch.setattr("trotterforge.cli.exact_evolution", lambda spec, t: np.eye(2))
+    monkeypatch.setattr("trotterforge.cli.exact_evolutions", lambda spec, ts: (np.eye(2) for _ in ts))
     rc, out = run_cli(capsys, "error-sweep", "--n", "11", "--pauli", "xz", "--t-values", "0.1")
     assert rc == 0
     header, row = out.splitlines()
     assert row.startswith("sequential,2,0.1,") and row.split(",")[5] == "0.0"
+
+
+def test_error_sweep_diagonalizes_h_once(capsys, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    rc, out = run_cli(capsys, "error-sweep", "--n", "4", "--pauli", "xz", "--t-values", "0.05,0.1,0.2")
+    assert rc == 0 and len(out.splitlines()) == 4
+    assert calls == [(16, 16)]
 
 
 def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
@@ -498,10 +514,10 @@ def test_oversized_spec_is_a_capacity_error(tmp_path, capsys, command):
 
 
 def test_spec_groups_are_sized_together(tmp_path, capsys, monkeypatch, fake_physical_memory):
-    # one 1024 x 1024 matrix is 8 MiB and a group peaks at 3 copies past those held:
-    # 28 MiB admits either group alone, but not the second beside the first
+    # one 1024 x 1024 matrix is 8 MiB and a group peaks at 2 copies past those held:
+    # 20 MiB admits either group alone, but not the second beside the first
     group = {"sigma": "z", "sigma2": "z", "entries": [[1, 2, 0.5]]}
-    fake_physical_memory(28 / 1024)
+    fake_physical_memory(20 / 1024)
     sizes = []
     zeros = np.zeros
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coeff_matrix
 from trotterforge.decomp import (
     Interval,
     _is_exact_power_law,
@@ -12,11 +13,13 @@ from trotterforge.decomp import (
     amplification_ratios,
     bisection_decompose,
     boxes_for_pair,
+    cell_norms,
     cells_for_pair,
     decomposition_to_json,
     lattice_bisection_pairs,
     lowrank_decompose,
     nested_boxes,
+    pair_box_norms,
     subdivide,
 )
 from trotterforge.errors import DomainError, ValidationError
@@ -56,7 +59,7 @@ def box_norm_oracle(mat, pair):
                 mu = (-u).bit_length() - 1
                 nu = v.bit_length() - 1
             cells.setdefault(("box", mu, nu) if mu is not None else ("edge", u, v), []).append(
-                abs(mat.sym_value(j, k))
+                abs(mat.block([j], [k])[0, 0])
             )
     return sum(len(vals) * max(vals) for vals in cells.values())
 
@@ -65,7 +68,7 @@ def cross_block_vec1(mat, n):
     total = 0.0
     for j in range(1, n // 2 + 1):
         for k in range(n // 2 + 1, n + 1):
-            total += abs(mat.sym_value(j, k))
+            total += abs(mat.block([j], [k])[0, 0])
     return total
 
 
@@ -137,8 +140,8 @@ def test_lowrank_n8_cutoff2_listing():
     near = {((p.left.lo, p.left.hi), (p.right.lo, p.right.hi)) for p in dec.near_field}
     assert near == {((1, 2), (3, 4)), ((3, 4), (5, 6)), ((5, 6), (7, 8))}
     assert [(b.lo, b.hi) for b in dec.within_blocks] == [(1, 2), (3, 4), (5, 6), (7, 8)]
-    assert sum(p.cross_region().cell_count() for p in dec.far_field) == 12
-    assert sum(p.cross_region().cell_count() for p in dec.near_field) == 12
+    assert sum(len(list(p.cross_region().pairs())) for p in dec.far_field) == 12
+    assert sum(len(list(p.cross_region().pairs())) for p in dec.near_field) == 12
     assert covered_pairs(dec.all_regions()) == all_pairs(8)
 
 
@@ -236,7 +239,7 @@ def test_subdivide_rejects_bad_m():
 
 
 def test_constant_coefficients_unit_ratio():
-    mat = CoeffMatrix.from_entries(
+    mat = coeff_matrix(
         8, {(j, k): 1.0 for j in range(1, 9) for k in range(j + 1, 9)}
     )
     report = amplification_ratios(spec_of(mat), bisection_decompose(8))
@@ -252,7 +255,7 @@ def test_power_law_amplification_bound():
     mat = spec.two_local[ZZ]
     expect = 1.0
     for pair in dec.pairs:
-        vec1 = sum(abs(mat.sym_value(j, k)) for j, k in pair.cross_region().pairs())
+        vec1 = sum(abs(mat.block([j], [k])[0, 0]) for j, k in pair.cross_region().pairs())
         if vec1 > 0:
             expect = max(expect, box_norm_oracle(mat, pair) / vec1)
     assert report.lambda_block == pytest.approx(expect)
@@ -260,7 +263,7 @@ def test_power_law_amplification_bound():
 
 def test_single_entry_in_weight4_box():
     # (2,6) sits in the mu=nu=1 box of the top-layer pair of n=8
-    mat = CoeffMatrix.from_entries(8, {(2, 6): 0.7})
+    mat = coeff_matrix(8, {(2, 6): 0.7})
     report = amplification_ratios(spec_of(mat), bisection_decompose(8))
     assert report.lambda_block == pytest.approx(4.0)
 
@@ -300,6 +303,36 @@ def test_lambda_avg_cell_bound(n, m, seed):
     report = amplification_ratios(spec_of(mat), bisection_decompose(n), m)
     assert 1.0 <= report.lambda_avg <= (n / m) ** 2 + 1e-9
     assert report.lambda_block <= n**2 + 1e-9
+
+
+def test_pair_box_norms_match_the_box_definition():
+    rng = np.random.default_rng(5)
+    data = np.triu(rng.standard_normal((16, 16)), k=1)
+    data[:8, 8:] = 0.0  # the top pair's cross block is empty
+    mat = CoeffMatrix(16, data)
+    for pair in bisection_decompose(16).pairs:
+        vec1, box1, ratio = pair_box_norms(mat, pair)
+        if pair.layer == 1:
+            assert (vec1, box1, ratio) == (0.0, 0.0, 1.0)
+            continue
+        assert vec1 == pytest.approx(sum(abs(data[j - 1, k - 1]) for j, k in pair.cross_region().pairs()))
+        assert box1 == pytest.approx(box_norm_oracle(mat, pair))
+        assert ratio == box1 / vec1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cell_norms_match_a_pair_loop(m):
+    rng = np.random.default_rng(m)
+    data = np.triu(rng.standard_normal((16, 16)), k=1)
+    data[2:4, 8:12] = 0.0  # empty cells at m = 4
+    for pair in bisection_decompose(16).pairs:
+        for cell in cells_for_pair(pair, m):
+            sub, cell_1, ratio = cell_norms(data, cell)
+            values = [abs(data[j - 1, k - 1]) for j, k in cell.region.pairs()]
+            assert sorted(np.abs(sub).ravel()) == sorted(values)
+            assert cell_1 == pytest.approx(sum(values))
+            want = cell.width_j * cell.width_k * max(values) / cell_1 if cell_1 else 1.0
+            assert ratio == pytest.approx(want)
 
 
 # -- cross-block norm scaling ----------------------------------------------------------

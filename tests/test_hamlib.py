@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coeff_matrix
 from trotterforge.errors import (
     CapacityError,
     DimensionError,
@@ -26,13 +27,12 @@ from trotterforge.hamlib import (
     coeff_oracle,
     fixed_point_round,
     norms,
-    pauli_decompose_term,
-    pauli_reconstruct,
     nonzero_terms,
     pauli_table,
     spec_from_json,
     spec_to_json,
 )
+from trotterforge.trotter import induced_1norm, restricted_induced_1norm
 
 ZZ = (PauliKind.Z, PauliKind.Z)
 
@@ -85,7 +85,7 @@ def region_norm_oracle(mat, region, use_max):
     for j, k in region.pairs():
         if not (1 <= j <= mat.n and 1 <= k <= mat.n):
             raise IndexRangeError(f"region pair ({j},{k}) outside the index range")
-        v = abs(mat.sym_value(j, k))
+        v = abs(mat.block([j], [k])[0, 0])
         best = max(best, v)
         total += v
     return best if use_max else total
@@ -180,7 +180,7 @@ def test_coeff_oracle_consistent_with_norms():
     rounded = sum(
         abs(coeff_oracle(spec, ZZ, j, k, w)) for j in range(1, 9) for k in range(j + 1, 9)
     )
-    assert abs(rounded - norms(mat, "vec1")) <= 8 * 8 * 2.0**-w
+    assert abs(rounded - np.abs(mat.data).sum()) <= 8 * 8 * 2.0**-w
 
 
 # -- norms -------------------------------------------------------------------------
@@ -188,16 +188,17 @@ def test_coeff_oracle_consistent_with_norms():
 
 def test_norm_examples_power_law_n4():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
-    assert norms(mat, "vec1") == pytest.approx(1 + 0.25 + 1 / 9 + 1 + 0.25 + 1)
-    assert norms(mat, "induced1") == pytest.approx(2.25)
-    assert norms(mat, "induced1_restricted", eta=2) == pytest.approx(2.0)
+    sym = mat.data + mat.data.T
+    assert np.abs(mat.data).sum() == pytest.approx(1 + 0.25 + 1 / 9 + 1 + 0.25 + 1)
+    assert induced_1norm(sym) == pytest.approx(2.25)
+    assert restricted_induced_1norm(sym, 2) == pytest.approx(2.0)
 
 
 def test_restricted_region_norms():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
     region = IndexRegion.rect(1, 2, 3, 4)
     assert norms(mat, "restricted_1", region=region) == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
-    assert norms(mat, "restricted_max", region=region) == pytest.approx(1.0)
+    assert norms(mat, "box_1", boxes=[(1, region)]) == pytest.approx(1.0)  # one box: the region max
     boxes = [(1, IndexRegion.single(1, 3)), (2, IndexRegion.rect(2, 2, 3, 4))]
     assert norms(mat, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
 
@@ -213,8 +214,8 @@ def test_region_norms_match_pair_loop():
         IndexRegion(()),
     ]
     for region in regions:
-        for kind, use_max in (("restricted_1", False), ("restricted_max", True)):
-            assert norms(mat, kind, region=region) == region_norm_oracle(mat, region, use_max)
+        assert norms(mat, "restricted_1", region=region) == region_norm_oracle(mat, region, False)
+        assert norms(mat, "box_1", boxes=[(1, region)]) == region_norm_oracle(mat, region, True)
     boxes = [(1, regions[0]), (3, regions[1]), (2, regions[3])]
     expected = 0.0
     for weight, region in boxes:
@@ -223,9 +224,10 @@ def test_region_norms_match_pair_loop():
     for bad in (IndexRegion.rect(38, 41, 1, 2), IndexRegion.rect(0, 2, 3, 4)):
         with pytest.raises(IndexRangeError):
             region_norm_oracle(mat, bad, False)
-        for kind in ("restricted_1", "restricted_max"):
-            with pytest.raises(IndexRangeError):
-                norms(mat, kind, region=bad)
+        with pytest.raises(IndexRangeError):
+            norms(mat, "restricted_1", region=bad)
+        with pytest.raises(IndexRangeError):
+            norms(mat, "box_1", boxes=[(1, bad)])
         with pytest.raises(IndexRangeError):
             norms(mat, "box_1", boxes=[(1, regions[0]), (1, bad)])
 
@@ -233,7 +235,7 @@ def test_region_norms_match_pair_loop():
 def test_norm_eta_out_of_range():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
     with pytest.raises(DomainError):
-        norms(mat, "induced1_restricted", eta=5)
+        restricted_induced_1norm(mat.data + mat.data.T, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,52 +243,34 @@ def test_norm_eta_out_of_range():
 def test_norm_inequality_chain(n, seed):
     mat = rand_coeff(np.random.default_rng(seed), n)
     eta = 1 + seed % n
-    restricted = norms(mat, "induced1_restricted", eta=eta)
-    induced = norms(mat, "induced1")
+    sym = mat.data + mat.data.T
+    restricted = restricted_induced_1norm(sym, eta)
+    induced = induced_1norm(sym)
     assert restricted <= induced + 1e-12
-    assert induced <= 2.0 * norms(mat, "vec1") + 1e-12  # symmetric completion doubles
-    assert norms(mat, "max") <= induced + 1e-12
+    assert induced <= 2.0 * np.abs(mat.data).sum() + 1e-12  # symmetric completion doubles
+    assert np.abs(mat.data).max() <= induced + 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_power_law_vec1_zeta_bound(n):
     for alpha in (1.5, 2.0, 3.0):
         mat = build_power_law(n, 1, alpha).two_local[ZZ]
-        assert norms(mat, "vec1") <= n * zeta_upper_oracle(alpha)
-
-
-# -- pauli decomposition -----------------------------------------------------------
-
-
-def test_pauli_decompose_examples():
-    z = np.diag([1.0, -1.0])
-    x = np.array([[0, 1], [1, 0]], dtype=float)
-    y = np.array([[0, -1j], [1j, 0]])
-    zz = pauli_decompose_term(np.kron(z, z))
-    assert zz[(PauliKind.Z, PauliKind.Z)] == pytest.approx(1.0)
-    assert sum(abs(v) for k, v in zz.items() if k != (PauliKind.Z, PauliKind.Z)) < 1e-12
-    ident = pauli_decompose_term(np.eye(4))
-    assert ident[(PauliKind.I, PauliKind.I)] == pytest.approx(1.0)
-    mixed = pauli_decompose_term((np.kron(x, y) + np.kron(y, x)) / 2.0)
-    assert mixed[(PauliKind.X, PauliKind.Y)] == pytest.approx(0.5)
-    assert mixed[(PauliKind.Y, PauliKind.X)] == pytest.approx(0.5)
-
-
-def test_pauli_roundtrip_random_hermitian():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        herm = (raw + raw.conj().T) / 2.0
-        back = pauli_reconstruct(pauli_decompose_term(herm))
-        assert np.abs(back - herm).max() < 1e-12
-
-
-def test_pauli_decompose_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        pauli_decompose_term(np.triu(np.ones((4, 4))))
+        assert np.abs(mat.data).sum() <= n * zeta_upper_oracle(alpha)
 
 
 # -- CoeffMatrix / spec validation --------------------------------------------------
+
+
+def test_coeff_matrix_copies_writable_input_only():
+    a = np.triu(np.arange(16.0).reshape(4, 4), 1)
+    mat = CoeffMatrix(4, a)
+    a[0, 1] = 99.0  # the caller still holds a writable array
+    assert mat.value(1, 2) == 1.0 and not mat.data.flags.writeable
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    assert CoeffMatrix(4, frozen).data is frozen  # nothing can change it, so it is kept
+    for mat in (coeff_matrix(4, {(1, 2): 0.5}), CoeffMatrix.zeros(4), build_power_law(4, 1, 2.0).two_local[ZZ]):
+        assert not mat.data.flags.writeable
 
 
 def test_coeff_matrix_rejects_lower_triangle():
@@ -303,13 +287,13 @@ def test_coeff_matrix_rejects_lower_triangle():
 
 
 def test_spec_rejects_identity_group():
-    mat = CoeffMatrix.from_entries(2, {(1, 2): 1.0})
+    mat = coeff_matrix(2, {(1, 2): 1.0})
     with pytest.raises(ValidationError):
         HamiltonianSpec(2, 1, {(PauliKind.I, PauliKind.Z): mat}, {})
 
 
 def test_block_reads_symmetric_completion():
-    mat = CoeffMatrix.from_entries(3, {(1, 2): 2.0, (2, 3): 5.0})
+    mat = coeff_matrix(3, {(1, 2): 2.0, (2, 3): 5.0})
     block = mat.block([2], [1, 3])
     assert block.tolist() == [[2.0, 5.0]]
     rng = np.random.default_rng(5)
@@ -448,7 +432,7 @@ def test_coefficient_capacity_is_checked_before_allocating():
     check_coeff_capacity(1024)  # the far-field benchmark size: 8 MiB
     for build, gib in (
         (lambda: check_coeff_capacity(10**6), "7450.6"),
-        (lambda: CoeffMatrix.from_entries(10**6, {}), "22351.7"),  # 3 copies at the peak
+        (lambda: coeff_matrix(10**6, {}), "14901.2"),  # 2 copies at the peak
         (lambda: build_power_law(10**6, 1, 2.0), "37252.9"),  # 5 copies at the peak
     ):
         with pytest.raises(CapacityError, match=f"coefficient matrix needs {gib} GiB"):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import coeff_matrix
 from trotterforge.decomp import lowrank_decompose
 from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, norms
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 from trotterforge.lowrank import rank_profile, truncated_svd
+from trotterforge.trotter import induced_1norm
 
 ZZ = (PauliKind.Z, PauliKind.Z)
 
@@ -112,7 +114,7 @@ def test_rank_monotone_in_tol():
 
 
 def test_constant_spec_profile():
-    mat = CoeffMatrix.from_entries(
+    mat = coeff_matrix(
         16, {(j, k): 2.0 for j in range(1, 17) for k in range(j + 1, 17)}
     )
     spec = HamiltonianSpec(16, 1, {ZZ: mat}, {})
@@ -206,7 +208,7 @@ def test_singular_bound_on_power_law_blocks():
         assert np.all(fac.singulars <= np.sqrt(col1 * row1) + 1e-9)
         assert fac.block_ref is pair
     # the full-matrix induced norm dominates every block's column norm
-    assert norms(mat, "induced1") >= max(
+    assert induced_1norm(mat.data + mat.data.T) >= max(
         np.abs(mat.block(list(p.left.sites()), list(p.right.sites()))).sum(axis=0).max()
         for p in dec.far_field
     )

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,53 @@ def test_unread_private_check_sees_reads_across_modules():
 
 def test_every_private_helper_in_src_is_read():
     assert unread_private_names({p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def unread_public_names(trees: dict, readme: str) -> list[str]:
+    """module:name of each public function, class or method that no module reads,
+    ``__init__`` does not import and no code span of the README names."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    spans = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                          if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            unread += [f"{module}:{label}" for label, name in found
+                       if name not in read | exported | named]
+    return unread
+
+
+def test_unread_public_check_sees_reads_exports_and_readme():
+    a = ast.parse(
+        "def used():\n    pass\ndef exported():\n    pass\ndef documented():\n    pass\n"
+        "def fenced():\n    pass\ndef dead():\n    pass\nclass Box:\n    def area(self):\n        pass\n"
+        "    def corners(self):\n        pass\n    def _hidden(self):\n        pass\n"
+    )
+    b = ast.parse("from .a import Box, used\nused()\nBox().area()\n")
+    init = ast.parse("from .a import exported\n")
+    readme = "Call `documented(x)` for it; dead and corners are prose.\n```python\nfenced()\n```\n"
+    trees = {"a": a, "b": b, "__init__": init}
+    assert unread_public_names(trees, readme) == ["a:dead", "a:Box.corners"]
+    assert unread_public_names(trees, readme + "`Box.corners`, `dead`") == []
+
+
+def test_every_public_name_in_src_is_read_exported_or_documented():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}
+    assert unread_public_names(trees, README.read_text()) == []
