@@ -29,7 +29,8 @@ from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 # and V. H is freed when eigh returns, so V, V e^{-itw}, V^dagger and the product stay below.
 # error-sweep keeps V for the whole sweep but runs eigh before it lowers any step, so it peaks
 # at five: in eigh, and in the distance (V, e^{-itH}, the lowered step, their difference and
-# the SVD's copy).
+# the SVD's copy). A diagonal H takes neither eigh nor the SVD and holds fewer; the bound is
+# for the eigh path.
 DENSE_COPIES = 6
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -237,17 +238,37 @@ def check_dense_capacity(n: int) -> None:
     check_memory(DENSE_COPIES * 16 * dim * dim, what)
 
 
+def _is_diagonal(a: np.ndarray) -> bool:
+    """True when every off-diagonal entry is exactly 0."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+
+
 def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """e^{-itH} by Hermitian eigendecomposition."""
+    """e^{-itH}: the phase diagonal of a diagonal H, else by Hermitian eigendecomposition."""
     return next(exact_evolutions(spec, (t,)))
 
 
 def exact_evolutions(spec: HamiltonianSpec, ts: Iterable[float]) -> Iterator[np.ndarray]:
-    """e^{-itH} for each t in ts, from one eigendecomposition made at the first request."""
-    # unbound, so that H is released as soon as eigh returns
-    w, v = np.linalg.eigh(dense_hamiltonian(spec))
+    """e^{-itH} for each t in ts, from one eigendecomposition made at the first request.
+
+    A diagonal H (every term a Z string) needs none: e^{-itH} is diag(e^{-itw}) for w = diag(H).
+    """
+    h = dense_hamiltonian(spec)
+    if _is_diagonal(h):
+        w, v = h.diagonal().real.copy(), None
+    else:
+        w, v = np.linalg.eigh(h)
+    del h  # released before any e^{-itH} is formed
     for t in ts:
-        yield (v * np.exp(-1j * t * w)) @ v.conj().T
+        phases = np.exp(-1j * t * w)
+        yield np.diag(phases) if v is None else (v * phases) @ v.conj().T
+
+
+def _spectral_norm(d: np.ndarray) -> float:
+    """Largest singular value: max |d_ii| of a diagonal d (exact), else from the SVD."""
+    if _is_diagonal(d):
+        return float(np.abs(d.diagonal()).max())
+    return float(np.linalg.svd(d, compute_uv=False)[0])
 
 
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -255,7 +276,7 @@ def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
-    return float(np.linalg.svd(u - v, compute_uv=False)[0])
+    return _spectral_norm(u - v)
 
 
 def hamming_projector_mask(n: int, eta: int) -> np.ndarray:
@@ -275,7 +296,7 @@ def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:
     diff = (u - v)[np.ix_(mask, mask)]
     if diff.size == 0:
         return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+    return _spectral_norm(diff)
 
 
 # one-qubit gate classes, in temporal order, that take axis p to Z (pre) and back (post)

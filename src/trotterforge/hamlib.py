@@ -105,9 +105,6 @@ class CoeffMatrix:
             raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {self.n}")
         return float(self.data[j - 1, k - 1])
 
-    def entries(self) -> dict[tuple[int, int], float]:
-        return {(j, k): v for (j, k), v in nonzero_terms(self.data)}
-
     def nonzero_pairs(self) -> Iterator[tuple[int, int, float]]:
         yield from ((j, k, v) for (j, k), v in nonzero_terms(self.data))
 

@@ -82,6 +82,8 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     """
     if spec.n != decomposition.n:
         raise ValidationError("spec and decomposition disagree on n")
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")  # even with no far block
     rows = []
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.far_field:

@@ -2,12 +2,17 @@ import os
 
 import pytest
 
-from trotterforge.hamlib import CoeffMatrix, _entry_columns
+from trotterforge.hamlib import CoeffMatrix, _entry_columns, nonzero_terms
 
 
 def coeff_matrix(n, entries):
     """CoeffMatrix from {(j, k): value}, parsed and scattered as a spec file's entries are."""
     return CoeffMatrix.from_pairs(n, *_entry_columns([(j, k, v) for (j, k), v in entries.items()]))
+
+
+def coeff_entries(mat):
+    """{(j, k): value} of the nonzero pairs of a CoeffMatrix, the inverse of coeff_matrix."""
+    return {(j, k): v for (j, k), v in nonzero_terms(mat.data)}
 
 
 @pytest.fixture

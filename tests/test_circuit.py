@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import coeff_matrix
+from conftest import coeff_entries, coeff_matrix
 from trotterforge.circuit import (
     CNOT,
     CZ,
@@ -24,6 +24,7 @@ from trotterforge.circuit import (
     exact_evolutions,
     hamming_projector_mask,
     pauli_string_exponential,
+    _spectral_norm,
     spectral_distance,
     subspace_distance,
 )
@@ -35,10 +36,12 @@ from trotterforge.compilers import (
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import (
     PAULI_MATRICES,
+    SIGN_RULES,
     HamiltonianSpec,
     PauliKind,
     build_power_law,
     nonzero_terms,
+    spec_from_dict,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,7 +62,7 @@ def dense_oracle(spec):
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     kinds = {PauliKind.X: X, PauliKind.Y: Y, PauliKind.Z: Z}
     for (s1, s2), mat in spec.two_local.items():
-        for (j, k), v in mat.entries().items():
+        for (j, k), v in coeff_entries(mat).items():
             h += v * op_on(n, j, kinds[s1]) @ op_on(n, k, kinds[s2])
     for s, vec in spec.on_site.items():
         for j in range(1, n + 1):
@@ -327,6 +330,50 @@ def test_exact_evolutions_match_one_evolution_per_t():
         assert np.array_equal(u, exact_evolution(spec, t))
 
 
+def z_field_spec(n):
+    """Spec file with a ZZ chain, an on-site Z field and an identity offset: diagonal for any n >= 1."""
+    return spec_from_dict({
+        "n": n, "d": 1,
+        "terms": [{"sigma": "z", "sigma2": "z", "entries": [[j, j + 1, 0.7 / j] for j in range(1, n)]}],
+        "onsite": {"z": [0.3 * (-1) ** j + 0.1 * j for j in range(n)]},
+        "identity": -0.45,
+    })
+
+
+DIAGONAL_SPECS = (
+    [pytest.param(lambda n=n: z_field_spec(n), id=f"z-field-n{n}") for n in range(1, 11)]
+    + [pytest.param(lambda n=n: build_power_law(n, 1, 1.5, sign_rule=SIGN_RULES[n % 3], seed=n),
+                    id=f"zz-1d-{SIGN_RULES[n % 3]}-n{n}") for n in range(2, 11)]
+    + [pytest.param(lambda n=n, r=r: build_power_law(n, 2, 2.0, sign_rule=r, seed=n), id=f"zz-2d-{r}-n{n}")
+       for n in (4, 9) for r in SIGN_RULES]
+)
+
+
+@pytest.mark.parametrize("make_spec", DIAGONAL_SPECS)
+def test_diagonal_exact_evolutions_equal_the_eigh_formula_bit_for_bit(make_spec):
+    spec = make_spec()
+    w, v = np.linalg.eigh(dense_hamiltonian(spec))
+    ts = (0.1, 1.0)
+    for t, u in zip(ts, exact_evolutions(spec, ts), strict=True):
+        assert np.array_equal(u, (v * np.exp(-1j * t * w)) @ v.conj().T)
+
+
+def test_eigh_runs_only_when_h_has_an_off_diagonal_entry(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    ts = (0.1, 0.2, 0.3)
+    for spec in (z_field_spec(5), build_power_law(6, 1, 2.0, sign_rule="seeded-random")):
+        assert len(list(exact_evolutions(spec, ts))) == 3
+    assert calls == []
+    x_site = HamiltonianSpec(5, 1, z_field_spec(5).two_local, {PauliKind.X: np.array([0, 0, 0.2, 0, 0])})
+    for spec in (x_site, build_power_law(5, 1, 2.0, (PauliKind.Z, PauliKind.Y)),
+                 build_power_law(4, 1, 1.0, (PauliKind.X, PauliKind.X))):
+        calls.clear()
+        assert len(list(exact_evolutions(spec, ts))) == 3
+        assert calls == [(1 << spec.n, 1 << spec.n)]
+
+
 def test_dense_hamiltonian_mixed_terms():
     mats = {
         (PauliKind.X, PauliKind.Y): coeff_matrix(2, {(1, 2): 0.4}),
@@ -395,6 +442,62 @@ def test_subspace_distance_bounded_by_spectral():
         full = spectral_distance(a, b)
         for eta in range(5):
             assert subspace_distance(a, b, eta) <= full + 1e-12
+
+
+def svd_spy(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    return calls
+
+
+def random_phase_diagonal(rng, dim):
+    return np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, dim)))
+
+
+def test_spectral_norm_of_a_diagonal_is_its_largest_entry_within_4_ulp_of_the_svd(monkeypatch):
+    rng = np.random.default_rng(7)
+    diffs = [rng.uniform(1e-15, 1.0) * (random_phase_diagonal(rng, dim) - random_phase_diagonal(rng, dim))
+             for dim in (1, 2, 5, 64, 256) for _ in range(4)]
+    wants = [np.linalg.svd(d, compute_uv=False)[0] for d in diffs]
+    calls = svd_spy(monkeypatch)
+    for d, want in zip(diffs, wants):
+        got = _spectral_norm(d)
+        assert got == np.abs(d.diagonal()).max()
+        assert abs(got - want) <= 4 * np.spacing(want)
+    assert calls == []
+
+
+def test_a_tiny_off_diagonal_entry_takes_the_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    d = random_phase_diagonal(rng, 16) - random_phase_diagonal(rng, 16)
+    d[3, 11] = 1e-300
+    want = float(np.linalg.svd(d, compute_uv=False)[0])
+    calls = svd_spy(monkeypatch)
+    assert _spectral_norm(d) == want
+    assert spectral_distance(d, np.zeros_like(d)) == want
+    assert calls == [(16, 16), (16, 16)]
+
+
+def test_subspace_distance_of_diagonals_needs_no_svd(monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 5
+    a, b = random_phase_diagonal(rng, 1 << n), random_phase_diagonal(rng, 1 << n)
+    masks = [hamming_projector_mask(n, eta) for eta in range(n + 1)]
+    wants = [float(np.linalg.svd((a - b)[np.ix_(m, m)], compute_uv=False)[0]) for m in masks]
+    calls = svd_spy(monkeypatch)
+    for eta, (mask, want) in enumerate(zip(masks, wants)):
+        got = subspace_distance(a, b, eta)
+        assert got == np.abs((a - b).diagonal()[mask]).max()
+        assert abs(got - want) <= 4 * np.spacing(want)
+    assert calls == []
+    # indices 9 and 6 both have Hamming weight 2, so the entry lies inside that sector
+    a[9, 6] = 1e-300
+    sector = (a - b)[np.ix_(masks[2], masks[2])]
+    want = float(np.linalg.svd(sector, compute_uv=False)[0])
+    calls.clear()
+    assert subspace_distance(a, b, 2) == want
+    assert calls == [sector.shape]
 
 
 def test_hamming_mask():

@@ -151,6 +151,13 @@ def test_rank_profile_csv(capsys):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("n, tol", [(8, "-1"), (8, "0"), (16, "0")])
+def test_rank_profile_rejects_nonpositive_tol_with_or_without_far_blocks(capsys, n, tol):
+    # n=8 at the default cutoff has no far block, so no SVD would see the tolerance
+    assert main(["rank-profile", "--n", str(n), "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerance must be positive")
+
+
 # -- compile -------------------------------------------------------------------------
 
 def test_compile_writes_text_and_cost_sidecar(tmp_path, capsys):
@@ -204,6 +211,19 @@ def test_verify_commuting_spec_is_exact(capsys):
     assert set(doc) == {"method", "n", "t", "p", "gates", "distance"}
     assert doc["distance"] <= 1e-9
     assert doc["gates"] > 0
+
+
+def test_z_only_verify_needs_neither_eigh_nor_svd(capsys, monkeypatch):
+    calls = []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append("eigh") or eigh(h))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append("svd") or svd(a, **kw))
+    rc, out = run_cli(capsys, "verify", "--method", "sequential", "--n", "6", "--pauli", "zz")
+    assert rc == 0 and json.loads(out)["distance"] < 1e-13
+    assert calls == []
+    rc, out = run_cli(capsys, "verify", "--method", "sequential", "--n", "6", "--pauli", "xz")
+    assert rc == 0
+    assert calls == ["eigh", "svd"]
 
 
 def golden_spec(path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff_matrix
+from conftest import coeff_entries, coeff_matrix
 from trotterforge.errors import (
     CapacityError,
     DimensionError,
@@ -107,12 +107,12 @@ def rand_coeff(rng, n):
 
 def test_power_law_n2_single_entry():
     spec = build_power_law(2, 1, 2.0)
-    assert spec.two_local[ZZ].entries() == {(1, 2): 1.0}
+    assert coeff_entries(spec.two_local[ZZ]) == {(1, 2): 1.0}
 
 
 def test_power_law_n4_values():
     spec = build_power_law(4, 1, 2.0)
-    got = spec.two_local[ZZ].entries()
+    got = coeff_entries(spec.two_local[ZZ])
     assert got == pytest.approx(
         {(1, 2): 1.0, (1, 3): 0.25, (1, 4): 1.0 / 9.0, (2, 3): 1.0, (2, 4): 0.25, (3, 4): 1.0}
     )
@@ -128,7 +128,7 @@ def test_power_law_2d_diagonal_corner():
 def test_power_law_matches_enumeration_oracle(n, d, alpha):
     spec = build_power_law(n, d, alpha)
     expected = power_law_entries_oracle(n, d, alpha)
-    assert spec.two_local[ZZ].entries() == pytest.approx(expected)
+    assert coeff_entries(spec.two_local[ZZ]) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
@@ -150,7 +150,7 @@ def test_power_law_rejects_bad_lattice_and_alpha():
 def test_sign_rules_deterministic():
     a = build_power_law(8, 1, 1.0, ZZ, "seeded-random", seed=7)
     b = build_power_law(8, 1, 1.0, ZZ, "seeded-random", seed=7)
-    assert a.two_local[ZZ].entries() == b.two_local[ZZ].entries()
+    assert coeff_entries(a.two_local[ZZ]) == coeff_entries(b.two_local[ZZ])
     alt = build_power_law(4, 1, 1.0, ZZ, "alternating")
     assert alt.two_local[ZZ].value(1, 2) == -1.0  # odd j+k
     assert alt.two_local[ZZ].value(1, 3) == 0.5
@@ -318,7 +318,7 @@ def test_spec_json_roundtrip():
     again = spec_from_json(spec_to_json(spec))
     assert again.n == spec.n and again.d == spec.d and again.alpha == spec.alpha
     key = (PauliKind.X, PauliKind.Y)
-    assert again.two_local[key].entries() == pytest.approx(spec.two_local[key].entries())
+    assert coeff_entries(again.two_local[key]) == pytest.approx(coeff_entries(spec.two_local[key]))
 
 
 def test_spec_json_rejects_unknown_fields():

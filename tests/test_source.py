@@ -75,14 +75,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def unread_public_names(trees: dict, readme: str) -> list[str]:
     """module:name of each public function, class or method that no module reads,
-    ``__init__`` does not import and no code span of the README names."""
-    read = set()
+    ``__init__`` does not import and no code span of the README names.
+
+    A method is read only as an attribute (``x.name``): a bare name, such as a
+    parameter that shares the method's name, reads a function or class only."""
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
     exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     spans = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
@@ -92,11 +95,11 @@ def unread_public_names(trees: dict, readme: str) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            found = [(node.name, node.name)]
+            found = [(node.name, node.name, names | attributes)]
             if isinstance(node, ast.ClassDef):
-                found += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                found += [(f"{node.name}.{f.name}", f.name, attributes) for f in node.body
                           if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-            unread += [f"{module}:{label}" for label, name in found
+            unread += [f"{module}:{label}" for label, name, read in found
                        if name not in read | exported | named]
     return unread
 
@@ -113,6 +116,13 @@ def test_unread_public_check_sees_reads_exports_and_readme():
     trees = {"a": a, "b": b, "__init__": init}
     assert unread_public_names(trees, readme) == ["a:dead", "a:Box.corners"]
     assert unread_public_names(trees, readme + "`Box.corners`, `dead`") == []
+
+
+def test_unread_public_check_ignores_a_parameter_that_shadows_a_method():
+    a = ast.parse("class Box:\n    def corners(self):\n        pass\n    def edges(self):\n        pass\n")
+    b = ast.parse("from .a import Box\ndef _draw(corners, edges):\n    return corners, edges.edges\n")
+    trees = {"a": a, "b": b, "__init__": ast.parse("from .a import Box\n")}
+    assert unread_public_names(trees, "") == ["a:Box.corners"]
 
 
 def test_every_public_name_in_src_is_read_exported_or_documented():
