@@ -18,13 +18,22 @@ from .decomp import (
     subdivide,
 )
 from .lowrank import rank_profile, truncated_svd
-from .circuit import Circuit, circuit_to_unitary, exact_evolution, spectral_distance
+from .circuit import (
+    Circuit,
+    apply_circuit,
+    circuit_diagonal,
+    circuit_to_unitary,
+    exact_evolution,
+    hamiltonian_diagonal,
+    spectral_distance,
+)
 from .compilers import (
     compile_avgcost_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
     compile_sequential_step,
     make_product_formula,
+    step_distances,
 )
 from .blockenc import (
     build_boxed_preparation,
@@ -68,6 +77,7 @@ __all__ = [
     "Recurrence",
     "TrotterForgeError",
     "ValidationError",
+    "apply_circuit",
     "bisection_decompose",
     "boxes_for_pair",
     "build_boxed_preparation",
@@ -76,6 +86,7 @@ __all__ = [
     "build_uniform_electron_gas",
     "cells_for_pair",
     "chem_step_count",
+    "circuit_diagonal",
     "circuit_to_unitary",
     "classify_recurrence",
     "coeff_oracle_lower_bound",
@@ -90,6 +101,7 @@ __all__ = [
     "exact_evolution",
     "fermionic_error_norms",
     "gate_count_report",
+    "hamiltonian_diagonal",
     "jw_matrix",
     "lowrank_decompose",
     "make_product_formula",
@@ -101,6 +113,7 @@ __all__ = [
     "solve_recurrence_numeric",
     "spectral_distance",
     "step_count",
+    "step_distances",
     "steps_for",
     "subdivide",
     "truncated_svd",

@@ -7,10 +7,13 @@ the first gate acts first, so the lowered matrix is G_N ... G_1.
 A composite diagonal phase carries an exact phase table and a declared
 gate-count cost; bit-level lowering of its arithmetic is out of scope.
 
-Lowering updates one dense matrix gate by gate and copies it into no permuted
-layout: a CNOT swaps row blocks in place, a one-qubit gate is a batched 2x2
-matmul on a reshaped view, and a diagonal gate multiplies rows by phases.
-Tests check each, bit for bit, against applying the gate's matrix on moved axes.
+Lowering applies the gates, one by one, to a (2^n, k) block of columns and
+copies it into no permuted layout: a CNOT swaps row blocks in place, a
+one-qubit gate is a batched 2x2 matmul on a reshaped view, and a diagonal gate
+multiplies rows by phases. The dense unitary is the block of the identity;
+tests check each gate there, bit for bit, against applying the gate's matrix
+on moved axes. A diagonal circuit is lowered onto four columns of ones, which
+gives the 2^n diagonal of its unitary without a 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -24,14 +27,17 @@ import numpy as np
 from .errors import DomainError, ValidationError, check_memory
 from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
-# Upper bound on the 2^n x 2^n complex matrices alive at once when a step is checked against
-# exact evolution. verify peaks in eigh: the lowered step, H, eigh's copy of H, its workspaces
-# and V. H is freed when eigh returns, so V, V e^{-itw}, V^dagger and the product stay below.
-# error-sweep keeps V for the whole sweep but runs eigh before it lowers any step, so it peaks
-# at five: in eigh, and in the distance (V, e^{-itH}, the lowered step, their difference and
-# the SVD's copy). A diagonal H takes neither eigh nor the SVD and holds fewer; the bound is
-# for the eigh path.
+# Upper bound on the 2^n x 2^n complex matrices alive at once when a step of a spec with an X
+# or Y term is checked against exact evolution. verify peaks in eigh: the lowered step, H,
+# eigh's copy of H, its workspaces and V. H is freed when eigh returns, so V, V e^{-itw},
+# V^dagger and the product stay below. error-sweep keeps V for the whole sweep but runs eigh
+# before it lowers any step, so it peaks at five: in eigh, and in the distance (V, e^{-itH},
+# the lowered step, their difference and the SVD's copy). A Z-only spec holds no dense matrix:
+# it compares 2^n vectors (see compilers.step_distances).
 DENSE_COPIES = 6
+# Peak bytes per basis state of hamiltonian_diagonal: w, the basis indices, b & z and its bit
+# counts (tracemalloc: 25-28 B at n=12-16).
+_DIAGONAL_H_BYTES = 32
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -174,10 +180,10 @@ def _diagonal_phases(g: Gate) -> np.ndarray | None:
 
 def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int) -> None:
     """Apply CNOT in place: swap the target-0 and target-1 rows where the control bit is 1."""
-    dim = u.shape[0]
+    dim, cols = u.shape
     hi, lo = max(ctrl, tgt) - 1, min(ctrl, tgt) - 1
     # a view, since u is C-contiguous: axis 1 is bit hi, axis 3 is bit lo
-    v = u.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) * dim)
+    v = u.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) * cols)
     if ctrl - 1 == hi:
         a, b = v[:, 1, :, 0], v[:, 1, :, 1]
     else:
@@ -187,32 +193,104 @@ def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int) -> None:
     b[...] = held
 
 
-def _apply_diagonal(u: np.ndarray, phases: np.ndarray, qubits: Sequence[int], nq: int) -> np.ndarray:
+def _index_dtype(qubits: Sequence[int]) -> np.dtype:
+    """The smallest unsigned type that holds a phase-table index over ``qubits``."""
+    return np.min_scalar_type((1 << len(qubits)) - 1)
+
+
+def _diagonal_index(qubits: Sequence[int], nq: int) -> np.ndarray:
+    """Phase-table index of every basis state: bit i of entry b is bit qubits[i] - 1 of b."""
     x = np.arange(1 << nq)
     sub = np.zeros(1 << nq, dtype=np.int64)
     for i, q in enumerate(qubits):
         sub |= ((x >> (q - 1)) & 1) << i
-    return np.exp(1j * phases[sub])[:, None] * u
+    return sub.astype(_index_dtype(qubits))
 
 
-def circuit_to_unitary(c: Circuit) -> np.ndarray:
-    """Lower to the dense product G_N ... G_1."""
+def _apply_diagonal(u: np.ndarray, phases: np.ndarray, sub: np.ndarray) -> None:
+    """Multiply row b of u by e^{i phases[sub[b]]}, in place."""
+    np.multiply(np.exp(1j * phases[sub])[:, None], u, out=u)
+
+
+_DIAGONAL_GATES = (CZ, ControlledPhase, CompositeDiagonalPhase)
+
+
+def _lowering_bytes(c: Circuit, cols: int) -> int:
+    """Peak bytes of lowering c onto a (2^n, cols) block: the block, the spare a gate writes, and the
+    phase-table indices, one per qubit tuple of a diagonal gate."""
+    tuples = {gate_qubits(g) for g in c.gates if isinstance(g, _DIAGONAL_GATES)}
+    index_bytes = sum(_index_dtype(qs).itemsize for qs in tuples)
+    return (2 * 16 * cols + index_bytes) << c.qubit_count
+
+
+def apply_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
+    """G_N ... G_1 @ block for a C-contiguous (2^n, k) complex block, which it overwrites as workspace.
+
+    Every gate acts on the row axis only, so each column is lowered alone and k may be anything.
+    """
     dim = 1 << c.qubit_count
-    what = f"lowering a {c.qubit_count}-qubit circuit (2 dense 2^{c.qubit_count} x 2^{c.qubit_count} matrices)"
-    check_memory(2 * 16 * dim * dim, what)  # the matrix, and the one a one-qubit or diagonal gate writes
-    u = np.eye(dim, dtype=complex)
+    if block.ndim != 2 or block.shape[0] != dim or block.dtype != complex or not block.flags.c_contiguous:
+        raise ValidationError(f"need a C-contiguous complex ({dim}, k) block, got {block.dtype} {block.shape}")
+    cols = block.shape[1]
+    subs: dict[tuple[int, ...], np.ndarray] = {}  # one phase-table index per qubit tuple
+    u, spare = block, np.empty_like(block)  # a one-qubit gate writes the spare, then the two swap
     for g in c.gates:
         if isinstance(g, CNOT):
             _swap_cnot_rows(u, g.ctrl, g.tgt)
             continue
         phases = _diagonal_phases(g)
         if phases is not None:
-            u = _apply_diagonal(u, phases, gate_qubits(g), c.qubit_count)
+            qubits = gate_qubits(g)
+            if qubits not in subs:
+                subs[qubits] = _diagonal_index(qubits, c.qubit_count)
+            _apply_diagonal(u, phases, subs[qubits])
         else:
             # rows split as (bits above the qubit, its bit, bits below it x columns)
-            rows = u.reshape(dim >> g.qubit, 2, (1 << (g.qubit - 1)) * dim)
-            u = np.matmul(_one_qubit_matrix(g), rows).reshape(dim, dim)
+            shape = (dim >> g.qubit, 2, (1 << (g.qubit - 1)) * cols)
+            np.matmul(_one_qubit_matrix(g), u.reshape(shape), out=spare.reshape(shape))
+            u, spare = spare, u
     return u
+
+
+def circuit_to_unitary(c: Circuit) -> np.ndarray:
+    """Lower to the dense product G_N ... G_1."""
+    dim = 1 << c.qubit_count
+    what = f"lowering a {c.qubit_count}-qubit circuit (2 dense 2^{c.qubit_count} x 2^{c.qubit_count} matrices)"
+    check_memory(_lowering_bytes(c, dim), what)
+    return apply_circuit(c, np.eye(dim, dtype=complex))
+
+
+def _is_diagonal_gate(g: Gate) -> bool:
+    """True for a CNOT and for every gate whose matrix is diagonal."""
+    if isinstance(g, PauliRotation):
+        return g.axis == "z"
+    return isinstance(g, (CNOT, PhaseS) + _DIAGONAL_GATES)
+
+
+def circuit_diagonal(c: Circuit) -> np.ndarray:
+    """The 2^n diagonal of a diagonal circuit's unitary, bit-equal to ``circuit_to_unitary(c).diagonal()``.
+
+    A circuit is diagonal when every gate is a CNOT or diagonal (z rotation, S, CZ, controlled
+    phase, composite) and its CNOTs compose to the identity permutation. It is lowered onto a block
+    of ones: row b then holds the one nonzero entry of row b of the unitary. The block has 4 columns,
+    not 1, because the one-qubit matmul rounds like the dense lowering's only from 4 columns on
+    (fewer columns take other BLAS kernels).
+    """
+    bad = next((g for g in c.gates if not _is_diagonal_gate(g)), None)
+    if bad is not None:
+        raise ValidationError(f"circuit is not diagonal: {bad} is not a CNOT or a diagonal gate")
+    dim = 1 << c.qubit_count
+    cols = min(4, dim)
+    what = f"lowering a {c.qubit_count}-qubit diagonal circuit (2^{c.qubit_count} x {cols} blocks)"
+    check_memory(_lowering_bytes(c, cols), what)  # the permutation column is freed before the block is made
+    perm = np.arange(dim).reshape(dim, 1)
+    for g in c.gates:
+        if isinstance(g, CNOT):
+            _swap_cnot_rows(perm, g.ctrl, g.tgt)
+    if not np.array_equal(perm[:, 0], np.arange(dim)):
+        raise ValidationError("circuit is not diagonal: its CNOTs do not compose to the identity")
+    del perm
+    return apply_circuit(c, np.ones((dim, cols), dtype=complex))[:, 0].copy()
 
 
 def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
@@ -229,6 +307,30 @@ def dense_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     if spec.identity != 0.0:
         h.ravel()[:: dim + 1] += spec.identity  # the diagonal of h, in place
     return h
+
+
+def is_z_only(spec: HamiltonianSpec) -> bool:
+    """True when every nonzero term is a Z string (all Pauli-table x masks are 0), so H is diagonal."""
+    return all(k == PauliKind.Z for kinds, coeffs in spec.term_groups() if np.any(coeffs) for k in kinds)
+
+
+def hamiltonian_diagonal(spec: HamiltonianSpec) -> np.ndarray:
+    """w = diag(H) of a Z-only spec, bit-equal to ``dense_hamiltonian(spec).diagonal().real``.
+
+    The terms are added in Pauli-table order and the identity last, as ``dense_hamiltonian`` adds them.
+    """
+    if not is_z_only(spec):
+        raise ValidationError("the Hamiltonian is not diagonal: a term has an X or Y factor")
+    dim = 1 << spec.n
+    check_memory(_DIAGONAL_H_BYTES << spec.n, f"the diagonal of a {spec.n}-qubit Hamiltonian (2^{spec.n} entries)")
+    table = pauli_table(spec)
+    w = np.zeros(dim)
+    b = np.arange(dim)
+    for z, c in zip(table.z.tolist(), table.coeff.tolist()):
+        w += np.where(np.bitwise_count(b & z) & 1, -c, c)  # Z^z|b> = (-1)^{|b & z|} |b>
+    if spec.identity != 0.0:
+        w += spec.identity
+    return w
 
 
 def check_dense_capacity(n: int) -> None:
@@ -251,14 +353,12 @@ def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
 def exact_evolutions(spec: HamiltonianSpec, ts: Iterable[float]) -> Iterator[np.ndarray]:
     """e^{-itH} for each t in ts, from one eigendecomposition made at the first request.
 
-    A diagonal H (every term a Z string) needs none: e^{-itH} is diag(e^{-itw}) for w = diag(H).
+    A Z-only spec needs none, nor a dense H: e^{-itH} is diag(e^{-itw}) for w = ``hamiltonian_diagonal``.
     """
-    h = dense_hamiltonian(spec)
-    if _is_diagonal(h):
-        w, v = h.diagonal().real.copy(), None
+    if is_z_only(spec):
+        w, v = hamiltonian_diagonal(spec), None
     else:
-        w, v = np.linalg.eigh(h)
-    del h  # released before any e^{-itH} is formed
+        w, v = np.linalg.eigh(dense_hamiltonian(spec))  # H is released when eigh returns
     for t in ts:
         phases = np.exp(-1j * t * w)
         yield np.diag(phases) if v is None else (v * phases) @ v.conj().T

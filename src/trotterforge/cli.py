@@ -31,21 +31,16 @@ from .chem import (
     norm_scaling_report,
     system_to_json,
 )
-from .circuit import (
-    check_dense_capacity,
-    circuit_text,
-    exact_evolution,
-    exact_evolutions,
-    spectral_distance,
-)
+from .circuit import circuit_text
 from .compilers import (
     SUPPORTED_ORDERS,
+    check_distance_capacity,
     compile_avgcost_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
     compile_sequential_step,
-    lowered_step_unitary,
     step_cost_json,
+    step_distances,
 )
 from .costmodel import balanced_subdivision, gate_count_report
 from .decomp import (
@@ -230,9 +225,9 @@ def _run_compile(args) -> None:
 
 def _run_verify(args) -> None:
     spec = _load_spec(args)
-    check_dense_capacity(spec.n)
+    check_distance_capacity(spec)
     step = _compiled_step(args.method, spec, args, False)
-    distance = spectral_distance(lowered_step_unitary(step), exact_evolution(spec, args.t))
+    (distance,) = step_distances(spec, [step])
     doc = {
         "method": args.method,
         "n": spec.n,
@@ -246,7 +241,7 @@ def _run_verify(args) -> None:
 
 def _run_error_sweep(args) -> None:
     spec = _load_spec(args)
-    check_dense_capacity(spec.n)
+    check_distance_capacity(spec)
     if args.p not in SWEEP_ORDERS:
         raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
     steps = []
@@ -256,22 +251,18 @@ def _run_error_sweep(args) -> None:
     # an invalid order, method or spec exits before the commutator sum
     table = pauli_table(spec)
     alpha = pauli_commutator_sum(table.x, table.z, table.coeff, args.p)
-    reports = []
-    # one eigendecomposition for the sweep, made before any step is lowered
-    for step, exact in zip(steps, exact_evolutions(spec, args.t_values)):
-        t = step.t
-        empirical = spectral_distance(lowered_step_unitary(step), exact)
-        reports.append(
-            TrotterErrorReport(
-                method=args.method,
-                p=args.p,
-                t=t,
-                alpha_comm=alpha,
-                bound=alpha * t ** (args.p + 1),
-                empirical=empirical,
-                r=steps_for(alpha, t, args.eps, args.p),
-            )
+    reports = [
+        TrotterErrorReport(
+            method=args.method,
+            p=args.p,
+            t=step.t,
+            alpha_comm=alpha,
+            bound=alpha * step.t ** (args.p + 1),
+            empirical=empirical,
+            r=steps_for(alpha, step.t, args.eps, args.p),
         )
+        for step, empirical in zip(steps, step_distances(spec, steps))
+    ]
     _emit(error_report_csv(reports), args.out)
 
 

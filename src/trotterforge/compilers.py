@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,13 +40,19 @@ from .circuit import (
     Hadamard,
     PauliRotation,
     basis_change,
+    check_dense_capacity,
+    circuit_diagonal,
     circuit_to_unitary,
+    exact_evolutions,
+    hamiltonian_diagonal,
+    is_z_only,
     pauli_string_exponential,
+    spectral_distance,
 )
-from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
+from .decomp import IntervalPair, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_memory
 from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
-from .lowrank import truncated_svd
+from .lowrank import TruncatedFactor, truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
 
@@ -130,10 +136,51 @@ class CompiledStep:
             raise ValidationError("declared gate count disagrees with the circuit")
 
 
-def lowered_step_unitary(step: CompiledStep) -> np.ndarray:
+def _lowered(step: CompiledStep, lower: Callable[[Circuit], np.ndarray]) -> np.ndarray:
+    """e^{-i global_phase} times ``lower(step.circuit)``."""
     if step.circuit is None:
         raise ValidationError("count-only steps carry no circuit to lower")
-    return np.exp(-1j * step.global_phase) * circuit_to_unitary(step.circuit)
+    return np.exp(-1j * step.global_phase) * lower(step.circuit)
+
+
+def lowered_step_unitary(step: CompiledStep) -> np.ndarray:
+    return _lowered(step, circuit_to_unitary)
+
+
+# Peak bytes per basis state of step_distances on a Z-only spec: the 4-column block and the
+# spare a one-qubit gate writes (2 x 64 B), the rows a CNOT holds, w and the diagonal
+# (tracemalloc: 168 B at n=12-16). Each distinct qubit tuple of a diagonal gate adds its
+# phase-table index, which circuit_diagonal sizes once the circuit is known.
+_DIAGONAL_DISTANCE_BYTES = 176
+
+
+def check_distance_capacity(spec: HamiltonianSpec) -> None:
+    """Raise CapacityError if ``step_distances`` on this spec would exceed physical memory.
+
+    It decides the path from the spec alone, so it can run before any step is compiled.
+    """
+    if is_z_only(spec):
+        n = spec.n
+        check_memory(
+            _DIAGONAL_DISTANCE_BYTES << n, f"checking a {n}-qubit Z-only step against exact evolution (2^{n} vectors)"
+        )
+    else:
+        check_dense_capacity(spec.n)
+
+
+def step_distances(spec: HamiltonianSpec, steps: Sequence[CompiledStep]) -> list[float]:
+    """Spectral distance of each lowered step from e^{-itH} at its own t.
+
+    A Z-only spec has a diagonal e^{-itH} and diagonal steps, so the distance is
+    max_b |e^{-i phase} U_bb - e^{-itw_b}| over 2^n vectors, with no dense matrix,
+    eigendecomposition or SVD. Any other spec lowers each step to its dense
+    unitary and compares it with e^{-itH} from one eigendecomposition of H.
+    """
+    if is_z_only(spec):
+        w = hamiltonian_diagonal(spec)
+        return [float(np.abs(_lowered(s, circuit_diagonal) - np.exp(-1j * s.t * w)).max()) for s in steps]
+    exact = exact_evolutions(spec, [s.t for s in steps])
+    return [spectral_distance(lowered_step_unitary(s), e) for s, e in zip(steps, exact)]
 
 
 def step_cost_json(step: CompiledStep) -> str:
@@ -366,13 +413,18 @@ def compile_lowrank_step(
     remainder = [(p.left, p.right) for p in dec.near_field]
     remainder += [(block, block) for block in dec.within_blocks]
     factors: dict[tuple[PauliKind, PauliKind], list] = {}
+    svds: dict[tuple[tuple[int, ...], bytes], TruncatedFactor] = {}  # keyed on a far block's exact bytes
+
+    def factor(block: np.ndarray, pair: IntervalPair) -> TruncatedFactor:
+        # equal blocks (a power law is translation invariant) share one SVD; each keeps its own pair
+        key = (block.shape, block.tobytes())
+        if key not in svds:
+            svds[key] = truncated_svd(block, tol, pair)
+        return replace(svds[key], block_ref=pair)
 
     def stage_ops(pair_key, mat, theta):
         if pair_key not in factors:
-            factors[pair_key] = [
-                truncated_svd(mat.block(p.left.sites(), p.right.sites()), tol, p)
-                for p in dec.far_field
-            ]
+            factors[pair_key] = [factor(mat.block(p.left.sites(), p.right.sites()), p) for p in dec.far_field]
         ops = [
             _StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac)
             for fac, p in zip(factors[pair_key], dec.far_field)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import coeff_entries, coeff_matrix
+import trotterforge.circuit as circuit_module
 from trotterforge.circuit import (
     CNOT,
     CZ,
@@ -16,12 +17,15 @@ from trotterforge.circuit import (
     Hadamard,
     PauliRotation,
     PhaseS,
+    apply_circuit,
     check_dense_capacity,
+    circuit_diagonal,
     circuit_text,
     circuit_to_unitary,
     dense_hamiltonian,
     exact_evolution,
     exact_evolutions,
+    hamiltonian_diagonal,
     hamming_projector_mask,
     pauli_string_exponential,
     _spectral_norm,
@@ -37,6 +41,7 @@ from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import (
     PAULI_MATRICES,
     SIGN_RULES,
+    CoeffMatrix,
     HamiltonianSpec,
     PauliKind,
     build_power_law,
@@ -310,6 +315,39 @@ def test_mixed_step_lowering_matches_moveaxis_oracle(method):
     assert np.array_equal(circuit_to_unitary(step.circuit), moveaxis_lowering(step.circuit))
 
 
+def test_phase_table_index_is_built_once_per_qubit_tuple(monkeypatch):
+    rng = np.random.default_rng(3)
+    tuples = [(1, 3), (4, 2, 5), (1, 3), (5,), (4, 2, 5), (1, 3)]
+    gates = []
+    for qs in tuples:
+        gates += [CompositeDiagonalPhase(qs, rng.uniform(-3, 3, 1 << len(qs)), cost=1), Hadamard(qs[0])]
+    circ = Circuit(5, (*gates, CZ(1, 3), ControlledPhase(3, 1, 0.4), CZ(1, 3)))
+    calls = []
+    index = circuit_module._diagonal_index
+    monkeypatch.setattr(circuit_module, "_diagonal_index", lambda qs, nq: calls.append(qs) or index(qs, nq))
+    # the oracle rebuilds the index for every gate
+    assert np.array_equal(circuit_to_unitary(circ), moveaxis_lowering(circ))
+    assert sorted(calls) == sorted({(1, 3), (4, 2, 5), (5,), (3, 1)})
+    x = np.arange(32)
+    for qs in tuples:
+        assert np.array_equal(index(qs, 5), sum(((x >> (q - 1)) & 1) << i for i, q in enumerate(qs)))
+
+
+def test_apply_circuit_lowers_any_column_block():
+    xx, zz = (PauliKind.X, PauliKind.X), (PauliKind.Z, PauliKind.Z)
+    groups = {pair: build_power_law(8, 1, 1.5, pair, "seeded-random", i).two_local[pair]
+              for i, pair in enumerate((xx, zz))}
+    step = compile_lowrank_step(HamiltonianSpec(8, 1, groups, {}), 0.1, 1e-9, 2, 2)
+    u = circuit_to_unitary(step.circuit)
+    eye = np.eye(256, dtype=complex)
+    assert np.array_equal(apply_circuit(step.circuit, eye.copy()), u)
+    block = apply_circuit(step.circuit, eye[:, 4:8].copy())
+    assert block.shape == (256, 4) and max_err(block, u[:, 4:8]) < 1e-13
+    for bad in (eye[:, :4], np.eye(128, dtype=complex), np.eye(256)):  # strided, too short, real
+        with pytest.raises(ValidationError, match="C-contiguous complex"):
+            apply_circuit(step.circuit, bad)
+
+
 # -- dense Hamiltonians and evolution ------------------------------------------------
 
 
@@ -372,6 +410,69 @@ def test_eigh_runs_only_when_h_has_an_off_diagonal_entry(monkeypatch):
         calls.clear()
         assert len(list(exact_evolutions(spec, ts))) == 3
         assert calls == [(1 << spec.n, 1 << spec.n)]
+
+
+def diagonal_steps(spec, p):
+    """Every compiled step of a Z-only spec that its size admits, at t 0.1 and 1."""
+    n = spec.n
+    for t in (0.1, 1.0):
+        yield compile_sequential_step(spec, t, p)
+        if spec.d == 1 and n >= 2 and n & (n - 1) == 0:
+            yield compile_lowrank_step(spec, t, 1e-9, max(1, n // 4), p)
+            yield compile_avgcost_step(spec, t, max(1, n // 4), p)
+
+
+@pytest.mark.parametrize("make_spec", DIAGONAL_SPECS)
+def test_circuit_diagonal_equals_the_dense_diagonal_bit_for_bit(make_spec):
+    spec = make_spec()
+    for p in (1, 2) if spec.n >= 9 else (1, 2, 4):  # p=4 lowers thousands of dense gates past n=8
+        for step in diagonal_steps(spec, p):
+            assert np.array_equal(circuit_diagonal(step.circuit), circuit_to_unitary(step.circuit).diagonal())
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits())
+def test_a_circuit_conjugated_by_cnots_has_the_dense_diagonal(circ):
+    n = circ.qubit_count
+    ladder = [g for g in circ.gates if isinstance(g, CNOT)]
+    body = [g for g in circ.gates if isinstance(g, (CZ, ControlledPhase, CompositeDiagonalPhase, PhaseS))
+            or (isinstance(g, PauliRotation) and g.axis == "z")]
+    diagonal = Circuit(n, (*ladder, *body, *reversed(ladder)))  # the CNOTs compose to the identity
+    assert np.array_equal(circuit_diagonal(diagonal), circuit_to_unitary(diagonal).diagonal())
+
+
+@pytest.mark.parametrize("gates", [
+    pytest.param((CNOT(1, 2),), id="lone-cnot"),
+    pytest.param((CNOT(1, 2), CNOT(2, 1)), id="cnot-cycle"),
+    pytest.param((PauliRotation("z", 1, 0.3), Hadamard(2)), id="hadamard"),
+    pytest.param((PauliRotation("x", 2, 0.3),), id="x-rotation"),
+])
+def test_circuit_diagonal_rejects_a_circuit_that_is_not_diagonal(gates):
+    with pytest.raises(ValidationError, match="not diagonal"):
+        circuit_diagonal(Circuit(2, gates))
+
+
+def test_circuit_diagonal_is_sized_before_it_allocates(fake_physical_memory):
+    fake_physical_memory(1)
+    message = r"^lowering a 24-qubit diagonal circuit \(2\^24 x 4 blocks\) needs 2.0 GiB"
+    with pytest.raises(CapacityError, match=message):
+        circuit_diagonal(Circuit(24, (CNOT(1, 2), CNOT(1, 2))))
+
+
+@pytest.mark.parametrize("make_spec", DIAGONAL_SPECS)
+def test_hamiltonian_diagonal_equals_the_dense_diagonal_bit_for_bit(make_spec):
+    spec = make_spec()
+    assert np.array_equal(hamiltonian_diagonal(spec), dense_hamiltonian(spec).diagonal().real)
+
+
+def test_hamiltonian_diagonal_needs_a_z_only_spec():
+    for spec in (build_power_law(4, 1, 1.0, (PauliKind.X, PauliKind.X)),
+                 HamiltonianSpec(3, 1, {}, {PauliKind.Y: np.array([0.0, 0.1, 0.0])})):
+        with pytest.raises(ValidationError, match="not diagonal"):
+            hamiltonian_diagonal(spec)
+    # a group whose coefficients are all 0 adds no term
+    spec = HamiltonianSpec(4, 1, {(PauliKind.X, PauliKind.X): CoeffMatrix.zeros(4)}, {}, identity=0.25)
+    assert np.array_equal(hamiltonian_diagonal(spec), np.full(16, 0.25))
 
 
 def test_dense_hamiltonian_mixed_terms():

@@ -226,6 +226,41 @@ def test_z_only_verify_needs_neither_eigh_nor_svd(capsys, monkeypatch):
     assert calls == ["eigh", "svd"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "8", "--method", method, "--cutoff", "2", "--signs", "seeded-random"]
+    for method in ("sequential", "lowrank", "avgcost")
+] + [["error-sweep", "--n", "6", "--p", "1"], ["error-sweep", "--n", "8", "--method", "avgcost", "--d", "1"]])
+def test_z_only_verify_and_error_sweep_build_no_dense_matrix(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a Z-only request built a dense matrix or factorized one")
+
+    for target in ("trotterforge.circuit.circuit_to_unitary", "trotterforge.compilers.circuit_to_unitary",
+                   "trotterforge.circuit.dense_hamiltonian"):
+        monkeypatch.setattr(target, never)
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    svd = np.linalg.svd
+    # the lowrank compiler factors its real far blocks; a distance would factor a complex 2^n x 2^n matrix
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svd(a, **kw) if a.dtype == float else never())
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    if argv[0] == "verify":
+        assert json.loads(out)["distance"] < 1e-13
+    else:
+        assert [float(row.split(",")[5]) < 1e-13 for row in out.splitlines()[1:]] == [True] * 3
+
+
+def test_z_only_verify_runs_past_the_dense_wall(capsys):
+    # 6 dense 2^16 x 2^16 matrices would need 384 GiB; the ZZ chain compares 2^16 vectors
+    rc, out = run_cli(capsys, "verify", "--n", "16")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["n"] == 16 and doc["gates"] == 717 and doc["distance"] <= 1e-12
+    rc, err = exit_code_and_stderr(capsys, ["verify", "--n", "16", "--pauli", "xx"])
+    assert rc == 3
+    assert err == ("capacity error: checking a 16-qubit step against exact evolution (6 dense 2^16 x 2^16 "
+                   "matrices) needs 384.0 GiB, more than the " + err.split("more than the ")[1])
+
+
 def golden_spec(path):
     """n=8 XX (alpha 2) + alternating ZZ (alpha 1.5) chain with a sparse on-site Z field."""
     doc = spec_to_dict(build_power_law(8, 1, 2.0, (PauliKind.X, PauliKind.X)))
@@ -269,7 +304,8 @@ def test_compile_and_verify_golden(tmp_path, capsys, method, p):
 
 
 def test_verify_capacity(capsys):
-    assert main(["verify", "--method", "sequential", "--n", "16"]) == 3
+    # the dense check applies to a spec with an X or Y term; a Z-only chain compares 2^n vectors
+    assert main(["verify", "--method", "sequential", "--n", "16", "--pauli", "xx"]) == 3
 
 
 # -- error sweep -------------------------------------------------------------------------
@@ -321,9 +357,9 @@ def test_error_sweep_golden(capsys, p):
 
 
 def test_error_sweep_admits_any_size_that_fits(capsys, monkeypatch):
-    # n=11 was refused by a fixed 10-site cap; the dense matrices are stubbed here
-    monkeypatch.setattr("trotterforge.cli.lowered_step_unitary", lambda step: np.eye(2))
-    monkeypatch.setattr("trotterforge.cli.exact_evolutions", lambda spec, ts: (np.eye(2) for _ in ts))
+    # n=11 was refused by a fixed 10-site cap; the dense matrices are stubbed where step_distances reads them
+    monkeypatch.setattr("trotterforge.compilers.lowered_step_unitary", lambda step: np.eye(2))
+    monkeypatch.setattr("trotterforge.compilers.exact_evolutions", lambda spec, ts: (np.eye(2) for _ in ts))
     rc, out = run_cli(capsys, "error-sweep", "--n", "11", "--pauli", "xz", "--t-values", "0.1")
     assert rc == 0
     header, row = out.splitlines()
@@ -565,7 +601,7 @@ def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, fake_phys
         raise AssertionError("compiled before the memory check")
 
     monkeypatch.setattr("trotterforge.cli.compile_sequential_step", never)
-    rc, err = exit_code_and_stderr(capsys, [command, "--n", "12"])
+    rc, err = exit_code_and_stderr(capsys, [command, "--n", "12", "--pauli", "xx"])
     assert rc == 3
     assert err == (
         "capacity error: checking a 12-qubit step against exact evolution"
@@ -594,6 +630,6 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout  # byte-identical rerun
     bad = subprocess.run([sys.executable, "-m", "trotterforge.cli", "verify",
-                          "--n", "16"], capture_output=True, text=True)
+                          "--n", "16", "--pauli", "xx"], capture_output=True, text=True)
     assert bad.returncode == 3
     assert "capacity" in bad.stderr

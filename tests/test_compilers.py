@@ -19,6 +19,7 @@ from trotterforge.circuit import (
 from trotterforge.compilers import (
     ProductFormula,
     _stage_axis_map,
+    check_distance_capacity,
     compile_avgcost_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
@@ -27,10 +28,12 @@ from trotterforge.compilers import (
     make_product_formula,
     phase_register_width,
     step_cost_json,
+    step_distances,
 )
 from trotterforge.decomp import lowrank_decompose
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, nonzero_terms
+from trotterforge.lowrank import truncated_svd
 
 XX = (PauliKind.X, PauliKind.X)
 XY = (PauliKind.X, PauliKind.Y)
@@ -276,6 +279,34 @@ def test_lowrank_commuting_exact():
     spec = zz_spec(8)
     step = compile_lowrank_step(spec, 0.3, 1e-12, 2, 2)
     assert step_error(step, spec) < 1e-9
+
+
+def test_lowrank_takes_one_svd_per_distinct_far_block(monkeypatch):
+    # a power law is translation invariant: 741 far blocks at n=1024 hold 14 distinct matrices
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    spec = build_power_law(1024, 1, 2.0)
+    assert len(lowrank_decompose(1024, 4).far_field) == 741
+    compile_lowrank_step(spec, 1.0, 1e-9, 4, 2, count_only=True)
+    assert len(calls) == 14
+
+
+def test_every_far_op_holds_the_svd_of_its_own_block(monkeypatch):
+    spec = mixed_group_spec(32)
+    ops = []
+    op_gates = compilers._op_gates
+    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta, spec: ops.append(op) or op_gates(op, theta, spec))
+    compile_lowrank_step(spec, 0.2, 1e-6, 4, 2)
+    far = [op for op in ops if op.kind == "far"]
+    assert len(far) > len({(op.rows, op.cols) for op in far})  # several stages reuse the factors
+    for op in far:
+        fac = op.data
+        assert (fac.block_ref.left.sites(), fac.block_ref.right.sites()) == (op.rows, op.cols)
+        for mat in spec.two_local.values():  # both groups hold the same power law
+            want = truncated_svd(mat.block(list(op.rows), list(op.cols)), 1e-6)
+            assert np.array_equal(fac.left, want.left) and np.array_equal(fac.right, want.right)
+            assert np.array_equal(fac.singulars, want.singulars) and fac.residual == want.residual
 
 
 def test_lowrank_rank1_block_cost():
@@ -578,3 +609,55 @@ def test_pickled_formula_stays_read_only(p):
     assert np.array_equal(loaded.stages, formula.stages)
     assert np.array_equal(loaded.fractions, formula.fractions)
     assert not loaded.stages.flags.writeable and not loaded.fractions.flags.writeable
+
+
+# -- distances from exact evolution ------------------------------------------------------
+
+
+def z_field_spec(n):
+    zz = build_power_law(n, 1, 1.0, ZZ, "seeded-random", n).two_local[ZZ]
+    return HamiltonianSpec(n, 1, {ZZ: zz}, {PauliKind.Z: np.linspace(-0.4, 0.6, n)}, identity=0.3)
+
+
+@pytest.mark.parametrize("make_spec", [
+    pytest.param(lambda: z_field_spec(8), id="zz-field-identity"),
+    pytest.param(lambda: build_power_law(8, 1, 2.0, ZZ, "alternating"), id="zz-chain"),
+    pytest.param(lambda: HamiltonianSpec(8, 1, mixed_group_spec(8).two_local, {PauliKind.X: np.full(8, 0.2)},
+                                         identity=-0.5), id="xx-zz-field-identity"),
+])
+def test_step_distances_equal_the_dense_distance_bit_for_bit(make_spec):
+    spec = make_spec()
+    steps = [compile_sequential_step(spec, 0.3, 1), compile_lowrank_step(spec, 0.2, 1e-9, 2, 4),
+             compile_avgcost_step(spec, 1.0, 2, 2)]
+    want = [step_error(step, spec) for step in steps]
+    assert step_distances(spec, steps) == want
+    assert step_distances(spec, steps[1:2]) == want[1:2]
+
+
+def test_step_distances_of_a_z_only_spec_hold_no_dense_matrix(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a Z-only spec built a dense matrix")
+
+    spec = z_field_spec(8)
+    steps = [compile_lowrank_step(spec, t, 1e-9, 2, 2) for t in (0.1, 1.0)]
+    for name in ("circuit_to_unitary", "exact_evolutions", "lowered_step_unitary"):
+        monkeypatch.setattr(compilers, name, never)
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, never)
+    assert max(step_distances(spec, steps)) < 1e-12
+
+
+def test_step_distances_need_lowered_steps():
+    for spec in (z_field_spec(4), mixed_group_spec(4)):
+        with pytest.raises(ValidationError, match="count-only"):
+            step_distances(spec, [compile_sequential_step(spec, 0.1, 2, count_only=True)])
+
+
+def test_distance_capacity_follows_the_path_of_the_spec(fake_physical_memory):
+    fake_physical_memory(1)
+    check_distance_capacity(z_field_spec(22))  # 176 B x 2^22 = 0.7 GiB
+    with pytest.raises(CapacityError, match=r"^checking a 23-qubit Z-only step against exact evolution "
+                                            r"\(2\^23 vectors\) needs 1.4 GiB"):
+        check_distance_capacity(z_field_spec(23))
+    with pytest.raises(CapacityError, match=r"^checking a 12-qubit step .*\(6 dense 2\^12 x 2\^12 matrices\)"):
+        check_distance_capacity(mixed_group_spec(12))
