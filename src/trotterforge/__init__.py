@@ -42,7 +42,7 @@ from .blockenc import (
     walk_invariant_phases,
     walk_operator,
 )
-from .trotter import commutator_norm_sum, fermionic_error_norms, step_count, steps_for
+from .trotter import commutator_norm_sum, fermionic_error_norms, steps_for
 from .costmodel import Recurrence, classify_recurrence, gate_count_report, solve_recurrence_numeric
 from .bounds import (
     BoundQuery,
@@ -112,7 +112,6 @@ __all__ = [
     "rank_profile",
     "solve_recurrence_numeric",
     "spectral_distance",
-    "step_count",
     "step_distances",
     "steps_for",
     "subdivide",

@@ -36,13 +36,10 @@ class BlockEncoding:
 class PreparationConfig:
     grid: BoxGrid
     xi: int | None = None  # inequality-test resolution; None = exact limit
-    amplification_steps: int = 0
 
     def __post_init__(self) -> None:
         if self.xi is not None and self.xi < 2:
             raise DomainError(f"resolution must be >= 2, got {self.xi}")
-        if self.amplification_steps < 0:
-            raise DomainError("amplification steps must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,12 +74,6 @@ class CNOT:
 
 
 @dataclass(frozen=True)
-class CZ:
-    q1: int
-    q2: int
-
-
-@dataclass(frozen=True)
 class ControlledPhase:
     ctrl: int
     tgt: int
@@ -117,7 +111,7 @@ class CompositeDiagonalPhase:
         return (CompositeDiagonalPhase, (self.qubits, self.phases, self.cost))
 
 
-Gate = PauliRotation | Hadamard | PhaseS | CNOT | CZ | ControlledPhase | CompositeDiagonalPhase
+Gate = PauliRotation | Hadamard | PhaseS | CNOT | ControlledPhase | CompositeDiagonalPhase
 
 
 def gate_qubits(g: Gate) -> tuple[int, ...]:
@@ -125,8 +119,6 @@ def gate_qubits(g: Gate) -> tuple[int, ...]:
         return (g.qubit,)
     if isinstance(g, (CNOT, ControlledPhase)):
         return (g.ctrl, g.tgt)
-    if isinstance(g, CZ):
-        return (g.q1, g.q2)
     return g.qubits
 
 
@@ -140,7 +132,6 @@ def gate_cost(g: Gate) -> int:
 class Circuit:
     qubit_count: int
     gates: tuple[Gate, ...]
-    system_qubits: int | None = None  # qubits 1..system_qubits are system, rest ancilla
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -169,8 +160,6 @@ def _one_qubit_matrix(g: PauliRotation | Hadamard | PhaseS) -> np.ndarray:
 
 def _diagonal_phases(g: Gate) -> np.ndarray | None:
     """Per-subindex phase angles for diagonal gates, index = sum bits 2^i."""
-    if isinstance(g, CZ):
-        return np.array([0.0, 0.0, 0.0, math.pi])
     if isinstance(g, ControlledPhase):
         return np.array([0.0, 0.0, 0.0, g.angle])
     if isinstance(g, CompositeDiagonalPhase):
@@ -212,7 +201,7 @@ def _apply_diagonal(u: np.ndarray, phases: np.ndarray, sub: np.ndarray) -> None:
     np.multiply(np.exp(1j * phases[sub])[:, None], u, out=u)
 
 
-_DIAGONAL_GATES = (CZ, ControlledPhase, CompositeDiagonalPhase)
+_DIAGONAL_GATES = (ControlledPhase, CompositeDiagonalPhase)
 
 
 def _lowering_bytes(c: Circuit, cols: int) -> int:
@@ -270,8 +259,8 @@ def _is_diagonal_gate(g: Gate) -> bool:
 def circuit_diagonal(c: Circuit) -> np.ndarray:
     """The 2^n diagonal of a diagonal circuit's unitary, bit-equal to ``circuit_to_unitary(c).diagonal()``.
 
-    A circuit is diagonal when every gate is a CNOT or diagonal (z rotation, S, CZ, controlled
-    phase, composite) and its CNOTs compose to the identity permutation. It is lowered onto a block
+    A circuit is diagonal when every gate is a CNOT or diagonal (z rotation, S, controlled phase,
+    composite) and its CNOTs compose to the identity permutation. It is lowered onto a block
     of ones: row b then holds the one nonzero entry of row b of the unitary. The block has 4 columns,
     not 1, because the one-qubit matmul rounds like the dense lowering's only from 4 columns on
     (fewer columns take other BLAS kernels).
@@ -279,17 +268,17 @@ def circuit_diagonal(c: Circuit) -> np.ndarray:
     bad = next((g for g in c.gates if not _is_diagonal_gate(g)), None)
     if bad is not None:
         raise ValidationError(f"circuit is not diagonal: {bad} is not a CNOT or a diagonal gate")
+    # bits[q] is the GF(2) mask of input bits that output bit q holds after the CNOTs
+    bits = [1 << q for q in range(c.qubit_count)]
+    for g in c.gates:
+        if isinstance(g, CNOT):
+            bits[g.tgt - 1] ^= bits[g.ctrl - 1]
+    if any(mask != 1 << q for q, mask in enumerate(bits)):
+        raise ValidationError("circuit is not diagonal: its CNOTs do not compose to the identity")
     dim = 1 << c.qubit_count
     cols = min(4, dim)
     what = f"lowering a {c.qubit_count}-qubit diagonal circuit (2^{c.qubit_count} x {cols} blocks)"
-    check_memory(_lowering_bytes(c, cols), what)  # the permutation column is freed before the block is made
-    perm = np.arange(dim).reshape(dim, 1)
-    for g in c.gates:
-        if isinstance(g, CNOT):
-            _swap_cnot_rows(perm, g.ctrl, g.tgt)
-    if not np.array_equal(perm[:, 0], np.arange(dim)):
-        raise ValidationError("circuit is not diagonal: its CNOTs do not compose to the identity")
-    del perm
+    check_memory(_lowering_bytes(c, cols), what)
     return apply_circuit(c, np.ones((dim, cols), dtype=complex))[:, 0].copy()
 
 
@@ -460,8 +449,6 @@ def circuit_text(c: Circuit) -> str:
             lines.append(f"S {g.qubit}")
         elif isinstance(g, CNOT):
             lines.append(f"CNOT {g.ctrl},{g.tgt}")
-        elif isinstance(g, CZ):
-            lines.append(f"CZ {g.q1},{g.q2}")
         elif isinstance(g, ControlledPhase):
             lines.append(f"CPHASE {g.ctrl},{g.tgt},{g.angle!r}")
         else:

@@ -35,14 +35,11 @@ from .circuit import circuit_text
 from .compilers import (
     SUPPORTED_ORDERS,
     check_distance_capacity,
-    compile_avgcost_step,
     compile_hamming2_reduction,
-    compile_lowrank_step,
-    compile_sequential_step,
     step_cost_json,
     step_distances,
 )
-from .costmodel import balanced_subdivision, gate_count_report
+from .costmodel import compile_method, gate_count_report
 from .decomp import (
     boxgrid_to_json,
     decomposition_to_json,
@@ -162,15 +159,10 @@ def _add_method_flags(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> N
     p.add_argument("--eps", type=_finite, default=1e-3)
 
 
-def _compiled_step(method, spec, args, count_only):
-    if method == "sequential":
-        return compile_sequential_step(spec, args.t, args.p, count_only=count_only)
-    if method == "lowrank":
-        return compile_lowrank_step(
-            spec, args.t, args.tol, args.cutoff, args.p, count_only=count_only, eps=args.eps
-        )
-    m = args.m if args.m is not None else balanced_subdivision(spec.n, spec.alpha or 1.0, args.t)
-    return compile_avgcost_step(spec, args.t, m, args.p, count_only=count_only, eps=args.eps)
+def _compiled_step(spec, args, t, count_only=False):
+    return compile_method(
+        args.method, spec, t, args.p, args.eps, tol=args.tol, cutoff_size=args.cutoff, m=args.m, count_only=count_only
+    )
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -213,7 +205,7 @@ def _run_compile(args) -> None:
             sort_keys=True,
         )
     else:
-        step = _compiled_step(args.method, spec, args, args.count_only)
+        step = _compiled_step(spec, args, args.t, args.count_only)
         circuit, cost = step.circuit, step_cost_json(step)
     if args.count_only:
         # no gate list to print; the cost document goes to the primary path
@@ -226,7 +218,7 @@ def _run_compile(args) -> None:
 def _run_verify(args) -> None:
     spec = _load_spec(args)
     check_distance_capacity(spec)
-    step = _compiled_step(args.method, spec, args, False)
+    step = _compiled_step(spec, args, args.t)
     (distance,) = step_distances(spec, [step])
     doc = {
         "method": args.method,
@@ -244,10 +236,7 @@ def _run_error_sweep(args) -> None:
     check_distance_capacity(spec)
     if args.p not in SWEEP_ORDERS:
         raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
-    steps = []
-    for t in args.t_values:
-        args.t = t
-        steps.append(_compiled_step(args.method, spec, args, False))
+    steps = [_compiled_step(spec, args, t) for t in args.t_values]
     # an invalid order, method or spec exits before the commutator sum
     table = pauli_table(spec)
     alpha = pauli_commutator_sum(table.x, table.z, table.coeff, args.p)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .circuit import (
     pauli_string_exponential,
     spectral_distance,
 )
-from .decomp import IntervalPair, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
+from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_memory
 from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
 from .lowrank import TruncatedFactor, truncated_svd
@@ -251,7 +251,7 @@ def compile_sequential_step(
     for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
         string, coeff = terms[idx - 1]
         gates.extend(pauli_string_exponential(string, frac * t * coeff, spec.n).gates)
-    circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
+    circuit = Circuit(spec.n, tuple(gates))
     return CompiledStep("sequential", t, count, circuit, phase)
 
 
@@ -383,7 +383,7 @@ def _compile_stages(
             gates.extend(_op_gates(op, theta, spec))
         for _, post in changes:
             gates.extend(post)
-    circuit = Circuit(spec.n, tuple(gates), system_qubits=spec.n)
+    circuit = Circuit(spec.n, tuple(gates))
     return CompiledStep(method, t, count, circuit, phase)
 
 
@@ -415,16 +415,16 @@ def compile_lowrank_step(
     factors: dict[tuple[PauliKind, PauliKind], list] = {}
     svds: dict[tuple[tuple[int, ...], bytes], TruncatedFactor] = {}  # keyed on a far block's exact bytes
 
-    def factor(block: np.ndarray, pair: IntervalPair) -> TruncatedFactor:
-        # equal blocks (a power law is translation invariant) share one SVD; each keeps its own pair
+    def factor(block: np.ndarray) -> TruncatedFactor:
+        # equal blocks (a power law is translation invariant) share one SVD; each op keeps its own sites
         key = (block.shape, block.tobytes())
         if key not in svds:
-            svds[key] = truncated_svd(block, tol, pair)
-        return replace(svds[key], block_ref=pair)
+            svds[key] = truncated_svd(block, tol)
+        return svds[key]
 
     def stage_ops(pair_key, mat, theta):
         if pair_key not in factors:
-            factors[pair_key] = [factor(mat.block(p.left.sites(), p.right.sites()), p) for p in dec.far_field]
+            factors[pair_key] = [factor(mat.block(p.left.sites(), p.right.sites())) for p in dec.far_field]
         ops = [
             _StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac)
             for fac, p in zip(factors[pair_key], dec.far_field)
@@ -519,4 +519,4 @@ def compile_hamming2_reduction(coeffs: CoeffMatrix) -> Circuit:
         gates.append(ControlledPhase(unary_start + j - 1, unary_start + k - 1, -4.0 * v))
     gates.extend(k_pass)
     gates.extend(j_pass)
-    return Circuit(total, tuple(gates), system_qubits=2 * reg_width)
+    return Circuit(total, tuple(gates))

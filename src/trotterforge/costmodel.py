@@ -11,6 +11,7 @@ import numpy as np
 
 from .blockenc import block_prep_cost, block_select_cost, qubitization_step_count
 from .compilers import (
+    CompiledStep,
     compile_avgcost_step,
     compile_lowrank_step,
     compile_sequential_step,
@@ -199,6 +200,27 @@ def balanced_subdivision(n: int, alpha: float, t: float) -> int:
     return max(1, min(n // 2, round(raw)))
 
 
+def compile_method(
+    method: str, spec: HamiltonianSpec, t: float, p: int, eps: float, *,
+    tol: float | None = None, cutoff_size: int = 4, m: int | None = None, count_only: bool = False,
+) -> CompiledStep:
+    """One Trotter step of ``method``: the one mapping of the method flags onto a step compiler.
+
+    lowrank truncates at tol (eps when tol is None) and sizes its phase registers with eps;
+    avgcost takes eps and, when m is None, the balanced subdivision of the spec's alpha.
+    """
+    if method == "sequential":
+        return compile_sequential_step(spec, t, p, count_only=count_only)
+    if method == "lowrank":
+        tol = eps if tol is None else tol
+        return compile_lowrank_step(spec, t, tol, cutoff_size, p, count_only=count_only, eps=eps)
+    if method == "avgcost":
+        if m is None:
+            m = balanced_subdivision(spec.n, spec.alpha or 1.0, t)
+        return compile_avgcost_step(spec, t, m, p, count_only=count_only, eps=eps)
+    raise DomainError(f"unknown step method {method!r}")
+
+
 def _predicted_exponent(method: str, alpha: float, d: int) -> float:
     if method == "sequential":
         return 2.0
@@ -235,25 +257,17 @@ def gate_count_report(
     fit_values = []
     for n in n_sweep:
         spec = build_power_law(n, d, alpha, (PauliKind.Z, PauliKind.Z), "all-positive")
-        if method == "sequential":
-            counts.append(compile_sequential_step(spec, t, p, count_only=True).gate_count)
-            fit_values.append(float(counts[-1]))
-        elif method == "block":
+        if method == "block":
             counts.append(block_step_count(spec, t, eps))
-            fit_values.append(float(counts[-1]))
-        elif method == "lowrank":
-            step = compile_lowrank_step(
-                spec, t, tol if tol is not None else eps, cutoff_size, p, count_only=True
-            )
+        else:
+            step = compile_method(method, spec, t, p, eps, tol=tol, cutoff_size=cutoff_size, count_only=True)
             counts.append(step.gate_count)
+        if method == "lowrank":
             # Fit the power net of the count model's own log factors (phase
             # register width times far-layer depth); raw counts stay in the CSV.
-            width = phase_register_width(n, t, tol if tol is not None else eps)
             layers = max(1, (n // cutoff_size).bit_length() - 2)
-            fit_values.append(counts[-1] / (width * layers))
+            fit_values.append(counts[-1] / (phase_register_width(n, t, eps) * layers))
         else:
-            m = balanced_subdivision(n, alpha, t)
-            counts.append(compile_avgcost_step(spec, t, m, p, count_only=True).gate_count)
             fit_values.append(float(counts[-1]))
     fitted = fit_exponent(n_sweep, fit_values)
     return CostReport(

@@ -206,21 +206,6 @@ class HamiltonianSpec:
     def side(self) -> int:
         return round(self.n ** (1.0 / self.d))
 
-    def coords(self, j: int) -> tuple[int, ...]:
-        """Lattice coordinates of site j (1-based, row-major)."""
-        if not (1 <= j <= self.n):
-            raise IndexRangeError(f"site {j} out of range 1..{self.n}")
-        rem = j - 1
-        out = []
-        for _ in range(self.d):
-            out.append(rem % self.side + 1)
-            rem //= self.side
-        return tuple(reversed(out))
-
-    def distance(self, j: int, k: int) -> float:
-        cj, ck = self.coords(j), self.coords(k)
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(cj, ck)))
-
     def term_groups(self) -> list[tuple[tuple[PauliKind, ...], np.ndarray]]:
         """The one term order: (kinds, coefficients) of the 2-local groups, then of the on-site kinds.
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import IntervalPair, LowRankDecomposition
+from .decomp import LowRankDecomposition
 from .errors import DomainError, ValidationError
 from .hamlib import HamiltonianSpec
 
@@ -24,13 +24,12 @@ class TruncatedFactor:
     rank: int
     tol: float
     residual: float
-    block_ref: IntervalPair | None = None
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singulars) @ self.right.T
 
 
-def truncated_svd(block: np.ndarray, tol: float, block_ref: IntervalPair | None = None) -> TruncatedFactor:
+def truncated_svd(block: np.ndarray, tol: float) -> TruncatedFactor:
     """Minimal rank with next singular value <= tol; exact on exact-rank input."""
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -49,7 +48,6 @@ def truncated_svd(block: np.ndarray, tol: float, block_ref: IntervalPair | None 
         rank=rank,
         tol=tol,
         residual=residual,
-        block_ref=block_ref,
     )
 
 
@@ -88,7 +86,7 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.far_field:
             block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
-            fac = truncated_svd(block, tol, pair)
+            fac = truncated_svd(block, tol)
             rows.append(ProfileRow(pair.layer, pair.block, s1.value, s2.value, fac.rank, fac.residual))
     rho_max = max((r.rank for r in rows), default=0)
     return RankProfile(tuple(rows), max(1, rho_max))

@@ -16,22 +16,6 @@ PAULI_COMMUTATOR_ORDERS = (1, 2)
 
 
 @dataclass(frozen=True, eq=False)
-class SimulationRequest:
-    spec: object
-    t: float
-    eps: float
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise DomainError(f"time must be positive, got {self.t}")
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError(f"accuracy must be in (0,1), got {self.eps}")
-        if self.p < 1:
-            raise DomainError(f"order must be >= 1, got {self.p}")
-
-
-@dataclass(frozen=True, eq=False)
 class TrotterErrorReport:
     method: str
     p: int
@@ -115,11 +99,6 @@ def steps_for(alpha: float, t: float, eps: float, p: int) -> int:
         return 1
     raw = (alpha * t ** (p + 1) / eps) ** (1.0 / p)
     return max(1, math.ceil(raw))
-
-
-def step_count(request: SimulationRequest, alpha_comm: float) -> int:
-    """Step count from the commutator prefactor of the requested formula."""
-    return steps_for(alpha_comm, request.t, request.eps, request.p)
 
 
 def induced_1norm(matrix: np.ndarray) -> float:

@@ -141,8 +141,6 @@ def test_zero_block_degenerate():
 def test_preparation_config_validation():
     with pytest.raises(DomainError):
         PreparationConfig(nested_boxes(4), xi=1)
-    with pytest.raises(DomainError):
-        PreparationConfig(nested_boxes(4), amplification_steps=-1)
     with pytest.raises(ValidationError):
         build_boxed_preparation(np.ones((3, 4)), PreparationConfig(nested_boxes(4)))
 

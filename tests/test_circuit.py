@@ -10,7 +10,6 @@ from conftest import coeff_entries, coeff_matrix
 import trotterforge.circuit as circuit_module
 from trotterforge.circuit import (
     CNOT,
-    CZ,
     Circuit,
     CompositeDiagonalPhase,
     ControlledPhase,
@@ -118,8 +117,6 @@ def oracle_gate(g):
         return (g.qubit,), _ORACLE_S
     if isinstance(g, CNOT):
         return (g.ctrl, g.tgt), _ORACLE_CNOT
-    if isinstance(g, CZ):
-        return (g.q1, g.q2), np.array([0.0, 0.0, 0.0, math.pi])
     if isinstance(g, ControlledPhase):
         return (g.ctrl, g.tgt), np.array([0.0, 0.0, 0.0, g.angle])
     return g.qubits, g.phases
@@ -202,7 +199,7 @@ def test_gate_order_is_temporal():
 
 
 def test_diagonal_gates():
-    circ = Circuit(2, (CZ(1, 2),))
+    circ = Circuit(2, (ControlledPhase(1, 2, math.pi),))
     assert max_err(circuit_to_unitary(circ), np.diag([1, 1, 1, -1.0])) < 1e-12
     circ = Circuit(2, (ControlledPhase(1, 2, 0.7),))
     assert max_err(circuit_to_unitary(circ), np.diag([1, 1, 1, np.exp(0.7j)])) < 1e-12
@@ -268,7 +265,7 @@ def circuits(draw):
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
         kinds += [
             pair.map(lambda qs: CNOT(*qs)),
-            pair.map(lambda qs: CZ(*qs)),
+            pair.map(lambda qs: ControlledPhase(*qs, math.pi)),
             st.tuples(pair, angles).map(lambda a: ControlledPhase(*a[0], a[1])),
         ]
     return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=16))))
@@ -321,7 +318,8 @@ def test_phase_table_index_is_built_once_per_qubit_tuple(monkeypatch):
     gates = []
     for qs in tuples:
         gates += [CompositeDiagonalPhase(qs, rng.uniform(-3, 3, 1 << len(qs)), cost=1), Hadamard(qs[0])]
-    circ = Circuit(5, (*gates, CZ(1, 3), ControlledPhase(3, 1, 0.4), CZ(1, 3)))
+    cz = ControlledPhase(1, 3, math.pi)
+    circ = Circuit(5, (*gates, cz, ControlledPhase(3, 1, 0.4), cz))
     calls = []
     index = circuit_module._diagonal_index
     monkeypatch.setattr(circuit_module, "_diagonal_index", lambda qs, nq: calls.append(qs) or index(qs, nq))
@@ -435,7 +433,7 @@ def test_circuit_diagonal_equals_the_dense_diagonal_bit_for_bit(make_spec):
 def test_a_circuit_conjugated_by_cnots_has_the_dense_diagonal(circ):
     n = circ.qubit_count
     ladder = [g for g in circ.gates if isinstance(g, CNOT)]
-    body = [g for g in circ.gates if isinstance(g, (CZ, ControlledPhase, CompositeDiagonalPhase, PhaseS))
+    body = [g for g in circ.gates if isinstance(g, (ControlledPhase, CompositeDiagonalPhase, PhaseS))
             or (isinstance(g, PauliRotation) and g.axis == "z")]
     diagonal = Circuit(n, (*ladder, *body, *reversed(ladder)))  # the CNOTs compose to the identity
     assert np.array_equal(circuit_diagonal(diagonal), circuit_to_unitary(diagonal).diagonal())
@@ -450,6 +448,35 @@ def test_a_circuit_conjugated_by_cnots_has_the_dense_diagonal(circ):
 def test_circuit_diagonal_rejects_a_circuit_that_is_not_diagonal(gates):
     with pytest.raises(ValidationError, match="not diagonal"):
         circuit_diagonal(Circuit(2, gates))
+
+
+def cnots_permute_no_basis_state(c):
+    """Oracle: the CNOTs' row swaps, applied to the column of basis indices, leave it as it was."""
+    dim = 1 << c.qubit_count
+    perm = np.arange(dim).reshape(dim, 1)
+    for g in c.gates:
+        if isinstance(g, CNOT):
+            circuit_module._swap_cnot_rows(perm, g.ctrl, g.tgt)
+    return np.array_equal(perm[:, 0], np.arange(dim))
+
+
+@st.composite
+def cnot_sequences(draw):
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True), max_size=10))
+    if draw(st.booleans()):  # a sequence followed by its mirror composes to the identity
+        pairs += pairs[::-1]
+    return Circuit(n, tuple(CNOT(*qs) for qs in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnot_sequences())
+def test_cnot_bit_masks_agree_with_the_permutation_column(circ):
+    if cnots_permute_no_basis_state(circ):
+        assert np.array_equal(circuit_diagonal(circ), np.ones(1 << circ.qubit_count))
+    else:
+        with pytest.raises(ValidationError, match="do not compose to the identity"):
+            circuit_diagonal(circ)
 
 
 def test_circuit_diagonal_is_sized_before_it_allocates(fake_physical_memory):

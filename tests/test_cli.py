@@ -389,7 +389,7 @@ def test_error_sweep_rejects_order_before_compiling(capsys, monkeypatch):
         raise AssertionError("step compiled for an unsupported commutator order")
 
     for name in ("compile_sequential_step", "compile_lowrank_step", "compile_avgcost_step"):
-        monkeypatch.setattr(f"trotterforge.cli.{name}", must_not_run)
+        monkeypatch.setattr(f"trotterforge.costmodel.{name}", must_not_run)
     # p=3 has no product formula and p=4 no brute-force commutator sum: one check rejects both
     for p in ("3", "4"):
         assert main(["error-sweep", "--n", "4", "--p", p]) == 2
@@ -410,6 +410,18 @@ def test_cost_report_sequential(capsys):
     assert len(lines) == 5
     fitted = float(lines[1].split(",")[5])
     assert abs(fitted - 2.0) <= 0.1
+
+
+@pytest.mark.parametrize("method", ["avgcost", "lowrank"])
+def test_cost_report_counts_what_compile_counts(capsys, method):
+    flags = ["--method", method, "--alpha", "1.5", "--t", "1", "--eps", "1e-8", "--tol", "1e-8"]
+    rc, out = run_cli(capsys, "compile", "--n", "64", "--count-only", *flags)
+    assert rc == 0
+    gates = json.loads(out)["gates"]
+    assert gates == {"avgcost": 58556, "lowrank": 34160}[method]
+    rc, out = run_cli(capsys, "cost-report", "--n-sweep", "64,128,256,512", *flags)
+    assert rc == 0
+    assert out.splitlines()[1].split(",")[:5] == [method, "1.5", "1", "64", str(gates)]
 
 
 # -- bound ------------------------------------------------------------------------------
@@ -600,7 +612,7 @@ def test_dense_memory_is_checked_before_compiling(capsys, monkeypatch, fake_phys
     def never(*args, **kwargs):
         raise AssertionError("compiled before the memory check")
 
-    monkeypatch.setattr("trotterforge.cli.compile_sequential_step", never)
+    monkeypatch.setattr("trotterforge.costmodel.compile_sequential_step", never)
     rc, err = exit_code_and_stderr(capsys, [command, "--n", "12", "--pauli", "xx"])
     assert rc == 3
     assert err == (

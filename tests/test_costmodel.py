@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from trotterforge.compilers import compile_avgcost_step
+from trotterforge.compilers import compile_avgcost_step, compile_lowrank_step, phase_register_width
 from trotterforge.costmodel import (
     Recurrence,
     balanced_subdivision,
     block_step_count,
     classify_recurrence,
+    compile_method,
     fit_exponent,
     gate_count_report,
     solve_coupled_recurrence,
@@ -189,6 +190,40 @@ def test_report_rejections():
         gate_count_report("sequential", 1.0, 1, 1.0, 1e-3, (8, 16, 32))
     with pytest.raises(ValidationError):
         gate_count_report("sequential", 1.0, 1, 1.0, 1e-3, (8, 12, 16, 32))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
+@pytest.mark.parametrize("method", ["sequential", "lowrank", "avgcost"])
+def test_report_counts_the_step_compile_method_builds(method, eps, tol):
+    ns = (16, 32, 64, 128)
+    report = gate_count_report(method, 1.5, 1, 1.0, eps, ns, tol=tol)
+    for n, count in zip(ns, report.counts):
+        step = compile_method(method, build_power_law(n, 1, 1.5), 1.0, 2, eps, tol=tol, count_only=True)
+        assert count == step.gate_count
+
+
+def test_compile_method_maps_eps_tol_and_m_onto_the_compilers():
+    spec = build_power_law(64, 1, 1.5)
+    want = compile_lowrank_step(spec, 1.0, 1e-8, 4, 2, count_only=True, eps=1e-8)
+    assert compile_method("lowrank", spec, 1.0, 2, 1e-8, count_only=True).gate_count == want.gate_count
+    want = compile_lowrank_step(spec, 1.0, 1e-9, 4, 2, count_only=True, eps=1e-8)
+    assert compile_method("lowrank", spec, 1.0, 2, 1e-8, tol=1e-9, count_only=True).gate_count == want.gate_count
+    m = balanced_subdivision(64, 1.5, 1.0)
+    want = compile_avgcost_step(spec, 1.0, m, 2, count_only=True, eps=1e-8)
+    assert compile_method("avgcost", spec, 1.0, 2, 1e-8, count_only=True).gate_count == want.gate_count
+    want = compile_avgcost_step(spec, 1.0, 2, 2, count_only=True, eps=1e-8)
+    assert compile_method("avgcost", spec, 1.0, 2, 1e-8, m=2, count_only=True).gate_count == want.gate_count
+    with pytest.raises(DomainError):
+        compile_method("block", spec, 1.0, 2, 1e-8)
+
+
+def test_lowrank_fit_divides_by_the_width_the_counts_use():
+    ns = (64, 128, 256, 512)
+    report = gate_count_report("lowrank", 1.5, 1, 1.0, 1e-8, ns, tol=1e-3)
+    layers = [max(1, (n // 4).bit_length() - 2) for n in ns]
+    net = [c / (phase_register_width(n, 1.0, 1e-8) * k) for n, c, k in zip(ns, report.counts, layers)]
+    assert report.fitted_exponent == fit_exponent(ns, net)
 
 
 def test_report_csv_layout():

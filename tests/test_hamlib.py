@@ -40,34 +40,36 @@ ZZ = (PauliKind.Z, PauliKind.Z)
 # -- oracles --------------------------------------------------------------------
 
 
+def site_coords(j, side, d):
+    """Row-major lattice coordinates of site j (1-based), 0-based on each axis."""
+    rem, out = j - 1, []
+    for _ in range(d):
+        out.append(rem % side)
+        rem //= side
+    return tuple(reversed(out))
+
+
 def power_law_entries_oracle(n, d, alpha):
     """Direct 1/dist^alpha over lattice coordinates, independent of hamlib."""
     side = round(n ** (1 / d))
     assert side**d == n
-
-    def coords(j):
-        rem, out = j - 1, []
-        for _ in range(d):
-            out.append(rem % side)
-            rem //= side
-        return tuple(reversed(out))
-
     out = {}
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            dist = math.dist(coords(j), coords(k))
+            dist = math.dist(site_coords(j, side, d), site_coords(k, side, d))
             out[(j, k)] = 1.0 / dist**alpha
     return out
 
 
 def build_power_law_loop_oracle(n, d, alpha, sign_rule, seed):
     """The per-pair build: scalar libm pow and one sign draw per pair, in (j, k) order."""
-    probe = HamiltonianSpec(n, d, {}, {})
+    side = round(n ** (1.0 / d))
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            mag = 1.0 / probe.distance(j, k) ** alpha
+            cj, ck = site_coords(j, side, d), site_coords(k, side, d)
+            mag = 1.0 / math.sqrt(sum((x - y) ** 2 for x, y in zip(cj, ck))) ** alpha
             if sign_rule == "alternating":
                 sign = -1.0 if (j + k) % 2 else 1.0
             elif sign_rule == "seeded-random":

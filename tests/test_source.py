@@ -75,7 +75,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def unread_public_names(trees: dict, readme: str) -> list[str]:
     """module:name of each public function, class or method that no module reads,
-    ``__init__`` does not import and no code span of the README names.
+    ``__init__`` does not import and the README names in no inline code span and no
+    python or sh fence (json, csv and plain output blocks name nothing).
 
     A method is read only as an attribute (``x.name``): a bare name, such as a
     parameter that shares the method's name, reads a function or class only."""
@@ -88,7 +89,8 @@ def unread_public_names(trees: dict, readme: str) -> list[str]:
                 attributes.add(node.attr)
     exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for a in node.names}
-    spans = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    blocks = re.findall(r"```(\w*)\n(.*?)```|`([^`\n]+)`", readme, re.S)
+    spans = [fence + inline for lang, fence, inline in blocks if inline or lang in ("python", "sh")]
     named = {word for span in spans for word in re.findall(r"\w+", span)}
     unread = []
     for module, tree in trees.items():
@@ -116,6 +118,9 @@ def test_unread_public_check_sees_reads_exports_and_readme():
     trees = {"a": a, "b": b, "__init__": init}
     assert unread_public_names(trees, readme) == ["a:dead", "a:Box.corners"]
     assert unread_public_names(trees, readme + "`Box.corners`, `dead`") == []
+    output = '```json\n{"dead": 1}\n```\n```csv\ndead,corners\n```\n```\ncorners\n```\n'
+    assert unread_public_names(trees, readme + output) == ["a:dead", "a:Box.corners"]
+    assert unread_public_names(trees, readme + output + "```sh\ndead --corners\n```\n") == []
 
 
 def test_unread_public_check_ignores_a_parameter_that_shadows_a_method():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, build_power_law, nonzero_terms, pauli_table
 from trotterforge.trotter import (
-    SimulationRequest,
     TrotterErrorReport,
     commutator_norm_sum,
     error_report_csv,
@@ -14,7 +13,6 @@ from trotterforge.trotter import (
     induced_1norm,
     pauli_commutator_sum,
     restricted_induced_1norm,
-    step_count,
     steps_for,
 )
 
@@ -186,11 +184,6 @@ def test_step_count_examples():
     assert steps_for(4.0, 1.0, 0.1, 2) == 7
 
 
-def test_step_count_via_request():
-    req = SimulationRequest(None, t=1.0, eps=0.1, p=1)
-    assert step_count(req, 4.0) == 40
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.01, 50.0),
@@ -211,8 +204,6 @@ def test_step_count_domain():
         steps_for(-1.0, 1.0, 0.1, 1)
     with pytest.raises(DomainError):
         steps_for(1.0, 0.0, 0.1, 1)
-    with pytest.raises(DomainError):
-        SimulationRequest(None, t=1.0, eps=1.5, p=1)
 
 
 # -- fermionic norms --------------------------------------------------------------------
