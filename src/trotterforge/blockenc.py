@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import BoxGrid
-from .errors import DomainError, ValidationError, check_memory
+from .decomp import nested_boxes, shifted_region
+from .errors import DomainError, ValidationError, check_float_range, check_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,16 +30,6 @@ class BlockEncoding:
 
     def encoded(self) -> np.ndarray:
         return self.g1.conj().T @ self.u @ self.g0
-
-
-@dataclass(frozen=True, eq=False)
-class PreparationConfig:
-    grid: BoxGrid
-    xi: int | None = None  # inequality-test resolution; None = exact limit
-
-    def __post_init__(self) -> None:
-        if self.xi is not None and self.xi < 2:
-            raise DomainError(f"resolution must be >= 2, got {self.xi}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,35 +71,33 @@ def build_lcu_encoding(terms: Sequence[tuple[float, np.ndarray]]) -> BlockEncodi
     return BlockEncoding(g0=g, g1=g, u=u, lam=lam, hermitian=hermitian)
 
 
-def build_boxed_preparation(block: np.ndarray, config: PreparationConfig) -> PreparedBlock:
-    """Preparation state over one cross block, grouped by the box grid.
+def build_boxed_preparation(block: np.ndarray, xi: int | None = None) -> PreparedBlock:
+    """Preparation state over one square cross block, grouped by its box grid.
 
-    Exact mode yields amplitudes sqrt|b|/sqrt(1-norm) with success probability
-    (1-norm)/(box norm). Finite resolution Xi rounds each magnitude up to the
-    grid max times ceil(Xi |b| / max)/Xi; the reported encoding error is the
-    induced coefficient perturbation sum |b~ - |b||.
+    Exact mode (xi None) yields amplitudes sqrt|b|/sqrt(1-norm) with success probability
+    (1-norm)/(box norm). Finite inequality-test resolution xi rounds each magnitude up to
+    the box max times ceil(xi |b| / max)/xi; the reported encoding error is the induced
+    coefficient perturbation sum |b~ - |b||.
     """
+    if xi is not None and xi < 2:
+        raise DomainError(f"resolution must be >= 2, got {xi}")
     b = np.abs(np.asarray(block, dtype=float))
-    half = config.grid.half_size
-    if b.shape != (half, half):
-        raise ValidationError(f"block shape {b.shape} does not match grid {half}")
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValidationError(f"block shape {b.shape} is not square")
+    grid = nested_boxes(len(b))  # rejects a side that is not a power of two
     if not np.all(np.isfinite(b)):
         raise ValidationError("block entries must be finite")
     if b.max() == 0.0:
         return PreparedBlock(np.zeros(0), 0.0, 0.0, np.zeros_like(b))
     tilde = np.zeros_like(b)
     box_norm = 0.0
-    for box in config.grid.all_boxes():
-        rows = slice(box.u_lo + half, box.u_hi + half + 1)
-        cols = slice(box.v_lo - 1, box.v_hi)
+    for box in grid.all_boxes():
+        rows, cols = shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), grid.half_size).slices()
         sub = b[rows, cols]
         box_max = float(sub.max())
         if box_max == 0.0:
             continue
-        if config.xi is None:
-            tilde[rows, cols] = sub
-        else:
-            tilde[rows, cols] = box_max * np.ceil(config.xi * sub / box_max) / config.xi
+        tilde[rows, cols] = sub if xi is None else box_max * np.ceil(xi * sub / box_max) / xi
         box_norm += box.weight * box_max
     one_norm = float(tilde.sum())
     state = np.sqrt(tilde.flatten() / one_norm)
@@ -188,7 +176,8 @@ def qubitization_step_count(tau: float, eps: float) -> int:
         raise DomainError(f"effective time must be >= 0, got {tau}")
     if not (0.0 < eps < 1.0):
         raise DomainError(f"accuracy must be in (0,1), got {eps}")
-    r = math.ceil(max(2.0, math.e * tau + math.log(1.0 / eps)))
+    raw = max(2.0, math.e * tau + math.log(1.0 / eps))
+    r = math.ceil(check_float_range(raw, f"the qubitization step count at tau={tau!r}, eps={eps!r}"))
     return r + (r % 2)
 
 

@@ -55,6 +55,7 @@ from .lowrank import rank_profile
 from .trotter import (
     PAULI_COMMUTATOR_ORDERS,
     TrotterErrorReport,
+    error_bound,
     error_report_csv,
     pauli_commutator_sum,
     steps_for,
@@ -246,7 +247,7 @@ def _run_error_sweep(args) -> None:
             p=args.p,
             t=step.t,
             alpha_comm=alpha,
-            bound=alpha * step.t ** (args.p + 1),
+            bound=error_bound(alpha, step.t, args.p),
             empirical=empirical,
             r=steps_for(alpha, step.t, args.eps, args.p),
         )

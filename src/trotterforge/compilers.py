@@ -50,8 +50,8 @@ from .circuit import (
     spectral_distance,
 )
 from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
-from .errors import DomainError, ValidationError, check_memory
-from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
+from .errors import DomainError, ValidationError, check_float_range, check_memory
+from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
 from .lowrank import TruncatedFactor, truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
@@ -155,7 +155,7 @@ _DIAGONAL_DISTANCE_BYTES = 176
 
 
 def check_distance_capacity(spec: HamiltonianSpec) -> None:
-    """Raise CapacityError if ``step_distances`` on this spec would exceed physical memory.
+    """Raise CapacityError if ``step_distances`` on this spec would exceed physical memory or the float range.
 
     It decides the path from the spec alone, so it can run before any step is compiled.
     """
@@ -166,6 +166,9 @@ def check_distance_capacity(spec: HamiltonianSpec) -> None:
         )
     else:
         check_dense_capacity(spec.n)
+    with np.errstate(over="ignore"):
+        one_norm = sum(float(np.abs(coeffs).sum()) for _, coeffs in spec.term_groups()) + abs(spec.identity)
+    check_float_range(one_norm, "the sum of the spec's |coefficients|")
 
 
 def step_distances(spec: HamiltonianSpec, steps: Sequence[CompiledStep]) -> list[float]:
@@ -281,7 +284,7 @@ def phase_register_width(n: int, t: float, eps: float) -> int:
     """Declared fixed-point width of phase registers: ceil(log2(nt/eps)) + 4."""
     if eps <= 0:
         raise DomainError(f"accuracy must be positive, got {eps}")
-    raw = n * abs(t) / eps
+    raw = check_float_range(n * abs(t) / eps, f"n t / eps at n={n}, t={t!r}, eps={eps!r}")
     return max(1, math.ceil(math.log2(raw))) + 4 if raw > 1.0 else 5
 
 
@@ -409,9 +412,9 @@ def compile_lowrank_step(
         raise DomainError(f"tolerance must be positive, got {tol}")
     dec = lowrank_decompose(spec.n, cutoff_size)
     width = phase_register_width(spec.n, t, eps)
-    # near-field rectangles, then the within blocks (data is zero below the diagonal)
-    remainder = [(p.left, p.right) for p in dec.near_field]
-    remainder += [(block, block) for block in dec.within_blocks]
+    # near-field regions, then the within blocks (data is zero below the diagonal)
+    remainder = [p.cross_region() for p in dec.near_field]
+    remainder += [IndexRegion(block.sites(), block.sites()) for block in dec.within_blocks]
     factors: dict[tuple[PauliKind, PauliKind], list] = {}
     svds: dict[tuple[tuple[int, ...], bytes], TruncatedFactor] = {}  # keyed on a far block's exact bytes
 
@@ -430,9 +433,9 @@ def compile_lowrank_step(
             for fac, p in zip(factors[pair_key], dec.far_field)
             if fac.rank
         ]
-        for left, right in remainder:
-            sub = mat.data[left.lo - 1 : left.hi, right.lo - 1 : right.hi]
-            ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), left.sites(), right.sites(), sub))
+        for region in remainder:
+            sub = mat.data[region.slices()]
+            ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
     return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
@@ -466,13 +469,10 @@ def compile_avgcost_step(
                 sub, cell_1, ratio = cell_norms(mat.data, cell)
                 if cell_1 == 0.0:
                     continue
-                jlo, jhi, klo, khi = cell.region.rectangles[0]
                 steps = qubitization_step_count(cell_1 * abs(theta), eps)
-                cost = steps * (
-                    cell_prep_cost(cell.width_j, cell.width_k, ratio)
-                    + cell_select_cost(cell.width_j, cell.width_k)
-                )
-                ops.append(_StageOp("cell", cost, range(jlo, jhi + 1), range(klo, khi + 1), sub))
+                width_j, width_k = sub.shape
+                cost = steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
+                ops.append(_StageOp("cell", cost, cell.region.rows, cell.region.cols, sub))
         return ops
 
     return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)

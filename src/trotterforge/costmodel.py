@@ -17,7 +17,7 @@ from .compilers import (
     compile_sequential_step,
     phase_register_width,
 )
-from .decomp import bisection_decompose, pair_box_norms
+from .decomp import LowRankDecomposition, bisection_decompose, pair_box_norms
 from .errors import DomainError, ValidationError
 from .hamlib import HamiltonianSpec, PauliKind, build_power_law
 
@@ -265,7 +265,7 @@ def gate_count_report(
         if method == "lowrank":
             # Fit the power net of the count model's own log factors (phase
             # register width times far-layer depth); raw counts stay in the CSV.
-            layers = max(1, (n // cutoff_size).bit_length() - 2)
+            layers = max(1, LowRankDecomposition(n, cutoff_size).depth - 1)
             fit_values.append(counts[-1] / (phase_register_width(n, t, eps) * layers))
         else:
             fit_values.append(float(counts[-1]))

@@ -14,6 +14,7 @@ to coordinates u in [-L,-1], v in [1,L] around the split point.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,7 +65,7 @@ class IntervalPair:
         return self.right.lo - self.left.hi - 1
 
     def cross_region(self) -> IndexRegion:
-        return IndexRegion.rect(self.left.lo, self.left.hi, self.right.lo, self.right.hi)
+        return IndexRegion(self.left.sites(), self.right.sites())
 
     def is_contiguous_halves(self) -> bool:
         return self.gap == 0 and self.left.length == self.right.length
@@ -80,17 +81,19 @@ class BisectionDecomposition:
 class LowRankDecomposition:
     n: int
     cutoff_size: int
-    far_field: tuple[IntervalPair, ...]
-    near_field: tuple[IntervalPair, ...]
-    within_blocks: tuple[Interval, ...]
+    far_field: tuple[IntervalPair, ...] = ()
+    near_field: tuple[IntervalPair, ...] = ()
+    within_blocks: tuple[Interval, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        """Layers down to the cutoff scale, log2(n / cutoff_size); the near pairs sit on the last."""
+        return (self.n // self.cutoff_size).bit_length() - 1
 
     def all_regions(self) -> list[IndexRegion]:
         regions = [p.cross_region() for p in self.far_field + self.near_field]
         for block in self.within_blocks:
-            if block.length >= 2:
-                for j in block.sites():
-                    if j < block.hi:
-                        regions.append(IndexRegion.rect(j, j, j + 1, block.hi))
+            regions += [IndexRegion(range(j, j + 1), range(j + 1, block.hi + 1)) for j in range(block.lo, block.hi)]
         return regions
 
 
@@ -126,7 +129,7 @@ def lowrank_decompose(n: int, cutoff_size: int) -> LowRankDecomposition:
         raise DomainError(f"n must be a power of 2 with n >= 2, got {n}")
     if not _is_pow2(cutoff_size) or not (1 <= cutoff_size <= n // 2):
         raise DomainError(f"cutoff must be a power of 2 in [1, {n // 2}], got {cutoff_size}")
-    depth = (n // cutoff_size).bit_length() - 1
+    depth = LowRankDecomposition(n, cutoff_size).depth
     far = []
     for layer in range(2, depth + 1):
         d = n >> layer
@@ -177,6 +180,7 @@ class BoxGrid:
         return self.boxes + self.boundary
 
 
+@functools.cache
 def nested_boxes(half_size: int) -> BoxGrid:
     """Dyadic boxes over u in [-L,-1], v in [1,L]; extremes become unit boxes."""
     if not _is_pow2(half_size) or half_size < 2:
@@ -191,34 +195,29 @@ def nested_boxes(half_size: int) -> BoxGrid:
     return BoxGrid(half_size, tuple(boxes), tuple(boundary))
 
 
-_GRID_CACHE: dict[int, BoxGrid] = {}
+def shifted_region(u: tuple[int, int], v: tuple[int, int], half: int, corner=(1, 1)) -> IndexRegion:
+    """The rows x cols of a half x half cross block that shifted u (< 0) and v (> 0) cover.
 
-
-def _grid(half_size: int) -> BoxGrid:
-    if half_size not in _GRID_CACHE:
-        _GRID_CACHE[half_size] = nested_boxes(half_size)
-    return _GRID_CACHE[half_size]
-
-
-def shift_to_matrix(pair: IntervalPair, u: int, v: int) -> tuple[int, int]:
-    """Map shifted coordinates (u < 0 < v) to matrix coordinates (j, k)."""
-    mid = pair.left.hi
-    return mid + 1 + u, mid + v
+    u and v are inclusive (lo, hi) ranges. Row u of the block is block row
+    u + half and column v is block column v - 1, both 0-based; ``corner`` is the
+    block's top-left (row, column), 1-based, so (1, 1) indexes the block itself
+    and (left.lo, right.lo) a pair's sites.
+    """
+    j, k = corner[0] + half, corner[1] - 1
+    return IndexRegion(range(j + u[0], j + u[1] + 1), range(k + v[0], k + v[1] + 1))
 
 
 def boxes_for_pair(pair: IntervalPair) -> list[tuple[int, IndexRegion]]:
     """(weight, region) groupings of a contiguous equal-half pair, matrix coords."""
     if not pair.is_contiguous_halves():
         raise ValidationError("box grids apply to contiguous equal-half pairs")
-    half = pair.left.length
+    half, corner = pair.left.length, (pair.left.lo, pair.right.lo)
     if half == 1:
-        return [(1, IndexRegion.single(pair.left.lo, pair.right.lo))]
-    out = []
-    for box in _grid(half).all_boxes():
-        j_lo, k_lo = shift_to_matrix(pair, box.u_lo, box.v_lo)
-        j_hi, k_hi = shift_to_matrix(pair, box.u_hi, box.v_hi)
-        out.append((box.weight, IndexRegion.rect(j_lo, j_hi, k_lo, k_hi)))
-    return out
+        return [(1, pair.cross_region())]
+    return [
+        (box.weight, shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), half, corner))
+        for box in nested_boxes(half).all_boxes()
+    ]
 
 
 @dataclass(frozen=True)
@@ -254,24 +253,15 @@ class Cell:
 
     j: int
     k: int
-    width_j: int
-    width_k: int
     region: IndexRegion
 
 
 def cells_for_pair(pair: IntervalPair, m: int) -> list[Cell]:
     if not pair.is_contiguous_halves():
         raise ValidationError("subdivision applies to contiguous equal-half pairs")
-    half = pair.left.length
-    sub = subdivide(half, min(m, half))
-    out = []
-    for j, k, (u_lo, u_hi), (v_lo, v_hi) in sub.cell_bounds():
-        j_lo, k_lo = shift_to_matrix(pair, u_lo, v_lo)
-        j_hi, k_hi = shift_to_matrix(pair, u_hi, v_hi)
-        out.append(
-            Cell(j, k, u_hi - u_lo + 1, v_hi - v_lo + 1, IndexRegion.rect(j_lo, j_hi, k_lo, k_hi))
-        )
-    return out
+    half, corner = pair.left.length, (pair.left.lo, pair.right.lo)
+    cells = subdivide(half, min(m, half)).cell_bounds()
+    return [Cell(j, k, shifted_region(u, v, half, corner)) for j, k, u, v in cells]
 
 
 def pair_box_norms(mat: CoeffMatrix, pair: IntervalPair) -> tuple[float, float, float]:
@@ -290,15 +280,14 @@ def pair_box_norms(mat: CoeffMatrix, pair: IntervalPair) -> tuple[float, float, 
 def cell_norms(data: np.ndarray, cell: Cell) -> tuple[np.ndarray, float, float]:
     """(slice, cell_1, lambda_avg) of one cell of an upper-triangular coefficient array.
 
-    lambda_avg = width_j * width_k * max|beta| / cell_1 over the slice; an
-    all-zero cell gives ratio 1.
+    lambda_avg = width_j * width_k * max|beta| / cell_1 over the width_j x width_k
+    slice; an all-zero cell gives ratio 1.
     """
-    jlo, jhi, klo, khi = cell.region.rectangles[0]
-    sub = data[jlo - 1 : jhi, klo - 1 : khi]
+    sub = data[cell.region.slices()]
     cell_1 = float(np.abs(sub).sum())
     if cell_1 == 0.0:
         return sub, 0.0, 1.0
-    return sub, cell_1, cell.width_j * cell.width_k * float(np.abs(sub).max()) / cell_1
+    return sub, cell_1, sub.size * float(np.abs(sub).max()) / cell_1
 
 
 @dataclass(frozen=True)
@@ -333,7 +322,7 @@ def _is_exact_power_law(spec: HamiltonianSpec) -> bool:
 def amplification_ratios(
     spec: HamiltonianSpec,
     decomposition: BisectionDecomposition,
-    subdivision: Subdivision | int | None = None,
+    m: int | None = None,
 ) -> AmplificationReport:
     """Worst-case box-norm and cell-norm amplification over all pairs.
 
@@ -341,11 +330,8 @@ def amplification_ratios(
     """
     if spec.n != decomposition.n:
         raise ValidationError("spec and decomposition disagree on n")
-    m = None
-    if subdivision is not None:
-        m = subdivision.m if isinstance(subdivision, Subdivision) else int(subdivision)
-        if m < 1:
-            raise DomainError(f"subdivision count must be >= 1, got {m}")
+    if m is not None and m < 1:
+        raise DomainError(f"subdivision count must be >= 1, got {m}")
     rows = []
     lam_block = 1.0
     lam_avg = 1.0 if m is not None else None
@@ -442,7 +428,7 @@ def decomposition_to_json(dec: BisectionDecomposition | LowRankDecomposition) ->
         records = pairs_to_records(dec.far_field + dec.near_field)
         records += [
             {
-                "layer": (dec.n // dec.cutoff_size).bit_length() - 1,
+                "layer": dec.depth,
                 "block": i,
                 "left": [block.lo, block.hi],
                 "right": [block.lo, block.hi],

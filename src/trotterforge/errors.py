@@ -6,6 +6,7 @@ CapacityError to exit code 3.
 
 from __future__ import annotations
 
+import math
 import os
 from decimal import Decimal
 
@@ -38,6 +39,13 @@ def _gib(nbytes: int) -> str:
     # Decimal divides an int of any size, where float division overflows past 2^1024
     gib = Decimal(nbytes) / 2**30
     return f"{gib:.1f} GiB" if gib < 10**6 else f"{gib:.2e} GiB"
+
+
+def check_float_range(value: float, what: str) -> float:
+    """``value``, or a CapacityError if it is not finite: ``what`` left the float range."""
+    if not math.isfinite(value):
+        raise CapacityError(f"{what} exceeds the float range")
+    return value
 
 
 def check_memory(need: int, what: str) -> None:

@@ -9,6 +9,7 @@ geometry of the grouping stays in the decomp module.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -116,34 +117,23 @@ class CoeffMatrix:
 
 @dataclass(frozen=True)
 class IndexRegion:
-    """Union of pairwise-disjoint inclusive rectangles of index pairs."""
+    """The rectangle rows x cols of 1-based index pairs; both sides nonempty unit-step ranges."""
 
-    rectangles: tuple[tuple[int, int, int, int], ...]
+    rows: range
+    cols: range
 
     def __post_init__(self) -> None:
-        rects = tuple(tuple(int(x) for x in r) for r in self.rectangles)
-        for jlo, jhi, klo, khi in rects:
-            if jlo > jhi or klo > khi:
-                raise ValidationError(f"empty rectangle ({jlo},{jhi},{klo},{khi})")
-        for i, a in enumerate(rects):
-            for b in rects[i + 1 :]:
-                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                    raise ValidationError("rectangles must be pairwise disjoint")
-        object.__setattr__(self, "rectangles", rects)
+        for side in (self.rows, self.cols):
+            if not isinstance(side, range) or not side or side.step != 1:
+                raise ValidationError(f"region sides must be nonempty unit-step ranges, got {side!r}")
 
-    @classmethod
-    def rect(cls, jlo: int, jhi: int, klo: int, khi: int) -> "IndexRegion":
-        return cls(((jlo, jhi, klo, khi),))
-
-    @classmethod
-    def single(cls, j: int, k: int) -> "IndexRegion":
-        return cls(((j, j, k, k),))
+    def slices(self) -> tuple[slice, slice]:
+        """The 0-based array slices of the rows and the columns."""
+        return slice(self.rows.start - 1, self.rows.stop - 1), slice(self.cols.start - 1, self.cols.stop - 1)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for jlo, jhi, klo, khi in self.rectangles:
-            for j in range(jlo, jhi + 1):
-                for k in range(klo, khi + 1):
-                    yield j, k
+        """Every (j, k) of the region, row-major."""
+        yield from itertools.product(self.rows, self.cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,21 +365,11 @@ def norms(
 
 
 def _region_norm(matrix: CoeffMatrix, region: IndexRegion, use_max: bool) -> float:
-    """Max or sum of |symmetric completion| over the region's rectangles.
-
-    The sum accumulates in (rectangle, j, k) order, like a loop over the pairs.
-    """
-    parts = []
-    for jlo, jhi, klo, khi in region.rectangles:
-        if jlo < 1 or klo < 1 or jhi > matrix.n or khi > matrix.n:
-            raise IndexRangeError(
-                f"region rectangle ({jlo},{jhi},{klo},{khi}) outside the index range"
-            )
-        rows, cols = slice(jlo - 1, jhi), slice(klo - 1, khi)
-        parts.append(np.abs(matrix.data[rows, cols] + matrix.data.T[rows, cols]).ravel())
-    if not parts:
-        return 0.0
-    values = np.concatenate(parts)
+    """Max or sum of |symmetric completion| over the region; the sum accumulates in (j, k) order."""
+    rs, cs = region.slices()
+    if rs.start < 0 or cs.start < 0 or rs.stop > matrix.n or cs.stop > matrix.n:
+        raise IndexRangeError(f"region {region.rows} x {region.cols} outside the index range 1..{matrix.n}")
+    values = np.abs(matrix.data[rs, cs] + matrix.data.T[rs, cs])
     return float(values.max() if use_max else np.cumsum(values)[-1])
 
 

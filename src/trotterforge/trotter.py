@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_memory
+from .errors import DomainError, ValidationError, check_float_range, check_memory
 
 COMMUTATOR_ORDER_CAP = 3
 PAULI_COMMUTATOR_ORDERS = (1, 2)
@@ -97,8 +97,17 @@ def steps_for(alpha: float, t: float, eps: float, p: int) -> int:
         raise DomainError("need t > 0, eps > 0, p >= 1")
     if alpha == 0.0:
         return 1
-    raw = (alpha * t ** (p + 1) / eps) ** (1.0 / p)
-    return max(1, math.ceil(raw))
+    raw = (error_bound(alpha, t, p) / eps) ** (1.0 / p)
+    return max(1, math.ceil(check_float_range(raw, f"the step count at t={t!r}, eps={eps!r}")))
+
+
+def error_bound(alpha: float, t: float, p: int) -> float:
+    """alpha t^{p+1}, the error bound of one order-p step of length t."""
+    try:
+        bound = alpha * t ** (p + 1)
+    except OverflowError:  # float ** raises where * gives inf
+        bound = math.inf
+    return check_float_range(bound, f"the error bound alpha t^{p + 1} at t={t!r}")
 
 
 def induced_1norm(matrix: np.ndarray) -> float:

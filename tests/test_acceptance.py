@@ -13,7 +13,6 @@ from scipy.linalg import expm
 
 from conftest import coeff_matrix
 from trotterforge.blockenc import (
-    PreparationConfig,
     build_boxed_preparation,
     build_lcu_encoding,
     walk_invariant_phases,
@@ -99,10 +98,8 @@ def test_01_pair_covers_are_exact():
     def tally(regions, n, label):
         seen = {}
         for region in regions:
-            for j_lo, j_hi, k_lo, k_hi in region.rectangles:
-                for j in range(j_lo, j_hi + 1):
-                    for k in range(k_lo, k_hi + 1):
-                        seen[(j, k)] = seen.get((j, k), 0) + 1
+            for j, k in region.pairs():
+                seen[(j, k)] = seen.get((j, k), 0) + 1
         want = {(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)}
         if set(seen) != want or any(v != 1 for v in seen.values()):
             problems.append(f"{label} n={n}: cover is not exact")
@@ -148,7 +145,7 @@ def test_02_block_encoding_identity():
             mat.block(list(range(1, half + 1)), list(range(half + 1, n + 1)))
         )
         grid = nested_boxes(half)
-        prep = build_boxed_preparation(block, PreparationConfig(grid))
+        prep = build_boxed_preparation(block)
         box_norm = 0.0
         for box in grid.all_boxes():
             sub = block[box.u_lo + half : box.u_hi + half + 1, box.v_lo - 1 : box.v_hi]

@@ -5,7 +5,6 @@ import pytest
 
 from trotterforge.blockenc import (
     BlockEncoding,
-    PreparationConfig,
     block_prep_cost,
     block_select_cost,
     build_boxed_preparation,
@@ -16,7 +15,7 @@ from trotterforge.blockenc import (
     walk_invariant_phases,
     walk_operator,
 )
-from trotterforge.decomp import nested_boxes
+from trotterforge.decomp import bisection_decompose, nested_boxes, pair_box_norms
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import PauliKind, build_power_law
 
@@ -91,9 +90,8 @@ def test_lcu_rejects_bad_terms():
 
 
 def test_uniform_block_success_one():
-    grid = nested_boxes(4)
     block = np.full((4, 4), 0.3)
-    prep = build_boxed_preparation(block, PreparationConfig(grid))
+    prep = build_boxed_preparation(block)
     assert prep.success_probability == pytest.approx(1.0)
     assert prep.encoding_error == 0.0
     assert np.allclose(prep.state, 0.25)
@@ -104,7 +102,7 @@ def test_power_law_half_block_success():
     spec = build_power_law(16, 1, 2.0)
     mat = spec.two_local[(PauliKind.Z, PauliKind.Z)]
     block = mat.block(list(range(1, 9)), list(range(9, 17)))
-    prep = build_boxed_preparation(block, PreparationConfig(nested_boxes(8)))
+    prep = build_boxed_preparation(block)
     assert prep.success_probability >= 0.25
     assert prep.success_probability == pytest.approx(
         np.abs(block).sum() / box_norm_oracle(block, nested_boxes(8))
@@ -115,7 +113,7 @@ def test_finite_resolution_error_bound():
     rng = np.random.default_rng(9)
     block = rng.uniform(0.0, 1.0, (8, 8))
     xi = 1 << 20
-    prep = build_boxed_preparation(block, PreparationConfig(nested_boxes(8), xi=xi))
+    prep = build_boxed_preparation(block, xi=xi)
     assert prep.encoding_error <= block.size * np.abs(block).max() / xi
     assert np.all(prep.coeffs >= np.abs(block) - 1e-15)  # rounding is upward
 
@@ -125,7 +123,7 @@ def test_resolution_error_slope():
     block = rng.uniform(0.1, 1.0, (8, 8))
     xis = np.array([1 << 8, 1 << 12, 1 << 16], dtype=float)
     errs = [
-        build_boxed_preparation(block, PreparationConfig(nested_boxes(8), xi=int(x))).encoding_error
+        build_boxed_preparation(block, xi=int(x)).encoding_error
         for x in xis
     ]
     slope = np.polyfit(np.log(xis), np.log(errs), 1)[0]
@@ -133,16 +131,40 @@ def test_resolution_error_slope():
 
 
 def test_zero_block_degenerate():
-    prep = build_boxed_preparation(np.zeros((4, 4)), PreparationConfig(nested_boxes(4)))
+    prep = build_boxed_preparation(np.zeros((4, 4)))
     assert prep.success_probability == 0.0
     assert prep.state.size == 0
 
 
 def test_preparation_config_validation():
     with pytest.raises(DomainError):
-        PreparationConfig(nested_boxes(4), xi=1)
+        build_boxed_preparation(np.ones((4, 4)), xi=1)
     with pytest.raises(ValidationError):
-        build_boxed_preparation(np.ones((3, 4)), PreparationConfig(nested_boxes(4)))
+        build_boxed_preparation(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("side", [1, 3, 6, 12])
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_boxed_preparation_rejects_a_side_off_the_box_grids(side, fill):
+    # the grid comes from the side, so an all-zero block is checked before its early return
+    with pytest.raises(DomainError):
+        build_boxed_preparation(np.full((side, side), fill))
+
+
+def test_boxed_preparation_agrees_with_pair_box_norms():
+    # both read the box grid through shifted_region: one over the block, one over the pair's sites
+    mat = build_power_law(32, 1, 1.5, (PauliKind.Z, PauliKind.Z), "seeded-random", seed=7).two_local[
+        (PauliKind.Z, PauliKind.Z)
+    ]
+    checked = 0
+    for pair in bisection_decompose(32).pairs:
+        if pair.left.length == 1:
+            continue  # a 1 x 1 block has no box grid
+        vec1, box1, _ = pair_box_norms(mat, pair)
+        prep = build_boxed_preparation(np.abs(mat.block(pair.left.sites(), pair.right.sites())))
+        assert prep.success_probability == pytest.approx(vec1 / box1, rel=1e-13, abs=0.0)
+        checked += 1
+    assert checked == 15
 
 
 # -- walk operator ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -645,3 +646,44 @@ def test_module_entrypoint_subprocess(tmp_path):
                           "--n", "16", "--pauli", "xx"], capture_output=True, text=True)
     assert bad.returncode == 3
     assert "capacity" in bad.stderr
+
+
+def _two_entry_spec(tmp_path, pauli, value):
+    path = tmp_path / f"{pauli}_{value!r}.json"
+    terms = [{"sigma": pauli[0], "sigma2": pauli[1], "entries": [[1, 2, value], [1, 3, value]]}]
+    path.write_text(json.dumps({"n": 3, "d": 1, "terms": terms}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost-report", "--method", "block", "--t", "1e308", "--n-sweep", "64,128,256,512"],
+        ["cost-report", "--method", "lowrank", "--t", "1e308", "--n-sweep", "64,128,256,512"],
+        ["compile", "--n", "8", "--t", "1e308", "--method", "lowrank", "--count-only"],
+        ["compile", "--n", "4", "--t", "1e308", "--method", "avgcost", "--count-only"],
+        ["compile", "--n", "4", "--method", "avgcost", "--count-only", "--eps", "5e-324"],
+        ["error-sweep", "--n", "4", "--pauli", "xz", "--t-values", "1e200"],
+        ["chem", "--g-sweep", "3", "--step-grid", "2", "--t", "1e200"],
+        ["verify", "--input", "zz"],
+        ["error-sweep", "--input", "zz"],
+        ["verify", "--input", "xx"],
+    ],
+)
+def test_a_result_past_the_float_range_is_a_capacity_error(tmp_path, capsys, argv):
+    if argv[-1] in ("zz", "xx"):
+        # |c| sums to 2e308, past the largest float
+        argv = argv[:-1] + [_two_entry_spec(tmp_path, argv[-1], 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
+        rc, err = exit_code_and_stderr(capsys, argv)
+    assert rc == 3
+    assert err.startswith("capacity error: ") and err.endswith("exceeds the float range\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pauli", ["zz", "xx"])
+def test_a_coefficient_sum_inside_the_float_range_verifies(tmp_path, capsys, pauli):
+    rc, out = run_cli(capsys, "verify", "--input", _two_entry_spec(tmp_path, pauli, 8e307))
+    assert rc == 0
+    assert math.isfinite(json.loads(out)["distance"])

@@ -331,7 +331,7 @@ def test_cell_norms_match_a_pair_loop(m):
             values = [abs(data[j - 1, k - 1]) for j, k in cell.region.pairs()]
             assert sorted(np.abs(sub).ravel()) == sorted(values)
             assert cell_1 == pytest.approx(sum(values))
-            want = cell.width_j * cell.width_k * max(values) / cell_1 if cell_1 else 1.0
+            want = len(cell.region.rows) * len(cell.region.cols) * max(values) / cell_1 if cell_1 else 1.0
             assert ratio == pytest.approx(want)
 
 

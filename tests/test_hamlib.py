@@ -198,10 +198,10 @@ def test_norm_examples_power_law_n4():
 
 def test_restricted_region_norms():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
-    region = IndexRegion.rect(1, 2, 3, 4)
+    region = IndexRegion(range(1, 3), range(3, 5))
     assert norms(mat, "restricted_1", region=region) == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
     assert norms(mat, "box_1", boxes=[(1, region)]) == pytest.approx(1.0)  # one box: the region max
-    boxes = [(1, IndexRegion.single(1, 3)), (2, IndexRegion.rect(2, 2, 3, 4))]
+    boxes = [(1, IndexRegion(range(1, 2), range(3, 4))), (2, IndexRegion(range(2, 3), range(3, 5)))]
     assert norms(mat, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
 
 
@@ -209,21 +209,19 @@ def test_region_norms_match_pair_loop():
     rng = np.random.default_rng(3)
     mat = rand_coeff(rng, 40)
     regions = [
-        IndexRegion.rect(1, 20, 21, 40),
-        IndexRegion.rect(25, 40, 1, 12),  # below the diagonal: the symmetric completion
-        IndexRegion.rect(5, 30, 10, 35),  # straddles the diagonal
-        IndexRegion(((1, 1, 2, 40), (3, 9, 1, 2), (40, 40, 40, 40))),
-        IndexRegion(()),
+        IndexRegion(range(1, 21), range(21, 41)),
+        IndexRegion(range(25, 41), range(1, 13)),  # below the diagonal: the symmetric completion
+        IndexRegion(range(5, 31), range(10, 36)),  # straddles the diagonal
     ]
     for region in regions:
         assert norms(mat, "restricted_1", region=region) == region_norm_oracle(mat, region, False)
         assert norms(mat, "box_1", boxes=[(1, region)]) == region_norm_oracle(mat, region, True)
-    boxes = [(1, regions[0]), (3, regions[1]), (2, regions[3])]
+    boxes = [(1, regions[0]), (3, regions[1]), (2, regions[2])]
     expected = 0.0
     for weight, region in boxes:
         expected += weight * region_norm_oracle(mat, region, True)
     assert norms(mat, "box_1", boxes=boxes) == expected
-    for bad in (IndexRegion.rect(38, 41, 1, 2), IndexRegion.rect(0, 2, 3, 4)):
+    for bad in (IndexRegion(range(38, 42), range(1, 3)), IndexRegion(range(0, 3), range(3, 5))):
         with pytest.raises(IndexRangeError):
             region_norm_oracle(mat, bad, False)
         with pytest.raises(IndexRangeError):
@@ -232,6 +230,21 @@ def test_region_norms_match_pair_loop():
             norms(mat, "box_1", boxes=[(1, bad)])
         with pytest.raises(IndexRangeError):
             norms(mat, "box_1", boxes=[(1, regions[0]), (1, bad)])
+
+
+def test_index_region_is_one_unit_step_rectangle():
+    region = IndexRegion(range(2, 4), range(5, 8))
+    assert list(region.pairs()) == [(2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)]  # row-major
+    assert region.slices() == (slice(1, 3), slice(4, 7))
+    for rows, cols in [
+        (range(3, 3), range(1, 4)),
+        (range(1, 4), range(5, 2)),
+        (range(1, 6, 2), range(7, 9)),
+        (range(1, 3), range(9, 4, -1)),
+        ((1, 2), range(3, 4)),
+    ]:
+        with pytest.raises(ValidationError):
+            IndexRegion(rows, cols)
 
 
 def test_norm_eta_out_of_range():
