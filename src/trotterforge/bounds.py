@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_float_range
 
 LOG_BASE = "e"
 
@@ -102,6 +102,7 @@ def _qubit_denominator(query: BoundQuery, accuracy: float) -> float:
 
 
 def _finish(raw: float, constants: dict, *, force_vacuous: bool = False) -> BoundResult:
+    check_float_range(raw, "the raw lower bound")
     vacuous = force_vacuous or raw <= 0.0
     constants["raw"] = raw
     constants["log_base"] = LOG_BASE

@@ -382,7 +382,7 @@ def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
     n = (u.shape[0] - 1).bit_length()
     mask = hamming_projector_mask(n, eta)
-    diff = (u - v)[np.ix_(mask, mask)]
+    diff = (u - v)[mask][:, mask]
     if diff.size == 0:
         return 0.0
     return _spectral_norm(diff)

@@ -51,7 +51,7 @@ from .circuit import (
 )
 from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_float_range, check_memory
-from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
+from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
 from .lowrank import TruncatedFactor, truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
@@ -412,9 +412,7 @@ def compile_lowrank_step(
         raise DomainError(f"tolerance must be positive, got {tol}")
     dec = lowrank_decompose(spec.n, cutoff_size)
     width = phase_register_width(spec.n, t, eps)
-    # near-field regions, then the within blocks (data is zero below the diagonal)
-    remainder = [p.cross_region() for p in dec.near_field]
-    remainder += [IndexRegion(block.sites(), block.sites()) for block in dec.within_blocks]
+    remainder = dec.remainder_regions()
     factors: dict[tuple[PauliKind, PauliKind], list] = {}
     svds: dict[tuple[tuple[int, ...], bytes], TruncatedFactor] = {}  # keyed on a far block's exact bytes
 
@@ -427,14 +425,14 @@ def compile_lowrank_step(
 
     def stage_ops(pair_key, mat, theta):
         if pair_key not in factors:
-            factors[pair_key] = [factor(mat.block(p.left.sites(), p.right.sites())) for p in dec.far_field]
+            factors[pair_key] = [factor(mat.block(p.cross_region())) for p in dec.far_field]
         ops = [
             _StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac)
             for fac, p in zip(factors[pair_key], dec.far_field)
             if fac.rank
         ]
         for region in remainder:
-            sub = mat.data[region.slices()]
+            sub = mat.block(region)
             ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
@@ -466,7 +464,7 @@ def compile_avgcost_step(
         ops = []
         for pair in dec.pairs:
             for cell in cells_for_pair(pair, m):
-                sub, cell_1, ratio = cell_norms(mat.data, cell)
+                sub, cell_1, ratio = cell_norms(mat, cell)
                 if cell_1 == 0.0:
                     continue
                 steps = qubitization_step_count(cell_1 * abs(theta), eps)

@@ -90,8 +90,9 @@ class LowRankDecomposition:
         """Layers down to the cutoff scale, log2(n / cutoff_size); the near pairs sit on the last."""
         return (self.n // self.cutoff_size).bit_length() - 1
 
-    def all_regions(self) -> list[IndexRegion]:
-        regions = [p.cross_region() for p in self.far_field + self.near_field]
+    def remainder_regions(self) -> list[IndexRegion]:
+        """The near-field cross blocks, then one strip (j, j+1..hi) per row of each within block."""
+        regions = [p.cross_region() for p in self.near_field]
         for block in self.within_blocks:
             regions += [IndexRegion(range(j, j + 1), range(j + 1, block.hi + 1)) for j in range(block.lo, block.hi)]
         return regions
@@ -277,13 +278,13 @@ def pair_box_norms(mat: CoeffMatrix, pair: IntervalPair) -> tuple[float, float, 
     return vec1, box1, box1 / vec1
 
 
-def cell_norms(data: np.ndarray, cell: Cell) -> tuple[np.ndarray, float, float]:
-    """(slice, cell_1, lambda_avg) of one cell of an upper-triangular coefficient array.
+def cell_norms(mat: CoeffMatrix, cell: Cell) -> tuple[np.ndarray, float, float]:
+    """(block, cell_1, lambda_avg) of one cell of a coefficient matrix.
 
     lambda_avg = width_j * width_k * max|beta| / cell_1 over the width_j x width_k
-    slice; an all-zero cell gives ratio 1.
+    block; an all-zero cell gives ratio 1.
     """
-    sub = data[cell.region.slices()]
+    sub = mat.block(cell.region)
     cell_1 = float(np.abs(sub).sum())
     if cell_1 == 0.0:
         return sub, 0.0, 1.0
@@ -343,7 +344,7 @@ def amplification_ratios(
             if m is None:
                 continue
             for cell in cells_for_pair(pair, m):
-                cratio = cell_norms(mat.data, cell)[2]
+                cratio = cell_norms(mat, cell)[2]
                 rows.append(
                     RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio)
                 )

@@ -1,10 +1,11 @@
 """Two-local Hamiltonian coefficient data and the region norms of its pairs.
 
-Coefficient matrices live on the strict upper triangle (1 <= j < k <= n).
-``norms`` reads their symmetric completion in two kinds: ``restricted_1``,
-the 1-norm over a region of index pairs, and ``box_1``, the sum of
-weight x region max over explicit (weight, region) groupings, so the
-geometry of the grouping stays in the decomp module.
+Coefficient matrices live on the strict upper triangle (1 <= j < k <= n),
+and ``CoeffMatrix.block(region)`` is the one reader of a rectangle of them.
+``norms`` reads regions in two kinds: ``restricted_1``, the 1-norm over a
+region of index pairs, and ``box_1``, the sum of weight x region max over
+explicit (weight, region) groupings, so the geometry of the grouping stays in
+the decomp module.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError, check_memory
+from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError
+from .errors import check_float_range, check_memory
 
 
 class PauliKind(Enum):
@@ -92,6 +94,7 @@ class CoeffMatrix:
             raise IndexRangeError(f"pair ({int(j)},{int(k)}) outside 1 <= j < k <= {n}")
         a = np.zeros((n, n))
         a[j.astype(np.int64) - 1, k.astype(np.int64) - 1] = values
+        a += 0.0  # in place, so a -0.0 entry is stored as 0.0 without a copy of the values
         a.setflags(write=False)  # handed over, so the constructor keeps it uncopied
         return cls(n, a)
 
@@ -101,18 +104,15 @@ class CoeffMatrix:
         a.setflags(write=False)
         return cls(n, a)
 
-    def value(self, j: int, k: int) -> float:
-        if not (1 <= j < k <= self.n):
-            raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {self.n}")
-        return float(self.data[j - 1, k - 1])
-
     def nonzero_pairs(self) -> Iterator[tuple[int, int, float]]:
         yield from ((j, k, v) for (j, k), v in nonzero_terms(self.data))
 
-    def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Dense sub-block of symmetric-completion values, 1-based index lists."""
-        idx = np.ix_(np.asarray(rows, dtype=int) - 1, np.asarray(cols, dtype=int) - 1)
-        return self.data[idx] + self.data.T[idx]
+    def block(self, region: IndexRegion) -> np.ndarray:
+        """The read-only view of the stored values over ``region``; an entry with j >= k reads 0."""
+        rows, cols = region.slices()
+        if rows.start < 0 or cols.start < 0 or rows.stop > self.n or cols.stop > self.n:
+            raise IndexRangeError(f"region {region.rows} x {region.cols} outside the index range 1..{self.n}")
+        return self.data[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -285,16 +285,24 @@ def build_power_law(
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
     check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.1 copies at n=1024 and 2048
+    side = probe.side
     js, ks = np.triu_indices(n, 1)
+    # A pair's offset sum_a |delta_a| side^a (k - j at d = 1) indexes a table of n magnitudes.
+    # Base-side digits of i are both site i's coordinates and offset i's |delta_a|.
     coords = np.arange(n)
-    d2 = np.zeros(js.size, dtype=np.int64)
-    for _ in range(d):
-        axis = coords % probe.side
-        d2 += (axis[js] - axis[ks]) ** 2
-        coords //= probe.side
-    # Scalar libm pow per distinct distance: np.power can differ by one ulp.
-    dist2, inverse = np.unique(d2, return_inverse=True)
-    mags = np.array([1.0 / math.sqrt(int(x)) ** alpha for x in dist2])[inverse]
+    offset = np.zeros(js.size, dtype=np.int64)
+    d2 = np.zeros(n, dtype=np.int64)
+    for a in range(d):
+        axis = coords % side
+        offset += np.abs(axis[js] - axis[ks]) * side**a
+        d2 += axis**2
+        coords //= side
+    # Scalar libm pow per offset: np.power can differ by one ulp. Offset 0 is no pair.
+    try:
+        table = np.array([0.0] + [1.0 / math.sqrt(int(x)) ** alpha for x in d2[1:]])
+    except OverflowError:  # 1 / dist^alpha is tiny, but dist^alpha leaves the float range
+        check_float_range(math.inf, f"dist^alpha at alpha={alpha!r}")
+    mags = table[offset]
     if sign_rule == "alternating":
         signs = np.where((js + ks) % 2, -1.0, 1.0)
     elif sign_rule == "seeded-random":
@@ -305,7 +313,7 @@ def build_power_law(
     flat, values = js * n + ks, signs * mags
     # allocated once the temporaries are freed, so the kept matrix takes their memory rather
     # than pinning the heap above it (a cost-report sweep to n=1024 peaks 3-5 MiB lower)
-    del js, ks, d2, inverse, mags, signs
+    del js, ks, offset, mags, signs
     a = np.zeros((n, n))
     np.put(a, flat, values)
     a.setflags(write=False)  # handed over, so the constructor keeps it uncopied
@@ -335,7 +343,7 @@ def coeff_oracle(
     if not (1 <= j < k <= spec.n):
         raise IndexRangeError(f"pair ({j},{k}) outside 1 <= j < k <= {spec.n}")
     mat = spec.two_local.get(pauli_pair)
-    value = 0.0 if mat is None else mat.value(j, k)
+    value = 0.0 if mat is None else float(mat.block(IndexRegion(range(j, j + 1), range(k, k + 1)))[0, 0])
     return fixed_point_round(value, width)
 
 
@@ -355,22 +363,13 @@ def norms(
     if kind == "restricted_1":
         if region is None:
             raise ValidationError("restricted_1 needs a region")
-        return _region_norm(matrix, region, use_max=False)
+        return float(np.cumsum(np.abs(matrix.block(region)))[-1])  # accumulates in (j, k) order
     if boxes is None:
         raise ValidationError("box_1 needs (weight, region) boxes")
     total = 0.0
     for weight, reg in boxes:
-        total += weight * _region_norm(matrix, reg, use_max=True)
+        total += weight * float(np.abs(matrix.block(reg)).max())
     return total
-
-
-def _region_norm(matrix: CoeffMatrix, region: IndexRegion, use_max: bool) -> float:
-    """Max or sum of |symmetric completion| over the region; the sum accumulates in (j, k) order."""
-    rs, cs = region.slices()
-    if rs.start < 0 or cs.start < 0 or rs.stop > matrix.n or cs.stop > matrix.n:
-        raise IndexRangeError(f"region {region.rows} x {region.cols} outside the index range 1..{matrix.n}")
-    values = np.abs(matrix.data[rs, cs] + matrix.data.T[rs, cs])
-    return float(values.max() if use_max else np.cumsum(values)[-1])
 
 
 # -- JSON serialization -------------------------------------------------------

@@ -13,16 +13,15 @@ from .hamlib import HamiltonianSpec
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFactor:
-    """Thin SVD of one coefficient block, truncated at spectral tolerance tol.
+    """Thin SVD of one coefficient block, truncated at a spectral tolerance.
 
-    block ~= left @ diag(singulars) @ right.T with spectral error <= tol.
+    block ~= left @ diag(singulars) @ right.T with spectral error ``residual``.
     """
 
     left: np.ndarray
     singulars: np.ndarray
     right: np.ndarray
     rank: int
-    tol: float
     residual: float
 
     def reconstruct(self) -> np.ndarray:
@@ -46,7 +45,6 @@ def truncated_svd(block: np.ndarray, tol: float) -> TruncatedFactor:
         singulars=s[:rank].copy(),
         right=vt[:rank].T.copy(),
         rank=rank,
-        tol=tol,
         residual=residual,
     )
 
@@ -85,8 +83,7 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     rows = []
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.far_field:
-            block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
-            fac = truncated_svd(block, tol)
+            fac = truncated_svd(mat.block(pair.cross_region()), tol)
             rows.append(ProfileRow(pair.layer, pair.block, s1.value, s2.value, fac.rank, fac.residual))
     rho_max = max((r.rank for r in rows), default=0)
     return RankProfile(tuple(rows), max(1, rho_max))

@@ -10,6 +10,11 @@ def coeff_matrix(n, entries):
     return CoeffMatrix.from_pairs(n, *_entry_columns([(j, k, v) for (j, k), v in entries.items()]))
 
 
+def coeff_value(mat, j, k):
+    """The stored coefficient of the 1-based pair (j, k), read straight from the array; 0 at j >= k."""
+    return float(mat.data[j - 1, k - 1])
+
+
 def coeff_entries(mat):
     """{(j, k): value} of the nonzero pairs of a CoeffMatrix, the inverse of coeff_matrix."""
     return {(j, k): v for (j, k), v in nonzero_terms(mat.data)}

@@ -46,7 +46,7 @@ from trotterforge.costmodel import (
     solve_coupled_recurrence,
 )
 from trotterforge.decomp import bisection_decompose, lowrank_decompose, nested_boxes
-from trotterforge.hamlib import HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import HamiltonianSpec, IndexRegion, PauliKind, build_power_law
 from trotterforge.lowrank import rank_profile
 from trotterforge.trotter import fermionic_error_norms
 
@@ -107,7 +107,8 @@ def test_01_pair_covers_are_exact():
     for n in (2, 4, 8, 16, 32):
         tally([p.cross_region() for p in bisection_decompose(n).pairs], n, "bisection")
         cutoff = max(1, min(4, n // 2))
-        tally(lowrank_decompose(n, cutoff).all_regions(), n, "lowrank")
+        dec = lowrank_decompose(n, cutoff)
+        tally([p.cross_region() for p in dec.far_field] + dec.remainder_regions(), n, "lowrank")
         cells = {}
         for box in nested_boxes(n).all_boxes():
             for u in range(box.u_lo, box.u_hi + 1):
@@ -142,7 +143,7 @@ def test_02_block_encoding_identity():
         half = n // 2
         mat = spec.two_local[(PauliKind.Z, PauliKind.Z)]
         block = np.abs(
-            mat.block(list(range(1, half + 1)), list(range(half + 1, n + 1)))
+            mat.block(IndexRegion(range(1, half + 1), range(half + 1, n + 1)))
         )
         grid = nested_boxes(half)
         prep = build_boxed_preparation(block)
@@ -267,7 +268,7 @@ def test_06_cross_block_norm():
         mat = spec.two_local[(PauliKind.Z, PauliKind.Z)]
         half = n // 2
         return float(
-            np.abs(mat.block(list(range(1, half + 1)), list(range(half + 1, n + 1)))).sum()
+            np.abs(mat.block(IndexRegion(range(1, half + 1), range(half + 1, n + 1)))).sum()
         )
 
     steep = [cross_norm(n, 3.0) for n in ns]

@@ -17,7 +17,7 @@ from trotterforge.blockenc import (
 )
 from trotterforge.decomp import bisection_decompose, nested_boxes, pair_box_norms
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import PauliKind, build_power_law
+from trotterforge.hamlib import IndexRegion, PauliKind, build_power_law
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0 + 0j, -1.0])
@@ -101,7 +101,7 @@ def test_uniform_block_success_one():
 def test_power_law_half_block_success():
     spec = build_power_law(16, 1, 2.0)
     mat = spec.two_local[(PauliKind.Z, PauliKind.Z)]
-    block = mat.block(list(range(1, 9)), list(range(9, 17)))
+    block = mat.block(IndexRegion(range(1, 9), range(9, 17)))
     prep = build_boxed_preparation(block)
     assert prep.success_probability >= 0.25
     assert prep.success_probability == pytest.approx(
@@ -161,7 +161,7 @@ def test_boxed_preparation_agrees_with_pair_box_norms():
         if pair.left.length == 1:
             continue  # a 1 x 1 block has no box grid
         vec1, box1, _ = pair_box_norms(mat, pair)
-        prep = build_boxed_preparation(np.abs(mat.block(pair.left.sites(), pair.right.sites())))
+        prep = build_boxed_preparation(np.abs(mat.block(pair.cross_region())))
         assert prep.success_probability == pytest.approx(vec1 / box1, rel=1e-13, abs=0.0)
         checked += 1
     assert checked == 15

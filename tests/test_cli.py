@@ -687,3 +687,23 @@ def test_a_coefficient_sum_inside_the_float_range_verifies(tmp_path, capsys, pau
     rc, out = run_cli(capsys, "verify", "--input", _two_entry_spec(tmp_path, pauli, 8e307))
     assert rc == 0
     assert math.isfinite(json.loads(out)["distance"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tracebacks: dist^alpha overflowed in build_power_law
+        "build --n 4 --alpha 2000",
+        "verify --n 4 --alpha 2000",
+        "compile --n 4 --alpha 2000 --method avgcost",
+        "cost-report --method lowrank --alpha 700 --n-sweep 64,128,256,512",
+        # NaN printed with exit 0
+        "bound ham --b 64 --k 1000 --n 64 --eps 5e-324 --t 1e308",
+        "bound coeff --b 4 --n 64 --eps 5e-324 --t 1e308 --m 3",
+    ],
+)
+def test_large_alpha_and_bound_overflow_exit_3(capsys, argv):
+    rc, err = exit_code_and_stderr(capsys, argv.split())
+    assert rc == 3
+    assert err.startswith("capacity error: ") and err.endswith("exceeds the float range\n")
+    assert err.count("\n") == 1 and "Traceback" not in err

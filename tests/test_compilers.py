@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import trotterforge.compilers as compilers
-from conftest import coeff_matrix
+from conftest import coeff_matrix, coeff_value
 from trotterforge.circuit import (
     Circuit,
     CompositeDiagonalPhase,
@@ -32,7 +32,7 @@ from trotterforge.compilers import (
 )
 from trotterforge.decomp import lowrank_decompose
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, nonzero_terms
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, build_power_law, nonzero_terms
 from trotterforge.lowrank import truncated_svd
 
 XX = (PauliKind.X, PauliKind.X)
@@ -48,7 +48,7 @@ def truncation_bound_oracle(spec, cutoff, tol):
     total = 0.0
     for mat in spec.two_local.values():
         for pair in lowrank_decompose(spec.n, cutoff).far_field:
-            block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
+            block = mat.block(pair.cross_region())
             u, s, vt = np.linalg.svd(block, full_matrices=False)
             keep = int(np.sum(s > tol))
             dropped = block - (u[:, :keep] * s[:keep]) @ vt[:keep]
@@ -303,7 +303,7 @@ def test_every_far_op_holds_the_svd_of_its_own_block(monkeypatch):
     for op in far:
         fac = op.data
         for mat in spec.two_local.values():  # both groups hold the same power law
-            want = truncated_svd(mat.block(list(op.rows), list(op.cols)), 1e-6)
+            want = truncated_svd(mat.block(IndexRegion(op.rows, op.cols)), 1e-6)
             assert np.array_equal(fac.left, want.left) and np.array_equal(fac.right, want.right)
             assert np.array_equal(fac.singulars, want.singulars) and fac.residual == want.residual
 
@@ -477,7 +477,7 @@ def test_reduction_random_matrix():
     d = np.diag(u)
     for j in range(1, 5):
         for k in range(1, 5):
-            want = np.exp(-4j * mat.block([j], [k])[0, 0])
+            want = np.exp(-4j * (coeff_value(mat, j, k) + coeff_value(mat, k, j)))  # either order
             assert d[reg_index(j, k, 2)] == pytest.approx(want, abs=1e-8)
 
 

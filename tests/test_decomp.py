@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff_matrix
+from conftest import coeff_matrix, coeff_value
 from trotterforge.decomp import (
     Interval,
     _is_exact_power_law,
@@ -42,6 +42,11 @@ def covered_pairs(regions):
     return seen
 
 
+def lowrank_regions(dec):
+    """The far cross blocks, then the remainder the lowrank compiler lowers."""
+    return [p.cross_region() for p in dec.far_field] + dec.remainder_regions()
+
+
 def all_pairs(n):
     return {(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)}
 
@@ -59,7 +64,7 @@ def box_norm_oracle(mat, pair):
                 mu = (-u).bit_length() - 1
                 nu = v.bit_length() - 1
             cells.setdefault(("box", mu, nu) if mu is not None else ("edge", u, v), []).append(
-                abs(mat.block([j], [k])[0, 0])
+                abs(coeff_value(mat, j, k))
             )
     return sum(len(vals) * max(vals) for vals in cells.values())
 
@@ -68,7 +73,7 @@ def cross_block_vec1(mat, n):
     total = 0.0
     for j in range(1, n // 2 + 1):
         for k in range(n // 2 + 1, n + 1):
-            total += abs(mat.block([j], [k])[0, 0])
+            total += abs(coeff_value(mat, j, k))
     return total
 
 
@@ -84,7 +89,7 @@ def exact_power_law_oracle(spec):
         for j in range(1, spec.n + 1):
             for k in range(j + 1, spec.n + 1):
                 expect = 1.0 / (k - j) ** spec.alpha
-                if abs(abs(mat.value(j, k)) - expect) > 1e-9 * expect:
+                if abs(abs(coeff_value(mat, j, k)) - expect) > 1e-9 * expect:
                     return False
     return True
 
@@ -142,7 +147,7 @@ def test_lowrank_n8_cutoff2_listing():
     assert [(b.lo, b.hi) for b in dec.within_blocks] == [(1, 2), (3, 4), (5, 6), (7, 8)]
     assert sum(len(list(p.cross_region().pairs())) for p in dec.far_field) == 12
     assert sum(len(list(p.cross_region().pairs())) for p in dec.near_field) == 12
-    assert covered_pairs(dec.all_regions()) == all_pairs(8)
+    assert covered_pairs(lowrank_regions(dec)) == all_pairs(8)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -158,7 +163,7 @@ def test_lowrank_cover_and_admissibility():
             if cutoff < 1:
                 continue
             dec = lowrank_decompose(n, cutoff)
-            assert covered_pairs(dec.all_regions()) == all_pairs(n)
+            assert covered_pairs(lowrank_regions(dec)) == all_pairs(n)
             for p in dec.far_field:
                 assert p.gap >= p.left.length
 
@@ -255,7 +260,7 @@ def test_power_law_amplification_bound():
     mat = spec.two_local[ZZ]
     expect = 1.0
     for pair in dec.pairs:
-        vec1 = sum(abs(mat.block([j], [k])[0, 0]) for j, k in pair.cross_region().pairs())
+        vec1 = sum(abs(coeff_value(mat, j, k)) for j, k in pair.cross_region().pairs())
         if vec1 > 0:
             expect = max(expect, box_norm_oracle(mat, pair) / vec1)
     assert report.lambda_block == pytest.approx(expect)
@@ -327,7 +332,7 @@ def test_cell_norms_match_a_pair_loop(m):
     data[2:4, 8:12] = 0.0  # empty cells at m = 4
     for pair in bisection_decompose(16).pairs:
         for cell in cells_for_pair(pair, m):
-            sub, cell_1, ratio = cell_norms(data, cell)
+            sub, cell_1, ratio = cell_norms(CoeffMatrix(16, data), cell)
             values = [abs(data[j - 1, k - 1]) for j, k in cell.region.pairs()]
             assert sorted(np.abs(sub).ravel()) == sorted(values)
             assert cell_1 == pytest.approx(sum(values))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff_entries, coeff_matrix
+from conftest import coeff_entries, coeff_matrix, coeff_value
 from trotterforge.errors import (
     CapacityError,
     DimensionError,
@@ -32,6 +32,7 @@ from trotterforge.hamlib import (
     spec_from_json,
     spec_to_json,
 )
+from trotterforge.decomp import lowrank_decompose
 from trotterforge.trotter import induced_1norm, restricted_induced_1norm
 
 ZZ = (PauliKind.Z, PauliKind.Z)
@@ -81,13 +82,13 @@ def build_power_law_loop_oracle(n, d, alpha, sign_rule, seed):
 
 
 def region_norm_oracle(mat, region, use_max):
-    """Pair-by-pair max or running sum of |symmetric completion| over a region."""
+    """Pair-by-pair max or running sum of |stored value| over a region (0 at j >= k)."""
     best = 0.0
     total = 0.0
     for j, k in region.pairs():
         if not (1 <= j <= mat.n and 1 <= k <= mat.n):
             raise IndexRangeError(f"region pair ({j},{k}) outside the index range")
-        v = abs(mat.block([j], [k])[0, 0])
+        v = abs(coeff_value(mat, j, k))
         best = max(best, v)
         total += v
     return best if use_max else total
@@ -123,7 +124,7 @@ def test_power_law_n4_values():
 def test_power_law_2d_diagonal_corner():
     spec = build_power_law(4, 2, 1.0)
     # sites 1 and 4 sit at opposite corners of the 2x2 lattice
-    assert spec.two_local[ZZ].value(1, 4) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert coeff_value(spec.two_local[ZZ], 1, 4) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("n,d,alpha", [(8, 1, 1.0), (16, 2, 2.0), (27, 3, 1.5)])
@@ -154,8 +155,8 @@ def test_sign_rules_deterministic():
     b = build_power_law(8, 1, 1.0, ZZ, "seeded-random", seed=7)
     assert coeff_entries(a.two_local[ZZ]) == coeff_entries(b.two_local[ZZ])
     alt = build_power_law(4, 1, 1.0, ZZ, "alternating")
-    assert alt.two_local[ZZ].value(1, 2) == -1.0  # odd j+k
-    assert alt.two_local[ZZ].value(1, 3) == 0.5
+    assert coeff_value(alt.two_local[ZZ], 1, 2) == -1.0  # odd j+k
+    assert coeff_value(alt.two_local[ZZ], 1, 3) == 0.5
 
 
 # -- coeff_oracle ----------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_region_norms_match_pair_loop():
     mat = rand_coeff(rng, 40)
     regions = [
         IndexRegion(range(1, 21), range(21, 41)),
-        IndexRegion(range(25, 41), range(1, 13)),  # below the diagonal: the symmetric completion
+        IndexRegion(range(25, 41), range(1, 13)),  # below the diagonal: stored zeros
         IndexRegion(range(5, 31), range(10, 36)),  # straddles the diagonal
     ]
     for region in regions:
@@ -280,7 +281,7 @@ def test_coeff_matrix_copies_writable_input_only():
     a = np.triu(np.arange(16.0).reshape(4, 4), 1)
     mat = CoeffMatrix(4, a)
     a[0, 1] = 99.0  # the caller still holds a writable array
-    assert mat.value(1, 2) == 1.0 and not mat.data.flags.writeable
+    assert coeff_value(mat, 1, 2) == 1.0 and not mat.data.flags.writeable
     frozen = a.copy()
     frozen.setflags(write=False)
     assert CoeffMatrix(4, frozen).data is frozen  # nothing can change it, so it is kept
@@ -307,22 +308,57 @@ def test_spec_rejects_identity_group():
         HamiltonianSpec(2, 1, {(PauliKind.I, PauliKind.Z): mat}, {})
 
 
-def test_block_reads_symmetric_completion():
-    mat = coeff_matrix(3, {(1, 2): 2.0, (2, 3): 5.0})
-    block = mat.block([2], [1, 3])
-    assert block.tolist() == [[2.0, 5.0]]
-    rng = np.random.default_rng(5)
-    mat = rand_coeff(rng, 10)
-    full = mat.data + mat.data.T
-    for rows, cols in (
-        (range(1, 5), range(6, 11)),
-        (range(6, 11), range(1, 5)),
-        ([3, 1, 7, 7], [2, 3, 10, 1, 7]),
-        (range(1, 11), range(1, 11)),
+def test_block_is_a_read_only_view_of_the_stored_values():
+    mat = rand_coeff(np.random.default_rng(5), 10)
+    for region in (
+        IndexRegion(range(1, 5), range(6, 11)),
+        IndexRegion(range(3, 4), range(4, 11)),
+        IndexRegion(range(1, 11), range(1, 11)),
     ):
-        r = np.asarray(rows) - 1
-        c = np.asarray(cols) - 1
-        assert np.array_equal(mat.block(rows, cols), full[np.ix_(r, c)])
+        block = mat.block(region)
+        assert np.shares_memory(block, mat.data) and not block.flags.writeable
+        assert np.array_equal(block, mat.data[region.slices()])
+    assert mat.block(IndexRegion(range(2, 3), range(7, 8)))[0, 0] == mat.data[1, 6]
+
+
+def test_block_rejects_regions_outside_the_matrix():
+    mat = rand_coeff(np.random.default_rng(6), 8)
+    for bad in (
+        IndexRegion(range(1, 3), range(7, 10)),  # past column n
+        IndexRegion(range(8, 10), range(1, 3)),  # past row n
+        IndexRegion(range(0, 3), range(4, 6)),  # starts at row 0
+        IndexRegion(range(1, 3), range(0, 6)),  # starts at column 0
+    ):
+        with pytest.raises(IndexRangeError, match="outside the index range 1..8"):
+            mat.block(bad)
+
+
+def test_block_reads_zero_at_and_below_the_diagonal():
+    mat = rand_coeff(np.random.default_rng(7), 12)
+    region = IndexRegion(range(3, 11), range(5, 12))  # straddles the diagonal
+    block = mat.block(region)
+    for (j, k), value in zip(region.pairs(), block.ravel()):
+        assert value == (0.0 if j >= k else mat.data[j - 1, k - 1])
+    assert not mat.block(IndexRegion(range(6, 13), range(1, 6))).any()
+
+
+@pytest.mark.parametrize("pauli,sign_rule", [(ZZ, "all-positive"), (ZZ, "alternating"), (ZZ, "seeded-random"),
+                                             ((PauliKind.X, PauliKind.Z), "seeded-random")])
+def test_block_equals_the_symmetric_completion_on_every_lowrank_region(pauli, sign_rule):
+    # the compiler and rank_profile read only j < k, where the completion added +0.0
+    mat = build_power_law(32, 1, 1.5, pauli, sign_rule, seed=4).two_local[pauli]
+    data = mat.data
+    for cutoff in (1, 2, 4, 8):
+        dec = lowrank_decompose(32, cutoff)
+        for region in [p.cross_region() for p in dec.far_field] + dec.remainder_regions():
+            idx = np.ix_(np.asarray(region.rows) - 1, np.asarray(region.cols) - 1)
+            assert np.array_equal(mat.block(region), data[idx] + data.T[idx])
+
+
+def test_negative_zero_entries_are_stored_as_zero():
+    mat = coeff_matrix(4, {(1, 2): -0.0, (2, 4): 0.5, (3, 4): -0.0})
+    assert not np.signbit(mat.data).any()
+    assert mat.block(IndexRegion(range(1, 4), range(2, 5))).tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
 
 
 # -- JSON -----------------------------------------------------------------------

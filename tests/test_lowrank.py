@@ -35,7 +35,7 @@ def profile_oracle(spec, dec, tol):
     best = 0
     for mat in spec.two_local.values():
         for pair in dec.far_field:
-            block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
+            block = mat.block(pair.cross_region())
             best = max(best, dense_rank_oracle(block, tol))
     return max(1, best)
 
@@ -152,7 +152,7 @@ def test_profile_rows_are_group_major():
     want = []
     for s1, s2 in (xx, ZZ):  # tag order, whatever order the spec was given
         for pair in dec.far_field:
-            block = spec.two_local[(s1, s2)].block(list(pair.left.sites()), list(pair.right.sites()))
+            block = spec.two_local[(s1, s2)].block(pair.cross_region())
             want.append((pair.layer, pair.block, s1.value, s2.value, dense_rank_oracle(block, 1e-6)))
     rows = rank_profile(spec, dec, 1e-6).rows
     assert [(r.layer, r.block, r.sigma, r.sigma2, r.rank) for r in rows] == want
@@ -201,13 +201,13 @@ def test_singular_bound_on_power_law_blocks():
     mat = spec.two_local[ZZ]
     dec = lowrank_decompose(32, 4)
     for pair in dec.far_field:
-        block = mat.block(list(pair.left.sites()), list(pair.right.sites()))
+        block = mat.block(pair.cross_region())
         fac = truncated_svd(block, 1e-12)
         col1 = np.abs(block).sum(axis=0).max()
         row1 = np.abs(block).sum(axis=1).max()
         assert np.all(fac.singulars <= np.sqrt(col1 * row1) + 1e-9)
     # the full-matrix induced norm dominates every block's column norm
     assert induced_1norm(mat.data + mat.data.T) >= max(
-        np.abs(mat.block(list(p.left.sites()), list(p.right.sites()))).sum(axis=0).max()
+        np.abs(mat.block(p.cross_region())).sum(axis=0).max()
         for p in dec.far_field
     )
