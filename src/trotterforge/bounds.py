@@ -83,11 +83,17 @@ def _need(query: BoundQuery, *names: str) -> None:
         raise ValidationError(f"query is missing fields: {missing}")
 
 
+def _log_ratio(x: float, accuracy: float) -> float:
+    """ln(x / accuracy); where the quotient leaves the float range, ln x - ln accuracy, which stays finite."""
+    quotient = x / accuracy
+    return math.log(quotient) if math.isfinite(quotient) else math.log(x) - math.log(accuracy)
+
+
 def _pair_denominator(query: BoundQuery, accuracy: float) -> float:
     """ln(C(b,2) |K|), or the parametric net form for arbitrary 2-qubit gates."""
     pairs = math.comb(query.b, 2)
     if query.gate_set_size is None:
-        return query.c_compile * math.log(pairs / accuracy)
+        return query.c_compile * _log_ratio(pairs, accuracy)
     if pairs * query.gate_set_size <= 1:
         # one pair and one gate: zero information per step, the bound diverges
         raise DomainError("gate set carries no choice: ln(pairs * gates) is zero")
@@ -97,7 +103,7 @@ def _pair_denominator(query: BoundQuery, accuracy: float) -> float:
 def _qubit_denominator(query: BoundQuery, accuracy: float) -> float:
     """ln(b |K|) variant used by the discrete and coefficient-oracle bounds."""
     if query.gate_set_size is None:
-        return query.c_compile * math.log(query.b / accuracy)
+        return query.c_compile * _log_ratio(query.b, accuracy)
     return math.log(query.b * query.gate_set_size)
 
 
@@ -157,7 +163,7 @@ def commuting_ham_lower_bound(query: BoundQuery) -> BoundResult:
     arc = _arc(delta_eff)
     denom = _pair_denominator(query, delta_eff)
     main = n * n * math.log(2.0 * theta_eff / arc) / denom
-    overhead = query.c_red * n * math.log(n / query.eps) ** 2
+    overhead = query.c_red * n * _log_ratio(n, query.eps) ** 2
     raw = main - overhead
     constants = {
         "delta_scale": HAM_DELTA_SCALE,

@@ -167,17 +167,22 @@ def _diagonal_phases(g: Gate) -> np.ndarray | None:
     return None
 
 
-def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int) -> None:
-    """Apply CNOT in place: swap the target-0 and target-1 rows where the control bit is 1."""
+def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int, spare: np.ndarray) -> None:
+    """Apply CNOT in place: swap the target-0 and target-1 rows where the control bit is 1.
+
+    ``spare``, a scratch array of u's shape and dtype, holds the rows in transit.
+    """
     dim, cols = u.shape
     hi, lo = max(ctrl, tgt) - 1, min(ctrl, tgt) - 1
-    # a view, since u is C-contiguous: axis 1 is bit hi, axis 3 is bit lo
-    v = u.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) * cols)
+    # views, since u and spare are C-contiguous: axis 1 is bit hi, axis 3 is bit lo
+    shape = (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, (1 << lo) * cols)
+    v = u.reshape(shape)
     if ctrl - 1 == hi:
         a, b = v[:, 1, :, 0], v[:, 1, :, 1]
     else:
         a, b = v[:, 0, :, 1], v[:, 1, :, 1]
-    held = a.copy()
+    held = spare.reshape(shape)[:, 1, :, 1]
+    held[...] = a
     a[...] = b
     b[...] = held
 
@@ -225,7 +230,7 @@ def apply_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
     u, spare = block, np.empty_like(block)  # a one-qubit gate writes the spare, then the two swap
     for g in c.gates:
         if isinstance(g, CNOT):
-            _swap_cnot_rows(u, g.ctrl, g.tgt)
+            _swap_cnot_rows(u, g.ctrl, g.tgt, spare)
             continue
         phases = _diagonal_phases(g)
         if phases is not None:

@@ -140,13 +140,17 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read --input {path}: {exc}") from None
+
+
 def _load_spec(args):
     if args.input:
-        try:
-            text = Path(args.input).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read --input {args.input}: {exc}") from None
-        return spec_from_json(text)
+        # no local holds the text, so the parser frees it before it converts the entries
+        return spec_from_json(_read_input(args.input))
     return build_power_law(args.n, args.d, args.alpha, _pauli_pair(args.pauli), args.signs, args.seed)
 
 

@@ -20,6 +20,11 @@ plan lowered, so the two agree by construction. Lowering a composite builds
 its phase table with one matmul over the +-1 signs of its sites; count-only
 mode returns before lowering, which is sized against memory first. Verification-mode
 circuits are exact: the only approximations are the product formula and low-rank truncation.
+
+What lowrank and avgcost compute from a coefficient block (its truncated
+factor, its cells' costs) goes through a ``BlockMemo``, so equal blocks share
+it. Each compile makes its own memo unless the caller passes one, as a cost
+report does for its whole sweep.
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ from .circuit import (
     pauli_string_exponential,
     spectral_distance,
 )
-from .decomp import bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
+from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_float_range, check_memory
-from .hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
-from .lowrank import TruncatedFactor, truncated_svd
+from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
+from .lowrank import truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
 
@@ -75,8 +80,8 @@ class ProductFormula:
             raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {self.p}")
         if self.stage_count < 1:
             raise ValidationError("need at least one stage")
-        idx = np.array(self.stages, dtype=np.int64)
-        frac = np.array(self.fractions, dtype=float)
+        idx = np.asarray(self.stages, dtype=np.int64)
+        frac = np.asarray(self.fractions, dtype=float)
         if idx.ndim != 1 or idx.shape != frac.shape:
             raise ValidationError(f"stages {idx.shape} and fractions {frac.shape} need one 1-D length")
         bad = idx[(idx < 1) | (idx > self.stage_count)]
@@ -88,8 +93,13 @@ class ProductFormula:
         if off.size:
             total = float(totals[off[0]])
             raise ValidationError(f"stage {off[0] + 1} fractions sum to {total}, not 1")
-        idx.setflags(write=False)
-        frac.setflags(write=False)
+        # the caller may still hold writeable input; make_product_formula hands its arrays over
+        if idx.flags.writeable:
+            idx = idx.copy()
+            idx.setflags(write=False)
+        if frac.flags.writeable:
+            frac = frac.copy()
+            frac.setflags(write=False)
         object.__setattr__(self, "stages", idx)
         object.__setattr__(self, "fractions", frac)
 
@@ -105,7 +115,7 @@ def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
     if stage_count < 1:
         raise ValidationError("need at least one stage")
     if p == 1:
-        return ProductFormula(p, stage_count, np.arange(1, stage_count + 1), np.ones(stage_count))
+        return _handed_over(p, stage_count, np.arange(1, stage_count + 1), np.ones(stage_count))
     # Strang: stages 1..S-1 for half a step, S for a whole one, then S-1..1 again
     stages = np.concatenate([np.arange(1, stage_count), np.arange(stage_count, 0, -1)])
     fractions = np.full(stages.size, 0.5)
@@ -118,6 +128,13 @@ def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
         fractions = (segments[:, None] * fractions).ravel()
         starts = np.flatnonzero(np.diff(stages, prepend=0))
         stages, fractions = stages[starts], np.add.reduceat(fractions, starts)
+    return _handed_over(p, stage_count, stages, fractions)
+
+
+def _handed_over(p: int, stage_count: int, stages: np.ndarray, fractions: np.ndarray) -> ProductFormula:
+    """The formula over arrays no one else holds, marked read-only so the constructor keeps them uncopied."""
+    stages.setflags(write=False)
+    fractions.setflags(write=False)
     return ProductFormula(p, stage_count, stages, fractions)
 
 
@@ -148,9 +165,9 @@ def lowered_step_unitary(step: CompiledStep) -> np.ndarray:
 
 
 # Peak bytes per basis state of step_distances on a Z-only spec: the 4-column block and the
-# spare a one-qubit gate writes (2 x 64 B), the rows a CNOT holds, w and the diagonal
-# (tracemalloc: 168 B at n=12-16). Each distinct qubit tuple of a diagonal gate adds its
-# phase-table index, which circuit_diagonal sizes once the circuit is known.
+# spare that a one-qubit gate writes and a CNOT swaps through (2 x 64 B), w and the diagonal
+# (tracemalloc: 152 B at n=12-16, under this bound). Each distinct qubit tuple of a diagonal
+# gate adds its phase-table index, which circuit_diagonal sizes once the circuit is known.
 _DIAGONAL_DISTANCE_BYTES = 176
 
 
@@ -201,12 +218,12 @@ def step_cost_json(step: CompiledStep) -> str:
 _GATE_BYTES = 180
 
 
-def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = ()) -> None:
-    """Raise CapacityError if ``gates`` gate objects and phase ``tables`` (bytes) exceed physical memory.
+def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = (), held: int = 0) -> None:
+    """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and ``held`` bytes exceed physical memory.
 
     The largest table is built beside its coupling matrix and a transposed copy.
     """
-    need = gates * _GATE_BYTES + sum(tables) + 2 * max(tables, default=0)
+    need = gates * _GATE_BYTES + sum(tables) + 2 * max(tables, default=0) + held
     check_memory(need, f"lowering the {method} step on {n} qubits ({gates} gates, {len(tables)} composites)")
 
 
@@ -344,6 +361,7 @@ def _compile_stages(
     formula: int,
     count_only: bool,
     stage_ops: Callable[[tuple[PauliKind, PauliKind], CoeffMatrix, float], list[_StageOp]],
+    memo: BlockMemo,
 ) -> CompiledStep:
     """Plan every schedule entry of the group stages, then count or lower the plan.
 
@@ -352,6 +370,7 @@ def _compile_stages(
     of its axis map, the ops ``stage_ops(pair, matrix, theta)`` lists, and the
     inverse basis change; the on-site stage is one rotation op. The gate count
     is the sum of the declared costs, and the circuit is the same plan lowered.
+    ``memo`` is the one ``stage_ops`` fills; its keys stay held while the plan is lowered.
     """
     stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
     if any(np.any(vec != 0.0) for vec in spec.on_site.values()):
@@ -376,7 +395,7 @@ def _compile_stages(
     composites = [op for _, _, ops in plan for op in ops if op.kind in ("far", "cell")]
     # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
     tables = [8 << (len(op.rows) + len(op.cols)) for op in composites]
-    _check_lowering_memory(method, spec.n, count - sum(op.cost - 1 for op in composites), tables)
+    _check_lowering_memory(method, spec.n, count - sum(op.cost - 1 for op in composites), tables, memo.key_bytes)
     gates: list[Gate] = []
     for theta, axis, ops in plan:
         changes = [basis_change(axis[q], q) for q in sorted(axis)]
@@ -402,41 +421,34 @@ def compile_lowrank_step(
     *,
     count_only: bool = False,
     eps: float = 1e-3,
+    memo: BlockMemo | None = None,
 ) -> CompiledStep:
     """Far blocks as rank-truncated diagonal composites, remainder sequential.
 
     Inside each stage everything is diagonal after the basis change, so the
     only errors are the stage-level formula error and the rank truncation.
+    Equal far blocks share one SVD through ``memo`` (a fresh one by default).
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     dec = lowrank_decompose(spec.n, cutoff_size)
     width = phase_register_width(spec.n, t, eps)
     remainder = dec.remainder_regions()
-    factors: dict[tuple[PauliKind, PauliKind], list] = {}
-    svds: dict[tuple[tuple[int, ...], bytes], TruncatedFactor] = {}  # keyed on a far block's exact bytes
-
-    def factor(block: np.ndarray) -> TruncatedFactor:
-        # equal blocks (a power law is translation invariant) share one SVD; each op keeps its own sites
-        key = (block.shape, block.tobytes())
-        if key not in svds:
-            svds[key] = truncated_svd(block, tol)
-        return svds[key]
+    memo = BlockMemo() if memo is None else memo
 
     def stage_ops(pair_key, mat, theta):
-        if pair_key not in factors:
-            factors[pair_key] = [factor(mat.block(p.cross_region())) for p in dec.far_field]
-        ops = [
-            _StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac)
-            for fac, p in zip(factors[pair_key], dec.far_field)
-            if fac.rank
-        ]
+        ops = []
+        for p in dec.far_field:
+            block = mat.block(p.cross_region())
+            fac = memo.get(block, ("svd", tol), lambda: truncated_svd(block, tol))
+            if fac.rank:  # each op keeps its own sites, whichever block took the SVD
+                ops.append(_StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac))
         for region in remainder:
             sub = mat.block(region)
             ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
-    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
+    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops, memo)
 
 
 # -- avgcost ------------------------------------------------------------------
@@ -450,30 +462,45 @@ def compile_avgcost_step(
     *,
     count_only: bool = False,
     eps: float = 1e-3,
+    memo: BlockMemo | None = None,
 ) -> CompiledStep:
     """One exact diagonal composite per nonempty subdivision cell.
 
     Declared cell cost = qubitization steps for the cell's 1-norm times the
     preparation + selection model, with the cell's own amplification ratio.
+    Pairs with equal cross blocks share their cell costs through ``memo`` (a
+    fresh one by default).
     """
     if not (1 <= m <= spec.n // 2):
         raise DomainError(f"m must be in [1, {spec.n // 2}], got {m}")
     dec = bisection_decompose(spec.n)
+    memo = BlockMemo() if memo is None else memo
+
+    def cell_costs(mat: CoeffMatrix, cells: list[Cell], theta: float) -> list[tuple[int, int]]:
+        """(index, declared cost) of every nonempty cell."""
+        costs = []
+        for i, cell in enumerate(cells):
+            sub, cell_1, ratio = cell_norms(mat, cell)
+            if cell_1 == 0.0:
+                continue
+            steps = qubitization_step_count(cell_1 * abs(theta), eps)
+            width_j, width_k = sub.shape
+            costs.append((i, steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))))
+        return costs
 
     def stage_ops(pair_key, mat, theta):
         ops = []
         for pair in dec.pairs:
-            for cell in cells_for_pair(pair, m):
-                sub, cell_1, ratio = cell_norms(mat, cell)
-                if cell_1 == 0.0:
-                    continue
-                steps = qubitization_step_count(cell_1 * abs(theta), eps)
-                width_j, width_k = sub.shape
-                cost = steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
-                ops.append(_StageOp("cell", cost, cell.region.rows, cell.region.cols, sub))
+            cells = cells_for_pair(pair, m)
+            # the cells lie inside the cross block, so its bytes fix their costs; each op keeps its own sites
+            params = ("cells", m, abs(theta), eps)
+            costs = memo.get(mat.block(pair.cross_region()), params, lambda: cell_costs(mat, cells, theta))
+            for i, cost in costs:
+                region = cells[i].region
+                ops.append(_StageOp("cell", cost, region.rows, region.cols, mat.block(region)))
         return ops
 
-    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
+    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops, memo)
 
 
 # -- Hamming-weight-2 reduction gadget ----------------------------------------

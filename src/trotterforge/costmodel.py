@@ -19,7 +19,7 @@ from .compilers import (
 )
 from .decomp import LowRankDecomposition, bisection_decompose, pair_box_norms
 from .errors import DomainError, ValidationError
-from .hamlib import HamiltonianSpec, PauliKind, build_power_law
+from .hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
 
 REPORT_METHODS = ("sequential", "block", "avgcost", "lowrank")
 
@@ -178,14 +178,19 @@ def _check_dyadic(ns: Sequence[int]) -> None:
         raise ValidationError("sweep sizes must be strictly increasing")
 
 
-def block_step_count(spec: HamiltonianSpec, t: float, eps: float) -> int:
-    """Count model for the boxed-encoding method: qubitization per cross pair."""
+def block_step_count(spec: HamiltonianSpec, t: float, eps: float, memo: BlockMemo | None = None) -> int:
+    """Count model for the boxed-encoding method: qubitization per cross pair.
+
+    Pairs with equal cross blocks share their box norms through ``memo`` (a
+    fresh one by default); the register width depends on n, so it is applied per pair.
+    """
     dec = bisection_decompose(spec.n)
     width = phase_register_width(spec.n, t, eps)
+    memo = BlockMemo() if memo is None else memo
     total = 0
     for mat in spec.two_local.values():
         for pair in dec.pairs:
-            vec1, box1, ratio = pair_box_norms(mat, pair)
+            vec1, box1, ratio = memo.get(mat.block(pair.cross_region()), ("box",), lambda: pair_box_norms(mat, pair))
             if vec1 == 0.0:
                 continue
             steps = qubitization_step_count(box1 * abs(t), eps)
@@ -203,21 +208,23 @@ def balanced_subdivision(n: int, alpha: float, t: float) -> int:
 def compile_method(
     method: str, spec: HamiltonianSpec, t: float, p: int, eps: float, *,
     tol: float | None = None, cutoff_size: int = 4, m: int | None = None, count_only: bool = False,
+    memo: BlockMemo | None = None,
 ) -> CompiledStep:
     """One Trotter step of ``method``: the one mapping of the method flags onto a step compiler.
 
     lowrank truncates at tol (eps when tol is None) and sizes its phase registers with eps;
     avgcost takes eps and, when m is None, the balanced subdivision of the spec's alpha.
+    lowrank and avgcost share block results through ``memo``, a fresh one when it is None.
     """
     if method == "sequential":
         return compile_sequential_step(spec, t, p, count_only=count_only)
     if method == "lowrank":
         tol = eps if tol is None else tol
-        return compile_lowrank_step(spec, t, tol, cutoff_size, p, count_only=count_only, eps=eps)
+        return compile_lowrank_step(spec, t, tol, cutoff_size, p, count_only=count_only, eps=eps, memo=memo)
     if method == "avgcost":
         if m is None:
             m = balanced_subdivision(spec.n, spec.alpha or 1.0, t)
-        return compile_avgcost_step(spec, t, m, p, count_only=count_only, eps=eps)
+        return compile_avgcost_step(spec, t, m, p, count_only=count_only, eps=eps, memo=memo)
     raise DomainError(f"unknown step method {method!r}")
 
 
@@ -243,7 +250,15 @@ def gate_count_report(
     tol: float | None = None,
     cutoff_size: int = 4,
 ) -> CostReport:
-    """Count-only sweep of one compile method on exact power-law ZZ specs."""
+    """Count-only sweep of one compile method on exact power-law ZZ specs.
+
+    One ``BlockMemo`` serves the whole sweep: a power-law cross block of one
+    shape and gap holds the same bytes at every n, so each distinct block is
+    factored, boxed or subdivided once. Its keys hold each distinct block once.
+    Every block a smaller n reads recurs at the largest n, where one method
+    reads disjoint blocks, so the keys stay within the strict upper triangle
+    of the largest spec: half of one of the five n x n copies its build sized.
+    """
     if method not in REPORT_METHODS:
         raise DomainError(f"unknown method {method!r}")
     if method != "sequential" and d != 1:
@@ -253,14 +268,17 @@ def gate_count_report(
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
     _check_dyadic(n_sweep)
+    memo = BlockMemo()
     counts = []
     fit_values = []
     for n in n_sweep:
         spec = build_power_law(n, d, alpha, (PauliKind.Z, PauliKind.Z), "all-positive")
         if method == "block":
-            counts.append(block_step_count(spec, t, eps))
+            counts.append(block_step_count(spec, t, eps, memo))
         else:
-            step = compile_method(method, spec, t, p, eps, tol=tol, cutoff_size=cutoff_size, count_only=True)
+            step = compile_method(
+                method, spec, t, p, eps, tol=tol, cutoff_size=cutoff_size, count_only=True, memo=memo
+            )
             counts.append(step.gate_count)
         if method == "lowrank":
             # Fit the power net of the count model's own log factors (phase

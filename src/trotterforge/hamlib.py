@@ -5,17 +5,19 @@ and ``CoeffMatrix.block(region)`` is the one reader of a rectangle of them.
 ``norms`` reads regions in two kinds: ``restricted_1``, the 1-norm over a
 region of index pairs, and ``box_1``, the sum of weight x region max over
 explicit (weight, region) groupings, so the geometry of the grouping stays in
-the decomp module.
+the decomp module. ``BlockMemo`` keeps what the compilers compute from a
+block, once per distinct block.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -113,6 +115,37 @@ class CoeffMatrix:
         if rows.start < 0 or cols.start < 0 or rows.stop > self.n or cols.stop > self.n:
             raise IndexRangeError(f"region {region.rows} x {region.cols} outside the index range 1..{self.n}")
         return self.data[rows, cols]
+
+
+_T = TypeVar("_T")
+
+
+class BlockMemo:
+    """Results computed from coefficient blocks, one per distinct block and parameters.
+
+    A block is keyed on its shape and exact bytes, so equal blocks share their
+    results (a power law is translation invariant: every cross block of one
+    shape and gap holds the same bytes, at any n) and a block with other bytes,
+    -0.0 for 0.0 included, never reuses them. Each distinct block's bytes are
+    held once, whatever the parameters; ``key_bytes`` counts them. Whoever
+    creates the memo sets its lifetime: one compile, or one cost report.
+    """
+
+    def __init__(self) -> None:
+        self._blocks: dict[tuple[tuple[int, ...], bytes], dict[tuple, object]] = {}
+        self.key_bytes = 0
+
+    def get(self, block: np.ndarray, params: tuple, compute: Callable[[], _T]) -> _T:
+        """The result for ``block`` and ``params`` (a tag naming the result, then its inputs),
+        from ``compute()`` the first time."""
+        key = (block.shape, block.tobytes())
+        results = self._blocks.get(key)
+        if results is None:
+            results = self._blocks[key] = {}
+            self.key_bytes += len(key[1])
+        if params not in results:
+            results[params] = compute()
+        return results[params]
 
 
 @dataclass(frozen=True)
@@ -484,8 +517,20 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
 
 
 def spec_from_json(text: str) -> HamiltonianSpec:
+    """Parse a spec document; a caller that passes its only reference to ``text`` lets it go once parsed.
+
+    The cyclic collector is paused meanwhile: a JSON document holds no cycles,
+    and a large one would trigger full collections over every list it builds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"spec is not valid JSON: {exc}") from None
-    return spec_from_dict(doc)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"spec is not valid JSON: {exc}") from None
+        del text
+        return spec_from_dict(doc)
+    finally:
+        if enabled:
+            gc.enable()

@@ -226,6 +226,9 @@ def commands() -> list[list[str]]:
         "bound coeff --b 4 --k 20 --n 64 --eps 1e-3 --m 3",
         "bound volume --mu 1",
         "bound diag --b 4 --k 100 --mu 2 --theta-max 1.5707963",
+        # accuracies near the float floor: ln x - ln accuracy where x / accuracy overflows
+        "bound diag --b 4 --mu 2 --theta-max 1.5 --delta 1e-308",
+        "bound ham --b 64 --n 64 --eps 1e-307",
     ]
     # chem
     lines += [

@@ -300,6 +300,22 @@ def test_result_json_shape():
     assert res.to_json() == json.dumps(doc, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("accuracy", [1e-300, 1e-307, 1e-308])
+def test_accuracies_near_the_float_floor_give_the_oracle_bounds(accuracy):
+    # x / accuracy leaves the float range here, though its log stays near 710
+    for fn, oracle, parts in (
+        (diag_synthesis_lower_bound, diag_raw_oracle, None),
+        (commuting_ham_lower_bound, ham_raw_oracle, ham_parts_oracle),
+        (discrete_diag_lower_bound, discrete_raw_oracle, None),
+        (coeff_oracle_lower_bound, coeff_raw_oracle, coeff_parts_oracle),
+    ):
+        q = BoundQuery(b=64, mu=2, theta_max=1.5, delta=accuracy, n=64, eps=accuracy, m=2000)
+        res = fn(q)
+        assert all(math.isfinite(v) for v in res.constants.values() if isinstance(v, float))
+        scale = max(map(abs, parts(q))) if parts else None
+        assert close_rel(res.constants["raw"], oracle(q), rel=1e-11, scale=scale)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     b=st.integers(2, 64),

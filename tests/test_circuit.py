@@ -456,7 +456,7 @@ def cnots_permute_no_basis_state(c):
     perm = np.arange(dim).reshape(dim, 1)
     for g in c.gates:
         if isinstance(g, CNOT):
-            circuit_module._swap_cnot_rows(perm, g.ctrl, g.tgt)
+            circuit_module._swap_cnot_rows(perm, g.ctrl, g.tgt, np.empty_like(perm))
     return np.array_equal(perm[:, 0], np.arange(dim))
 
 

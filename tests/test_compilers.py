@@ -166,9 +166,19 @@ def test_schedule_arrays_are_read_only_copies():
     stages, fractions = np.array([1, 2, 1]), np.array([0.5, 1.0, 0.5])
     fr = ProductFormula(2, 2, stages, fractions)
     stages[0] = 2
+    fractions[0] = 0.25
     assert fr.stages.tolist() == [1, 2, 1]
+    assert fr.fractions.tolist() == [0.5, 1.0, 0.5]
     with pytest.raises(ValueError):
         fr.fractions[0] = 1.0
+
+
+def test_read_only_schedule_arrays_are_kept_uncopied():
+    stages, fractions = np.array([1, 2, 1]), np.array([0.5, 1.0, 0.5])
+    stages.setflags(write=False)
+    fractions.setflags(write=False)
+    fr = ProductFormula(2, 2, stages, fractions)
+    assert fr.stages is stages and fr.fractions is fractions
 
 
 def test_formula_validation():
@@ -255,6 +265,17 @@ def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, m
     message = r"^lowering the lowrank step on 32 qubits \(492 gates, \d+ composites\) needs"
     with pytest.raises(CapacityError, match=message):
         compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
+
+
+def test_lowering_counts_the_block_bytes_the_memo_holds(monkeypatch):
+    spec = build_power_law(32, 1, 2.0, ZZ, "seeded-random")
+    held = []
+    check = compilers._check_lowering_memory
+    monkeypatch.setattr(compilers, "_check_lowering_memory", lambda *args: held.append(args[-1]) or check(*args))
+    compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
+    # random signs make every far block distinct, so the memo holds each one's bytes once
+    far = lowrank_decompose(32, 4).far_field
+    assert held == [sum(8 * p.left.length * p.right.length for p in far)]
 
 
 def test_sequential_term_order():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import trotterforge.costmodel as costmodel
+from trotterforge.circuit import CompositeDiagonalPhase, circuit_text
 from trotterforge.compilers import compile_avgcost_step, compile_lowrank_step, phase_register_width
 from trotterforge.costmodel import (
     Recurrence,
@@ -16,7 +18,7 @@ from trotterforge.costmodel import (
     solve_recurrence_numeric,
 )
 from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import build_power_law
+from trotterforge.hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
 
 
 # -- oracles --------------------------------------------------------------------
@@ -201,6 +203,68 @@ def test_report_counts_the_step_compile_method_builds(method, eps, tol):
     for n, count in zip(ns, report.counts):
         step = compile_method(method, build_power_law(n, 1, 1.5), 1.0, 2, eps, tol=tol, count_only=True)
         assert count == step.gate_count
+
+
+class Unshared(BlockMemo):
+    """Oracle memo: computes every result afresh, as if no two blocks were equal."""
+
+    def get(self, block, params, compute):
+        return compute()
+
+
+def fresh_count(method, spec, t, p, eps, memo, cutoff_size=4):
+    if method == "block":
+        return block_step_count(spec, t, eps, memo)
+    return compile_method(method, spec, t, p, eps, cutoff_size=cutoff_size, count_only=True, memo=memo).gate_count
+
+
+MEMO_CASES = [(0.5, 0.1, 1e-3, 1, 4), (1.0, 1.0, 1e-8, 2, 2), (1.5, 0.3, 1e-3, 4, 1), (3.0, 1.0, 1e-6, 2, 8)]
+
+
+@pytest.mark.parametrize(
+    "method, alpha, t, eps, p, cutoff_size",
+    [(method, *case) for method in ("lowrank", "block", "avgcost") for case in MEMO_CASES
+     if method != "avgcost" or case[0] < 2.0],  # avgcost is defined below alpha = 2 only
+)
+def test_one_memo_per_report_counts_what_a_fresh_memo_per_size_counts(method, alpha, t, eps, p, cutoff_size):
+    ns = (16, 32, 64, 128)
+    report = gate_count_report(method, alpha, 1, t, eps, ns, p=p, cutoff_size=cutoff_size)
+    for n, count in zip(ns, report.counts):
+        spec = build_power_law(n, 1, alpha)
+        assert count == fresh_count(method, spec, t, p, eps, None, cutoff_size)
+        assert count == fresh_count(method, spec, t, p, eps, Unshared(), cutoff_size)
+
+
+def same_circuit(a, b):
+    composites = [(x, y) for x, y in zip(a.gates, b.gates) if isinstance(x, CompositeDiagonalPhase)]
+    return circuit_text(a) == circuit_text(b) and all(np.array_equal(x.phases, y.phases) for x, y in composites)
+
+
+@pytest.mark.parametrize("method", ["lowrank", "avgcost"])
+def test_a_memo_shared_across_random_sign_compiles_changes_no_circuit(method):
+    zz, xx = (PauliKind.Z, PauliKind.Z), (PauliKind.X, PauliKind.X)
+    groups = {pair: build_power_law(8, 1, 1.5, pair, "seeded-random", seed).two_local[pair] for seed, pair in enumerate((zz, xx))}
+    spec = HamiltonianSpec(8, 1, groups, {})
+    shared = BlockMemo()
+    for t in (0.1, 0.7):
+        for p in (1, 2, 4):
+            got = compile_method(method, spec, t, p, 1e-3, tol=1e-6, cutoff_size=1, memo=shared)
+            want = compile_method(method, spec, t, p, 1e-3, tol=1e-6, cutoff_size=1, memo=Unshared())
+            assert got.gate_count == want.gate_count
+            assert same_circuit(got.circuit, want.circuit)
+
+
+def test_a_report_takes_one_svd_and_one_box_norm_per_distinct_block_of_its_sweep(monkeypatch):
+    # these sizes hold 1,383 far blocks of 14 distinct byte patterns, and 1,979 bisection pairs
+    # whose cross blocks take 10 (one per half size)
+    svds, boxes = [], []
+    svd, pair_box_norms = np.linalg.svd, costmodel.pair_box_norms
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a.shape) or svd(a, **kw))
+    monkeypatch.setattr(costmodel, "pair_box_norms", lambda mat, pair: boxes.append(pair) or pair_box_norms(mat, pair))
+    gate_count_report("lowrank", 2.0, 1, 1.0, 1e-3, SWEEP)
+    gate_count_report("block", 2.0, 1, 1.0, 1e-3, SWEEP)
+    assert len(svds) == 14
+    assert len(boxes) == 10
 
 
 def test_compile_method_maps_eps_tol_and_m_onto_the_compilers():

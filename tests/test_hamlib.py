@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import pickle
@@ -17,6 +18,7 @@ from trotterforge.errors import (
     check_memory,
 )
 from trotterforge.hamlib import (
+    BlockMemo,
     CoeffMatrix,
     HamiltonianSpec,
     IndexRegion,
@@ -390,6 +392,62 @@ def test_spec_json_rejects_unknown_fields():
 def test_spec_json_rejects_malformed_documents(text):
     with pytest.raises(ValidationError):
         spec_from_json(text)
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after the test, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, error",
+    [(spec_to_json(build_power_law(4, 1, 2.0)), None), ('{"n": 2, "d": 1,', "not valid JSON"), ("[1, 2]", "JSON object")],
+)
+def test_spec_json_parses_with_the_collector_paused_and_restores_its_state(gc_state, monkeypatch, enabled, text, error):
+    seen = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s))
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error is None:
+        spec_from_json(text)
+    else:
+        with pytest.raises(ValidationError, match=error):
+            spec_from_json(text)
+    assert seen == [False]
+    assert gc.isenabled() == enabled
+
+
+# -- the block memo ---------------------------------------------------------------
+
+
+def test_block_memo_shares_results_between_equal_blocks_only():
+    mat = build_power_law(16, 1, 2.0).two_local[ZZ]
+    memo, calls = BlockMemo(), []
+
+    def get(region, params=("tag",)):
+        block = mat.block(region)
+        return memo.get(block, params, lambda: calls.append(block.shape) or len(calls))
+
+    # the same shape and gap at two places: one power law, the same bytes
+    assert get(IndexRegion(range(1, 5), range(5, 9))) == get(IndexRegion(range(9, 13), range(13, 17))) == 1
+    assert get(IndexRegion(range(1, 5), range(9, 13))) == 2  # another gap
+    assert get(IndexRegion(range(1, 3), range(3, 5))) == 3  # another shape
+    assert get(IndexRegion(range(1, 5), range(5, 9)), ("tag", 2)) == 4  # other parameters
+    assert len(calls) == 4
+    assert memo.key_bytes == 8 * (16 + 16 + 4)  # each distinct block once, whatever its parameters
+    zero, negative_zero = np.zeros((2, 2)), np.full((2, 2), -0.0)
+    assert memo.get(zero, (), lambda: "zero") == "zero"
+    assert memo.get(negative_zero, (), lambda: "negative zero") == "negative zero"
 
 
 # -- Pauli tables --------------------------------------------------------------------
