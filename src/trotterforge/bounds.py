@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -83,9 +84,14 @@ def _need(query: BoundQuery, *names: str) -> None:
         raise ValidationError(f"query is missing fields: {missing}")
 
 
+def _float(x: int) -> float:
+    """An integer as a float, inf past the float range (so 2 ** min(mu, 1024) is 2^mu), for check_float_range."""
+    return float(x) if x <= sys.float_info.max else math.inf
+
+
 def _log_ratio(x: float, accuracy: float) -> float:
     """ln(x / accuracy); where the quotient leaves the float range, ln x - ln accuracy, which stays finite."""
-    quotient = x / accuracy
+    quotient = _float(x) / accuracy
     return math.log(quotient) if math.isfinite(quotient) else math.log(x) - math.log(accuracy)
 
 
@@ -121,7 +127,7 @@ def volume_diag(mu: int, theta_max: float) -> float:
         raise DomainError(f"target qubit count must be >= 0, got {mu}")
     if not (0.0 < theta_max < math.pi):
         raise DomainError(f"theta_max must lie in (0, pi), got {theta_max}")
-    return 2.0**mu * math.log(2.0 * theta_max)
+    return check_float_range(_float(2 ** min(mu, 1024)) * math.log(2.0 * theta_max), "the log-volume")
 
 
 def _arc(delta: float) -> float:
@@ -135,7 +141,7 @@ def diag_synthesis_lower_bound(query: BoundQuery) -> BoundResult:
         raise DomainError(f"theta_max must lie in (0, pi), got {query.theta_max}")
     arc = _arc(query.delta)
     denom = _pair_denominator(query, query.delta)
-    raw = 2.0**query.mu * math.log(2.0 * query.theta_max / arc) / denom
+    raw = _float(2 ** min(query.mu, 1024)) * math.log(2.0 * query.theta_max / arc) / denom
     constants = {"arc": arc, "denominator": denom}
     if query.gate_set_size is None:
         constants["c_compile"] = query.c_compile
@@ -162,8 +168,8 @@ def commuting_ham_lower_bound(query: BoundQuery) -> BoundResult:
     theta_eff = min(query.t, THETA_CEILING)
     arc = _arc(delta_eff)
     denom = _pair_denominator(query, delta_eff)
-    main = n * n * math.log(2.0 * theta_eff / arc) / denom
-    overhead = query.c_red * n * _log_ratio(n, query.eps) ** 2
+    main = _float(n * n) * math.log(2.0 * theta_eff / arc) / denom
+    overhead = query.c_red * _float(n) * _log_ratio(n, query.eps) ** 2
     raw = main - overhead
     constants = {
         "delta_scale": HAM_DELTA_SCALE,
@@ -181,7 +187,7 @@ def discrete_diag_lower_bound(query: BoundQuery) -> BoundResult:
     """Gate count for diagonal unitaries with m-bit phases, valid for
     2^-m <= delta <= 1/2."""
     _need(query, "mu", "delta", "m")
-    raw = 2.0**query.mu * math.log(1.0 / query.delta) / _qubit_denominator(query, query.delta)
+    raw = _float(2 ** min(query.mu, 1024)) * math.log(1.0 / query.delta) / _qubit_denominator(query, query.delta)
     constants: dict = {}
     if query.gate_set_size is None:
         constants["c_compile"] = query.c_compile
@@ -195,7 +201,7 @@ def coeff_oracle_lower_bound(query: BoundQuery) -> BoundResult:
     _need(query, "n", "eps", "m")
     n = query.n
     inv = math.log(1.0 / query.eps)
-    main = n * n * inv / _qubit_denominator(query, query.eps)
+    main = _float(n * n) * inv / _qubit_denominator(query, query.eps)
     overhead = query.c_red * inv * inv
     raw = main - overhead
     constants = {"c_red": query.c_red, "main_term": main, "overhead": overhead}

@@ -90,6 +90,7 @@ def build_uniform_electron_gas(
     if omega <= 0:
         raise DomainError(f"cell volume must be > 0, got {omega}")
     n = g**3
+    check_memory(88 * n * n, f"an electron gas on a {g}^3 grid")  # tracemalloc peak: 80 n^2 B at g=6-12
     coords = _grid_coords(g)
     dist = _min_image_distances(coords, g)
     with np.errstate(divide="ignore"):

@@ -56,7 +56,7 @@ from .circuit import (
 )
 from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_float_range, check_memory
-from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, PauliKind, nonzero_terms
+from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
 from .lowrank import truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
@@ -316,7 +316,7 @@ class _StageOp:
 
     * ``far``: one diagonal composite e^{-i theta z_u.A z_v} on the sites
       ``rows`` + ``cols``, with A the far block's truncated factor ``data``;
-    * ``cell``: the same, with A the subdivision cell's coefficient slice;
+    * ``cell``: the same, with A the subdivision cell's view of its pair's cross block;
     * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
       entry [r, c] couples sites rows[r] and cols[c];
     * ``onsite``: one rotation per nonzero on-site coefficient.
@@ -476,28 +476,30 @@ def compile_avgcost_step(
     dec = bisection_decompose(spec.n)
     memo = BlockMemo() if memo is None else memo
 
-    def cell_costs(mat: CoeffMatrix, cells: list[Cell], theta: float) -> list[tuple[int, int]]:
-        """(index, declared cost) of every nonempty cell."""
+    def cell_costs(block: np.ndarray, cells: list[Cell], theta: float) -> list[tuple[IndexRegion, int]]:
+        """(region, declared cost) of every nonempty cell of the cross block ``block``."""
         costs = []
-        for i, cell in enumerate(cells):
-            sub, cell_1, ratio = cell_norms(mat, cell)
+        for cell in cells:
+            sub, cell_1, ratio = cell_norms(block, cell)
             if cell_1 == 0.0:
                 continue
             steps = qubitization_step_count(cell_1 * abs(theta), eps)
             width_j, width_k = sub.shape
-            costs.append((i, steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))))
+            cost = steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
+            costs.append((cell.region, cost))
         return costs
 
     def stage_ops(pair_key, mat, theta):
         ops = []
         for pair in dec.pairs:
-            cells = cells_for_pair(pair, m)
-            # the cells lie inside the cross block, so its bytes fix their costs; each op keeps its own sites
+            block = mat.block(pair.cross_region())
+            # the cells are regions of the block, so its bytes fix them and their costs
             params = ("cells", m, abs(theta), eps)
-            costs = memo.get(mat.block(pair.cross_region()), params, lambda: cell_costs(mat, cells, theta))
-            for i, cost in costs:
-                region = cells[i].region
-                ops.append(_StageOp("cell", cost, region.rows, region.cols, mat.block(region)))
+            costs = memo.get(block, params, lambda: cell_costs(block, cells_for_pair(pair, m), theta))
+            left, right = pair.left.sites(), pair.right.sites()
+            for region, cost in costs:
+                rows, cols = region.slices()
+                ops.append(_StageOp("cell", cost, left[rows], right[cols], region.of(block)))
         return ops
 
     return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops, memo)

@@ -190,7 +190,8 @@ def block_step_count(spec: HamiltonianSpec, t: float, eps: float, memo: BlockMem
     total = 0
     for mat in spec.two_local.values():
         for pair in dec.pairs:
-            vec1, box1, ratio = memo.get(mat.block(pair.cross_region()), ("box",), lambda: pair_box_norms(mat, pair))
+            block = mat.block(pair.cross_region())
+            vec1, box1, ratio = memo.get(block, ("box",), lambda: pair_box_norms(block, pair))
             if vec1 == 0.0:
                 continue
             steps = qubitization_step_count(box1 * abs(t), eps)

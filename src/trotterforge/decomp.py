@@ -9,12 +9,16 @@ Three ways of carving up the strict upper triangle of site pairs:
 * subdivision: uniform cells over the cross block of one bisection pair.
 
 The box grid groups a cross block into dyadic boxes after shifting the pair
-to coordinates u in [-L,-1], v in [1,L] around the split point.
+to coordinates u in [-L,-1], v in [1,L] around the split point. Boxes and
+cells are regions of their pair's cross block, 1-based in the block, and
+their norms read only that block; a region's sites are left.sites()[rows]
+and right.sites()[cols] of its 0-based slices.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, norms
+from .hamlib import HamiltonianSpec, IndexRegion, norms
 
 
 def _is_pow2(x: int) -> bool:
@@ -196,29 +200,24 @@ def nested_boxes(half_size: int) -> BoxGrid:
     return BoxGrid(half_size, tuple(boxes), tuple(boundary))
 
 
-def shifted_region(u: tuple[int, int], v: tuple[int, int], half: int, corner=(1, 1)) -> IndexRegion:
-    """The rows x cols of a half x half cross block that shifted u (< 0) and v (> 0) cover.
+def shifted_region(u: tuple[int, int], v: tuple[int, int], half: int) -> IndexRegion:
+    """The rows x cols of a half x half cross block that shifted u (< 0) and v (> 0) cover, 1-based.
 
-    u and v are inclusive (lo, hi) ranges. Row u of the block is block row
-    u + half and column v is block column v - 1, both 0-based; ``corner`` is the
-    block's top-left (row, column), 1-based, so (1, 1) indexes the block itself
-    and (left.lo, right.lo) a pair's sites.
+    u and v are inclusive (lo, hi) ranges: row u is block row u + half + 1 and
+    column v is block column v.
     """
-    j, k = corner[0] + half, corner[1] - 1
-    return IndexRegion(range(j + u[0], j + u[1] + 1), range(k + v[0], k + v[1] + 1))
+    return IndexRegion(range(half + 1 + u[0], half + 2 + u[1]), range(v[0], v[1] + 1))
 
 
 def boxes_for_pair(pair: IntervalPair) -> list[tuple[int, IndexRegion]]:
-    """(weight, region) groupings of a contiguous equal-half pair, matrix coords."""
+    """(weight, region) groupings of a contiguous equal-half pair, in its cross block."""
     if not pair.is_contiguous_halves():
         raise ValidationError("box grids apply to contiguous equal-half pairs")
-    half, corner = pair.left.length, (pair.left.lo, pair.right.lo)
+    half = pair.left.length
     if half == 1:
-        return [(1, pair.cross_region())]
-    return [
-        (box.weight, shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), half, corner))
-        for box in nested_boxes(half).all_boxes()
-    ]
+        return [(1, shifted_region((-1, -1), (1, 1), 1))]
+    grid = nested_boxes(half).all_boxes()
+    return [(box.weight, shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), half)) for box in grid]
 
 
 @dataclass(frozen=True)
@@ -230,15 +229,9 @@ class Subdivision:
     cut_points: tuple[int, ...]
 
     def cell_bounds(self) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-        """(j, k, u-range, v-range) for every cell, shifted inclusive coords."""
-        cells = []
-        l = self.cut_points
-        for j in range(1, self.m + 1):
-            for k in range(1, self.m + 1):
-                u = (-l[j] + 1, -l[j - 1])
-                v = (l[k - 1], l[k] - 1)
-                cells.append((j, k, u, v))
-        return cells
+        """(j, k, u-range, v-range) for every cell, row-major, shifted inclusive coords."""
+        l, js = self.cut_points, range(1, self.m + 1)
+        return [(j, k, (-l[j] + 1, -l[j - 1]), (l[k - 1], l[k] - 1)) for j in js for k in js]
 
 
 def subdivide(half_size: int, m: int) -> Subdivision:
@@ -250,7 +243,7 @@ def subdivide(half_size: int, m: int) -> Subdivision:
 
 @dataclass(frozen=True)
 class Cell:
-    """One subdivision cell of a pair's cross block, matrix coordinates."""
+    """One subdivision cell of a pair's cross block, in block coordinates."""
 
     j: int
     k: int
@@ -260,31 +253,31 @@ class Cell:
 def cells_for_pair(pair: IntervalPair, m: int) -> list[Cell]:
     if not pair.is_contiguous_halves():
         raise ValidationError("subdivision applies to contiguous equal-half pairs")
-    half, corner = pair.left.length, (pair.left.lo, pair.right.lo)
+    half = pair.left.length
     cells = subdivide(half, min(m, half)).cell_bounds()
-    return [Cell(j, k, shifted_region(u, v, half, corner)) for j, k, u, v in cells]
+    return [Cell(j, k, shifted_region(u, v, half)) for j, k, u, v in cells]
 
 
-def pair_box_norms(mat: CoeffMatrix, pair: IntervalPair) -> tuple[float, float, float]:
-    """(vec1, box1, lambda_block) of the pair's cross block: its 1-norm, its box norm, and box1 / vec1.
+def pair_box_norms(block: np.ndarray, pair: IntervalPair) -> tuple[float, float, float]:
+    """(vec1, box1, lambda_block) of the pair's cross block ``block``: its 1-norm, its box norm, and box1 / vec1.
 
     lambda_block is at most 2^alpha on a power law. An all-zero block gives
     (0, 0, 1) without reading its boxes.
     """
-    vec1 = norms(mat, "restricted_1", region=pair.cross_region())
+    vec1 = norms(block, "restricted_1", region=IndexRegion(*(range(1, side + 1) for side in block.shape)))
     if vec1 == 0.0:
         return 0.0, 0.0, 1.0
-    box1 = norms(mat, "box_1", boxes=boxes_for_pair(pair))
+    box1 = norms(block, "box_1", boxes=boxes_for_pair(pair))
     return vec1, box1, box1 / vec1
 
 
-def cell_norms(mat: CoeffMatrix, cell: Cell) -> tuple[np.ndarray, float, float]:
-    """(block, cell_1, lambda_avg) of one cell of a coefficient matrix.
+def cell_norms(block: np.ndarray, cell: Cell) -> tuple[np.ndarray, float, float]:
+    """(sub, cell_1, lambda_avg) of one cell of the cross block ``block``, ``sub`` a view of it.
 
     lambda_avg = width_j * width_k * max|beta| / cell_1 over the width_j x width_k
-    block; an all-zero cell gives ratio 1.
+    cell; an all-zero cell gives ratio 1.
     """
-    sub = mat.block(cell.region)
+    sub = cell.region.of(block)
     cell_1 = float(np.abs(sub).sum())
     if cell_1 == 0.0:
         return sub, 0.0, 1.0
@@ -338,16 +331,15 @@ def amplification_ratios(
     lam_avg = 1.0 if m is not None else None
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.pairs:
-            ratio = pair_box_norms(mat, pair)[2]
+            block = mat.block(pair.cross_region())
+            ratio = pair_box_norms(block, pair)[2]
             rows.append(RatioRow("block", s1.value, s2.value, pair.layer, pair.block, None, None, ratio))
             lam_block = max(lam_block, ratio)
             if m is None:
                 continue
             for cell in cells_for_pair(pair, m):
-                cratio = cell_norms(mat, cell)[2]
-                rows.append(
-                    RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio)
-                )
+                cratio = cell_norms(block, cell)[2]
+                rows.append(RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio))
                 lam_avg = max(lam_avg, cratio)
     if _is_exact_power_law(spec) and lam_block > 2.0**spec.alpha + 1e-9:
         raise ValidationError(
@@ -372,18 +364,7 @@ def lattice_bisection_pairs(side: int, d: int) -> list[tuple[tuple[int, ...], tu
         return out + 1
 
     def sites(box: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-        axes = [range(lo, hi + 1) for lo, hi in box]
-        ids = []
-
-        def rec(axis: int, prefix: list[int]) -> None:
-            if axis == d:
-                ids.append(site_id(prefix))
-                return
-            for c in axes[axis]:
-                rec(axis + 1, prefix + [c])
-
-        rec(0, [])
-        return tuple(sorted(ids))
+        return tuple(sorted(site_id(c) for c in itertools.product(*(range(lo, hi + 1) for lo, hi in box))))
 
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 

@@ -1,12 +1,13 @@
 """Two-local Hamiltonian coefficient data and the region norms of its pairs.
 
-Coefficient matrices live on the strict upper triangle (1 <= j < k <= n),
-and ``CoeffMatrix.block(region)`` is the one reader of a rectangle of them.
-``norms`` reads regions in two kinds: ``restricted_1``, the 1-norm over a
-region of index pairs, and ``box_1``, the sum of weight x region max over
-explicit (weight, region) groupings, so the geometry of the grouping stays in
-the decomp module. ``BlockMemo`` keeps what the compilers compute from a
-block, once per distinct block.
+Coefficient matrices live on the strict upper triangle (1 <= j < k <= n).
+``IndexRegion.of(values)`` is the one reader of a rectangle of a 2-D array,
+1-based in that array: ``CoeffMatrix.block(region)`` reads the matrix in
+sites, and a cross block is read in its own coordinates. ``norms`` reads
+regions of an array in two kinds: ``restricted_1``, the 1-norm over a region,
+and ``box_1``, the sum of weight x region max over explicit (weight, region)
+groupings, so the geometry of the grouping stays in the decomp module.
+``BlockMemo`` keeps what the compilers compute from a block, once per distinct block.
 """
 
 from __future__ import annotations
@@ -110,11 +111,8 @@ class CoeffMatrix:
         yield from ((j, k, v) for (j, k), v in nonzero_terms(self.data))
 
     def block(self, region: IndexRegion) -> np.ndarray:
-        """The read-only view of the stored values over ``region``; an entry with j >= k reads 0."""
-        rows, cols = region.slices()
-        if rows.start < 0 or cols.start < 0 or rows.stop > self.n or cols.stop > self.n:
-            raise IndexRangeError(f"region {region.rows} x {region.cols} outside the index range 1..{self.n}")
-        return self.data[rows, cols]
+        """The read-only view of the stored values over ``region``, in sites; an entry with j >= k reads 0."""
+        return region.of(self.data)
 
 
 _T = TypeVar("_T")
@@ -163,6 +161,14 @@ class IndexRegion:
     def slices(self) -> tuple[slice, slice]:
         """The 0-based array slices of the rows and the columns."""
         return slice(self.rows.start - 1, self.rows.stop - 1), slice(self.cols.start - 1, self.cols.stop - 1)
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """The view of the 2-D array ``values`` over this region; IndexRangeError if it leaves the array."""
+        (rows, cols), (h, w) = self.slices(), values.shape
+        if rows.start < 0 or cols.start < 0 or rows.stop > h or cols.stop > w:
+            extent = f"1..{h}" if h == w else f"1..{h} x 1..{w}"
+            raise IndexRangeError(f"region {self.rows} x {self.cols} outside the index range {extent}")
+        return values[rows, cols]
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Every (j, k) of the region, row-major."""
@@ -316,6 +322,8 @@ def build_power_law(
         raise DomainError(f"need alpha > 0, got {alpha}")
     if sign_rule not in SIGN_RULES:
         raise ValidationError(f"unknown sign rule {sign_rule!r}")
+    if sign_rule == "seeded-random" and seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     probe = HamiltonianSpec(n, d, {}, {})  # validates the lattice shape
     check_coeff_capacity(n, copies=5)  # tracemalloc peak: 4.1 copies at n=1024 and 2048
     side = probe.side
@@ -384,24 +392,24 @@ NORM_KINDS = ("restricted_1", "box_1")
 
 
 def norms(
-    matrix: CoeffMatrix,
+    values: np.ndarray,
     kind: str,
     *,
     region: IndexRegion | None = None,
     boxes: Iterable[tuple[int, IndexRegion]] | None = None,
 ) -> float:
-    """restricted_1: the 1-norm over ``region``; box_1: the sum of weight x max over ``boxes``."""
+    """restricted_1: the 1-norm of ``values`` over ``region``; box_1: the sum of weight x max over ``boxes``."""
     if kind not in NORM_KINDS:
         raise ValidationError(f"unknown norm kind {kind!r}")
     if kind == "restricted_1":
         if region is None:
             raise ValidationError("restricted_1 needs a region")
-        return float(np.cumsum(np.abs(matrix.block(region)))[-1])  # accumulates in (j, k) order
+        return float(np.cumsum(np.abs(region.of(values)))[-1])  # accumulates in (j, k) order
     if boxes is None:
         raise ValidationError("box_1 needs (weight, region) boxes")
     total = 0.0
     for weight, reg in boxes:
-        total += weight * float(np.abs(matrix.block(reg)).max())
+        total += weight * float(np.abs(reg.of(values)).max())
     return total
 
 

@@ -36,6 +36,7 @@ SPECS = HERE / "specs"
 FULL_BYTES = 4096
 FLOAT_RTOL = 1e-9
 FLOAT_COMMANDS = ("verify", "error-sweep", "rank-profile")
+HUGE = "1" + "0" * 200  # an integer flag value past the float range
 # a float token: a fraction or an exponent; plain integers stay in the text and compare exactly
 _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
 
@@ -166,6 +167,9 @@ def commands() -> list[list[str]]:
     lines += [
         "compile --n 16 --method avgcost --m 1 --alpha 1.5",
         "compile --n 16 --method avgcost --m 3 --signs alternating --count-only",
+        # lowered avgcost steps with m > 1: uneven cuts and the block-to-site map
+        "compile --n 16 --method avgcost --m 3 --alpha 1.5 --signs seeded-random --seed 3",
+        "compile --n 16 --method avgcost --m 4 --pauli xx --signs alternating",
         "compile --n 8 --method sequential --pauli xz --signs alternating",
         "compile --input {golden}/mixed4.json --method sequential --p 4",
         "compile --n 8 --method hamming2",
@@ -189,6 +193,7 @@ def commands() -> list[list[str]]:
         "verify --input {golden}/mixed4.json --method sequential",
         "verify --input {golden}/onsite8.json --method avgcost --t 0.5",
         "verify --input {golden}/chain8.json --method lowrank --cutoff 2",
+        "verify --n 8 --method avgcost --m 3 --signs seeded-random",
     ]
     # error-sweep
     for method in ("sequential", "lowrank", "avgcost"):
@@ -211,6 +216,7 @@ def commands() -> list[list[str]]:
         "cost-report --method lowrank --alpha 1.5 --tol 1e-2 --cutoff 2 --n-sweep 16,32,64,128",
         "cost-report --method sequential --d 2 --n-sweep 16,64,256,1024",
         "cost-report --method block --n-sweep 16,32",
+        "cost-report --method avgcost --alpha 0.5 --t 1 --n-sweep 16,32,64,128",
     ]
     # bound: every variant, vacuous and validation cases
     lines += [
@@ -229,6 +235,14 @@ def commands() -> list[list[str]]:
         # accuracies near the float floor: ln x - ln accuracy where x / accuracy overflows
         "bound diag --b 4 --mu 2 --theta-max 1.5 --delta 1e-308",
         "bound ham --b 64 --n 64 --eps 1e-307",
+        # integers past the float range: a finite log-space value where one exists, else exit 3
+        f"bound diag --b {HUGE} --mu 2 --theta-max 1.5 --delta 0.1",
+        f"bound ham --b {HUGE} --n 64 --eps 1e-3",
+        f"bound ham --b 64 --n {HUGE} --eps 1e-3",
+        f"bound coeff --b 4 --n {HUGE} --eps 1e-3 --m 3",
+        "bound volume --mu 2000 --theta-max 1.5",
+        "bound diag --b 3000 --mu 2000 --theta-max 1.5 --delta 0.1",
+        "bound discrete --b 3000 --mu 2000 --delta 0.01 --m 3",
     ]
     # chem
     lines += [
@@ -243,6 +257,7 @@ def commands() -> list[list[str]]:
         "build --n 5 --d 2",
         "build --n 4 --signs bogus",
         "build --n 4 --pauli q",
+        "build --n 4 --signs seeded-random --seed -1",
         "build --input {golden}/malformed.json",
         "build --input {tmp}/missing.json",
         "decompose --variant subdivision --n 8",

@@ -152,7 +152,7 @@ def test_boxed_preparation_rejects_a_side_off_the_box_grids(side, fill):
 
 
 def test_boxed_preparation_agrees_with_pair_box_norms():
-    # both read the box grid through shifted_region: one over the block, one over the pair's sites
+    # both read the box grid through shifted_region over the pair's cross block
     mat = build_power_law(32, 1, 1.5, (PauliKind.Z, PauliKind.Z), "seeded-random", seed=7).two_local[
         (PauliKind.Z, PauliKind.Z)
     ]
@@ -160,8 +160,9 @@ def test_boxed_preparation_agrees_with_pair_box_norms():
     for pair in bisection_decompose(32).pairs:
         if pair.left.length == 1:
             continue  # a 1 x 1 block has no box grid
-        vec1, box1, _ = pair_box_norms(mat, pair)
-        prep = build_boxed_preparation(np.abs(mat.block(pair.cross_region())))
+        block = mat.block(pair.cross_region())
+        vec1, box1, _ = pair_box_norms(block, pair)
+        prep = build_boxed_preparation(np.abs(block))
         assert prep.success_probability == pytest.approx(vec1 / box1, rel=1e-13, abs=0.0)
         checked += 1
     assert checked == 15

@@ -17,7 +17,7 @@ from trotterforge.bounds import (
     discrete_diag_lower_bound,
     volume_diag,
 )
-from trotterforge.errors import DomainError, ValidationError
+from trotterforge.errors import CapacityError, DomainError, ValidationError
 
 mp.mp.dps = 50
 
@@ -314,6 +314,32 @@ def test_accuracies_near_the_float_floor_give_the_oracle_bounds(accuracy):
         assert all(math.isfinite(v) for v in res.constants.values() if isinstance(v, float))
         scale = max(map(abs, parts(q))) if parts else None
         assert close_rel(res.constants["raw"], oracle(q), rel=1e-11, scale=scale)
+
+
+HUGE = 10**200  # past the float range, as an integer flag may be
+
+
+def test_integers_past_the_float_range_give_the_oracle_bound_or_a_capacity_error():
+    # ln C(b, 2) and ln b stay finite for any b, so these bounds exist
+    for fn, oracle, parts, q in (
+        (diag_synthesis_lower_bound, diag_raw_oracle, None, BoundQuery(b=HUGE, mu=2, theta_max=1.5, delta=0.1)),
+        (commuting_ham_lower_bound, ham_raw_oracle, ham_parts_oracle, BoundQuery(b=HUGE, n=64, eps=1e-3)),
+        (discrete_diag_lower_bound, discrete_raw_oracle, None, BoundQuery(b=HUGE, mu=2, delta=0.01, m=3)),
+        (coeff_oracle_lower_bound, coeff_raw_oracle, coeff_parts_oracle, BoundQuery(b=HUGE, n=64, eps=1e-3, m=3)),
+    ):
+        scale = max(map(abs, parts(q))) if parts else None
+        assert close_rel(fn(q).constants["raw"], oracle(q), rel=1e-11, scale=scale)
+    # n^2 and 2^mu do not: the bound itself leaves the float range
+    for fn, q in (
+        (commuting_ham_lower_bound, BoundQuery(b=64, n=HUGE, eps=1e-3)),
+        (coeff_oracle_lower_bound, BoundQuery(b=4, n=HUGE, eps=1e-3, m=3)),
+        (diag_synthesis_lower_bound, BoundQuery(b=3000, mu=2000, theta_max=1.5, delta=0.1)),
+        (discrete_diag_lower_bound, BoundQuery(b=3000, mu=2000, delta=0.01, m=3)),
+    ):
+        with pytest.raises(CapacityError, match="exceeds the float range"):
+            fn(q)
+    with pytest.raises(CapacityError, match="exceeds the float range"):
+        volume_diag(2000, 1.5)
 
 
 @settings(max_examples=60, deadline=None)

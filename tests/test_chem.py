@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,24 @@ def test_encoding_capacity(fake_physical_memory):
     fake_physical_memory(1)
     with pytest.raises(CapacityError, match=r"^a dense 11-mode Jordan-Wigner encoding .* needs 1.1 GiB"):
         jw_matrix(ElectronicSystem(n, 1, 1.0, np.eye(n), np.zeros((n, n))))
+
+
+def test_electron_gas_is_sized_before_its_first_allocation(fake_physical_memory):
+    fake_physical_memory(0.01)  # 10.7 MB: 88 n^2 B fits at g = 6 (n = 216), not at g = 8 (n = 512)
+    assert build_uniform_electron_gas(6, 216.0).n == 216
+    with pytest.raises(CapacityError, match=r"^an electron gas on a 8\^3 grid needs"):
+        build_uniform_electron_gas(8, 512.0)
+
+
+def test_an_electron_gas_past_memory_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^an electron gas on a 200\^3 grid needs"):
+            build_uniform_electron_gas(200, 8e6)  # 5.6e15 B
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # -- step-count calculator ---------------------------------------------------------

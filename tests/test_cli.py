@@ -632,6 +632,14 @@ def test_needs_past_float_range_exit_3_on_one_line(capsys, command):
     assert len(err) < 200  # sizes print as 2^n, not as 309-digit numbers
 
 
+@pytest.mark.parametrize("argv", [["chem", "--g-sweep", "200"], ["chem", "--g-sweep", "3", "--step-grid", "200"]])
+def test_an_oversized_electron_gas_exits_3(capsys, argv):
+    # 88 n^2 B at n = 8e6 modes, checked before the grid is allocated
+    rc, err = exit_code_and_stderr(capsys, argv)
+    assert rc == 3
+    assert err.startswith("capacity error: an electron gas on a 200^3 grid needs") and err.count("\n") == 1
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     cmd = [sys.executable, "-m", "trotterforge.cli", "cost-report",
            "--method", "sequential", "--n-sweep", "64,128,256,512"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import trotterforge.compilers as compilers
 import trotterforge.costmodel as costmodel
 from trotterforge.circuit import CompositeDiagonalPhase, circuit_text
 from trotterforge.compilers import compile_avgcost_step, compile_lowrank_step, phase_register_width
@@ -17,8 +18,9 @@ from trotterforge.costmodel import (
     solve_coupled_recurrence,
     solve_recurrence_numeric,
 )
+from trotterforge.decomp import bisection_decompose
 from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 
 
 # -- oracles --------------------------------------------------------------------
@@ -252,6 +254,91 @@ def test_a_memo_shared_across_random_sign_compiles_changes_no_circuit(method):
             want = compile_method(method, spec, t, p, 1e-3, tol=1e-6, cutoff_size=1, memo=Unshared())
             assert got.gate_count == want.gate_count
             assert same_circuit(got.circuit, want.circuit)
+
+
+def two_group_spec(n, alpha=1.5):
+    zz, xx = (PauliKind.Z, PauliKind.Z), (PauliKind.X, PauliKind.X)
+    groups = {pair: build_power_law(n, 1, alpha, pair, "seeded-random", seed).two_local[pair] for seed, pair in enumerate((zz, xx))}
+    return HamiltonianSpec(n, 1, groups, {})
+
+
+class ClosureCheck(BlockMemo):
+    """A memo that records every object its computes close over."""
+
+    def __init__(self):
+        super().__init__()
+        self.closed_over = []
+
+    def get(self, block, params, compute):
+        self.closed_over += [cell.cell_contents for cell in compute.__closure__ or ()]
+        return super().get(block, params, compute)
+
+
+def test_every_memoized_compute_reads_the_block_it_is_keyed_on(monkeypatch):
+    args = []
+    for module, name in ((costmodel, "pair_box_norms"), (compilers, "cell_norms"), (compilers, "truncated_svd")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn: args.append(a[0]) or fn(*a))
+    spec, memo = two_group_spec(16), ClosureCheck()
+    block_step_count(spec, 1.0, 1e-3, memo)
+    for method in ("lowrank", "avgcost"):
+        for count_only in (True, False):
+            compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, count_only=count_only, memo=memo)
+    assert args and all(type(a) is np.ndarray for a in args)
+    assert memo.closed_over and not any(isinstance(x, (CoeffMatrix, HamiltonianSpec)) for x in memo.closed_over)
+
+
+@pytest.mark.parametrize("count_only", [True, False])
+def test_a_stage_reads_each_pair_cross_block_once(monkeypatch, count_only):
+    spec, reads = two_group_spec(16), []
+    block = CoeffMatrix.block
+    monkeypatch.setattr(CoeffMatrix, "block", lambda self, region: reads.append(region) or block(self, region))
+    crosses = [pair.cross_region() for pair in bisection_decompose(16).pairs]
+    # p = 2 over two group stages runs three schedule entries: 1/2, 2, 1/2
+    compile_method("avgcost", spec, 0.3, 2, 1e-3, m=3, count_only=count_only)
+    assert sorted(map(repr, reads)) == sorted(map(repr, 3 * crosses))
+    reads.clear()
+    block_step_count(spec, 0.3, 1e-3)
+    assert sorted(map(repr, reads)) == sorted(map(repr, 2 * crosses))
+
+
+def test_every_cell_op_is_a_view_of_its_pair_cross_block(monkeypatch):
+    spec = build_power_law(16, 1, 1.5, sign_rule="seeded-random", seed=3)
+    data = spec.two_local[(PauliKind.Z, PauliKind.Z)].data
+    reads, ops = {}, []
+
+    def block_copy(self, region):  # a fresh array per read, so a view shows which read it came from
+        copy = self.data[region.slices()].copy()
+        reads.setdefault(region, []).append(copy)
+        return copy
+
+    monkeypatch.setattr(CoeffMatrix, "block", block_copy)
+    op_gates = compilers._op_gates
+    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta, spec: ops.append(op) or op_gates(op, theta, spec))
+    compile_method("avgcost", spec, 0.3, 2, 1e-3, m=3)
+    assert len(ops) == 51
+    for op in ops:
+        [pair] = [p for p in bisection_decompose(16).pairs if op.rows[0] in p.left.sites() and op.cols[0] in p.right.sites()]
+        assert set(op.rows) <= set(pair.left.sites()) and set(op.cols) <= set(pair.right.sites())
+        assert any(np.shares_memory(op.data, block) for block in reads[pair.cross_region()])
+        assert np.array_equal(op.data, data[np.ix_(np.asarray(op.rows) - 1, np.asarray(op.cols) - 1)])
+
+
+@pytest.mark.parametrize("method", ["block", "lowrank", "avgcost"])
+def test_a_memo_filled_on_one_spec_serves_another_with_the_same_blocks(method):
+    # a power law's cross blocks at n=32 recur, at other sites, at n=64 and in another Pauli group
+    xx = (PauliKind.X, PauliKind.X)
+    filled = BlockMemo()
+    fresh_count(method, build_power_law(32, 1, 1.5), 0.3, 2, 1e-3, filled, cutoff_size=2)
+    if method == "avgcost":  # and the uneven cells of m = 3
+        compile_method(method, build_power_law(32, 1, 1.5), 0.3, 2, 1e-3, m=3, count_only=True, memo=filled)
+    for spec in (build_power_law(64, 1, 1.5), build_power_law(32, 1, 1.5, xx, "alternating")):
+        assert fresh_count(method, spec, 0.3, 2, 1e-3, filled, 2) == fresh_count(method, spec, 0.3, 2, 1e-3, Unshared(), 2)
+    if method != "block":
+        spec = build_power_law(16, 1, 1.5, xx)
+        got = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=filled)
+        want = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=Unshared())
+        assert got.gate_count == want.gate_count and same_circuit(got.circuit, want.circuit)
 
 
 def test_a_report_takes_one_svd_and_one_box_norm_per_distinct_block_of_its_sweep(monkeypatch):

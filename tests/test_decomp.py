@@ -23,7 +23,7 @@ from trotterforge.decomp import (
     subdivide,
 )
 from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, build_power_law
 
 ZZ = (PauliKind.Z, PauliKind.Z)
 
@@ -40,6 +40,12 @@ def covered_pairs(regions):
             assert (j, k) not in seen, f"pair ({j},{k}) covered twice"
             seen.add((j, k))
     return seen
+
+
+def site_region(pair, region):
+    """A region of the pair's cross block (1-based in the block) as the pair's sites."""
+    rows, cols = region.slices()
+    return IndexRegion(pair.left.sites()[rows], pair.right.sites()[cols])
 
 
 def lowrank_regions(dec):
@@ -208,13 +214,15 @@ def test_boxes_for_singleton_pair():
     pair = IntervalPair(3, 0, Interval(1, 1), Interval(2, 2))
     out = boxes_for_pair(pair)
     assert len(out) == 1 and out[0][0] == 1
-    assert list(out[0][1].pairs()) == [(1, 2)]
+    assert list(out[0][1].pairs()) == [(1, 1)]  # the 1 x 1 cross block itself
+    assert list(site_region(pair, out[0][1]).pairs()) == [(1, 2)]
 
 
 def test_boxes_for_pair_cover_cross_block():
     pair = IntervalPair(1, 0, Interval(1, 8), Interval(9, 16))
     regions = [region for _, region in boxes_for_pair(pair)]
-    assert covered_pairs(regions) == {(j, k) for j in range(1, 9) for k in range(9, 17)}
+    assert all(region.rows.stop <= 9 and region.cols.stop <= 9 for region in regions)  # inside the 8 x 8 block
+    assert covered_pairs(site_region(pair, r) for r in regions) == {(j, k) for j in range(1, 9) for k in range(9, 17)}
 
 
 # -- subdivision -----------------------------------------------------------------------
@@ -229,7 +237,9 @@ def test_subdivide_single_cell_spans_block():
 def test_subdivision_cells_partition():
     pair = IntervalPair(1, 0, Interval(1, 8), Interval(9, 16))
     for m in (1, 2, 3, 8):
-        regions = [c.region for c in cells_for_pair(pair, m)]
+        cells = cells_for_pair(pair, m)
+        assert all(c.region.rows.stop <= 9 and c.region.cols.stop <= 9 for c in cells)  # inside the 8 x 8 block
+        regions = [site_region(pair, c.region) for c in cells]
         assert covered_pairs(regions) == {(j, k) for j in range(1, 9) for k in range(9, 17)}
 
 
@@ -316,7 +326,7 @@ def test_pair_box_norms_match_the_box_definition():
     data[:8, 8:] = 0.0  # the top pair's cross block is empty
     mat = CoeffMatrix(16, data)
     for pair in bisection_decompose(16).pairs:
-        vec1, box1, ratio = pair_box_norms(mat, pair)
+        vec1, box1, ratio = pair_box_norms(mat.block(pair.cross_region()), pair)
         if pair.layer == 1:
             assert (vec1, box1, ratio) == (0.0, 0.0, 1.0)
             continue
@@ -331,9 +341,11 @@ def test_cell_norms_match_a_pair_loop(m):
     data = np.triu(rng.standard_normal((16, 16)), k=1)
     data[2:4, 8:12] = 0.0  # empty cells at m = 4
     for pair in bisection_decompose(16).pairs:
+        block = CoeffMatrix(16, data).block(pair.cross_region())
         for cell in cells_for_pair(pair, m):
-            sub, cell_1, ratio = cell_norms(CoeffMatrix(16, data), cell)
-            values = [abs(data[j - 1, k - 1]) for j, k in cell.region.pairs()]
+            sub, cell_1, ratio = cell_norms(block, cell)
+            values = [abs(data[j - 1, k - 1]) for j, k in site_region(pair, cell.region).pairs()]
+            assert np.shares_memory(sub, block)
             assert sorted(np.abs(sub).ravel()) == sorted(values)
             assert cell_1 == pytest.approx(sum(values))
             want = len(cell.region.rows) * len(cell.region.cols) * max(values) / cell_1 if cell_1 else 1.0

@@ -110,6 +110,11 @@ def rand_coeff(rng, n):
 # -- build_power_law ------------------------------------------------------------
 
 
+def test_power_law_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="need seed >= 0, got -1"):
+        build_power_law(4, 1, 2.0, sign_rule="seeded-random", seed=-1)
+
+
 def test_power_law_n2_single_entry():
     spec = build_power_law(2, 1, 2.0)
     assert coeff_entries(spec.two_local[ZZ]) == {(1, 2): 1.0}
@@ -202,10 +207,15 @@ def test_norm_examples_power_law_n4():
 def test_restricted_region_norms():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
     region = IndexRegion(range(1, 3), range(3, 5))
-    assert norms(mat, "restricted_1", region=region) == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
-    assert norms(mat, "box_1", boxes=[(1, region)]) == pytest.approx(1.0)  # one box: the region max
+    assert norms(mat.data, "restricted_1", region=region) == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
+    assert norms(mat.data, "box_1", boxes=[(1, region)]) == pytest.approx(1.0)  # one box: the region max
     boxes = [(1, IndexRegion(range(1, 2), range(3, 4))), (2, IndexRegion(range(2, 3), range(3, 5)))]
-    assert norms(mat, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
+    assert norms(mat.data, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
+    # the same rectangle read from its block, in the block's own coordinates
+    block, whole = mat.block(region), IndexRegion(range(1, 3), range(1, 3))
+    assert norms(block, "restricted_1", region=whole) == norms(mat.data, "restricted_1", region=region)
+    block_boxes = [(1, IndexRegion(range(1, 2), range(1, 2))), (2, IndexRegion(range(2, 3), range(1, 3)))]
+    assert norms(block, "box_1", boxes=block_boxes) == norms(mat.data, "box_1", boxes=boxes)
 
 
 def test_region_norms_match_pair_loop():
@@ -217,22 +227,22 @@ def test_region_norms_match_pair_loop():
         IndexRegion(range(5, 31), range(10, 36)),  # straddles the diagonal
     ]
     for region in regions:
-        assert norms(mat, "restricted_1", region=region) == region_norm_oracle(mat, region, False)
-        assert norms(mat, "box_1", boxes=[(1, region)]) == region_norm_oracle(mat, region, True)
+        assert norms(mat.data, "restricted_1", region=region) == region_norm_oracle(mat, region, False)
+        assert norms(mat.data, "box_1", boxes=[(1, region)]) == region_norm_oracle(mat, region, True)
     boxes = [(1, regions[0]), (3, regions[1]), (2, regions[2])]
     expected = 0.0
     for weight, region in boxes:
         expected += weight * region_norm_oracle(mat, region, True)
-    assert norms(mat, "box_1", boxes=boxes) == expected
+    assert norms(mat.data, "box_1", boxes=boxes) == expected
     for bad in (IndexRegion(range(38, 42), range(1, 3)), IndexRegion(range(0, 3), range(3, 5))):
         with pytest.raises(IndexRangeError):
             region_norm_oracle(mat, bad, False)
         with pytest.raises(IndexRangeError):
-            norms(mat, "restricted_1", region=bad)
+            norms(mat.data, "restricted_1", region=bad)
         with pytest.raises(IndexRangeError):
-            norms(mat, "box_1", boxes=[(1, bad)])
+            norms(mat.data, "box_1", boxes=[(1, bad)])
         with pytest.raises(IndexRangeError):
-            norms(mat, "box_1", boxes=[(1, regions[0]), (1, bad)])
+            norms(mat.data, "box_1", boxes=[(1, regions[0]), (1, bad)])
 
 
 def test_index_region_is_one_unit_step_rectangle():
@@ -333,6 +343,15 @@ def test_block_rejects_regions_outside_the_matrix():
     ):
         with pytest.raises(IndexRangeError, match="outside the index range 1..8"):
             mat.block(bad)
+
+
+def test_a_region_reads_any_2d_array_in_its_own_coordinates():
+    values = np.arange(15.0).reshape(3, 5)
+    view = IndexRegion(range(2, 4), range(3, 6)).of(values)
+    assert np.shares_memory(view, values) and view.tolist() == [[7.0, 8.0, 9.0], [12.0, 13.0, 14.0]]
+    for bad in (IndexRegion(range(3, 5), range(1, 2)), IndexRegion(range(1, 2), range(5, 7)), IndexRegion(range(0, 2), range(1, 2))):
+        with pytest.raises(IndexRangeError, match=r"outside the index range 1\.\.3 x 1\.\.5$"):
+            bad.of(values)
 
 
 def test_block_reads_zero_at_and_below_the_diagonal():
