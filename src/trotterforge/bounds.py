@@ -89,6 +89,11 @@ def _float(x: int) -> float:
     return float(x) if x <= sys.float_info.max else math.inf
 
 
+def _volume(mu: int, log: float) -> float:
+    """2^mu * log, with 2^mu as inf past the float range; exactly 0 where log is, as inf * 0 would be NaN."""
+    return _float(2 ** min(mu, 1024)) * log if log else 0.0
+
+
 def _log_ratio(x: float, accuracy: float) -> float:
     """ln(x / accuracy); where the quotient leaves the float range, ln x - ln accuracy, which stays finite."""
     quotient = _float(x) / accuracy
@@ -127,7 +132,7 @@ def volume_diag(mu: int, theta_max: float) -> float:
         raise DomainError(f"target qubit count must be >= 0, got {mu}")
     if not (0.0 < theta_max < math.pi):
         raise DomainError(f"theta_max must lie in (0, pi), got {theta_max}")
-    return check_float_range(_float(2 ** min(mu, 1024)) * math.log(2.0 * theta_max), "the log-volume")
+    return check_float_range(_volume(mu, math.log(2.0 * theta_max)), "the log-volume")
 
 
 def _arc(delta: float) -> float:
@@ -141,7 +146,7 @@ def diag_synthesis_lower_bound(query: BoundQuery) -> BoundResult:
         raise DomainError(f"theta_max must lie in (0, pi), got {query.theta_max}")
     arc = _arc(query.delta)
     denom = _pair_denominator(query, query.delta)
-    raw = _float(2 ** min(query.mu, 1024)) * math.log(2.0 * query.theta_max / arc) / denom
+    raw = _volume(query.mu, _log_ratio(2.0 * query.theta_max, arc)) / denom
     constants = {"arc": arc, "denominator": denom}
     if query.gate_set_size is None:
         constants["c_compile"] = query.c_compile
@@ -168,7 +173,7 @@ def commuting_ham_lower_bound(query: BoundQuery) -> BoundResult:
     theta_eff = min(query.t, THETA_CEILING)
     arc = _arc(delta_eff)
     denom = _pair_denominator(query, delta_eff)
-    main = _float(n * n) * math.log(2.0 * theta_eff / arc) / denom
+    main = _float(n * n) * _log_ratio(2.0 * theta_eff, arc) / denom
     overhead = query.c_red * _float(n) * _log_ratio(n, query.eps) ** 2
     raw = main - overhead
     constants = {
@@ -187,7 +192,7 @@ def discrete_diag_lower_bound(query: BoundQuery) -> BoundResult:
     """Gate count for diagonal unitaries with m-bit phases, valid for
     2^-m <= delta <= 1/2."""
     _need(query, "mu", "delta", "m")
-    raw = _float(2 ** min(query.mu, 1024)) * math.log(1.0 / query.delta) / _qubit_denominator(query, query.delta)
+    raw = _volume(query.mu, _log_ratio(1.0, query.delta)) / _qubit_denominator(query, query.delta)
     constants: dict = {}
     if query.gate_set_size is None:
         constants["c_compile"] = query.c_compile
@@ -200,7 +205,7 @@ def coeff_oracle_lower_bound(query: BoundQuery) -> BoundResult:
     for 2^-m <= eps <= 1/2; conversion overhead c_red * ln^2(1/eps) subtracted."""
     _need(query, "n", "eps", "m")
     n = query.n
-    inv = math.log(1.0 / query.eps)
+    inv = _log_ratio(1.0, query.eps)
     main = _float(n * n) * inv / _qubit_denominator(query, query.eps)
     overhead = query.c_red * inv * inv
     raw = main - overhead

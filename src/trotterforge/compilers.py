@@ -6,6 +6,7 @@ schedule in closed form as two read-only arrays: the stage of each entry and
 its fraction of the step. Four lowering strategies:
 
 * sequential — one Pauli exponential per term, every term its own stage;
+  its count takes how often the schedule runs each stage in closed form;
 * lowrank    — far blocks become diagonal-phase composites built from
   truncated factors, near/within remainders stay sequential;
 * avgcost    — every subdivision cell becomes one diagonal-phase composite
@@ -76,8 +77,7 @@ class ProductFormula:
     fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.p not in SUPPORTED_ORDERS:
-            raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {self.p}")
+        _check_order(self.p)
         if self.stage_count < 1:
             raise ValidationError("need at least one stage")
         idx = np.asarray(self.stages, dtype=np.int64)
@@ -108,10 +108,14 @@ class ProductFormula:
         return (ProductFormula, (self.p, self.stage_count, self.stages, self.fractions))
 
 
-def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
-    """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion."""
+def _check_order(p: int) -> None:
     if p not in SUPPORTED_ORDERS:
         raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {p}")
+
+
+def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
+    """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion."""
+    _check_order(p)
     if stage_count < 1:
         raise ValidationError("need at least one stage")
     if p == 1:
@@ -129,6 +133,23 @@ def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
         starts = np.flatnonzero(np.diff(stages, prepend=0))
         stages, fractions = stages[starts], np.add.reduceat(fractions, starts)
     return _handed_over(p, stage_count, stages, fractions)
+
+
+def _stage_runs(p: int, stage_count: int, first: int, last: int) -> int:
+    """How many entries of ``make_product_formula(p, stage_count).stages`` lie in first..last.
+
+    Strang runs every stage twice but stage S, the middle, once. Suzuki's five
+    Strang segments run each stage ten times, but stage S five and stage 1 six:
+    each of the four joins merges two runs of stage 1. A lone stage runs once.
+    """
+    if last < first:
+        return 0
+    span = last - first + 1
+    if p == 1 or stage_count == 1:
+        return span
+    if p == 2:
+        return 2 * span - (last == stage_count)
+    return 10 * span - 4 * (first == 1) - 5 * (last == stage_count)
 
 
 def _handed_over(p: int, stage_count: int, stages: np.ndarray, fractions: np.ndarray) -> ProductFormula:
@@ -253,20 +274,19 @@ def compile_sequential_step(
     groups = spec.term_groups()
     runs = [(int(np.count_nonzero(coeffs)), sequential_term_cost(kinds)) for kinds, coeffs in groups]
     term_count = sum(size for size, _ in runs)
-    fr = make_product_formula(formula, max(term_count, 1))
+    _check_order(formula)
     phase = t * spec.identity
     if term_count == 0:
         return CompiledStep("sequential", t, 0, None if count_only else Circuit(spec.n, ()), phase)
-    # occurrences[i] counts the schedule entries of stage i; stages are 1-based
-    occurrences = np.bincount(fr.stages, minlength=term_count + 1)
-    count, start = 0, 1
+    count, start = 0, 1  # stages are 1-based
     for size, cost in runs:
-        count += int(occurrences[start : start + size].sum()) * cost
+        count += _stage_runs(formula, term_count, start, start + size - 1) * cost
         start += size
     if count_only:
         return CompiledStep("sequential", t, count, None, phase)
     _check_lowering_memory("sequential", spec.n, count)  # every gate here costs 1
     terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
+    fr = make_product_formula(formula, term_count)
     gates: list[Gate] = []
     for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
         string, coeff = terms[idx - 1]

@@ -125,6 +125,10 @@ def commands() -> list[list[str]]:
         "build --input {golden}/negzero32.json",
         "build --input {golden}/onsite8.json",
         "build --n 8 --alpha 300",
+        # several 64-row slabs of the matrix, for every sign rule and d
+        "build --n 200 --alpha 1.3 --signs seeded-random --seed 7",
+        "build --n 144 --d 2 --signs alternating",
+        "build --n 216 --d 3 --alpha 0.8 --signs seeded-random --seed 2",
     ]
     # decompose: every variant
     lines += [
@@ -171,6 +175,8 @@ def commands() -> list[list[str]]:
         "compile --n 16 --method avgcost --m 3 --alpha 1.5 --signs seeded-random --seed 3",
         "compile --n 16 --method avgcost --m 4 --pauli xx --signs alternating",
         "compile --n 8 --method sequential --pauli xz --signs alternating",
+        "compile --n 300 --method sequential --count-only --p 1",
+        "compile --n 300 --method sequential --count-only --p 4",
         "compile --input {golden}/mixed4.json --method sequential --p 4",
         "compile --n 8 --method hamming2",
         "compile --n 8 --method hamming2 --count-only",
@@ -215,6 +221,7 @@ def commands() -> list[list[str]]:
     lines += [
         "cost-report --method lowrank --alpha 1.5 --tol 1e-2 --cutoff 2 --n-sweep 16,32,64,128",
         "cost-report --method sequential --d 2 --n-sweep 16,64,256,1024",
+        "cost-report --method sequential --p 4 --n-sweep 64,128,256,512",
         "cost-report --method block --n-sweep 16,32",
         "cost-report --method avgcost --alpha 0.5 --t 1 --n-sweep 16,32,64,128",
     ]
@@ -235,12 +242,14 @@ def commands() -> list[list[str]]:
         # accuracies near the float floor: ln x - ln accuracy where x / accuracy overflows
         "bound diag --b 4 --mu 2 --theta-max 1.5 --delta 1e-308",
         "bound ham --b 64 --n 64 --eps 1e-307",
+        "bound diag --b 4 --mu 2 --theta-max 1.5 --delta 5e-324",
         # integers past the float range: a finite log-space value where one exists, else exit 3
         f"bound diag --b {HUGE} --mu 2 --theta-max 1.5 --delta 0.1",
         f"bound ham --b {HUGE} --n 64 --eps 1e-3",
         f"bound ham --b 64 --n {HUGE} --eps 1e-3",
         f"bound coeff --b 4 --n {HUGE} --eps 1e-3 --m 3",
         "bound volume --mu 2000 --theta-max 1.5",
+        "bound volume --mu 2000 --theta-max 0.5",  # 2^mu times a log of exactly 0
         "bound diag --b 3000 --mu 2000 --theta-max 1.5 --delta 0.1",
         "bound discrete --b 3000 --mu 2000 --delta 0.01 --m 3",
     ]
@@ -277,6 +286,7 @@ def commands() -> list[list[str]]:
         "verify --n 4 --alpha 2000",
         "compile --n 4 --alpha 2000 --method avgcost",
         "cost-report --method lowrank --alpha 700 --n-sweep 64,128,256,512",
+        # exit 0 with a finite, vacuous bound: ln(1 / eps) is ln 1 - ln eps where 1 / eps overflows
         "bound ham --b 64 --k 1000 --n 64 --eps 5e-324 --t 1e308",
         "bound coeff --b 4 --n 64 --eps 5e-324 --t 1e308 --m 3",
         "compile --n 4 --t nan",

@@ -91,6 +91,12 @@ def test_volume_examples():
     assert volume_diag(3, 0.1) < 0.0
 
 
+def test_volume_past_the_float_range_of_a_zero_log_is_zero():
+    # 2^mu is inf past mu = 1024, and inf * ln(2 * 0.5) would be NaN
+    for mu in (20, 1024, 2000):
+        assert volume_diag(mu, 0.5) == 0.0
+
+
 def test_volume_domain():
     with pytest.raises(DomainError):
         volume_diag(-1, 0.5)
@@ -300,7 +306,7 @@ def test_result_json_shape():
     assert res.to_json() == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("accuracy", [1e-300, 1e-307, 1e-308])
+@pytest.mark.parametrize("accuracy", [1e-300, 1e-307, 1e-308, 1e-320, 5e-324])
 def test_accuracies_near_the_float_floor_give_the_oracle_bounds(accuracy):
     # x / accuracy leaves the float range here, though its log stays near 710
     for fn, oracle, parts in (

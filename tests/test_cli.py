@@ -705,9 +705,6 @@ def test_a_coefficient_sum_inside_the_float_range_verifies(tmp_path, capsys, pau
         "verify --n 4 --alpha 2000",
         "compile --n 4 --alpha 2000 --method avgcost",
         "cost-report --method lowrank --alpha 700 --n-sweep 64,128,256,512",
-        # NaN printed with exit 0
-        "bound ham --b 64 --k 1000 --n 64 --eps 5e-324 --t 1e308",
-        "bound coeff --b 4 --n 64 --eps 5e-324 --t 1e308 --m 3",
     ],
 )
 def test_large_alpha_and_bound_overflow_exit_3(capsys, argv):
@@ -715,3 +712,21 @@ def test_large_alpha_and_bound_overflow_exit_3(capsys, argv):
     assert rc == 3
     assert err.startswith("capacity error: ") and err.endswith("exceeds the float range\n")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,vacuous",
+    [
+        ("bound diag --b 4 --mu 2 --theta-max 1.5 --delta 5e-324", False),
+        # these two printed NaN with exit 0, then exited 3 while 1 / eps overflowed
+        ("bound ham --b 64 --k 1000 --n 64 --eps 5e-324 --t 1e308", True),
+        ("bound coeff --b 4 --n 64 --eps 5e-324 --t 1e308 --m 3", True),
+    ],
+)
+def test_subnormal_accuracies_give_finite_bounds(capsys, argv, vacuous):
+    rc, out = run_cli(capsys, *argv.split())
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["vacuous"] is vacuous
+    assert all(math.isfinite(v) for v in doc["constants"].values() if isinstance(v, float))
+    assert doc["bound"] == (0.0 if vacuous else doc["constants"]["raw"]) and math.isfinite(doc["bound"])

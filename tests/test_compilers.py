@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ def test_formula_validation():
         ProductFormula(2, 2, [1, 2, 1], [0.5, 1.0])
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_stage_runs_match_the_schedule_bincount(p):
+    for stage_count in range(1, 65):
+        occurrences = np.bincount(make_product_formula(p, stage_count).stages, minlength=stage_count + 1)
+        for first in range(1, stage_count + 1):
+            for last in range(first, stage_count + 1):
+                expected = int(occurrences[first : last + 1].sum())
+                assert compilers._stage_runs(p, stage_count, first, last) == expected, (stage_count, first, last)
+
+
 # -- sequential ------------------------------------------------------------------------
 
 
@@ -236,6 +247,24 @@ def test_sequential_count_only_matches_verification():
         counted = compile_sequential_step(spec, 0.1, p, count_only=True)
         assert counted.circuit is None
         assert counted.gate_count == full.gate_count == full.circuit.cost()
+
+
+def test_sequential_count_allocates_under_a_mib():
+    spec = build_power_law(1024, 1, 1.5, ZZ, "seeded-random")
+    for p in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            step = compile_sequential_step(spec, 0.1, p, count_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step.gate_count > 0 and peak < 2**20
+
+
+def test_sequential_rejects_a_bad_order_with_no_terms():
+    for count_only in (False, True):
+        with pytest.raises(DomainError, match=r"order must be one of \(1, 2, 4\), got 3"):
+            compile_sequential_step(HamiltonianSpec(2, 1, {}, {}), 0.1, 3, count_only=count_only)
 
 
 def test_sequential_capacity_only_in_verification(fake_physical_memory):

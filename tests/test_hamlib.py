@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,12 +143,25 @@ def test_power_law_matches_enumeration_oracle(n, d, alpha):
 
 
 @pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
-@pytest.mark.parametrize("n,d", [(24, 1), (25, 2), (27, 3)])
+@pytest.mark.parametrize("n,d", [(24, 1), (25, 2), (27, 3), (150, 1), (144, 2), (125, 3)])
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.7, 3.0])
 def test_power_law_bit_identical_to_pair_loop(n, d, alpha, sign_rule):
     spec = build_power_law(n, d, alpha, ZZ, sign_rule, seed=11)
     expected = build_power_law_loop_oracle(n, d, alpha, sign_rule, seed=11)
     assert np.array_equal(spec.two_local[ZZ].data, expected)
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
+def test_power_law_build_holds_one_matrix_plus_a_slab(sign_rule):
+    n = 1024
+    tracemalloc.start()
+    try:
+        spec = build_power_law(n, 1, 1.5, ZZ, sign_rule, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.two_local[ZZ].data.nbytes == 8 * n * n
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_power_law_rejects_bad_lattice_and_alpha():
@@ -311,6 +325,16 @@ def test_coeff_matrix_rejects_lower_triangle():
         a = np.zeros((n, n))
         a[j, k] = 1.0
         with pytest.raises(ValidationError, match="entries are defined only for j < k"):
+            CoeffMatrix(n, a)
+
+
+def test_coeff_matrix_reports_a_non_finite_entry_before_a_lower_one():
+    n = 200
+    for j, k in ((0, 1), (63, 199), (64, 10), (199, 199)):
+        a = np.zeros((n, n))
+        a[5, 2] = 1.0  # below the diagonal, in an earlier slab than most of the non-finite entries
+        a[j, k] = math.nan
+        with pytest.raises(ValidationError, match="coefficient entries must be finite"):
             CoeffMatrix(n, a)
 
 
@@ -561,7 +585,7 @@ def test_coefficient_capacity_is_checked_before_allocating():
     for build, gib in (
         (lambda: check_coeff_capacity(10**6), "7450.6"),
         (lambda: coeff_matrix(10**6, {}), "14901.2"),  # 2 copies at the peak
-        (lambda: build_power_law(10**6, 1, 2.0), "37252.9"),  # 5 copies at the peak
+        (lambda: build_power_law(10**6, 1, 2.0), "14901.2"),  # 2 copies at the peak
     ):
         with pytest.raises(CapacityError, match=f"coefficient matrix needs {gib} GiB"):
             build()
