@@ -84,15 +84,15 @@ def build_boxed_preparation(block: np.ndarray, xi: int | None = None) -> Prepare
     b = np.abs(np.asarray(block, dtype=float))
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValidationError(f"block shape {b.shape} is not square")
-    grid = nested_boxes(len(b))  # rejects a side that is not a power of two
+    boxes = nested_boxes(len(b))  # rejects a side that is not a power of two
     if not np.all(np.isfinite(b)):
         raise ValidationError("block entries must be finite")
     if b.max() == 0.0:
         return PreparedBlock(np.zeros(0), 0.0, 0.0, np.zeros_like(b))
     tilde = np.zeros_like(b)
     box_norm = 0.0
-    for box in grid.all_boxes():
-        rows, cols = shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), grid.half_size).slices()
+    for box in boxes:
+        rows, cols = shifted_region(box.u, box.v, len(b)).slices()
         sub = b[rows, cols]
         box_max = float(sub.max())
         if box_max == 0.0:

@@ -41,13 +41,13 @@ from .compilers import (
 )
 from .costmodel import compile_method, gate_count_report
 from .decomp import (
-    boxgrid_to_json,
-    decomposition_to_json,
     bisection_decompose,
+    boxes_to_json,
+    cells_to_json,
+    decomposition_to_json,
     lowrank_decompose,
     nested_boxes,
     subdivide,
-    subdivision_to_json,
 )
 from .errors import CapacityError, ValidationError
 from .hamlib import PauliKind, build_power_law, pauli_table, spec_from_json, spec_to_json
@@ -183,11 +183,11 @@ def _run_decompose(args) -> None:
     elif args.variant == "lowrank":
         text = decomposition_to_json(lowrank_decompose(args.n, args.cutoff))
     elif args.variant == "boxes":
-        text = boxgrid_to_json(nested_boxes(args.n))
+        text = boxes_to_json(nested_boxes(args.n))
     else:
         if args.m is None:
             raise ValidationError("subdivision needs --m")
-        text = subdivision_to_json(subdivide(args.n, args.m))
+        text = cells_to_json(subdivide(args.n, args.m))
     _emit(text, args.out)
 
 

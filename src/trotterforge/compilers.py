@@ -239,12 +239,12 @@ def step_cost_json(step: CompiledStep) -> str:
 _GATE_BYTES = 180
 
 
-def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = (), held: int = 0) -> None:
-    """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and ``held`` bytes exceed physical memory.
+def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = ()) -> None:
+    """Raise CapacityError if ``gates`` gate objects and phase ``tables`` exceed physical memory.
 
     The largest table is built beside its coupling matrix and a transposed copy.
     """
-    need = gates * _GATE_BYTES + sum(tables) + 2 * max(tables, default=0) + held
+    need = gates * _GATE_BYTES + sum(tables) + 2 * max(tables, default=0)
     check_memory(need, f"lowering the {method} step on {n} qubits ({gates} gates, {len(tables)} composites)")
 
 
@@ -381,7 +381,6 @@ def _compile_stages(
     formula: int,
     count_only: bool,
     stage_ops: Callable[[tuple[PauliKind, PauliKind], CoeffMatrix, float], list[_StageOp]],
-    memo: BlockMemo,
 ) -> CompiledStep:
     """Plan every schedule entry of the group stages, then count or lower the plan.
 
@@ -390,7 +389,6 @@ def _compile_stages(
     of its axis map, the ops ``stage_ops(pair, matrix, theta)`` lists, and the
     inverse basis change; the on-site stage is one rotation op. The gate count
     is the sum of the declared costs, and the circuit is the same plan lowered.
-    ``memo`` is the one ``stage_ops`` fills; its keys stay held while the plan is lowered.
     """
     stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
     if any(np.any(vec != 0.0) for vec in spec.on_site.values()):
@@ -415,7 +413,7 @@ def _compile_stages(
     composites = [op for _, _, ops in plan for op in ops if op.kind in ("far", "cell")]
     # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
     tables = [8 << (len(op.rows) + len(op.cols)) for op in composites]
-    _check_lowering_memory(method, spec.n, count - sum(op.cost - 1 for op in composites), tables, memo.key_bytes)
+    _check_lowering_memory(method, spec.n, count - sum(op.cost - 1 for op in composites), tables)
     gates: list[Gate] = []
     for theta, axis, ops in plan:
         changes = [basis_change(axis[q], q) for q in sorted(axis)]
@@ -462,13 +460,13 @@ def compile_lowrank_step(
             block = mat.block(p.cross_region())
             fac = memo.get(block, ("svd", tol), lambda: truncated_svd(block, tol))
             if fac.rank:  # each op keeps its own sites, whichever block took the SVD
-                ops.append(_StageOp("far", p.left.length * fac.rank * width, p.left.sites(), p.right.sites(), fac))
+                ops.append(_StageOp("far", len(p.left) * fac.rank * width, p.left, p.right, fac))
         for region in remainder:
             sub = mat.block(region)
             ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
-    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops, memo)
+    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
 
 
 # -- avgcost ------------------------------------------------------------------
@@ -516,13 +514,12 @@ def compile_avgcost_step(
             # the cells are regions of the block, so its bytes fix them and their costs
             params = ("cells", m, abs(theta), eps)
             costs = memo.get(block, params, lambda: cell_costs(block, cells_for_pair(pair, m), theta))
-            left, right = pair.left.sites(), pair.right.sites()
             for region, cost in costs:
                 rows, cols = region.slices()
-                ops.append(_StageOp("cell", cost, left[rows], right[cols], region.of(block)))
+                ops.append(_StageOp("cell", cost, pair.left[rows], pair.right[cols], region.of(block)))
         return ops
 
-    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops, memo)
+    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
 
 
 # -- Hamming-weight-2 reduction gadget ----------------------------------------

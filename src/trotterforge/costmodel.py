@@ -195,7 +195,7 @@ def block_step_count(spec: HamiltonianSpec, t: float, eps: float, memo: BlockMem
             if vec1 == 0.0:
                 continue
             steps = qubitization_step_count(box1 * abs(t), eps)
-            half = pair.left.length
+            half = len(pair.left)
             total += steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
     return total
 
@@ -255,10 +255,8 @@ def gate_count_report(
 
     One ``BlockMemo`` serves the whole sweep: a power-law cross block of one
     shape and gap holds the same bytes at every n, so each distinct block is
-    factored, boxed or subdivided once. Its keys hold each distinct block once.
-    Every block a smaller n reads recurs at the largest n, where one method
-    reads disjoint blocks, so the keys stay within the strict upper triangle
-    of the largest spec: half of one of the five n x n copies its build sized.
+    factored, boxed or subdivided once. Its keys are digests, so it holds no
+    block bytes.
     """
     if method not in REPORT_METHODS:
         raise DomainError(f"unknown method {method!r}")

@@ -8,11 +8,12 @@ Three ways of carving up the strict upper triangle of site pairs:
   and within-block remainder at the cutoff scale;
 * subdivision: uniform cells over the cross block of one bisection pair.
 
-The box grid groups a cross block into dyadic boxes after shifting the pair
-to coordinates u in [-L,-1], v in [1,L] around the split point. Boxes and
-cells are regions of their pair's cross block, 1-based in the block, and
-their norms read only that block; a region's sites are left.sites()[rows]
-and right.sites()[cols] of its 0-based slices.
+A site interval, a box side and a cell side is a unit-step ``range``: a
+pair's sides are 1-based site ranges, and boxes and cells are ranges of
+shifted coordinates u in [-L,-1], v in [1,L] around the split point. Boxes
+and cells are regions of their pair's cross block, 1-based in the block, and
+their norms read only that block; a region's sites are left[rows] and
+right[cols] of its 0-based slices.
 """
 
 from __future__ import annotations
@@ -34,45 +35,33 @@ def _is_pow2(x: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.lo <= self.hi):
-            raise ValidationError(f"bad interval [{self.lo},{self.hi}]")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-    def sites(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-
-@dataclass(frozen=True)
 class IntervalPair:
+    """Two site intervals, left before right; each a nonempty unit-step range of 1-based sites."""
+
     layer: int
     block: int
-    left: Interval
-    right: Interval
+    left: range
+    right: range
     kind: str = "near"
 
     def __post_init__(self) -> None:
-        if self.left.hi >= self.right.lo:
+        for side in (self.left, self.right):
+            if not isinstance(side, range) or not side or side.start < 1 or side.step != 1:
+                raise ValidationError(f"bad interval {side!r}")
+        if self.left.stop > self.right.start:
             raise ValidationError("interval pair must be disjoint and ordered")
         if self.kind not in ("far", "near", "within"):
             raise ValidationError(f"unknown pair kind {self.kind!r}")
 
     @property
     def gap(self) -> int:
-        return self.right.lo - self.left.hi - 1
+        return self.right.start - self.left.stop
 
     def cross_region(self) -> IndexRegion:
-        return IndexRegion(self.left.sites(), self.right.sites())
+        return IndexRegion(self.left, self.right)
 
     def is_contiguous_halves(self) -> bool:
-        return self.gap == 0 and self.left.length == self.right.length
+        return self.gap == 0 and len(self.left) == len(self.right)
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ class LowRankDecomposition:
     cutoff_size: int
     far_field: tuple[IntervalPair, ...] = ()
     near_field: tuple[IntervalPair, ...] = ()
-    within_blocks: tuple[Interval, ...] = ()
+    within_blocks: tuple[range, ...] = ()
 
     @property
     def depth(self) -> int:
@@ -95,10 +84,10 @@ class LowRankDecomposition:
         return (self.n // self.cutoff_size).bit_length() - 1
 
     def remainder_regions(self) -> list[IndexRegion]:
-        """The near-field cross blocks, then one strip (j, j+1..hi) per row of each within block."""
+        """The near-field cross blocks, then one strip (j, j+1..) per row j of each within block."""
         regions = [p.cross_region() for p in self.near_field]
         for block in self.within_blocks:
-            regions += [IndexRegion(range(j, j + 1), range(j + 1, block.hi + 1)) for j in range(block.lo, block.hi)]
+            regions += [IndexRegion(range(j, j + 1), range(j + 1, block.stop)) for j in block[:-1]]
         return regions
 
 
@@ -117,8 +106,8 @@ def bisection_decompose(n: int) -> BisectionDecomposition:
                 IntervalPair(
                     layer,
                     block,
-                    Interval(start, start + half - 1),
-                    Interval(start + half, start + size - 1),
+                    range(start, start + half),
+                    range(start + half, start + size),
                 )
             )
     return BisectionDecomposition(n, tuple(pairs))
@@ -139,7 +128,7 @@ def lowrank_decompose(n: int, cutoff_size: int) -> LowRankDecomposition:
     for layer in range(2, depth + 1):
         d = n >> layer
         for b in range((1 << (layer - 1)) - 1):
-            blocks = [Interval(1 + (2 * b + i) * d, (2 * b + i + 1) * d) for i in range(4)]
+            blocks = [range(1 + (2 * b + i) * d, 1 + (2 * b + i + 1) * d) for i in range(4)]
             far.append(IntervalPair(layer, b, blocks[0], blocks[2], "far"))
             far.append(IntervalPair(layer, b, blocks[0], blocks[3], "far"))
             far.append(IntervalPair(layer, b, blocks[1], blocks[3], "far"))
@@ -150,95 +139,68 @@ def lowrank_decompose(n: int, cutoff_size: int) -> LowRankDecomposition:
             IntervalPair(
                 depth,
                 b,
-                Interval(1 + b * d, (b + 1) * d),
-                Interval(1 + (b + 1) * d, (b + 2) * d),
+                range(1 + b * d, 1 + (b + 1) * d),
+                range(1 + (b + 1) * d, 1 + (b + 2) * d),
                 "near",
             )
         )
-    within = tuple(Interval(1 + b * d, (b + 1) * d) for b in range(1 << depth))
+    within = tuple(range(1 + b * d, 1 + (b + 1) * d) for b in range(1 << depth))
     return LowRankDecomposition(n, cutoff_size, tuple(far), tuple(near), within)
 
 
 @dataclass(frozen=True)
 class Box:
-    """One grouping cell of a box grid, in shifted (u, v) coordinates."""
+    """One grouping cell of a box grid: shifted rows u (< 0) x columns v (> 0)."""
 
     mu: int | None
     nu: int | None
-    u_lo: int
-    u_hi: int
-    v_lo: int
-    v_hi: int
+    u: range
+    v: range
 
     @property
     def weight(self) -> int:
-        return (self.u_hi - self.u_lo + 1) * (self.v_hi - self.v_lo + 1)
-
-
-@dataclass(frozen=True)
-class BoxGrid:
-    half_size: int
-    boxes: tuple[Box, ...]
-    boundary: tuple[Box, ...]
-
-    def all_boxes(self) -> tuple[Box, ...]:
-        return self.boxes + self.boundary
+        return len(self.u) * len(self.v)
 
 
 @functools.cache
-def nested_boxes(half_size: int) -> BoxGrid:
-    """Dyadic boxes over u in [-L,-1], v in [1,L]; extremes become unit boxes."""
+def nested_boxes(half_size: int) -> tuple[Box, ...]:
+    """Dyadic boxes over u in [-L,-1], v in [1,L], then the extremes as unit boxes (mu = nu = None)."""
     if not _is_pow2(half_size) or half_size < 2:
         raise DomainError(f"half size must be a power of 2 with >= 2, got {half_size}")
-    levels = half_size.bit_length() - 1
+    levels = range(half_size.bit_length() - 1)
     boxes = []
-    for mu in range(levels):
-        for nu in range(levels):
-            boxes.append(Box(mu, nu, -(1 << (mu + 1)) + 1, -(1 << mu), 1 << nu, (1 << (nu + 1)) - 1))
-    boundary = [Box(None, None, -half_size, -half_size, v, v) for v in range(1, half_size + 1)]
-    boundary += [Box(None, None, u, u, half_size, half_size) for u in range(-half_size + 1, 0)]
-    return BoxGrid(half_size, tuple(boxes), tuple(boundary))
+    for mu in levels:
+        for nu in levels:
+            boxes.append(Box(mu, nu, range(1 - (2 << mu), 1 - (1 << mu)), range(1 << nu, 2 << nu)))
+    boxes += [Box(None, None, range(-half_size, 1 - half_size), range(v, v + 1)) for v in range(1, half_size + 1)]
+    boxes += [Box(None, None, range(u, u + 1), range(half_size, half_size + 1)) for u in range(1 - half_size, 0)]
+    return tuple(boxes)
 
 
-def shifted_region(u: tuple[int, int], v: tuple[int, int], half: int) -> IndexRegion:
+def shifted_region(u: range, v: range, half: int) -> IndexRegion:
     """The rows x cols of a half x half cross block that shifted u (< 0) and v (> 0) cover, 1-based.
 
-    u and v are inclusive (lo, hi) ranges: row u is block row u + half + 1 and
-    column v is block column v.
+    Row u is block row u + half + 1 and column v is block column v.
     """
-    return IndexRegion(range(half + 1 + u[0], half + 2 + u[1]), range(v[0], v[1] + 1))
+    return IndexRegion(range(half + 1 + u.start, half + 1 + u.stop), v)
 
 
 def boxes_for_pair(pair: IntervalPair) -> list[tuple[int, IndexRegion]]:
     """(weight, region) groupings of a contiguous equal-half pair, in its cross block."""
     if not pair.is_contiguous_halves():
         raise ValidationError("box grids apply to contiguous equal-half pairs")
-    half = pair.left.length
+    half = len(pair.left)
     if half == 1:
-        return [(1, shifted_region((-1, -1), (1, 1), 1))]
-    grid = nested_boxes(half).all_boxes()
-    return [(box.weight, shifted_region((box.u_lo, box.u_hi), (box.v_lo, box.v_hi), half)) for box in grid]
+        return [(1, shifted_region(range(-1, 0), range(1, 2), 1))]
+    return [(box.weight, shifted_region(box.u, box.v, half)) for box in nested_boxes(half)]
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    """Uniform cut points over a half of length half_size, m subintervals."""
-
-    half_size: int
-    m: int
-    cut_points: tuple[int, ...]
-
-    def cell_bounds(self) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-        """(j, k, u-range, v-range) for every cell, row-major, shifted inclusive coords."""
-        l, js = self.cut_points, range(1, self.m + 1)
-        return [(j, k, (-l[j] + 1, -l[j - 1]), (l[k - 1], l[k] - 1)) for j in js for k in js]
-
-
-def subdivide(half_size: int, m: int) -> Subdivision:
+def subdivide(half_size: int, m: int) -> list[tuple[int, int, range, range]]:
+    """(j, k, u, v) of every cell of m uniform cuts over a half of length half_size, row-major, shifted coords."""
     if not (1 <= m <= half_size):
         raise DomainError(f"m must be in [1, {half_size}], got {m}")
-    cuts = tuple(1 + ((j - 1) * half_size) // m for j in range(1, m + 2))
-    return Subdivision(half_size, m, cuts)
+    l, js = [1 + i * half_size // m for i in range(m + 1)], range(1, m + 1)
+    return [(j, k, range(1 - l[j], 1 - l[j - 1]), range(l[k - 1], l[k])) for j in js for k in js]
 
 
 @dataclass(frozen=True)
@@ -253,9 +215,8 @@ class Cell:
 def cells_for_pair(pair: IntervalPair, m: int) -> list[Cell]:
     if not pair.is_contiguous_halves():
         raise ValidationError("subdivision applies to contiguous equal-half pairs")
-    half = pair.left.length
-    cells = subdivide(half, min(m, half)).cell_bounds()
-    return [Cell(j, k, shifted_region(u, v, half)) for j, k, u, v in cells]
+    half = len(pair.left)
+    return [Cell(j, k, shifted_region(u, v, half)) for j, k, u, v in subdivide(half, min(m, half))]
 
 
 def pair_box_norms(block: np.ndarray, pair: IntervalPair) -> tuple[float, float, float]:
@@ -363,31 +324,35 @@ def lattice_bisection_pairs(side: int, d: int) -> list[tuple[tuple[int, ...], tu
             out = out * side + (c - 1)
         return out + 1
 
-    def sites(box: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-        return tuple(sorted(site_id(c) for c in itertools.product(*(range(lo, hi + 1) for lo, hi in box))))
+    def sites(box: Sequence[range]) -> tuple[int, ...]:
+        return tuple(sorted(site_id(c) for c in itertools.product(*box)))
 
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def split(box: list[tuple[int, int]]) -> None:
-        extents = [hi - lo + 1 for lo, hi in box]
+    def split(box: list[range]) -> None:
+        extents = [len(r) for r in box]
         if max(extents) == 1:
             return
         axis = extents.index(max(extents))
-        lo, hi = box[axis]
-        mid = (lo + hi) // 2
+        mid = (extents[axis] + 1) // 2  # the left half takes the middle coordinate
         left = box.copy()
-        left[axis] = (lo, mid)
+        left[axis] = box[axis][:mid]
         right = box.copy()
-        right[axis] = (mid + 1, hi)
+        right[axis] = box[axis][mid:]
         out.append((sites(left), sites(right)))
         split(left)
         split(right)
 
-    split([(1, side)] * d)
+    split([range(1, side + 1)] * d)
     return out
 
 
 # -- JSON serialization -------------------------------------------------------
+
+
+def _inclusive(side: range) -> list[int]:
+    """A range as its printed [first, last] bounds."""
+    return [side.start, side.stop - 1]
 
 
 def pairs_to_records(pairs: Iterable[IntervalPair]) -> list[dict]:
@@ -395,8 +360,8 @@ def pairs_to_records(pairs: Iterable[IntervalPair]) -> list[dict]:
         {
             "layer": p.layer,
             "block": p.block,
-            "left": [p.left.lo, p.left.hi],
-            "right": [p.right.lo, p.right.hi],
+            "left": _inclusive(p.left),
+            "right": _inclusive(p.right),
             "kind": p.kind,
         }
         for p in pairs
@@ -412,8 +377,8 @@ def decomposition_to_json(dec: BisectionDecomposition | LowRankDecomposition) ->
             {
                 "layer": dec.depth,
                 "block": i,
-                "left": [block.lo, block.hi],
-                "right": [block.lo, block.hi],
+                "left": _inclusive(block),
+                "right": _inclusive(block),
                 "kind": "within",
             }
             for i, block in enumerate(dec.within_blocks)
@@ -421,22 +386,22 @@ def decomposition_to_json(dec: BisectionDecomposition | LowRankDecomposition) ->
     return json.dumps(records, indent=2, sort_keys=True)
 
 
-def boxgrid_to_json(grid: BoxGrid) -> str:
+def boxes_to_json(boxes: Iterable[Box]) -> str:
     records = [
         {
             "mu": b.mu,
             "nu": b.nu,
-            "u": [b.u_lo, b.u_hi],
-            "v": [b.v_lo, b.v_hi],
+            "u": _inclusive(b.u),
+            "v": _inclusive(b.v),
             "weight": b.weight,
         }
-        for b in grid.all_boxes()
+        for b in boxes
     ]
     return json.dumps(records, indent=2, sort_keys=True)
 
 
-def subdivision_to_json(sub: Subdivision) -> str:
+def cells_to_json(cells: Iterable[tuple[int, int, range, range]]) -> str:
     records = [
-        {"j": j, "k": k, "u": list(u), "v": list(v)} for j, k, u, v in sub.cell_bounds()
+        {"j": j, "k": k, "u": _inclusive(u), "v": _inclusive(v)} for j, k, u, v in cells
     ]
     return json.dumps(records, indent=2, sort_keys=True)

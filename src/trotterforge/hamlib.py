@@ -20,10 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
+# hashlib.blake2b is this builtin, and importing hashlib would also load OpenSSL (3.5 MiB of RSS)
+from _blake2 import blake2b
+
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError, IndexRangeError, ValidationError
-from .errors import check_float_range, check_memory
+from .errors import check_memory
 
 
 class PauliKind(Enum):
@@ -129,26 +132,27 @@ _T = TypeVar("_T")
 class BlockMemo:
     """Results computed from coefficient blocks, one per distinct block and parameters.
 
-    A block is keyed on its shape and exact bytes, so equal blocks share their
-    results (a power law is translation invariant: every cross block of one
-    shape and gap holds the same bytes, at any n) and a block with other bytes,
-    -0.0 for 0.0 included, never reuses them. Each distinct block's bytes are
-    held once, whatever the parameters; ``key_bytes`` counts them. Whoever
-    creates the memo sets its lifetime: one compile, or one cost report.
+    A block is keyed on its dtype, its shape and a 32-byte BLAKE2b digest of
+    its C-order bytes, so equal blocks share their results (a power law is
+    translation invariant: every cross block of one shape and gap holds the
+    same bytes, at any n) and a block with other bytes, -0.0 for 0.0 included,
+    never reuses them, short of a 256-bit digest collision. A key holds no
+    block bytes. Whoever creates the memo sets its lifetime: one compile, or
+    one cost report.
     """
 
     def __init__(self) -> None:
-        self._blocks: dict[tuple[tuple[int, ...], bytes], dict[tuple, object]] = {}
-        self.key_bytes = 0
+        self._blocks: dict[tuple[str, tuple[int, ...], bytes], dict[tuple, object]] = {}
+
+    @staticmethod
+    def key(block: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
+        """(dtype, shape, digest of the C-order bytes) of ``block``."""
+        return block.dtype.str, block.shape, blake2b(np.ascontiguousarray(block), digest_size=32).digest()
 
     def get(self, block: np.ndarray, params: tuple, compute: Callable[[], _T]) -> _T:
         """The result for ``block`` and ``params`` (a tag naming the result, then its inputs),
         from ``compute()`` the first time."""
-        key = (block.shape, block.tobytes())
-        results = self._blocks.get(key)
-        if results is None:
-            results = self._blocks[key] = {}
-            self.key_bytes += len(key[1])
+        results = self._blocks.setdefault(self.key(block), {})
         if params not in results:
             results[params] = compute()
         return results[params]
@@ -315,6 +319,14 @@ def pauli_table(spec: HamiltonianSpec) -> PauliTable:
 SIGN_RULES = ("all-positive", "alternating", "seeded-random")
 
 
+def _inverse_power(dist: float, alpha: float) -> float:
+    """1 / dist^alpha; where dist^alpha leaves the float range, dist^-alpha, subnormal or 0."""
+    try:
+        return 1.0 / dist**alpha
+    except OverflowError:
+        return dist**-alpha
+
+
 def build_power_law(
     n: int,
     d: int,
@@ -343,10 +355,7 @@ def build_power_law(
     axes = [np.arange(n) // side**a % side for a in range(d)]
     d2 = sum(axis**2 for axis in axes)
     # Scalar libm pow per offset: np.power can differ by one ulp. Offset 0 is no pair.
-    try:
-        table = np.array([0.0] + [1.0 / math.sqrt(int(x)) ** alpha for x in d2[1:]])
-    except OverflowError:  # 1 / dist^alpha is tiny, but dist^alpha leaves the float range
-        check_float_range(math.inf, f"dist^alpha at alpha={alpha!r}")
+    table = np.array([0.0] + [_inverse_power(math.sqrt(int(x)), alpha) for x in d2[1:]])
     rng = np.random.default_rng(seed) if sign_rule == "seeded-random" else None
     a = np.zeros((n, n))
     # A slab of rows js from j0 on, over columns ks from j0 on; a pair is an entry right of the diagonal.

@@ -129,6 +129,8 @@ def commands() -> list[list[str]]:
         "build --n 200 --alpha 1.3 --signs seeded-random --seed 7",
         "build --n 144 --d 2 --signs alternating",
         "build --n 216 --d 3 --alpha 0.8 --signs seeded-random --seed 2",
+        # 1/dist^alpha is representable where dist^alpha leaves the float range
+        "build --n 64 --alpha 200",
     ]
     # decompose: every variant
     lines += [
@@ -141,6 +143,9 @@ def commands() -> list[list[str]]:
         "decompose --variant boxes --n 16",
         "decompose --variant subdivision --n 8 --m 2",
         "decompose --variant subdivision --n 16 --m 3",
+        "decompose --variant subdivision --n 7 --m 3",  # uneven cuts on an odd half
+        "decompose --variant subdivision --n 5 --m 5",  # unit cells
+        "decompose --variant boxes --n 2",
         "decompose --variant lowrank --n 16 --cutoff 2 --out {tmp}/dec.json",
     ]
     # rank-profile: three sign rules, xz, spec files with -0.0 entries
@@ -282,6 +287,7 @@ def commands() -> list[list[str]]:
         "cost-report --method block --t 1e308 --n-sweep 64,128,256,512",
         "chem --g-sweep 3 --step-grid 2 --t 1e200",
         "error-sweep --n 4 --pauli xz --t-values 1e200",
+        # exit 0: where dist^alpha leaves the float range, 1 / dist^alpha is subnormal or 0
         "build --n 4 --alpha 2000",
         "verify --n 4 --alpha 2000",
         "compile --n 4 --alpha 2000 --method avgcost",

@@ -110,9 +110,9 @@ def test_01_pair_covers_are_exact():
         dec = lowrank_decompose(n, cutoff)
         tally([p.cross_region() for p in dec.far_field] + dec.remainder_regions(), n, "lowrank")
         cells = {}
-        for box in nested_boxes(n).all_boxes():
-            for u in range(box.u_lo, box.u_hi + 1):
-                for v in range(box.v_lo, box.v_hi + 1):
+        for box in nested_boxes(n):
+            for u in box.u:
+                for v in box.v:
                     cells[(u, v)] = cells.get((u, v), 0) + 1
         want = {(u, v) for u in range(-n, 0) for v in range(1, n + 1)}
         if set(cells) != want or any(c != 1 for c in cells.values()):
@@ -145,11 +145,10 @@ def test_02_block_encoding_identity():
         block = np.abs(
             mat.block(IndexRegion(range(1, half + 1), range(half + 1, n + 1)))
         )
-        grid = nested_boxes(half)
         prep = build_boxed_preparation(block)
         box_norm = 0.0
-        for box in grid.all_boxes():
-            sub = block[box.u_lo + half : box.u_hi + half + 1, box.v_lo - 1 : box.v_hi]
+        for box in nested_boxes(half):
+            sub = block[box.u.start + half : box.u.stop + half, box.v.start - 1 : box.v.stop - 1]
             box_norm += box.weight * float(sub.max())
         expected = float(block.sum()) / box_norm
         if abs(prep.success_probability - expected) > 1e-9:

@@ -296,17 +296,6 @@ def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, m
         compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
 
 
-def test_lowering_counts_the_block_bytes_the_memo_holds(monkeypatch):
-    spec = build_power_law(32, 1, 2.0, ZZ, "seeded-random")
-    held = []
-    check = compilers._check_lowering_memory
-    monkeypatch.setattr(compilers, "_check_lowering_memory", lambda *args: held.append(args[-1]) or check(*args))
-    compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
-    # random signs make every far block distinct, so the memo holds each one's bytes once
-    far = lowrank_decompose(32, 4).far_field
-    assert held == [sum(8 * p.left.length * p.right.length for p in far)]
-
-
 def test_sequential_term_order():
     # groups and on-site kinds handed over out of tag order still run in term_groups() order
     base = onsite_two_group_spec(4)

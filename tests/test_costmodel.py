@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +239,34 @@ def test_one_memo_per_report_counts_what_a_fresh_memo_per_size_counts(method, al
         assert count == fresh_count(method, spec, t, p, eps, Unshared(), cutoff_size)
 
 
+@pytest.mark.parametrize("method", ["lowrank", "block", "avgcost"])
+def test_a_report_memo_holds_no_block_bytes(method, monkeypatch):
+    # block bytes as keys would take 349-699 KiB here; a digest key takes a few hundred bytes
+    memos = []
+
+    class Kept(BlockMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(costmodel, "BlockMemo", Kept)
+    tracemalloc.start()
+    try:
+        gate_count_report(method, 1.5, 1, 0.1, 1e-3, (64, 128, 256, 512))
+        gc.collect()
+        with_memo = tracemalloc.get_traced_memory()[0]
+        [memo] = memos
+        keys = len(memo._blocks)
+        memos.clear()
+        del memo
+        gc.collect()
+        held = with_memo - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert keys >= 9  # distinct blocks the sweep read
+    assert held <= 64 * 1024  # keys and results of every distinct block
+
+
 def same_circuit(a, b):
     composites = [(x, y) for x, y in zip(a.gates, b.gates) if isinstance(x, CompositeDiagonalPhase)]
     return circuit_text(a) == circuit_text(b) and all(np.array_equal(x.phases, y.phases) for x, y in composites)
@@ -318,8 +348,8 @@ def test_every_cell_op_is_a_view_of_its_pair_cross_block(monkeypatch):
     compile_method("avgcost", spec, 0.3, 2, 1e-3, m=3)
     assert len(ops) == 51
     for op in ops:
-        [pair] = [p for p in bisection_decompose(16).pairs if op.rows[0] in p.left.sites() and op.cols[0] in p.right.sites()]
-        assert set(op.rows) <= set(pair.left.sites()) and set(op.cols) <= set(pair.right.sites())
+        [pair] = [p for p in bisection_decompose(16).pairs if op.rows[0] in p.left and op.cols[0] in p.right]
+        assert set(op.rows) <= set(pair.left) and set(op.cols) <= set(pair.right)
         assert any(np.shares_memory(op.data, block) for block in reads[pair.cross_region()])
         assert np.array_equal(op.data, data[np.ix_(np.asarray(op.rows) - 1, np.asarray(op.cols) - 1)])
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import coeff_matrix, coeff_value
 from trotterforge.decomp import (
-    Interval,
     _is_exact_power_law,
     IntervalPair,
     amplification_ratios,
@@ -45,7 +44,12 @@ def covered_pairs(regions):
 def site_region(pair, region):
     """A region of the pair's cross block (1-based in the block) as the pair's sites."""
     rows, cols = region.slices()
-    return IndexRegion(pair.left.sites()[rows], pair.right.sites()[cols])
+    return IndexRegion(pair.left[rows], pair.right[cols])
+
+
+def ends(side):
+    """A site range as its inclusive (first, last)."""
+    return side[0], side[-1]
 
 
 def lowrank_regions(dec):
@@ -59,8 +63,8 @@ def all_pairs(n):
 
 def box_norm_oracle(mat, pair):
     """lambda numerator from the dyadic box definition, written out directly."""
-    mid = pair.left.hi
-    half = pair.left.length
+    mid = pair.left[-1]
+    half = len(pair.left)
     cells = {}
     for u in range(-half, 0):
         for v in range(1, half + 1):
@@ -107,12 +111,12 @@ def test_bisection_base_case():
     dec = bisection_decompose(2)
     assert len(dec.pairs) == 1
     p = dec.pairs[0]
-    assert (p.left.lo, p.left.hi, p.right.lo, p.right.hi) == (1, 1, 2, 2)
+    assert (*ends(p.left), *ends(p.right)) == (1, 1, 2, 2)
 
 
 def test_bisection_n4_listing():
     got = [
-        (p.left.lo, p.left.hi, p.right.lo, p.right.hi) for p in bisection_decompose(4).pairs
+        (*ends(p.left), *ends(p.right)) for p in bisection_decompose(4).pairs
     ]
     assert got == [(1, 2, 3, 4), (1, 1, 2, 2), (3, 3, 4, 4)]
 
@@ -141,16 +145,43 @@ def test_bisection_rejects_non_pow2():
         bisection_decompose(6)
 
 
+@pytest.mark.parametrize(
+    "left,right,kind",
+    [
+        (range(3, 3), range(3, 5), "near"),  # an empty side
+        (range(1, 3), range(5, 5), "near"),
+        (range(0, 2), range(2, 4), "near"),  # a start below 1
+        (range(1, 5, 2), range(5, 7), "near"),  # a step other than 1
+        (range(1, 3), range(6, 2, -1), "near"),
+        ((1, 2), range(3, 5), "near"),  # not a range
+        (range(1, 5), range(4, 8), "near"),  # overlapping sides
+        (range(5, 9), range(1, 5), "near"),  # misordered sides
+        (range(1, 3), range(3, 5), "corner"),  # an unknown kind
+    ],
+    ids=["empty-left", "empty-right", "start-0", "step-2", "step-neg", "tuple", "overlap", "misordered", "kind"],
+)
+def test_interval_pair_rejects_bad_sides(left, right, kind):
+    with pytest.raises(ValidationError):
+        IntervalPair(1, 0, left, right, kind)
+
+
+def test_interval_pair_accepts_adjacent_and_gapped_sides():
+    assert IntervalPair(1, 0, range(1, 2), range(2, 3)).gap == 0
+    far = IntervalPair(2, 0, range(1, 3), range(5, 7), "far")
+    assert far.gap == 2 and not far.is_contiguous_halves()
+    assert far.cross_region() == IndexRegion(range(1, 3), range(5, 7))
+
+
 # -- low-rank ------------------------------------------------------------------------
 
 
 def test_lowrank_n8_cutoff2_listing():
     dec = lowrank_decompose(8, 2)
-    far = {((p.left.lo, p.left.hi), (p.right.lo, p.right.hi)) for p in dec.far_field}
+    far = {(ends(p.left), ends(p.right)) for p in dec.far_field}
     assert far == {((1, 2), (5, 6)), ((1, 2), (7, 8)), ((3, 4), (7, 8))}
-    near = {((p.left.lo, p.left.hi), (p.right.lo, p.right.hi)) for p in dec.near_field}
+    near = {(ends(p.left), ends(p.right)) for p in dec.near_field}
     assert near == {((1, 2), (3, 4)), ((3, 4), (5, 6)), ((5, 6), (7, 8))}
-    assert [(b.lo, b.hi) for b in dec.within_blocks] == [(1, 2), (3, 4), (5, 6), (7, 8)]
+    assert [ends(b) for b in dec.within_blocks] == [(1, 2), (3, 4), (5, 6), (7, 8)]
     assert sum(len(list(p.cross_region().pairs())) for p in dec.far_field) == 12
     assert sum(len(list(p.cross_region().pairs())) for p in dec.near_field) == 12
     assert covered_pairs(lowrank_regions(dec)) == all_pairs(8)
@@ -171,7 +202,7 @@ def test_lowrank_cover_and_admissibility():
             dec = lowrank_decompose(n, cutoff)
             assert covered_pairs(lowrank_regions(dec)) == all_pairs(n)
             for p in dec.far_field:
-                assert p.gap >= p.left.length
+                assert p.gap >= len(p.left)
 
 
 def test_lowrank_half_cutoff_degenerates():
@@ -192,26 +223,28 @@ def test_lowrank_rejects_bad_cutoff():
 
 @pytest.mark.parametrize("half,count", [(2, 1), (4, 4), (8, 9)])
 def test_box_counts(half, count):
-    grid = nested_boxes(half)
-    assert len(grid.boxes) == count
-    for b in grid.boxes:
+    boxes = nested_boxes(half)
+    dyadic = boxes[:count]  # the dyadic boxes come first, then the unit boxes
+    assert all(b.mu is not None for b in dyadic) and all(b.mu is None for b in boxes[count:])
+    for b in dyadic:
         assert b.weight == 2 ** (b.mu + b.nu)
+    for b in boxes[count:]:
+        assert b.nu is None and b.weight == 1
 
 
 @pytest.mark.parametrize("half", [2, 4, 8, 16])
 def test_boxes_tile_shifted_rectangle(half):
-    grid = nested_boxes(half)
     seen = set()
-    for b in grid.all_boxes():
-        for u in range(b.u_lo, b.u_hi + 1):
-            for v in range(b.v_lo, b.v_hi + 1):
+    for b in nested_boxes(half):
+        for u in b.u:
+            for v in b.v:
                 assert (u, v) not in seen
                 seen.add((u, v))
     assert seen == {(u, v) for u in range(-half, 0) for v in range(1, half + 1)}
 
 
 def test_boxes_for_singleton_pair():
-    pair = IntervalPair(3, 0, Interval(1, 1), Interval(2, 2))
+    pair = IntervalPair(3, 0, range(1, 2), range(2, 3))
     out = boxes_for_pair(pair)
     assert len(out) == 1 and out[0][0] == 1
     assert list(out[0][1].pairs()) == [(1, 1)]  # the 1 x 1 cross block itself
@@ -219,7 +252,7 @@ def test_boxes_for_singleton_pair():
 
 
 def test_boxes_for_pair_cover_cross_block():
-    pair = IntervalPair(1, 0, Interval(1, 8), Interval(9, 16))
+    pair = IntervalPair(1, 0, range(1, 9), range(9, 17))
     regions = [region for _, region in boxes_for_pair(pair)]
     assert all(region.rows.stop <= 9 and region.cols.stop <= 9 for region in regions)  # inside the 8 x 8 block
     assert covered_pairs(site_region(pair, r) for r in regions) == {(j, k) for j in range(1, 9) for k in range(9, 17)}
@@ -229,13 +262,12 @@ def test_boxes_for_pair_cover_cross_block():
 
 
 def test_subdivide_single_cell_spans_block():
-    sub = subdivide(8, 1)
-    cells = sub.cell_bounds()
-    assert cells == [(1, 1, (-8, -1), (1, 8))]
+    cells = subdivide(8, 1)
+    assert cells == [(1, 1, range(-8, 0), range(1, 9))]
 
 
 def test_subdivision_cells_partition():
-    pair = IntervalPair(1, 0, Interval(1, 8), Interval(9, 16))
+    pair = IntervalPair(1, 0, range(1, 9), range(9, 17))
     for m in (1, 2, 3, 8):
         cells = cells_for_pair(pair, m)
         assert all(c.region.rows.stop <= 9 and c.region.cols.stop <= 9 for c in cells)  # inside the 8 x 8 block

@@ -1,9 +1,13 @@
 import gc
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +166,23 @@ def test_power_law_build_holds_one_matrix_plus_a_slab(sign_rule):
         tracemalloc.stop()
     assert spec.two_local[ZZ].data.nbytes == 8 * n * n
     assert peak <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("alpha", [200.0, 300.5, 700.0, 2000.0])
+def test_power_law_past_the_float_range_of_dist_alpha_matches_mpmath(alpha):
+    row = build_power_law(64, 1, alpha).two_local[ZZ].data[0]  # row[dist] is pair (1, 1 + dist)
+    fallbacks = 0
+    for dist in range(1, 64):
+        try:
+            direct = 1.0 / float(dist) ** alpha
+        except OverflowError:
+            with mpmath.workdps(60):
+                want = float(mpmath.mpf(dist) ** -mpmath.mpf(alpha))  # rounded to the nearest double
+            assert abs(row[dist] - want) <= 2.0**-1074, dist  # one subnormal ulp
+            fallbacks += 1
+        else:
+            assert row[dist] == direct, dist  # a finite dist^alpha keeps its bytes
+    assert fallbacks > 0
 
 
 def test_power_law_rejects_bad_lattice_and_alpha():
@@ -487,10 +508,36 @@ def test_block_memo_shares_results_between_equal_blocks_only():
     assert get(IndexRegion(range(1, 3), range(3, 5))) == 3  # another shape
     assert get(IndexRegion(range(1, 5), range(5, 9)), ("tag", 2)) == 4  # other parameters
     assert len(calls) == 4
-    assert memo.key_bytes == 8 * (16 + 16 + 4)  # each distinct block once, whatever its parameters
     zero, negative_zero = np.zeros((2, 2)), np.full((2, 2), -0.0)
     assert memo.get(zero, (), lambda: "zero") == "zero"
     assert memo.get(negative_zero, (), lambda: "negative zero") == "negative zero"
+
+
+def test_block_memo_keys_load_no_openssl():
+    # hashlib would load OpenSSL's libcrypto, 3.5 MiB of RSS in every process that keys a block
+    code = (
+        "import sys, numpy as np; from trotterforge.hamlib import BlockMemo; "
+        "BlockMemo().get(np.zeros((2, 2)), (), lambda: 0); print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_block_memo_keys_tell_apart_equal_bytes_of_another_shape_or_dtype():
+    a = np.arange(1.0, 7.0).reshape(2, 3)
+    same_bytes = [a, a.reshape(3, 2), a.reshape(6, 1), a.view(np.int64), a.view(np.uint64)]
+    zeros = [np.zeros((2, 2)), np.full((2, 2), -0.0)]
+    keys = [BlockMemo.key(b) for b in same_bytes + zeros]
+    assert len(set(keys)) == len(keys)
+    assert all(len(digest) == 32 for _, _, digest in keys)
+    # the digest reads C-order bytes: a strided view and a Fortran-order copy share the key of a C-order copy
+    mat = np.arange(36.0).reshape(6, 6)
+    view = mat[1:4, 2:6]
+    assert BlockMemo.key(view) == BlockMemo.key(view.copy()) == BlockMemo.key(np.asfortranarray(view))
+    memo = BlockMemo()
+    results = [memo.get(b, ("tag",), lambda i=i: i) for i, b in enumerate(same_bytes + zeros)]
+    assert results == list(range(len(keys)))
 
 
 # -- Pauli tables --------------------------------------------------------------------

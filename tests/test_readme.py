@@ -1,5 +1,6 @@
 """The README's examples run as shown: every CLI line exits 0 and prints what the README prints."""
 
+import importlib.util
 import json
 import re
 import shlex
@@ -7,7 +8,8 @@ from pathlib import Path
 
 from trotterforge.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
 
 
@@ -52,3 +54,11 @@ def test_readme_library_quick_start(capsys):
     gates, distance = capsys.readouterr().out.splitlines()
     assert gates == "216"
     assert float(distance) <= 1e-12
+
+
+def test_readme_states_the_golden_corpus_size():
+    spec = importlib.util.spec_from_file_location("golden_regen", ROOT / "tests" / "golden" / "regen.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    (stated,) = re.findall(r"records the output of (\d+) CLI commands", README)
+    assert int(stated) == len(golden.load())
