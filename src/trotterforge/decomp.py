@@ -21,13 +21,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .hamlib import HamiltonianSpec, IndexRegion, norms
+from .hamlib import HamiltonianSpec, IndexRegion, _inverse_power, norms
 
 
 def _is_pow2(x: int) -> bool:
@@ -267,11 +268,13 @@ class AmplificationReport:
 def _is_exact_power_law(spec: HamiltonianSpec) -> bool:
     if spec.alpha is None or spec.d != 1:
         return False
-    js, ks = np.triu_indices(spec.n, 1)
-    expect = 1.0 / (ks - js).astype(float) ** spec.alpha
-    return all(
-        np.all(np.abs(np.abs(mat.data[js, ks]) - expect) <= 1e-9 * expect) for mat in spec.two_local.values()
-    )
+    # the pairs at offset o = k - j are the o-th diagonal, each of magnitude 1/o^alpha
+    for o in range(1, spec.n):
+        expect = _inverse_power(float(o), spec.alpha)
+        for mat in spec.two_local.values():
+            if not np.all(np.abs(np.abs(np.diagonal(mat.data, o)) - expect) <= 1e-9 * expect):
+                return False
+    return True
 
 
 def amplification_ratios(
@@ -302,7 +305,8 @@ def amplification_ratios(
                 cratio = cell_norms(block, cell)[2]
                 rows.append(RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio))
                 lam_avg = max(lam_avg, cratio)
-    if _is_exact_power_law(spec) and lam_block > 2.0**spec.alpha + 1e-9:
+    # 2^alpha reads as infinite past the float range (alpha >= 1024), where no ratio exceeds it
+    if _is_exact_power_law(spec) and lam_block > (2.0**spec.alpha if spec.alpha < 1024 else math.inf) + 1e-9:
         raise ValidationError(
             f"power-law amplification bound violated: {lam_block} > 2^{spec.alpha}"
         )

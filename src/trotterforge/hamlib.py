@@ -337,7 +337,10 @@ def build_power_law(
 ) -> HamiltonianSpec:
     """Spec with |beta_{j,k}| = 1/dist(j,k)^alpha on every pair, exact before rounding.
 
-    The matrix is filled 64 rows at a time, so the build holds it and one slab of temporaries.
+    A 1D chain with all-positive or alternating signs has beta_{j,k} = v[n - 1 + k - j]
+    for one read-only vector v of 2n - 1 floats, and its matrix is the n x n Toeplitz
+    view of v, with no n x n copy. Any other matrix is filled 64 rows at a time, so the
+    build holds it and one slab of temporaries.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -356,6 +359,14 @@ def build_power_law(
     d2 = sum(axis**2 for axis in axes)
     # Scalar libm pow per offset: np.power can differ by one ulp. Offset 0 is no pair.
     table = np.array([0.0] + [_inverse_power(math.sqrt(int(x)), alpha) for x in d2[1:]])
+    if d == 1 and sign_rule != "seeded-random":
+        # v[n - 1 + o] is the entry at offset o = k - j: sign times magnitude for o >= 1, else 0
+        v = np.zeros(2 * n - 1)
+        v[n:] = table[1:] if sign_rule == "all-positive" else np.where(np.arange(1, n) % 2, -1.0, 1.0) * table[1:]
+        v.setflags(write=False)
+        # window i is v[i : i + n], so reversed, row j is v[n - 1 - j : 2n - 1 - j]
+        toeplitz = np.lib.stride_tricks.sliding_window_view(v, n)[::-1]
+        return HamiltonianSpec(n, d, {pauli_pair: CoeffMatrix(n, toeplitz)}, {}, alpha=alpha)
     rng = np.random.default_rng(seed) if sign_rule == "seeded-random" else None
     a = np.zeros((n, n))
     # A slab of rows js from j0 on, over columns ks from j0 on; a pair is an entry right of the diagonal.

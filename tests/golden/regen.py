@@ -131,6 +131,9 @@ def commands() -> list[list[str]]:
         "build --n 216 --d 3 --alpha 0.8 --signs seeded-random --seed 2",
         # 1/dist^alpha is representable where dist^alpha leaves the float range
         "build --n 64 --alpha 200",
+        # 1D chains with deterministic signs past one 64-row slab
+        "build --n 130 --alpha 1.7 --signs alternating",
+        "build --n 129 --alpha 0.6 --pauli xx",
     ]
     # decompose: every variant
     lines += [
@@ -161,6 +164,7 @@ def commands() -> list[list[str]]:
         "compile --input {golden}/negzerofar16.json --method lowrank --cutoff 1",
         "verify --input {golden}/negzerofar16.json --method lowrank --cutoff 1",
         "rank-profile --n 16 --cutoff 8",
+        "rank-profile --n 256 --cutoff 4 --tol 1e-9 --signs alternating",
     ]
     # compile: each method at p 1, 2, 4, the lowrank cutoffs, hamming2, count-only, --out
     for method in ("sequential", "lowrank", "avgcost"):
@@ -188,6 +192,11 @@ def commands() -> list[list[str]]:
         "compile --n 8 --method hamming2 --pauli xx",
         "compile --n 8 --method lowrank --cutoff 2 --out {tmp}/step.txt",
         "compile --n 8 --method avgcost --count-only --out {tmp}/cost.json",
+        # alternating signs past n=16: counts, and a lowered step whose far composites reach BLAS
+        "compile --n 256 --method lowrank --signs alternating --count-only",
+        "compile --n 256 --method avgcost --alpha 1.5 --signs alternating --count-only",
+        "compile --n 16 --method lowrank --cutoff 2 --signs alternating",
+        "verify --n 16 --method lowrank --cutoff 2 --signs alternating",
     ]
     # verify: each method at p 1, 2, 4, Z-only and mixed specs, -0.0 entries
     for method in ("sequential", "lowrank", "avgcost"):
@@ -229,6 +238,7 @@ def commands() -> list[list[str]]:
         "cost-report --method sequential --p 4 --n-sweep 64,128,256,512",
         "cost-report --method block --n-sweep 16,32",
         "cost-report --method avgcost --alpha 0.5 --t 1 --n-sweep 16,32,64,128",
+        "cost-report --method block --alpha 1.5 --t 0.1 --n-sweep 128,256,512,1024",
     ]
     # bound: every variant, vacuous and validation cases
     lines += [

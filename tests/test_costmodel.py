@@ -185,6 +185,17 @@ def test_avgcost_report_alpha_three_halves():
     assert max(ratios) / min(ratios) <= 2.0
 
 
+def test_sequential_report_on_chains_holds_no_matrix():
+    tracemalloc.start()
+    try:
+        report = gate_count_report("sequential", 1.5, 1, 0.1, 1e-3, [512, 1024, 2048, 4096])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.counts) == 4
+    assert peak < 8 * 2**20  # one dense 4096 x 4096 matrix is 128 MiB
+
+
 def test_report_rejections():
     with pytest.raises(DomainError):
         gate_count_report("mystery", 1.0, 1, 1.0, 1e-3, SWEEP)

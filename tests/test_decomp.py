@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from trotterforge.decomp import (
     subdivide,
 )
 from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, build_power_law
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, build_power_law, norms
 
 ZZ = (PauliKind.Z, PauliKind.Z)
 
@@ -335,6 +336,37 @@ def test_exact_power_law_check_on_the_upper_triangle():
     for spec, want in cases:
         assert _is_exact_power_law(spec) is want
         assert exact_power_law_oracle(spec) is want
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+@pytest.mark.parametrize("alpha", [1100.0, 2000.0])
+def test_amplification_past_the_float_range_of_two_to_the_alpha(alpha, sign_rule):
+    spec = build_power_law(16, 1, alpha, ZZ, sign_rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning
+        assert _is_exact_power_law(spec)
+        report = amplification_ratios(spec, bisection_decompose(16), 2)
+    assert report.lambda_block >= 1.0 and report.lambda_avg >= 1.0
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_chain_view_norms_equal_a_dense_copy_bit_for_bit(sign_rule):
+    n = 1024
+    view = build_power_law(n, 1, 1.5, ZZ, sign_rule).two_local[ZZ]
+    dense = CoeffMatrix(n, np.array(view.data))
+    assert dense.data.flags.c_contiguous and view.data.strides == (-8, 8)
+    far = lowrank_decompose(n, 4).far_field
+    cross = bisection_decompose(n).pairs
+    for pair in far + cross:
+        region = pair.cross_region()
+        assert norms(view.data, "restricted_1", region=region) == norms(dense.data, "restricted_1", region=region)
+    for pair in cross:
+        a, b = view.block(pair.cross_region()), dense.block(pair.cross_region())
+        assert pair_box_norms(a, pair) == pair_box_norms(b, pair)
+        for cell in cells_for_pair(pair, 4):
+            sub_a, *got = cell_norms(a, cell)
+            sub_b, *want = cell_norms(b, cell)
+            assert got == want and np.array_equal(sub_a, sub_b)
 
 
 def test_amplification_rejects_mismatched_n():

@@ -77,7 +77,11 @@ def build_power_law_loop_oracle(n, d, alpha, sign_rule, seed):
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             cj, ck = site_coords(j, side, d), site_coords(k, side, d)
-            mag = 1.0 / math.sqrt(sum((x - y) ** 2 for x, y in zip(cj, ck))) ** alpha
+            dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(cj, ck)))
+            try:
+                mag = 1.0 / dist**alpha
+            except OverflowError:  # dist^alpha past the float range: dist^-alpha, checked against mpmath below
+                mag = dist**-alpha
             if sign_rule == "alternating":
                 sign = -1.0 if (j + k) % 2 else 1.0
             elif sign_rule == "seeded-random":
@@ -146,9 +150,17 @@ def test_power_law_matches_enumeration_oracle(n, d, alpha):
     assert coeff_entries(spec.two_local[ZZ]) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
-@pytest.mark.parametrize("n,d", [(24, 1), (25, 2), (27, 3), (150, 1), (144, 2), (125, 3)])
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.7, 3.0])
+@pytest.mark.parametrize(
+    "alpha,n,d,sign_rule",
+    [
+        (alpha, n, d, sign_rule)
+        for alpha in (0.5, 1.5, 2.0, 2.7, 3.0)
+        for n, d in ((24, 1), (25, 2), (27, 3), (150, 1), (144, 2), (125, 3))
+        for sign_rule in ("all-positive", "alternating", "seeded-random")
+    ]
+    # dist^alpha past the float range on a chain's far offsets
+    + [(alpha, 150, 1, sign_rule) for alpha in (200.0, 2000.0) for sign_rule in ("all-positive", "alternating")],
+)
 def test_power_law_bit_identical_to_pair_loop(n, d, alpha, sign_rule):
     spec = build_power_law(n, d, alpha, ZZ, sign_rule, seed=11)
     expected = build_power_law_loop_oracle(n, d, alpha, sign_rule, seed=11)
@@ -166,6 +178,41 @@ def test_power_law_build_holds_one_matrix_plus_a_slab(sign_rule):
         tracemalloc.stop()
     assert spec.two_local[ZZ].data.nbytes == 8 * n * n
     assert peak <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+@pytest.mark.parametrize("n", [2, 3, 130, 1024])
+def test_power_law_chain_is_a_view_of_one_distance_vector(n, sign_rule):
+    data = build_power_law(n, 1, 1.5, ZZ, sign_rule).two_local[ZZ].data
+    low, high = np.lib.array_utils.byte_bounds(data)
+    assert high - low == 8 * (2 * n - 1)  # the view reads 2n - 1 floats, whatever its shape
+    assert data.shape == (n, n) and data.strides == (-8, 8)
+    assert not data.flags.writeable and not data.flags.owndata
+
+
+@pytest.mark.parametrize("n,d,sign_rule", [(130, 1, "seeded-random"), (144, 2, "all-positive"), (144, 2, "alternating")])
+def test_power_law_without_one_offset_vector_owns_a_dense_matrix(n, d, sign_rule):
+    data = build_power_law(n, d, 1.5, ZZ, sign_rule).two_local[ZZ].data
+    assert data.flags.owndata and data.flags.c_contiguous and not data.flags.writeable
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_power_law_chain_build_holds_no_matrix(sign_rule):
+    tracemalloc.start()
+    try:
+        build_power_law(4096, 1, 1.5, ZZ, sign_rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a dense 4096 x 4096 matrix is 128 MiB
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_pickled_chain_matrix_is_equal_and_read_only(sign_rule):
+    mat = build_power_law(130, 1, 1.7, ZZ, sign_rule).two_local[ZZ]
+    again = pickle.loads(pickle.dumps(mat))
+    assert again.n == mat.n and np.array_equal(again.data, mat.data)
+    assert not again.data.flags.writeable
 
 
 @pytest.mark.parametrize("alpha", [200.0, 300.5, 700.0, 2000.0])
