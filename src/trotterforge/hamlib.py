@@ -88,8 +88,10 @@ class CoeffMatrix:
         object.__setattr__(self, "data", a)
 
     def __reduce__(self):
-        # unpickling runs the constructor, so the matrix comes back read-only
-        return (CoeffMatrix, (self.n, self.data))
+        # unpickling runs the constructor, so the matrix comes back read-only;
+        # a Toeplitz view travels as its 2n - 1 generating entries
+        v = _toeplitz_vector(self.data)
+        return (CoeffMatrix, (self.n, self.data)) if v is None else (_toeplitz_coeffs, (self.n, v))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: np.ndarray, values: np.ndarray, *, held: int = 0) -> "CoeffMatrix":
@@ -126,6 +128,24 @@ class CoeffMatrix:
         return region.of(self.data)
 
 
+def _toeplitz_vector(a: np.ndarray) -> np.ndarray | None:
+    """The h + w - 1 entries that generate the nonempty h x w array ``a`` if its strides are (-s, s), else None.
+
+    Such an array reads entry (i, j) at offset (j - i) s, so it is Toeplitz; the
+    vector is its first column bottom up, then the rest of its first row.
+    """
+    if a.ndim != 2 or not a.size or a.strides[0] != -a.strides[1]:
+        return None
+    return np.concatenate((a[::-1, 0], a[0, 1:]))
+
+
+def _toeplitz_coeffs(n: int, v: np.ndarray) -> CoeffMatrix:
+    """The matrix whose row j is v[n - 1 - j : 2n - 1 - j]: a read-only Toeplitz view of the 2n - 1 entries v, no copy."""
+    v.setflags(write=False)
+    # window i is v[i : i + n], so reversed, row j is window n - 1 - j
+    return CoeffMatrix(n, np.lib.stride_tricks.sliding_window_view(v, n)[::-1])
+
+
 _T = TypeVar("_T")
 
 
@@ -136,9 +156,11 @@ class BlockMemo:
     its C-order bytes, so equal blocks share their results (a power law is
     translation invariant: every cross block of one shape and gap holds the
     same bytes, at any n) and a block with other bytes, -0.0 for 0.0 included,
-    never reuses them, short of a 256-bit digest collision. A key holds no
-    block bytes. Whoever creates the memo sets its lifetime: one compile, or
-    one cost report.
+    never reuses them, short of a 256-bit digest collision. A Toeplitz view
+    (strides (-s, s)) is digested from its h + w - 1 generating entries
+    instead, under a BLAKE2b personalization tag that other blocks never use,
+    so it is neither copied nor hashed whole. A key holds no block bytes.
+    Whoever creates the memo sets its lifetime: one compile, or one cost report.
     """
 
     def __init__(self) -> None:
@@ -146,8 +168,13 @@ class BlockMemo:
 
     @staticmethod
     def key(block: np.ndarray) -> tuple[str, tuple[int, ...], bytes]:
-        """(dtype, shape, digest of the C-order bytes) of ``block``."""
-        return block.dtype.str, block.shape, blake2b(np.ascontiguousarray(block), digest_size=32).digest()
+        """(dtype, shape, digest) of ``block``: of its generating entries if it is a Toeplitz view, else of its C-order bytes."""
+        v = _toeplitz_vector(block)
+        if v is None:
+            digest = blake2b(np.ascontiguousarray(block), digest_size=32)
+        else:
+            digest = blake2b(v, digest_size=32, person=b"toeplitz")
+        return block.dtype.str, block.shape, digest.digest()
 
     def get(self, block: np.ndarray, params: tuple, compute: Callable[[], _T]) -> _T:
         """The result for ``block`` and ``params`` (a tag naming the result, then its inputs),
@@ -363,10 +390,7 @@ def build_power_law(
         # v[n - 1 + o] is the entry at offset o = k - j: sign times magnitude for o >= 1, else 0
         v = np.zeros(2 * n - 1)
         v[n:] = table[1:] if sign_rule == "all-positive" else np.where(np.arange(1, n) % 2, -1.0, 1.0) * table[1:]
-        v.setflags(write=False)
-        # window i is v[i : i + n], so reversed, row j is v[n - 1 - j : 2n - 1 - j]
-        toeplitz = np.lib.stride_tricks.sliding_window_view(v, n)[::-1]
-        return HamiltonianSpec(n, d, {pauli_pair: CoeffMatrix(n, toeplitz)}, {}, alpha=alpha)
+        return HamiltonianSpec(n, d, {pauli_pair: _toeplitz_coeffs(n, v)}, {}, alpha=alpha)
     rng = np.random.default_rng(seed) if sign_rule == "seeded-random" else None
     a = np.zeros((n, n))
     # A slab of rows js from j0 on, over columns ks from j0 on; a pair is an entry right of the diagonal.
@@ -431,12 +455,22 @@ def norms(
     if kind == "restricted_1":
         if region is None:
             raise ValidationError("restricted_1 needs a region")
-        return float(np.cumsum(np.abs(region.of(values)))[-1])  # accumulates in (j, k) order
+        rows = region.of(values)
+        total = 0.0
+        # a slab of rows at a time, the running total first, so |x| is added in (j, k) order with no copy of the region
+        for i in range(0, rows.shape[0], _SLAB):
+            slab = rows[i : i + _SLAB]
+            run = np.empty(1 + slab.size)
+            run[0] = total
+            np.abs(slab, out=run[1:].reshape(slab.shape))
+            total = float(np.cumsum(run, out=run)[-1])
+        return total
     if boxes is None:
         raise ValidationError("box_1 needs (weight, region) boxes")
     total = 0.0
     for weight, reg in boxes:
-        total += weight * float(np.abs(reg.of(values)).max())
+        box = reg.of(values)
+        total += weight * max(-float(box.min()), float(box.max()))  # max |x|, with no |x| copy
     return total
 
 
@@ -475,16 +509,31 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
     are integers below 2^53 (which a float holds exactly), with no repeated
     pair; a repeat is reported at its second occurrence in file order.
     """
-    rows = np.array(entries, dtype=float)
+    rows = None
+    # a JSON list of three-element lists is read in two C-level passes and one fromiter;
+    # anything else, or a value fromiter refuses, goes through np.array, which names the fault
+    if type(entries) is list and set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        try:
+            rows = np.fromiter(itertools.chain.from_iterable(entries), float, count=3 * len(entries)).reshape(-1, 3)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if rows is None:
+        rows = np.array(entries, dtype=float)
     if rows.shape == (0,):
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"expected [j, k, value] entries, got an array of shape {rows.shape}")
     pairs = rows[:, :2]
-    inexact = np.flatnonzero(~((np.abs(pairs) < 2.0**53) & (pairs == np.floor(pairs))).all(axis=1))
-    if inexact.size:
-        j, k = entries[inexact[0]][:2]  # as written, since the float may have rounded it
+    exact = (np.abs(pairs) < 2.0**53) & (pairs == np.floor(pairs))
+    if not exact.all():
+        j, k = entries[np.flatnonzero(~exact.all(axis=1))[0]][:2]  # as written, since the float may have rounded it
         raise ValueError(f"pair ({j}, {k}) has an index that is not an integer below 2^53")
+    # equal pairs give equal keys j 2^32 + k, so if no two sorted keys are equal (a few ms) no pair repeats;
+    # indices in [0, 2^21) give distinct exact keys, so only a repeat, or a collision of indices past that,
+    # takes the lexsort below, which names the repeat
+    keys = np.sort(pairs[:, 0] * 2.0**32 + pairs[:, 1])
+    if not (keys[1:] == keys[:-1]).any():
+        return pairs, rows[:, 2]
     # a stable sort keeps equal pairs in file order, so every repeat after the first is a second occurrence
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     ordered = pairs[order]

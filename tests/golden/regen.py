@@ -70,6 +70,23 @@ def _far_negative_zeros(n: int) -> dict:
     return {"n": n, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": entries}]}
 
 
+# one odd row each: its length, a value JSON writes as a string, null, a list or true, an index past 2^64
+_ODD_ROWS = {
+    "row2": [2, 3],
+    "row4": [2, 3, 0.5, 1.0],
+    "string": [2, 3, "0.5"],
+    "null": [2, 3, None],
+    "nested": [2, 3, [0.5]],
+    "true": [2, 3, True],
+    "hugeindex": [10**400, 3, 0.5],
+}
+
+
+def _entries_spec(row: list) -> dict:
+    """A 4-site zz chain whose second entry is ``row``."""
+    return {"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 1.0], row, [3, 4, 0.25]]}]}
+
+
 def spec_documents() -> dict[str, dict]:
     """Every spec file the corpus reads, by file name."""
     mixed = {
@@ -94,6 +111,8 @@ def spec_documents() -> dict[str, dict]:
             {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.0, [1.0, -1.0] * 14)}],
             "onsite": {"z": [0.3, -0.1, 0.0, 0.2, 0.0, 0.4, -0.5, 0.0]}},
         "malformed.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]},
+        # entry rows that are not three numbers, each beside well-formed rows
+        **{f"entries_{name}.json": _entries_spec(row) for name, row in _ODD_ROWS.items()},
     }
 
 
@@ -165,6 +184,7 @@ def commands() -> list[list[str]]:
         "verify --input {golden}/negzerofar16.json --method lowrank --cutoff 1",
         "rank-profile --n 16 --cutoff 8",
         "rank-profile --n 256 --cutoff 4 --tol 1e-9 --signs alternating",
+        "rank-profile --n 256 --cutoff 4 --tol 1e-9 --signs seeded-random --seed 1",
     ]
     # compile: each method at p 1, 2, 4, the lowrank cutoffs, hamming2, count-only, --out
     for method in ("sequential", "lowrank", "avgcost"):
@@ -283,6 +303,7 @@ def commands() -> list[list[str]]:
         "build --n 4 --pauli q",
         "build --n 4 --signs seeded-random --seed -1",
         "build --input {golden}/malformed.json",
+        *[f"build --input {{golden}}/entries_{name}.json" for name in _ODD_ROWS],
         "build --input {tmp}/missing.json",
         "decompose --variant subdivision --n 8",
         "decompose --variant lowrank --n 16 --cutoff 3",

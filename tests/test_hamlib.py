@@ -37,9 +37,12 @@ from trotterforge.hamlib import (
     nonzero_terms,
     pauli_table,
     spec_from_json,
+    spec_to_dict,
     spec_to_json,
+    _entry_columns,
+    _toeplitz_vector,
 )
-from trotterforge.decomp import lowrank_decompose
+from trotterforge.decomp import bisection_decompose, boxes_for_pair, lowrank_decompose, pair_box_norms
 from trotterforge.trotter import induced_1norm, restricted_induced_1norm
 
 ZZ = (PauliKind.Z, PauliKind.Z)
@@ -505,6 +508,89 @@ def test_spec_json_rejects_malformed_documents(text):
         spec_from_json(text)
 
 
+def entry_columns_reference(entries):
+    """The reference reader: np.array(entries, dtype=float) for every group, then the same checks."""
+    rows = np.array(entries, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"expected [j, k, value] entries, got an array of shape {rows.shape}")
+    pairs = rows[:, :2]
+    inexact = np.flatnonzero(~((np.abs(pairs) < 2.0**53) & (pairs == np.floor(pairs))).all(axis=1))
+    if inexact.size:
+        j, k = entries[inexact[0]][:2]
+        raise ValueError(f"pair ({j}, {k}) has an index that is not an integer below 2^53")
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    ordered = pairs[order]
+    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    if repeats.size:
+        j, k = pairs[repeats.min()]
+        raise ValueError(f"pair ({int(j)}, {int(k)}) appears twice")
+    return pairs, rows[:, 2]
+
+
+def outcome(parse, entries):
+    """The bytes, shapes and dtypes of parse(entries), or its exception's type and message."""
+    try:
+        arrays = parse(entries)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(a.tobytes(), a.shape, a.dtype.str) for a in arrays]
+
+
+# every kind of JSON value, and numbers at the edges of the float and 2^53 ranges
+_SCALARS = st.one_of(
+    st.integers(-2, 5),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from([-0.0, 1.5, 2.0**53, 2.0**53 - 1, 2**53, 2**63 + 1, -(2**64), 10**400]),
+    st.sampled_from(["0.5", "3", "-0.0", "nan", "1e400", " 2 ", "abc", ""]),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+_ROWS = st.one_of(
+    st.lists(_VALUES, max_size=4),  # ragged rows and nested lists
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), _VALUES).map(list),  # mostly valid, with repeats
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.floats()),  # a tuple row goes through np.array
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_ROWS, max_size=6), st.lists(_VALUES, max_size=4)))
+def test_entry_columns_match_np_array_and_the_checks(entries):
+    assert outcome(_entry_columns, entries) == outcome(entry_columns_reference, entries)
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    [[1, 2, 0.5]],
+    [[2, 3, -0.0], [1, 2, 1], [1, 3, "0.5"], [3, 4, True]],
+    [[2**21 + 1, 2**33, 0.5], [2**21, 2**33 + 2**32, -1.5]],  # distinct pairs with equal keys j 2^32 + k
+    spec_to_dict(build_power_law(130, 1, 1.5, ZZ, "seeded-random", 2))["terms"][0]["entries"],
+])
+def test_well_formed_entries_never_reach_np_array(monkeypatch, entries):
+    seen = []
+    array = np.array
+    monkeypatch.setattr(np, "array", lambda obj, *a, **kw: seen.append(obj) or array(obj, *a, **kw))
+    pairs, values = _entry_columns(entries)
+    monkeypatch.undo()
+    assert not any(obj is entries for obj in seen)
+    want = entry_columns_reference(entries)
+    assert pairs.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[1, 2, 0.5], [2**40, 2**41, 0.5], [1, 2, 0.1]], "pair (1, 2) appears twice"),
+    ([[3, 4, 0.5], [-5, 1, 0.5], [3, 4, 0.1], [-5, 1, 0.1]], "pair (3, 4) appears twice"),
+    ([[3, 4, 0.5], [1, 2.5, 0.5], [3, 4, 0.1]], "pair (1, 2.5) has an index that is not an integer below 2^53"),
+])
+def test_entry_columns_name_the_first_fault_in_file_order(entries, message):
+    with pytest.raises(ValueError) as info:
+        _entry_columns(entries)
+    assert str(info.value) == message
+
+
 @pytest.fixture
 def gc_state():
     """Restores the collector's state after the test, whatever the test left."""
@@ -558,6 +644,64 @@ def test_block_memo_shares_results_between_equal_blocks_only():
     zero, negative_zero = np.zeros((2, 2)), np.full((2, 2), -0.0)
     assert memo.get(zero, (), lambda: "zero") == "zero"
     assert memo.get(negative_zero, (), lambda: "negative zero") == "negative zero"
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_toeplitz_keys_are_their_generating_entries_and_never_a_dense_key(sign_rule):
+    mat = build_power_law(64, 1, 1.5, ZZ, sign_rule).two_local[ZZ]
+    regions = [IndexRegion(range(1, 9), range(9, 17)), IndexRegion(range(17, 25), range(25, 33)),
+               IndexRegion(range(3, 9), range(20, 31)), IndexRegion(range(40, 41), range(41, 64))]
+    for region in regions:
+        block = mat.block(region)
+        h, w = block.shape
+        v = _toeplitz_vector(block)
+        assert v.shape == (h + w - 1,)
+        assert all(block[i, j] == v[h - 1 - i + j] for i in range(h) for j in range(w))
+        assert BlockMemo.key(block) != BlockMemo.key(block.copy())  # a contiguous block of the same values
+    first, second, other = (mat.block(r) for r in regions[:3])
+    assert np.array_equal(_toeplitz_vector(first), _toeplitz_vector(second))
+    assert BlockMemo.key(first) == BlockMemo.key(second)  # equal vectors, equal keys
+    assert BlockMemo.key(other) != BlockMemo.key(first)
+    # a block of another chain with the same vector, and the same vector read at another shape
+    again = build_power_law(128, 1, 1.5, ZZ, sign_rule).two_local[ZZ]
+    assert BlockMemo.key(again.block(IndexRegion(range(101, 109), range(109, 117)))) == BlockMemo.key(first)
+    assert BlockMemo.key(first[:, :7]) != BlockMemo.key(first[:7, :])
+    assert _toeplitz_vector(first.copy()) is None
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_norms_of_a_toeplitz_view_equal_those_of_its_dense_copy_bitwise(sign_rule):
+    mat = build_power_law(1024, 1, 1.5, ZZ, sign_rule).two_local[ZZ]
+    pairs = list(lowrank_decompose(1024, 4).far_field) + list(bisection_decompose(1024).pairs)
+    for pair in pairs:
+        view = mat.block(pair.cross_region())
+        dense = np.array(view)
+        # the slab sum adds in the (j, k) order of one cumulative sum over the whole region
+        whole = IndexRegion(*(range(1, side + 1) for side in view.shape))
+        assert norms(view, "restricted_1", region=whole) == float(np.cumsum(np.abs(dense))[-1])
+        if not pair.is_contiguous_halves():  # a far pair has no box grid: its one box is the block
+            assert norms(view, "box_1", boxes=[(1, whole)]) == float(np.abs(dense).max())
+            continue
+        assert pair_box_norms(view, pair) == pair_box_norms(dense, pair)
+        boxes = boxes_for_pair(pair)
+        want = 0.0
+        for weight, reg in boxes:
+            want += weight * float(np.abs(reg.of(dense)).max())
+        assert norms(view, "box_1", boxes=boxes) == want
+
+
+def test_box_norms_of_the_top_block_copy_no_block():
+    mat = build_power_law(4096, 1, 1.5).two_local[ZZ]
+    pair = bisection_decompose(4096).pairs[0]
+    block = mat.block(pair.cross_region())
+    assert block.shape == (2048, 2048)
+    tracemalloc.start()
+    try:
+        pair_box_norms(block, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one copy of the block is 32 MiB
 
 
 def test_block_memo_keys_load_no_openssl():
@@ -672,6 +816,32 @@ def test_pickled_spec_objects_stay_read_only():
     for name in ("x", "z", "coeff"):
         assert np.array_equal(getattr(again, name), getattr(table, name))
         assert not getattr(again, name).flags.writeable
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating"])
+def test_a_chain_matrix_pickles_as_its_generating_vector(sign_rule):
+    mat = build_power_law(1024, 1, 1.5, ZZ, sign_rule).two_local[ZZ]
+    data = pickle.dumps(mat)
+    assert len(data) < 64 * 1024  # the dense matrix is 8 MiB
+    tracemalloc.start()
+    try:
+        again = pickle.loads(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert again.n == mat.n and np.array_equal(again.data, mat.data)
+    assert not again.data.flags.writeable
+    assert np.array_equal(_toeplitz_vector(again.data), _toeplitz_vector(mat.data))
+
+
+def test_a_dense_matrix_pickles_whole():
+    mat = build_power_law(256, 1, 1.5, ZZ, "seeded-random", 5).two_local[ZZ]
+    data = pickle.dumps(mat)
+    assert len(data) > 8 * 256 * 256
+    again = pickle.loads(data)
+    assert again.data.flags.c_contiguous and not again.data.flags.writeable
+    assert np.array_equal(again.data, mat.data)
 
 
 def test_coefficient_capacity_is_checked_before_allocating():

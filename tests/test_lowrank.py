@@ -1,10 +1,13 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import coeff_matrix
 from trotterforge.decomp import lowrank_decompose
-from trotterforge.errors import DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
+from trotterforge.errors import DomainError, TrotterForgeError, ValidationError
+from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, spec_from_json
 from trotterforge.lowrank import rank_profile, truncated_svd
 from trotterforge.trotter import induced_1norm
 
@@ -56,6 +59,12 @@ def test_zero_block_rank_zero():
     assert fac.rank == 0
     assert fac.left.shape == (5, 0) and fac.right.shape == (3, 0)
     assert fac.singulars.size == 0
+
+
+@pytest.mark.parametrize("tol, rank, residual", [(4.0, 0, 3.0), (0.5, 2, 0.25), (0.2, 3, 0.0), (1e-3, 3, 0.0)])
+def test_residual_is_the_first_singular_value_cut_or_zero_at_full_rank(tol, rank, residual):
+    fac = truncated_svd(np.diag([3.0, 2.0, 0.25])[:, ::-1], tol)
+    assert (fac.rank, fac.residual) == (rank, residual)
 
 
 def test_cauchy_block_matches_dense_oracle():
@@ -135,6 +144,47 @@ def test_profile_matches_dense_oracle():
     dec = lowrank_decompose(64, 4)
     for tol in (1e-3, 1e-6):
         assert rank_profile(spec, dec, tol).rho_max == profile_oracle(spec, dec, tol)
+
+
+def truncated_svd_profile(spec, dec, tol):
+    """(rank, residual) of every rank_profile row, from truncated_svd over the same far blocks."""
+    return [
+        (fac.rank, fac.residual)
+        for mat in spec.two_local.values()
+        for fac in (truncated_svd(mat.block(pair.cross_region()), tol) for pair in dec.far_field)
+    ]
+
+
+def assert_profile_matches_truncated_svd(spec, dec, tol):
+    rows = rank_profile(spec, dec, tol).rows
+    want = truncated_svd_profile(spec, dec, tol)
+    assert [r.rank for r in rows] == [rank for rank, _ in want]
+    for row, (_, residual) in zip(rows, want):
+        assert (row.residual == residual == 0.0) or math.isclose(row.residual, residual, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
+def test_values_only_profile_matches_truncated_svd_on_chains(sign_rule, tol):
+    spec = build_power_law(256, 1, 1.5, ZZ, sign_rule, seed=1)
+    assert_profile_matches_truncated_svd(spec, lowrank_decompose(256, 4), tol)
+
+
+def golden_specs():
+    """(file name, spec) of every golden spec file that loads; the others are malformed on purpose."""
+    specs = []
+    for path in sorted((Path(__file__).resolve().parent / "golden" / "specs").glob("*.json")):
+        try:
+            specs.append(pytest.param(spec_from_json(path.read_text()), id=path.name))
+        except TrotterForgeError:
+            pass
+    return specs
+
+
+@pytest.mark.parametrize("spec", golden_specs())
+def test_values_only_profile_matches_truncated_svd_on_golden_specs(spec):
+    for tol in (1e-3, 1e-6, 1e-9):
+        assert_profile_matches_truncated_svd(spec, lowrank_decompose(spec.n, 1), tol)
 
 
 def test_profile_rows_are_group_major():
