@@ -119,11 +119,18 @@ def _qubit_denominator(query: BoundQuery, accuracy: float) -> float:
 
 
 def _finish(raw: float, constants: dict, *, force_vacuous: bool = False) -> BoundResult:
-    check_float_range(raw, "the raw lower bound")
-    vacuous = force_vacuous or raw <= 0.0
+    """The bound max(raw, 0), or 0 where the inputs force a vacuous one.
+
+    A forced bound never reads raw, so a raw value (or a term of it) past the
+    float range is recorded as None there; anywhere else it raises CapacityError.
+    """
     constants["raw"] = raw
     constants["log_base"] = LOG_BASE
-    return BoundResult(max(raw, 0.0) if not force_vacuous else 0.0, vacuous, constants)
+    if force_vacuous:
+        finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in constants.items()}
+        return BoundResult(0.0, True, finite)
+    check_float_range(raw, "the raw lower bound")
+    return BoundResult(max(raw, 0.0), raw <= 0.0, constants)
 
 
 def volume_diag(mu: int, theta_max: float) -> float:

@@ -9,8 +9,8 @@ its fraction of the step. Four lowering strategies:
   its count takes how often the schedule runs each stage in closed form;
 * lowrank    — far blocks become diagonal-phase composites built from
   truncated factors, near/within remainders stay sequential;
-* avgcost    — every subdivision cell becomes one diagonal-phase composite
-  costed by qubitization step counts;
+* avgcost    — every nonempty subdivision cell becomes one diagonal-phase
+  composite costed by qubitization step counts, one op per bisection pair;
 * hamming2   — the binary-to-unary phase gadget over two index registers.
 
 lowrank and avgcost share one stage plan: per schedule entry, the stage's
@@ -22,10 +22,13 @@ its phase table with one matmul over the +-1 signs of its sites; count-only
 mode returns before lowering, which is sized against memory first. Verification-mode
 circuits are exact: the only approximations are the product formula and low-rank truncation.
 
-What lowrank and avgcost compute from a coefficient block (its truncated
-factor, its cells' costs) goes through a ``BlockMemo``, so equal blocks share
-it. Each compile makes its own memo unless the caller passes one, as a cost
-report does for its whole sweep.
+A plan holds what a count reads: a far op its block's rank, taken from the
+singular values alone, and a pair op the sum of its cells' costs. Lowering
+takes the far block's truncated factor and cuts it at the plan's rank, and
+expands a pair op into its cells. What lowrank and avgcost compute from a
+coefficient block (its rank, its truncated factor, its cells' costs) goes
+through a ``BlockMemo``, so equal blocks share it. Each compile makes its own
+memo unless the caller passes one, as a cost report does for its whole sweep.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .circuit import (
 from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
 from .errors import DomainError, ValidationError, check_float_range, check_memory
 from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
-from .lowrank import truncated_svd
+from .lowrank import singular_truncation, truncated_svd
 
 SUPPORTED_ORDERS = (1, 2, 4)
 
@@ -335,8 +338,11 @@ class _StageOp:
     """One piece of a stage: its declared gate cost and the data it lowers from.
 
     * ``far``: one diagonal composite e^{-i theta z_u.A z_v} on the sites
-      ``rows`` + ``cols``, with A the far block's truncated factor ``data``;
-    * ``cell``: the same, with A the subdivision cell's view of its pair's cross block;
+      ``rows`` + ``cols``; ``data`` is (block, rank, factor), and A is
+      ``factor(block)``, the block's truncated factor, cut at ``rank``;
+    * ``cells``: one such composite per nonempty subdivision cell of the pair
+      ``rows`` x ``cols``; ``data`` is (block, cells), the pair's cross block
+      and the (region, cost) of each cell, and A is the cell's view of the block;
     * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
       entry [r, c] couples sites rows[r] and cols[c];
     * ``onsite``: one rotation per nonzero on-site coefficient.
@@ -363,15 +369,36 @@ def _op_gates(op: _StageOp, theta: float, spec: HamiltonianSpec) -> list[Gate]:
             string = [(op.rows[r], PauliKind.Z), (op.cols[c], PauliKind.Z)]
             gates.extend(pauli_string_exponential(string, theta * float(op.data[r, c]), spec.n).gates)
         return gates
-    zu, zv = _sign_table(len(op.rows)), _sign_table(len(op.cols))
     if op.kind == "far":
-        fac = op.data
-        coupling = ((zu @ fac.left) * fac.singulars) @ (fac.right.T @ zv.T)
-    else:
-        coupling = zu @ np.ascontiguousarray(op.data) @ zv.T
+        block, rank, factor = op.data
+        fac = factor(block)
+        # the count priced ``rank``; the factor's own rank differs only where a value lies within round-off of tol
+        left, singulars, right = fac.left[:, :rank], fac.singulars[:rank], fac.right[:, :rank]
+        zu, zv = _sign_table(len(op.rows)), _sign_table(len(op.cols))
+        coupling = ((zu @ left) * singulars) @ (right.T @ zv.T)
+        return [_phase_composite(op.rows, op.cols, coupling, theta, op.cost)]
+    block, cells = op.data
+    gates = []
+    for region, cost in cells:
+        rows, cols = region.slices()
+        zu, zv = _sign_table(len(region.rows)), _sign_table(len(region.cols))
+        coupling = zu @ np.ascontiguousarray(region.of(block)) @ zv.T
+        gates.append(_phase_composite(op.rows[rows], op.cols[cols], coupling, theta, cost))
+    return gates
+
+
+def _phase_composite(rows: range, cols: range, coupling: np.ndarray, theta: float, cost: int) -> CompositeDiagonalPhase:
     # coupling[u, v] = z_u.A z_v; the row sites are the low bits of the table index
-    phases = -theta * coupling.T.ravel()
-    return [CompositeDiagonalPhase(tuple(op.rows) + tuple(op.cols), phases, op.cost)]
+    return CompositeDiagonalPhase(tuple(rows) + tuple(cols), -theta * coupling.T.ravel(), cost)
+
+
+def _composites(op: _StageOp) -> list[tuple[int, int]]:
+    """(qubit count, declared cost) of every diagonal composite ``op`` lowers to."""
+    if op.kind == "far":
+        return [(len(op.rows) + len(op.cols), op.cost)]
+    if op.kind == "cells":
+        return [(len(region.rows) + len(region.cols), cost) for region, cost in op.data[1]]
+    return []
 
 
 def _compile_stages(
@@ -410,10 +437,10 @@ def _compile_stages(
     phase = t * spec.identity
     if count_only:
         return CompiledStep(method, t, count, None, phase)
-    composites = [op for _, _, ops in plan for op in ops if op.kind in ("far", "cell")]
+    composites = [c for _, _, ops in plan for op in ops for c in _composites(op)]
     # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
-    tables = [8 << (len(op.rows) + len(op.cols)) for op in composites]
-    _check_lowering_memory(method, spec.n, count - sum(op.cost - 1 for op in composites), tables)
+    tables = [8 << k for k, _ in composites]
+    _check_lowering_memory(method, spec.n, count - sum(cost - 1 for _, cost in composites), tables)
     gates: list[Gate] = []
     for theta, axis, ops in plan:
         changes = [basis_change(axis[q], q) for q in sorted(axis)]
@@ -445,7 +472,9 @@ def compile_lowrank_step(
 
     Inside each stage everything is diagonal after the basis change, so the
     only errors are the stage-level formula error and the rank truncation.
-    Equal far blocks share one SVD through ``memo`` (a fresh one by default).
+    A far op's cost reads its block's ``singular_truncation`` rank; lowering
+    takes the block's ``truncated_svd`` and cuts it at that rank. Equal far
+    blocks share one of each through ``memo`` (a fresh one by default).
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -454,13 +483,16 @@ def compile_lowrank_step(
     remainder = dec.remainder_regions()
     memo = BlockMemo() if memo is None else memo
 
+    def factor(block: np.ndarray):
+        return memo.get(block, ("svd", tol), lambda: truncated_svd(block, tol))
+
     def stage_ops(pair_key, mat, theta):
         ops = []
         for p in dec.far_field:
             block = mat.block(p.cross_region())
-            fac = memo.get(block, ("svd", tol), lambda: truncated_svd(block, tol))
-            if fac.rank:  # each op keeps its own sites, whichever block took the SVD
-                ops.append(_StageOp("far", len(p.left) * fac.rank * width, p.left, p.right, fac))
+            rank = memo.get(block, ("rank", tol), lambda: singular_truncation(block, tol)[0])
+            if rank:  # each op keeps its own sites, whichever block took the SVD
+                ops.append(_StageOp("far", len(p.left) * rank * width, p.left, p.right, (block, rank, factor)))
         for region in remainder:
             sub = mat.block(region)
             ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
@@ -482,20 +514,21 @@ def compile_avgcost_step(
     eps: float = 1e-3,
     memo: BlockMemo | None = None,
 ) -> CompiledStep:
-    """One exact diagonal composite per nonempty subdivision cell.
+    """One exact diagonal composite per nonempty subdivision cell, one op per bisection pair.
 
     Declared cell cost = qubitization steps for the cell's 1-norm times the
-    preparation + selection model, with the cell's own amplification ratio.
-    Pairs with equal cross blocks share their cell costs through ``memo`` (a
-    fresh one by default).
+    preparation + selection model, with the cell's own amplification ratio;
+    a pair's op costs the sum over its cells. Pairs with equal cross blocks
+    share their cell costs and that sum through ``memo`` (a fresh one by default).
     """
     if not (1 <= m <= spec.n // 2):
         raise DomainError(f"m must be in [1, {spec.n // 2}], got {m}")
     dec = bisection_decompose(spec.n)
     memo = BlockMemo() if memo is None else memo
 
-    def cell_costs(block: np.ndarray, cells: list[Cell], theta: float) -> list[tuple[IndexRegion, int]]:
-        """(region, declared cost) of every nonempty cell of the cross block ``block``."""
+    def cell_costs(block: np.ndarray, cells: list[Cell], theta: float) -> tuple[int, tuple[tuple[IndexRegion, int], ...]]:
+        """(total, costs): ``costs`` holds the (region, declared cost) of every
+        nonempty cell of the cross block ``block``, and ``total`` their sum."""
         costs = []
         for cell in cells:
             sub, cell_1, ratio = cell_norms(block, cell)
@@ -505,7 +538,7 @@ def compile_avgcost_step(
             width_j, width_k = sub.shape
             cost = steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
             costs.append((cell.region, cost))
-        return costs
+        return sum(cost for _, cost in costs), tuple(costs)
 
     def stage_ops(pair_key, mat, theta):
         ops = []
@@ -513,10 +546,9 @@ def compile_avgcost_step(
             block = mat.block(pair.cross_region())
             # the cells are regions of the block, so its bytes fix them and their costs
             params = ("cells", m, abs(theta), eps)
-            costs = memo.get(block, params, lambda: cell_costs(block, cells_for_pair(pair, m), theta))
-            for region, cost in costs:
-                rows, cols = region.slices()
-                ops.append(_StageOp("cell", cost, pair.left[rows], pair.right[cols], region.of(block)))
+            total, costs = memo.get(block, params, lambda: cell_costs(block, cells_for_pair(pair, m), theta))
+            if costs:
+                ops.append(_StageOp("cells", total, pair.left, pair.right, (block, costs)))
         return ops
 
     return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)

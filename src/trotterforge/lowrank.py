@@ -46,6 +46,16 @@ def _truncation(s: np.ndarray, tol: float) -> tuple[int, float]:
     return rank, float(s[rank]) if rank < s.size else 0.0
 
 
+def singular_truncation(block: np.ndarray, tol: float) -> tuple[int, float]:
+    """``truncated_svd``'s (rank, residual) from the singular values alone, with no singular vectors.
+
+    The values come from another LAPACK path, so the residual can differ in
+    its last digits, and the rank where a singular value lies within
+    round-off of tol.
+    """
+    return _truncation(np.linalg.svd(_checked_block(block, tol), compute_uv=False), tol)
+
+
 def truncated_svd(block: np.ndarray, tol: float) -> TruncatedFactor:
     """Minimal rank with next singular value <= tol; exact on exact-rank input."""
     u, s, vt = np.linalg.svd(_checked_block(block, tol), full_matrices=False)
@@ -84,9 +94,7 @@ class RankProfile:
 def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol: float) -> RankProfile:
     """Truncation ranks of every far-field block over every Pauli pair.
 
-    Each rank and residual is ``truncated_svd``'s rule applied to the block's
-    singular values alone, computed without singular vectors, so a residual
-    can differ from ``truncated_svd``'s in its last digits.
+    Each rank and residual is the block's ``singular_truncation``.
     rho_max is floored at 1: even an all-zero block costs a trivial circuit.
     """
     if spec.n != decomposition.n:
@@ -96,8 +104,7 @@ def rank_profile(spec: HamiltonianSpec, decomposition: LowRankDecomposition, tol
     rows = []
     for (s1, s2), mat in spec.two_local.items():
         for pair in decomposition.far_field:
-            s = np.linalg.svd(_checked_block(mat.block(pair.cross_region()), tol), compute_uv=False)
-            rank, residual = _truncation(s, tol)
+            rank, residual = singular_truncation(mat.block(pair.cross_region()), tol)
             rows.append(ProfileRow(pair.layer, pair.block, s1.value, s2.value, rank, residual))
     rho_max = max((r.rank for r in rows), default=0)
     return RankProfile(tuple(rows), max(1, rho_max))

@@ -235,6 +235,11 @@ def commands() -> list[list[str]]:
         "verify --input {golden}/chain8.json --method lowrank --cutoff 2",
         "verify --n 8 --method avgcost --m 3 --signs seeded-random",
     ]
+    # lowered lowrank and avgcost steps on random signs, at every order
+    for method in ("lowrank --cutoff 2", "avgcost"):
+        for p in (1, 2, 4):
+            lines.append(f"compile --n 8 --method {method} --p {p} --signs seeded-random")
+            lines.append(f"verify --n 8 --method {method} --p {p} --signs seeded-random")
     # error-sweep
     for method in ("sequential", "lowrank", "avgcost"):
         lines.append(f"error-sweep --n 4 --pauli xx --method {method} --cutoff 1 --p 1")
@@ -260,6 +265,14 @@ def commands() -> list[list[str]]:
         "cost-report --method avgcost --alpha 0.5 --t 1 --n-sweep 16,32,64,128",
         "cost-report --method block --alpha 1.5 --t 0.1 --n-sweep 128,256,512,1024",
     ]
+    # the benchmark's count sweep, verbatim
+    for method, alpha in (("sequential", "2"), ("lowrank", "2"), ("block", "2"), ("avgcost", "1.5")):
+        lines.append(f"cost-report --method {method} --alpha {alpha} --n-sweep 64,128,256,512,1024")
+    # lowrank ranks on larger far blocks, at a tight and a loose tolerance
+    for alpha in ("0.5", "1.5"):
+        for tol in ("1e-6", "1e-2"):
+            lines.append(f"cost-report --method lowrank --alpha {alpha} --tol {tol} --n-sweep 256,512,1024,2048")
+    lines.append("cost-report --method avgcost --alpha 1.0 --n-sweep 256,512,1024,2048")
     # bound: every variant, vacuous and validation cases
     lines += [
         "bound volume --mu 1 --theta-max 1.5707963",
@@ -283,6 +296,10 @@ def commands() -> list[list[str]]:
         f"bound ham --b {HUGE} --n 64 --eps 1e-3",
         f"bound ham --b 64 --n {HUGE} --eps 1e-3",
         f"bound coeff --b 4 --n {HUGE} --eps 1e-3 --m 3",
+        # inputs that force a vacuous bound never read the raw one, which prints as null past the float range
+        f"bound ham --n {HUGE} --eps 1e-3 --t 1e-4",
+        f"bound coeff --b 4 --n {HUGE} --eps 0.2 --m 3",  # inside 2^-m <= eps <= 1/2: exit 3
+        "bound discrete --b 3000 --mu 2000 --delta 0.2 --m 3",
         "bound volume --mu 2000 --theta-max 1.5",
         "bound volume --mu 2000 --theta-max 0.5",  # 2^mu times a log of exactly 0
         "bound diag --b 3000 --mu 2000 --theta-max 1.5 --delta 0.1",

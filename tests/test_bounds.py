@@ -338,14 +338,31 @@ def test_integers_past_the_float_range_give_the_oracle_bound_or_a_capacity_error
     # n^2 and 2^mu do not: the bound itself leaves the float range
     for fn, q in (
         (commuting_ham_lower_bound, BoundQuery(b=64, n=HUGE, eps=1e-3)),
-        (coeff_oracle_lower_bound, BoundQuery(b=4, n=HUGE, eps=1e-3, m=3)),
+        (coeff_oracle_lower_bound, BoundQuery(b=4, n=HUGE, eps=0.2, m=3)),
         (diag_synthesis_lower_bound, BoundQuery(b=3000, mu=2000, theta_max=1.5, delta=0.1)),
-        (discrete_diag_lower_bound, BoundQuery(b=3000, mu=2000, delta=0.01, m=3)),
+        (discrete_diag_lower_bound, BoundQuery(b=3000, mu=2000, delta=0.2, m=3)),
     ):
         with pytest.raises(CapacityError, match="exceeds the float range"):
             fn(q)
     with pytest.raises(CapacityError, match="exceeds the float range"):
         volume_diag(2000, 1.5)
+
+
+def test_a_forced_vacuous_bound_never_reads_its_raw_value():
+    # t < eps, or an accuracy outside 2^-m..1/2, fixes the bound at 0 whatever raw holds
+    for fn, q, unread in (
+        (commuting_ham_lower_bound, BoundQuery(b=64, n=HUGE, eps=1e-3, t=1e-4), {"raw", "main_term"}),
+        (coeff_oracle_lower_bound, BoundQuery(b=4, n=HUGE, eps=1e-3, m=3), {"raw", "main_term"}),
+        (discrete_diag_lower_bound, BoundQuery(b=3000, mu=2000, delta=0.01, m=3), {"raw"}),
+    ):
+        result = fn(q)
+        assert result.bound == 0.0 and result.vacuous
+        assert {k for k, v in result.constants.items() if v is None} == unread
+        assert all(math.isfinite(v) for v in result.constants.values() if isinstance(v, float))
+        assert json.loads(result.to_json())["constants"]["raw"] is None
+    # a finite raw value of a forced bound is still recorded
+    result = commuting_ham_lower_bound(BoundQuery(b=64, n=64, eps=1e-3, t=1e-4))
+    assert result.vacuous and result.constants["raw"] == result.constants["main_term"] - result.constants["overhead"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,9 +31,17 @@ from trotterforge.compilers import (
     step_cost_json,
     step_distances,
 )
-from trotterforge.decomp import lowrank_decompose
+from trotterforge.decomp import bisection_decompose, lowrank_decompose
 from trotterforge.errors import CapacityError, DomainError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, build_power_law, nonzero_terms
+from trotterforge.hamlib import (
+    BlockMemo,
+    CoeffMatrix,
+    HamiltonianSpec,
+    IndexRegion,
+    PauliKind,
+    build_power_law,
+    nonzero_terms,
+)
 from trotterforge.lowrank import truncated_svd
 
 XX = (PauliKind.X, PauliKind.X)
@@ -296,6 +304,22 @@ def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, m
         compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
 
 
+@pytest.mark.parametrize("method", ["lowrank", "avgcost"])
+def test_the_lowering_check_sizes_every_gate_and_table_the_lowering_builds(monkeypatch, method):
+    sized = []
+    check = compilers._check_lowering_memory
+    monkeypatch.setattr(compilers, "_check_lowering_memory", lambda *a: sized.append(a) or check(*a))
+    spec = build_power_law(16, 1, 1.5, sign_rule="seeded-random", seed=3)
+    if method == "lowrank":
+        step = compile_lowrank_step(spec, 0.3, 1e-9, 2, 2)
+    else:
+        step = compile_avgcost_step(spec, 0.3, 3, 2)  # one pair op expands into its cells' composites
+    [(_, _, gates, tables)] = sized
+    composites = [g for g in step.circuit.gates if isinstance(g, CompositeDiagonalPhase)]
+    assert gates == len(step.circuit.gates)
+    assert sorted(tables) == sorted(g.phases.nbytes for g in composites)
+
+
 def test_sequential_term_order():
     # groups and on-site kinds handed over out of tag order still run in term_groups() order
     base = onsite_two_group_spec(4)
@@ -340,9 +364,12 @@ def test_every_far_op_holds_the_svd_of_its_own_block(monkeypatch):
     far = [op for op in ops if op.kind == "far"]
     assert len(far) > len({(op.rows, op.cols) for op in far})  # several stages reuse the factors
     for op in far:
-        fac = op.data
+        block, rank, factor = op.data
+        fac = factor(block)
         for mat in spec.two_local.values():  # both groups hold the same power law
-            want = truncated_svd(mat.block(IndexRegion(op.rows, op.cols)), 1e-6)
+            own = mat.block(IndexRegion(op.rows, op.cols))
+            want = truncated_svd(own, 1e-6)
+            assert np.array_equal(block, own) and rank == want.rank
             assert np.array_equal(fac.left, want.left) and np.array_equal(fac.right, want.right)
             assert np.array_equal(fac.singulars, want.singulars) and fac.residual == want.residual
 
@@ -429,7 +456,84 @@ def test_lowrank_rejects_bad_tol():
         compile_lowrank_step(zz_spec(8), 0.1, 0.0, 2, 2)
 
 
+def test_a_count_only_lowrank_step_takes_singular_values_only(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw) or svd(a, **kw))
+    for spec in (build_power_law(256, 1, 1.5), build_power_law(64, 1, 1.0, XX, "seeded-random", seed=2)):
+        compile_lowrank_step(spec, 0.1, 1e-6, 4, 2, count_only=True)
+    assert calls and all(kw.get("compute_uv") is False for kw in calls)
+    calls.clear()
+    compile_lowrank_step(build_power_law(16, 1, 1.5), 0.1, 1e-6, 2, 2)  # lowering takes the factors as well
+    assert any(kw.get("compute_uv", True) for kw in calls)
+
+
+class BlockRecording(BlockMemo):
+    """A memo that keeps every block it is asked about, by key, so a test can read the results back."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = {}
+
+    def get(self, block, params, compute):
+        self.blocks.setdefault(self.key(block), block)
+        return super().get(block, params, compute)
+
+
+RANK_TOLS = (1e-12, 1e-9, 1e-6, 1e-3, 1e-2)
+
+
+def assert_plan_ranks_match_truncated_svd(specs, cutoff):
+    """Count every spec at every tolerance through one memo, then check each rank the plans read."""
+    memo = BlockRecording()
+    for spec in specs:
+        for tol in RANK_TOLS:
+            compile_lowrank_step(spec, 0.1, tol, cutoff, 1, count_only=True, memo=memo)
+    assert memo.blocks
+    for key, block in memo.blocks.items():
+        for tol in RANK_TOLS:
+            assert memo._blocks[key][("rank", tol)] == truncated_svd(block, tol).rank, (block.shape, tol)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("cutoff", [2, 4])
+def test_plan_ranks_equal_truncated_svd_ranks_on_every_distinct_far_block(alpha, cutoff):
+    # deterministic chains share their blocks across n, so one memo covers the sweep
+    assert_plan_ranks_match_truncated_svd([build_power_law(n, 1, alpha) for n in (64, 128, 256, 512, 1024)], cutoff)
+    seeded = [build_power_law(64, 1, alpha, ZZ, "seeded-random", seed=seed) for seed in (1, 2)]
+    assert_plan_ranks_match_truncated_svd(seeded, cutoff)
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-2])
+def test_a_lowered_lowrank_step_costs_its_declared_count(sign_rule, tol):
+    for n, cutoff, alpha in ((16, 2, 0.5), (16, 4, 3.0), (32, 4, 1.5)):
+        spec = build_power_law(n, 1, alpha, ZZ, sign_rule, seed=n)
+        for p in (1, 2):
+            full = compile_lowrank_step(spec, 0.3, tol, cutoff, p)
+            counted = compile_lowrank_step(spec, 0.3, tol, cutoff, p, count_only=True)
+            assert full.circuit.cost() == full.gate_count == counted.gate_count
+
+
 # -- avgcost ----------------------------------------------------------------------------
+
+
+def test_a_count_only_avgcost_plan_holds_at_most_one_op_per_pair(monkeypatch):
+    plans = []
+    compile_stages = compilers._compile_stages
+
+    def recording(method, spec, t, formula, count_only, stage_ops):
+        return compile_stages(method, spec, t, formula, count_only, lambda *a: plans.append(stage_ops(*a)) or plans[-1])
+
+    monkeypatch.setattr(compilers, "_compile_stages", recording)
+    spec = build_power_law(256, 1, 1.5, ZZ, "seeded-random", seed=1)
+    compile_avgcost_step(spec, 0.1, 8, 2, count_only=True)
+    pairs = {(pair.left, pair.right) for pair in bisection_decompose(256).pairs}
+    assert len(plans) == 1  # one group stage: a lone stage runs once
+    [ops] = plans
+    assert len(ops) == len(pairs)  # random signs leave no pair without a nonempty cell
+    assert {(op.rows, op.cols) for op in ops} == pairs
+    assert sum(len(op.data[1]) for op in ops) > 4 * len(ops)  # each op covers many cells
 
 
 def test_avgcost_commuting_exact_any_m():
@@ -571,16 +675,30 @@ def test_reduction_overhead_model():
 # -- phase tables --------------------------------------------------------------------------
 
 
-def closure_phase(op, theta, bits):
+def composite_closures(op, tol):
+    """(row sites, column sites, cost, coupling) of every composite ``op`` lowers to, in order.
+
+    coupling(zu, zv) is z_u.A z_v for one basis state, with A taken afresh: the
+    far block's truncated factor, or a contiguous copy of the cell.
+    """
+    if op.kind == "far":
+        block, rank, _ = op.data
+        fac = truncated_svd(block, tol)
+        assert fac.rank == rank
+        return [(op.rows, op.cols, op.cost, lambda zu, zv: float(((zu @ fac.left) * fac.singulars) @ (fac.right.T @ zv)))]
+    block, cells = op.data
+    closures = []
+    for region, cost in cells:
+        rows, cols = region.slices()
+        sub = np.ascontiguousarray(block[rows, cols])
+        closures.append((op.rows[rows], op.cols[cols], cost, lambda zu, zv, sub=sub: float(zu @ sub @ zv)))
+    return closures
+
+
+def closure_phase(coupling, h, theta, bits):
     """The per-basis-state formulas the phase tables replaced, one state at a time."""
     z = 1.0 - 2.0 * np.asarray(bits, dtype=float)
-    zu, zv = z[: len(op.rows)], z[len(op.rows) :]
-    if op.kind == "far":
-        left, sing, right = op.data.left, op.data.singulars, op.data.right
-        coupling = float(((zu @ left) * sing) @ (right.T @ zv))
-    else:
-        coupling = float(zu @ np.ascontiguousarray(op.data) @ zv)
-    return -theta * coupling
+    return -theta * coupling(z[:h], z[h:])
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -592,7 +710,7 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
 
     def recording(op, theta, spec):
         gates = op_gates(op, theta, spec)
-        if op.kind in ("far", "cell"):
+        if op.kind in ("far", "cells"):
             seen.append((op, theta, gates))
         return gates
 
@@ -600,12 +718,15 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
     spec = build_power_law(n, 1, 1.5, pair, "seeded-random", seed=n + p)
     compile_lowrank_step(spec, 0.3, 1e-9, n // 4, p)
     compile_avgcost_step(spec, 0.3, n // 4, p)
-    assert {op.kind for op, _, _ in seen} == {"far", "cell"}
-    for op, theta, (gate,) in seen:
-        k = len(gate.qubits)
-        want = [closure_phase(op, theta, [(idx >> i) & 1 for i in range(k)]) for idx in range(1 << k)]
-        assert gate.qubits == tuple(op.rows) + tuple(op.cols)
-        assert np.array_equal(gate.phases, want)
+    assert {op.kind for op, _, _ in seen} == {"far", "cells"}
+    for op, theta, gates in seen:
+        closures = composite_closures(op, 1e-9)
+        assert len(gates) == len(closures)  # one composite per cell of a pair op, in cell order
+        for gate, (rows, cols, cost, coupling) in zip(gates, closures):
+            k = len(gate.qubits)
+            want = [closure_phase(coupling, len(rows), theta, [(idx >> i) & 1 for i in range(k)]) for idx in range(1 << k)]
+            assert gate.qubits == tuple(rows) + tuple(cols) and gate.cost == cost
+            assert np.array_equal(gate.phases, want)
 
 
 def test_gadget_tables_hold_one_pi_each():

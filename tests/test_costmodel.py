@@ -278,6 +278,17 @@ def test_a_report_memo_holds_no_block_bytes(method, monkeypatch):
     assert held <= 64 * 1024  # keys and results of every distinct block
 
 
+def test_a_lowrank_sweep_holds_no_singular_vectors():
+    # the top far block at n=2048 is 512 x 512: its two singular-vector sets alone would take 4 MiB
+    tracemalloc.start()
+    try:
+        gate_count_report("lowrank", 1.5, 1, 0.1, 1e-3, (256, 512, 1024, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20  # 2.2 MiB measured; 5.3 MiB while counts took full SVDs
+
+
 def same_circuit(a, b):
     composites = [(x, y) for x, y in zip(a.gates, b.gates) if isinstance(x, CompositeDiagonalPhase)]
     return circuit_text(a) == circuit_text(b) and all(np.array_equal(x.phases, y.phases) for x, y in composites)
@@ -317,15 +328,18 @@ class ClosureCheck(BlockMemo):
 
 def test_every_memoized_compute_reads_the_block_it_is_keyed_on(monkeypatch):
     args = []
-    for module, name in ((costmodel, "pair_box_norms"), (compilers, "cell_norms"), (compilers, "truncated_svd")):
+    computes = ((costmodel, "pair_box_norms"), (compilers, "cell_norms"), (compilers, "truncated_svd"),
+                (compilers, "singular_truncation"))
+    for module, name in computes:
         fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, fn=fn: args.append(a[0]) or fn(*a))
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: args.append((name, a[0])) or fn(*a))
     spec, memo = two_group_spec(16), ClosureCheck()
     block_step_count(spec, 1.0, 1e-3, memo)
     for method in ("lowrank", "avgcost"):
         for count_only in (True, False):
             compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, count_only=count_only, memo=memo)
-    assert args and all(type(a) is np.ndarray for a in args)
+    assert {fn for fn, _ in args} == {name for _, name in computes}
+    assert all(type(a) is np.ndarray for _, a in args)
     assert memo.closed_over and not any(isinstance(x, (CoeffMatrix, HamiltonianSpec)) for x in memo.closed_over)
 
 
@@ -343,7 +357,7 @@ def test_a_stage_reads_each_pair_cross_block_once(monkeypatch, count_only):
     assert sorted(map(repr, reads)) == sorted(map(repr, 2 * crosses))
 
 
-def test_every_cell_op_is_a_view_of_its_pair_cross_block(monkeypatch):
+def test_every_cell_is_a_view_of_its_pair_cross_block(monkeypatch):
     spec = build_power_law(16, 1, 1.5, sign_rule="seeded-random", seed=3)
     data = spec.two_local[(PauliKind.Z, PauliKind.Z)].data
     reads, ops = {}, []
@@ -357,12 +371,16 @@ def test_every_cell_op_is_a_view_of_its_pair_cross_block(monkeypatch):
     op_gates = compilers._op_gates
     monkeypatch.setattr(compilers, "_op_gates", lambda op, theta, spec: ops.append(op) or op_gates(op, theta, spec))
     compile_method("avgcost", spec, 0.3, 2, 1e-3, m=3)
-    assert len(ops) == 51
+    assert sum(len(op.data[1]) for op in ops) == 51  # nonempty cells over three schedule entries
     for op in ops:
-        [pair] = [p for p in bisection_decompose(16).pairs if op.rows[0] in p.left and op.cols[0] in p.right]
-        assert set(op.rows) <= set(pair.left) and set(op.cols) <= set(pair.right)
-        assert any(np.shares_memory(op.data, block) for block in reads[pair.cross_region()])
-        assert np.array_equal(op.data, data[np.ix_(np.asarray(op.rows) - 1, np.asarray(op.cols) - 1)])
+        [pair] = [p for p in bisection_decompose(16).pairs if (p.left, p.right) == (op.rows, op.cols)]
+        block, cells = op.data
+        assert any(block is read for read in reads[pair.cross_region()])
+        for region, _ in cells:
+            rows, cols = region.slices()
+            sub = region.of(block)
+            sites_j, sites_k = np.asarray(op.rows[rows]), np.asarray(op.cols[cols])
+            assert np.array_equal(sub, data[np.ix_(sites_j - 1, sites_k - 1)])
 
 
 @pytest.mark.parametrize("method", ["block", "lowrank", "avgcost"])
