@@ -29,6 +29,7 @@ from .circuit import (
 )
 from .compilers import (
     compile_avgcost_step,
+    compile_block_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
     compile_sequential_step,
@@ -93,6 +94,7 @@ __all__ = [
     "commutator_norm_sum",
     "commuting_ham_lower_bound",
     "compile_avgcost_step",
+    "compile_block_step",
     "compile_hamming2_reduction",
     "compile_lowrank_step",
     "compile_sequential_step",

@@ -1,9 +1,9 @@
 """Trotter-step compilers.
 
-The three step compilers take the product-formula order p as ``formula``
+The four step compilers take the product-formula order p as ``formula``
 (1 Lie-Trotter, 2 Strang, 4 Suzuki). ``make_product_formula`` builds its
 schedule in closed form as two read-only arrays: the stage of each entry and
-its fraction of the step. Four lowering strategies:
+its fraction of the step. Five lowering strategies:
 
 * sequential — one Pauli exponential per term, every term its own stage;
   its count takes how often the schedule runs each stage in closed form;
@@ -11,9 +11,10 @@ its fraction of the step. Four lowering strategies:
   truncated factors, near/within remainders stay sequential;
 * avgcost    — every nonempty subdivision cell becomes one diagonal-phase
   composite costed by qubitization step counts, one op per bisection pair;
+* block      — one composite per nonzero bisection cross block, costed as its qubitized boxed encoding;
 * hamming2   — the binary-to-unary phase gadget over two index registers.
 
-lowrank and avgcost share one stage plan: per schedule entry, the stage's
+lowrank, avgcost and block share one stage plan: per schedule entry, the stage's
 basis change and a list of ops (diagonal composites, ZZ ladders, on-site
 rotations), each with its declared cost and the array slice it lowers from.
 The gate count is the sum of the declared costs; the circuit is the same
@@ -25,8 +26,8 @@ circuits are exact: the only approximations are the product formula and low-rank
 A plan holds what a count reads: a far op its block's rank, taken from the
 singular values alone, and a pair op the sum of its cells' costs. Lowering
 takes the far block's truncated factor and cuts it at the plan's rank, and
-expands a pair op into its cells. What lowrank and avgcost compute from a
-coefficient block (its rank, its truncated factor, its cells' costs) goes
+expands a pair op into its cells, a block op's one cell being its cross block. What
+the three compute from a block (rank, truncated factor, cell costs, box norms) goes
 through a ``BlockMemo``, so equal blocks share it. Each compile makes its own
 memo unless the caller passes one, as a cost report does for its whole sweep.
 """
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blockenc import cell_prep_cost, cell_select_cost, qubitization_step_count
+from .blockenc import block_prep_cost, block_select_cost, cell_prep_cost, cell_select_cost, qubitization_step_count
 from .circuit import (
     Circuit,
     CompositeDiagonalPhase,
@@ -58,7 +59,7 @@ from .circuit import (
     pauli_string_exponential,
     spectral_distance,
 )
-from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose
+from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose, pair_box_norms
 from .errors import DomainError, ValidationError, check_float_range, check_memory
 from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
 from .lowrank import singular_truncation, truncated_svd
@@ -340,9 +341,9 @@ class _StageOp:
     * ``far``: one diagonal composite e^{-i theta z_u.A z_v} on the sites
       ``rows`` + ``cols``; ``data`` is (block, rank, factor), and A is
       ``factor(block)``, the block's truncated factor, cut at ``rank``;
-    * ``cells``: one such composite per nonempty subdivision cell of the pair
-      ``rows`` x ``cols``; ``data`` is (block, cells), the pair's cross block
-      and the (region, cost) of each cell, and A is the cell's view of the block;
+    * ``cells``: one such composite per nonempty cell of the pair ``rows`` x ``cols``
+      (avgcost's subdivision cells, or block's one cell, the whole block); ``data`` is
+      (block, cells), the pair's cross block and each cell's (region, cost), A the cell's view;
     * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
       entry [r, c] couples sites rows[r] and cols[c];
     * ``onsite``: one rotation per nonzero on-site coefficient.
@@ -552,6 +553,38 @@ def compile_avgcost_step(
         return ops
 
     return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
+
+
+# -- block --------------------------------------------------------------------
+
+
+def compile_block_step(
+    spec: HamiltonianSpec, t: float, formula: int, *, count_only: bool = False, eps: float = 1e-3,
+    memo: BlockMemo | None = None,
+) -> CompiledStep:
+    """One boxed block encoding per nonzero bisection cross block, qubitized for its stage's time.
+
+    The op is a cells op whose one region is the whole cross block, so it lowers to the
+    pair's exact diagonal composite. Equal cross blocks share box norms through ``memo``.
+    """
+    dec = bisection_decompose(spec.n)
+    width = phase_register_width(spec.n, t, eps)
+    memo = BlockMemo() if memo is None else memo
+
+    def stage_ops(pair_key, mat, theta):
+        ops = []
+        for pair in dec.pairs:
+            block = mat.block(pair.cross_region())
+            vec1, box1, ratio = memo.get(block, ("box",), lambda: pair_box_norms(block, pair))
+            if vec1 != 0.0:
+                half = len(pair.left)
+                steps = qubitization_step_count(box1 * abs(theta), eps)
+                cost = steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
+                whole = IndexRegion(*(range(1, side + 1) for side in block.shape))
+                ops.append(_StageOp("cells", cost, pair.left, pair.right, (block, ((whole, cost),))))
+        return ops
+
+    return _compile_stages("block", spec, t, formula, count_only, stage_ops)
 
 
 # -- Hamming-weight-2 reduction gadget ----------------------------------------

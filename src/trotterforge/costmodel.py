@@ -9,15 +9,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blockenc import block_prep_cost, block_select_cost, qubitization_step_count
 from .compilers import (
     CompiledStep,
     compile_avgcost_step,
+    compile_block_step,
     compile_lowrank_step,
     compile_sequential_step,
     phase_register_width,
 )
-from .decomp import LowRankDecomposition, bisection_decompose, pair_box_norms
+from .decomp import LowRankDecomposition
 from .errors import DomainError, ValidationError
 from .hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
 
@@ -179,25 +179,8 @@ def _check_dyadic(ns: Sequence[int]) -> None:
 
 
 def block_step_count(spec: HamiltonianSpec, t: float, eps: float, memo: BlockMemo | None = None) -> int:
-    """Count model for the boxed-encoding method: qubitization per cross pair.
-
-    Pairs with equal cross blocks share their box norms through ``memo`` (a
-    fresh one by default); the register width depends on n, so it is applied per pair.
-    """
-    dec = bisection_decompose(spec.n)
-    width = phase_register_width(spec.n, t, eps)
-    memo = BlockMemo() if memo is None else memo
-    total = 0
-    for mat in spec.two_local.values():
-        for pair in dec.pairs:
-            block = mat.block(pair.cross_region())
-            vec1, box1, ratio = memo.get(block, ("box",), lambda: pair_box_norms(block, pair))
-            if vec1 == 0.0:
-                continue
-            steps = qubitization_step_count(box1 * abs(t), eps)
-            half = len(pair.left)
-            total += steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
-    return total
+    """Boxed-encoding count at p = 1, which runs each group's stage once at the full t."""
+    return compile_method("block", spec, t, 1, eps, count_only=True, memo=memo).gate_count
 
 
 def balanced_subdivision(n: int, alpha: float, t: float) -> int:
@@ -214,11 +197,13 @@ def compile_method(
     """One Trotter step of ``method``: the one mapping of the method flags onto a step compiler.
 
     lowrank truncates at tol (eps when tol is None) and sizes its phase registers with eps;
-    avgcost takes eps and, when m is None, the balanced subdivision of the spec's alpha.
-    lowrank and avgcost share block results through ``memo``, a fresh one when it is None.
+    block and avgcost take eps, avgcost's m defaulting to the balanced subdivision of the spec's
+    alpha. lowrank, block and avgcost share block results through ``memo``, a fresh one when it is None.
     """
     if method == "sequential":
         return compile_sequential_step(spec, t, p, count_only=count_only)
+    if method == "block":
+        return compile_block_step(spec, t, p, count_only=count_only, eps=eps, memo=memo)
     if method == "lowrank":
         tol = eps if tol is None else tol
         return compile_lowrank_step(spec, t, tol, cutoff_size, p, count_only=count_only, eps=eps, memo=memo)
@@ -229,7 +214,7 @@ def compile_method(
     raise DomainError(f"unknown step method {method!r}")
 
 
-def _predicted_exponent(method: str, alpha: float, d: int) -> float:
+def _predicted_exponent(method: str, alpha: float) -> float:
     if method == "sequential":
         return 2.0
     if method == "block":
@@ -272,13 +257,8 @@ def gate_count_report(
     fit_values = []
     for n in n_sweep:
         spec = build_power_law(n, d, alpha, (PauliKind.Z, PauliKind.Z), "all-positive")
-        if method == "block":
-            counts.append(block_step_count(spec, t, eps, memo))
-        else:
-            step = compile_method(
-                method, spec, t, p, eps, tol=tol, cutoff_size=cutoff_size, count_only=True, memo=memo
-            )
-            counts.append(step.gate_count)
+        step = compile_method(method, spec, t, p, eps, tol=tol, cutoff_size=cutoff_size, count_only=True, memo=memo)
+        counts.append(step.gate_count)
         if method == "lowrank":
             # Fit the power net of the count model's own log factors (phase
             # register width times far-layer depth); raw counts stay in the CSV.
@@ -294,5 +274,5 @@ def gate_count_report(
         tuple(n_sweep),
         tuple(counts),
         fitted,
-        _predicted_exponent(method, alpha, d),
+        _predicted_exponent(method, alpha),
     )

@@ -264,6 +264,12 @@ def commands() -> list[list[str]]:
         "cost-report --method block --n-sweep 16,32",
         "cost-report --method avgcost --alpha 0.5 --t 1 --n-sweep 16,32,64,128",
         "cost-report --method block --alpha 1.5 --t 0.1 --n-sweep 128,256,512,1024",
+        # block at p = 4, a tight eps, both ends of alpha, and on a 2D lattice (exit 2)
+        "cost-report --method block --p 4 --n-sweep 16,32,64,128",
+        "cost-report --method block --eps 1e-8 --t 0.1 --n-sweep 16,32,64,128",
+        "cost-report --method block --alpha 0.5 --n-sweep 16,32,64,128",
+        "cost-report --method block --alpha 3 --n-sweep 16,32,64,128",
+        "cost-report --method block --d 2 --n-sweep 16,32,64,128",
     ]
     # the benchmark's count sweep, verbatim
     for method, alpha in (("sequential", "2"), ("lowrank", "2"), ("block", "2"), ("avgcost", "1.5")):

@@ -22,6 +22,7 @@ from trotterforge.compilers import (
     _stage_axis_map,
     check_distance_capacity,
     compile_avgcost_step,
+    compile_block_step,
     compile_hamming2_reduction,
     compile_lowrank_step,
     compile_sequential_step,
@@ -304,7 +305,7 @@ def test_lowering_is_sized_from_the_plan_before_any_gate(fake_physical_memory, m
         compile_lowrank_step(spec, 0.1, 1e-9, 4, 2)
 
 
-@pytest.mark.parametrize("method", ["lowrank", "avgcost"])
+@pytest.mark.parametrize("method", ["lowrank", "avgcost", "block"])
 def test_the_lowering_check_sizes_every_gate_and_table_the_lowering_builds(monkeypatch, method):
     sized = []
     check = compilers._check_lowering_memory
@@ -312,8 +313,10 @@ def test_the_lowering_check_sizes_every_gate_and_table_the_lowering_builds(monke
     spec = build_power_law(16, 1, 1.5, sign_rule="seeded-random", seed=3)
     if method == "lowrank":
         step = compile_lowrank_step(spec, 0.3, 1e-9, 2, 2)
-    else:
+    elif method == "avgcost":
         step = compile_avgcost_step(spec, 0.3, 3, 2)  # one pair op expands into its cells' composites
+    else:
+        step = compile_block_step(spec, 0.3, 2)
     [(_, _, gates, tables)] = sized
     composites = [g for g in step.circuit.gates if isinstance(g, CompositeDiagonalPhase)]
     assert gates == len(step.circuit.gates)
@@ -574,6 +577,51 @@ def test_avgcost_rejects_bad_m():
         compile_avgcost_step(zz_spec(8), 0.1, 5, 2)
 
 
+# -- block ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sign_rule", ["all-positive", "alternating", "seeded-random"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_a_lowered_block_step_is_exact_on_a_zz_chain(sign_rule, p):
+    spec = build_power_law(8, 1, 1.5, ZZ, sign_rule, seed=p)
+    full = compile_block_step(spec, 0.3, p)
+    assert full.circuit.cost() == full.gate_count == compile_block_step(spec, 0.3, p, count_only=True).gate_count
+    # one composite per bisection pair, each over the pair's whole cross block
+    composites = [g for g in full.circuit.gates if isinstance(g, CompositeDiagonalPhase)]
+    assert sorted(g.qubits for g in composites) == sorted(
+        tuple(pair.left) + tuple(pair.right) for pair in bisection_decompose(8).pairs
+    )
+    assert step_distances(spec, [full])[0] <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_a_block_step_lowers_to_the_avgcost_circuit_at_m1(p):
+    # a block op is a cells op whose one region is the cross block, as an m = 1 cell is
+    xx = build_power_law(8, 1, 1.5, XX, "seeded-random", seed=1).two_local[XX]
+    zz = build_power_law(8, 1, 1.5, ZZ, "seeded-random", seed=2).two_local[ZZ]
+    spec = HamiltonianSpec(8, 1, {ZZ: zz, XX: xx}, {PauliKind.Z: np.linspace(-0.3, 0.4, 8)})
+    block, avg = compile_block_step(spec, 0.1, p), compile_avgcost_step(spec, 0.1, 1, p)
+    assert len(block.circuit.gates) == len(avg.circuit.gates)
+    for g, h in zip(block.circuit.gates, avg.circuit.gates):  # only the declared costs differ
+        if isinstance(g, CompositeDiagonalPhase):
+            assert g.qubits == h.qubits and np.array_equal(g.phases, h.phases)
+        else:
+            assert g == h
+    assert step_distances(spec, [block]) == step_distances(spec, [avg])
+
+
+def test_a_lowered_block_step_is_sized_before_any_gate(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("lowered before the memory check")
+
+    monkeypatch.setattr(compilers, "_op_gates", never)
+    spec = build_power_law(64, 1, 1.5)
+    assert compile_block_step(spec, 0.1, 2, count_only=True).gate_count > 0
+    # the top pair's composite is over 64 sites: a 2^64-entry phase table
+    with pytest.raises(CapacityError, match=r"^lowering the block step on 64 qubits"):
+        compile_block_step(spec, 0.1, 2)
+
+
 # -- order scaling across methods ---------------------------------------------------------
 
 
@@ -718,6 +766,7 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
     spec = build_power_law(n, 1, 1.5, pair, "seeded-random", seed=n + p)
     compile_lowrank_step(spec, 0.3, 1e-9, n // 4, p)
     compile_avgcost_step(spec, 0.3, n // 4, p)
+    compile_block_step(spec, 0.3, p)
     assert {op.kind for op, _, _ in seen} == {"far", "cells"}
     for op, theta, gates in seen:
         closures = composite_closures(op, 1e-9)

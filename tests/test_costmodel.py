@@ -8,7 +8,7 @@ import pytest
 import trotterforge.compilers as compilers
 import trotterforge.costmodel as costmodel
 from trotterforge.circuit import CompositeDiagonalPhase, circuit_text
-from trotterforge.compilers import compile_avgcost_step, compile_lowrank_step, phase_register_width
+from trotterforge.compilers import compile_avgcost_step, compile_block_step, compile_lowrank_step, phase_register_width
 from trotterforge.costmodel import (
     Recurrence,
     balanced_subdivision,
@@ -20,7 +20,8 @@ from trotterforge.costmodel import (
     solve_coupled_recurrence,
     solve_recurrence_numeric,
 )
-from trotterforge.decomp import bisection_decompose
+from trotterforge.blockenc import block_prep_cost, block_select_cost, qubitization_step_count
+from trotterforge.decomp import bisection_decompose, pair_box_norms
 from trotterforge.errors import DomainError, ValidationError
 from trotterforge.hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 
@@ -38,6 +39,22 @@ def recursion_oracle(c0, n0, m1, m2, m, cost, n):
 
 def loglog_slope(ns, counts):
     return np.polyfit(np.log(ns), np.log(counts), 1)[0]
+
+
+def block_count_oracle(spec, t, eps):
+    """The boxed-encoding count pair by pair: qubitization of each nonzero cross block at the full t."""
+    dec = bisection_decompose(spec.n)
+    width = phase_register_width(spec.n, t, eps)
+    total = 0
+    for mat in spec.two_local.values():
+        for pair in dec.pairs:
+            vec1, box1, ratio = pair_box_norms(mat.block(pair.cross_region()), pair)
+            if vec1 == 0.0:
+                continue
+            steps = qubitization_step_count(box1 * abs(t), eps)
+            half = len(pair.left)
+            total += steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
+    return total
 
 
 # -- recurrences -----------------------------------------------------------------
@@ -211,7 +228,7 @@ def test_report_rejections():
 
 @pytest.mark.parametrize("tol", [None, 1e-9])
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
-@pytest.mark.parametrize("method", ["sequential", "lowrank", "avgcost"])
+@pytest.mark.parametrize("method", ["sequential", "lowrank", "avgcost", "block"])
 def test_report_counts_the_step_compile_method_builds(method, eps, tol):
     ns = (16, 32, 64, 128)
     report = gate_count_report(method, 1.5, 1, 1.0, eps, ns, tol=tol)
@@ -228,8 +245,6 @@ class Unshared(BlockMemo):
 
 
 def fresh_count(method, spec, t, p, eps, memo, cutoff_size=4):
-    if method == "block":
-        return block_step_count(spec, t, eps, memo)
     return compile_method(method, spec, t, p, eps, cutoff_size=cutoff_size, count_only=True, memo=memo).gate_count
 
 
@@ -248,6 +263,29 @@ def test_one_memo_per_report_counts_what_a_fresh_memo_per_size_counts(method, al
         spec = build_power_law(n, 1, alpha)
         assert count == fresh_count(method, spec, t, p, eps, None, cutoff_size)
         assert count == fresh_count(method, spec, t, p, eps, Unshared(), cutoff_size)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("eps", [1e-3, 1e-8])
+@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_the_block_plan_counts_what_the_pair_loop_counts(alpha, t, eps, p):
+    # a lone ZZ stage runs once at the full t at every order
+    memo = BlockMemo()
+    for n in (16, 64, 256, 1024):
+        spec = build_power_law(n, 1, alpha)
+        want = block_count_oracle(spec, t, eps)
+        assert compile_method("block", spec, t, p, eps, count_only=True, memo=memo).gate_count == want
+        assert compile_method("block", spec, t, p, eps, count_only=True, memo=Unshared()).gate_count == want
+
+
+def test_block_step_count_prices_each_group_stage_once_with_its_basis_changes():
+    zz, xx = (PauliKind.Z, PauliKind.Z), (PauliKind.X, PauliKind.X)
+    groups = {pair: build_power_law(16, 1, 1.5, pair).two_local[pair] for pair in (zz, xx)}
+    # an X group adds its sites' Hadamards, two per site, which the pair loop leaves out
+    assert block_step_count(build_power_law(16, 1, 1.5, xx), 1.0, 1e-3) == 7388 + 32
+    assert block_step_count(HamiltonianSpec(16, 1, groups, {}), 1.0, 1e-3) == 14776 + 32
+    assert block_count_oracle(HamiltonianSpec(16, 1, groups, {}), 1.0, 1e-3) == 14776
 
 
 @pytest.mark.parametrize("method", ["lowrank", "block", "avgcost"])
@@ -294,7 +332,7 @@ def same_circuit(a, b):
     return circuit_text(a) == circuit_text(b) and all(np.array_equal(x.phases, y.phases) for x, y in composites)
 
 
-@pytest.mark.parametrize("method", ["lowrank", "avgcost"])
+@pytest.mark.parametrize("method", ["lowrank", "avgcost", "block"])
 def test_a_memo_shared_across_random_sign_compiles_changes_no_circuit(method):
     zz, xx = (PauliKind.Z, PauliKind.Z), (PauliKind.X, PauliKind.X)
     groups = {pair: build_power_law(8, 1, 1.5, pair, "seeded-random", seed).two_local[pair] for seed, pair in enumerate((zz, xx))}
@@ -328,7 +366,7 @@ class ClosureCheck(BlockMemo):
 
 def test_every_memoized_compute_reads_the_block_it_is_keyed_on(monkeypatch):
     args = []
-    computes = ((costmodel, "pair_box_norms"), (compilers, "cell_norms"), (compilers, "truncated_svd"),
+    computes = ((compilers, "pair_box_norms"), (compilers, "cell_norms"), (compilers, "truncated_svd"),
                 (compilers, "singular_truncation"))
     for module, name in computes:
         fn = getattr(module, name)
@@ -393,20 +431,19 @@ def test_a_memo_filled_on_one_spec_serves_another_with_the_same_blocks(method):
         compile_method(method, build_power_law(32, 1, 1.5), 0.3, 2, 1e-3, m=3, count_only=True, memo=filled)
     for spec in (build_power_law(64, 1, 1.5), build_power_law(32, 1, 1.5, xx, "alternating")):
         assert fresh_count(method, spec, 0.3, 2, 1e-3, filled, 2) == fresh_count(method, spec, 0.3, 2, 1e-3, Unshared(), 2)
-    if method != "block":
-        spec = build_power_law(16, 1, 1.5, xx)
-        got = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=filled)
-        want = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=Unshared())
-        assert got.gate_count == want.gate_count and same_circuit(got.circuit, want.circuit)
+    spec = build_power_law(16, 1, 1.5, xx)
+    got = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=filled)
+    want = compile_method(method, spec, 0.3, 2, 1e-3, m=3, cutoff_size=2, memo=Unshared())
+    assert got.gate_count == want.gate_count and same_circuit(got.circuit, want.circuit)
 
 
 def test_a_report_takes_one_svd_and_one_box_norm_per_distinct_block_of_its_sweep(monkeypatch):
     # these sizes hold 1,383 far blocks of 14 distinct byte patterns, and 1,979 bisection pairs
     # whose cross blocks take 10 (one per half size)
     svds, boxes = [], []
-    svd, pair_box_norms = np.linalg.svd, costmodel.pair_box_norms
+    svd, box_norms = np.linalg.svd, compilers.pair_box_norms
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a.shape) or svd(a, **kw))
-    monkeypatch.setattr(costmodel, "pair_box_norms", lambda mat, pair: boxes.append(pair) or pair_box_norms(mat, pair))
+    monkeypatch.setattr(compilers, "pair_box_norms", lambda mat, pair: boxes.append(pair) or box_norms(mat, pair))
     gate_count_report("lowrank", 2.0, 1, 1.0, 1e-3, SWEEP)
     gate_count_report("block", 2.0, 1, 1.0, 1e-3, SWEEP)
     assert len(svds) == 14
@@ -424,8 +461,11 @@ def test_compile_method_maps_eps_tol_and_m_onto_the_compilers():
     assert compile_method("avgcost", spec, 1.0, 2, 1e-8, count_only=True).gate_count == want.gate_count
     want = compile_avgcost_step(spec, 1.0, 2, 2, count_only=True, eps=1e-8)
     assert compile_method("avgcost", spec, 1.0, 2, 1e-8, m=2, count_only=True).gate_count == want.gate_count
+    want = compile_block_step(spec, 1.0, 2, count_only=True, eps=1e-8)
+    assert compile_method("block", spec, 1.0, 2, 1e-8, count_only=True).gate_count == want.gate_count
+    assert want.gate_count != compile_block_step(spec, 1.0, 2, count_only=True).gate_count
     with pytest.raises(DomainError):
-        compile_method("block", spec, 1.0, 2, 1e-8)
+        compile_method("mystery", spec, 1.0, 2, 1e-8)
 
 
 def test_lowrank_fit_divides_by_the_width_the_counts_use():
