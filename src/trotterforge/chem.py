@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_memory
+from .hamlib import PAULI_MATRICES, PauliKind
 from .trotter import fermionic_error_norms, steps_for
 
 
@@ -133,13 +134,12 @@ def external_potential_strength(system: ElectronicSystem) -> float:
 # -- Jordan-Wigner toy instances ----------------------------------------------
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_Z2 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 def _annihilation(mode: int, n: int) -> np.ndarray:
     """Mode 1 is the fastest (least significant) tensor index."""
-    factors = [_Z2 if i < mode else _SIGMA_MINUS if i == mode else _I2 for i in range(n, 0, -1)]
+    z, one = PAULI_MATRICES[PauliKind.Z], PAULI_MATRICES[PauliKind.I]
+    factors = [z if i < mode else _SIGMA_MINUS if i == mode else one for i in range(n, 0, -1)]
     return reduce(np.kron, factors)
 
 

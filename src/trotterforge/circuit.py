@@ -14,6 +14,12 @@ multiplies rows by phases. The dense unitary is the block of the identity;
 tests check each gate there, bit for bit, against applying the gate's matrix
 on moved axes. A diagonal circuit is lowered onto four columns of ones, which
 gives the 2^n diagonal of its unitary without a 2^n x 2^n matrix.
+
+Exact evolution is always eigh of the dense H, and a distance is always the top
+singular value of the dense difference: the plain oracle. Only
+``compilers.step_distances`` treats a Z-only spec apart, through
+``hamiltonian_diagonal`` and ``circuit_diagonal``, and the tests check it
+against this oracle.
 """
 
 from __future__ import annotations
@@ -28,13 +34,21 @@ from .errors import DomainError, ValidationError, check_memory
 from .hamlib import PAULI_MATRICES, HamiltonianSpec, PauliKind, pauli_table
 
 # Upper bound on the 2^n x 2^n complex matrices alive at once when a step of a spec with an X
-# or Y term is checked against exact evolution. verify peaks in eigh: the lowered step, H,
-# eigh's copy of H, its workspaces and V. H is freed when eigh returns, so V, V e^{-itw},
-# V^dagger and the product stay below. error-sweep keeps V for the whole sweep but runs eigh
-# before it lowers any step, so it peaks at five: in eigh, and in the distance (V, e^{-itH},
-# the lowered step, their difference and the SVD's copy). A Z-only spec holds no dense matrix:
-# it compares 2^n vectors (see compilers.step_distances).
+# or Y term is checked against exact evolution (compilers.step_distances). It runs eigh before
+# it lowers any step and peaks at five: in eigh (_EIGH_COPIES), and in the distance (V, e^{-itH},
+# the lowered step, their difference and the SVD's copy). The sixth is allocator slack: the RSS
+# peak of a three-step sweep rose by 5.3 matrices at n=11, but by 6.2 at n=10, where a matrix is
+# below glibc's mmap threshold and freed ones are reused imperfectly. A Z-only spec holds no
+# dense matrix: it compares 2^n vectors.
 DENSE_COPIES = 6
+# Peak matrices of exact_evolutions: H, eigh's copy of it, its two workspaces (zheevd's complex
+# and real ones, about 2^{2n} entries each) and V. tracemalloc sees only H and V, since LAPACK's
+# buffers are malloc'd; the RSS peak rose by 5.06 matrices at n=11. Each later t holds V, V e^{-itw},
+# V^dagger and the product, and the caller may still hold the previous one: five again.
+_EIGH_COPIES = 5
+# Peak matrices of spectral_distance: u, v, u - v and the SVD's copy of it (tracemalloc: 1, the
+# difference; RSS: 1.6 more over the inputs at n=11, the copy and O(2^n) workspaces).
+_DISTANCE_COPIES = 4
 # Peak bytes per basis state of hamiltonian_diagonal: w, the basis indices, b & z and its bit
 # counts (tracemalloc: 25-28 B at n=12-16).
 _DIAGONAL_H_BYTES = 32
@@ -334,34 +348,23 @@ def check_dense_capacity(n: int) -> None:
     check_memory(DENSE_COPIES * 16 * dim * dim, what)
 
 
-def _is_diagonal(a: np.ndarray) -> bool:
-    """True when every off-diagonal entry is exactly 0."""
-    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
-
-
 def exact_evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """e^{-itH}: the phase diagonal of a diagonal H, else by Hermitian eigendecomposition."""
+    """e^{-itH} by Hermitian eigendecomposition of the dense H."""
     return next(exact_evolutions(spec, (t,)))
 
 
 def exact_evolutions(spec: HamiltonianSpec, ts: Iterable[float]) -> Iterator[np.ndarray]:
-    """e^{-itH} for each t in ts, from one eigendecomposition made at the first request.
-
-    A Z-only spec needs none, nor a dense H: e^{-itH} is diag(e^{-itw}) for w = ``hamiltonian_diagonal``.
-    """
-    if is_z_only(spec):
-        w, v = hamiltonian_diagonal(spec), None
-    else:
-        w, v = np.linalg.eigh(dense_hamiltonian(spec))  # H is released when eigh returns
+    """e^{-itH} for each t in ts, from one eigendecomposition made at the first request."""
+    n, dim = spec.n, 1 << spec.n
+    what = f"exact evolution of a {n}-qubit Hamiltonian ({_EIGH_COPIES} dense 2^{n} x 2^{n} matrices)"
+    check_memory(_EIGH_COPIES * 16 * dim * dim, what)  # before H, which dense_hamiltonian sizes alone
+    w, v = np.linalg.eigh(dense_hamiltonian(spec))  # H is released when eigh returns
     for t in ts:
-        phases = np.exp(-1j * t * w)
-        yield np.diag(phases) if v is None else (v * phases) @ v.conj().T
+        yield (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def _spectral_norm(d: np.ndarray) -> float:
-    """Largest singular value: max |d_ii| of a diagonal d (exact), else from the SVD."""
-    if _is_diagonal(d):
-        return float(np.abs(d.diagonal()).max())
+    """Largest singular value of d: the first of its SVD's values, which LAPACK returns in descending order."""
     return float(np.linalg.svd(d, compute_uv=False)[0])
 
 
@@ -370,6 +373,8 @@ def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
+    what = f"a spectral distance of {u.shape} matrices ({_DISTANCE_COPIES} copies)"
+    check_memory(_DISTANCE_COPIES * 16 * u.size, what)
     return _spectral_norm(u - v)
 
 

@@ -117,7 +117,7 @@ def _check_order(p: int) -> None:
         raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {p}")
 
 
-def make_product_formula(p: int, stage_count: int = 2) -> ProductFormula:
+def make_product_formula(p: int, stage_count: int) -> ProductFormula:
     """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion."""
     _check_order(p)
     if stage_count < 1:
@@ -259,11 +259,9 @@ _AXIS_OVERHEAD = {p: sum(map(len, basis_change(p, 1))) for p in (PauliKind.X, Pa
 
 
 def sequential_term_cost(axes: Sequence[PauliKind]) -> int:
-    """Gate count of one Pauli exponential: basis changes + CNOT ladder + Rz."""
-    active = [p for p in axes if p != PauliKind.I]
-    if not active:
-        return 0
-    return sum(_AXIS_OVERHEAD[p] for p in active) + 2 * (len(active) - 1) + 1
+    """Gate count of one Pauli exponential over X, Y and Z axes (a spec holds no I factor): basis changes +
+    CNOT ladder + Rz."""
+    return sum(_AXIS_OVERHEAD[p] for p in axes) + 2 * (len(axes) - 1) + 1
 
 
 def compile_sequential_step(

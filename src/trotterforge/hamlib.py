@@ -114,12 +114,6 @@ class CoeffMatrix:
         a.setflags(write=False)  # handed over, so the constructor keeps it uncopied
         return cls(n, a)
 
-    @classmethod
-    def zeros(cls, n: int) -> "CoeffMatrix":
-        a = np.zeros((n, n))
-        a.setflags(write=False)
-        return cls(n, a)
-
     def nonzero_pairs(self) -> Iterator[tuple[int, int, float]]:
         yield from ((j, k, v) for (j, k), v in nonzero_terms(self.data))
 

@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .circuit import _spectral_norm
 from .errors import DomainError, ValidationError, check_float_range, check_memory
 
 COMMUTATOR_ORDER_CAP = 3
@@ -30,10 +31,6 @@ class TrotterErrorReport:
             raise ValidationError("step count must be >= 1")
         if self.alpha_comm < 0:
             raise ValidationError("commutator sum must be >= 0")
-
-
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
 
 
 def commutator_norm_sum(stages: Sequence[np.ndarray], p: int) -> float:

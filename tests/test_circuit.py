@@ -40,7 +40,6 @@ from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import (
     PAULI_MATRICES,
     SIGN_RULES,
-    CoeffMatrix,
     HamiltonianSpec,
     PauliKind,
     build_power_law,
@@ -394,20 +393,54 @@ def test_diagonal_exact_evolutions_equal_the_eigh_formula_bit_for_bit(make_spec)
         assert np.array_equal(u, (v * np.exp(-1j * t * w)) @ v.conj().T)
 
 
-def test_eigh_runs_only_when_h_has_an_off_diagonal_entry(monkeypatch):
+def eigh_spy(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    return calls
+
+
+def test_eigh_runs_once_per_sweep_on_every_spec(monkeypatch):
+    calls = eigh_spy(monkeypatch)
     ts = (0.1, 0.2, 0.3)
-    for spec in (z_field_spec(5), build_power_law(6, 1, 2.0, sign_rule="seeded-random")):
-        assert len(list(exact_evolutions(spec, ts))) == 3
-    assert calls == []
     x_site = HamiltonianSpec(5, 1, z_field_spec(5).two_local, {PauliKind.X: np.array([0, 0, 0.2, 0, 0])})
-    for spec in (x_site, build_power_law(5, 1, 2.0, (PauliKind.Z, PauliKind.Y)),
+    for spec in (z_field_spec(5), build_power_law(6, 1, 2.0, sign_rule="seeded-random"), x_site,
+                 build_power_law(5, 1, 2.0, (PauliKind.Z, PauliKind.Y)),
                  build_power_law(4, 1, 1.0, (PauliKind.X, PauliKind.X))):
         calls.clear()
         assert len(list(exact_evolutions(spec, ts))) == 3
         assert calls == [(1 << spec.n, 1 << spec.n)]
+
+
+def test_exact_evolution_is_sized_at_its_peak_before_eigh(monkeypatch, fake_physical_memory):
+    calls = eigh_spy(monkeypatch)
+    spec = build_power_law(8, 1, 1.0, (PauliKind.X, PauliKind.X))  # one 2^8 x 2^8 matrix is 1 MiB
+    fake_physical_memory(4.5 / 1024)  # holds H and three more copies, not the fifth
+    dense_hamiltonian(spec)
+    message = r"^exact evolution of a 8-qubit Hamiltonian \(5 dense 2\^8 x 2\^8 matrices\) needs 0.0 GiB"
+    with pytest.raises(CapacityError, match=message):
+        exact_evolution(spec, 0.1)
+    assert calls == []
+    fake_physical_memory(5 / 1024)
+    exact_evolution(spec, 0.1)
+    assert calls == [(256, 256)]
+
+
+def test_spectral_distance_is_sized_at_its_peak_before_the_svd(monkeypatch, fake_physical_memory):
+    u, v = np.eye(256, dtype=complex), np.zeros((256, 256), dtype=complex)  # 1 MiB each
+    calls = svd_spy(monkeypatch)
+    fake_physical_memory(3.5 / 1024)  # holds u, v and their difference, not the SVD's copy
+    with pytest.raises(CapacityError, match=r"^a spectral distance of \(256, 256\) matrices \(4 copies\)"):
+        spectral_distance(u, v)
+    assert calls == []
+    fake_physical_memory(4 / 1024)
+    assert spectral_distance(u, v) == 1.0
+    assert calls == [(256, 256)]
+
+
+def test_the_dense_helpers_peak_within_the_upfront_check():
+    # check_dense_capacity runs before verify and error-sweep compile, so its message is the one they print
+    assert max(circuit_module._EIGH_COPIES, circuit_module._DISTANCE_COPIES) <= circuit_module.DENSE_COPIES
 
 
 def diagonal_steps(spec, p):
@@ -498,7 +531,7 @@ def test_hamiltonian_diagonal_needs_a_z_only_spec():
         with pytest.raises(ValidationError, match="not diagonal"):
             hamiltonian_diagonal(spec)
     # a group whose coefficients are all 0 adds no term
-    spec = HamiltonianSpec(4, 1, {(PauliKind.X, PauliKind.X): CoeffMatrix.zeros(4)}, {}, identity=0.25)
+    spec = HamiltonianSpec(4, 1, {(PauliKind.X, PauliKind.X): coeff_matrix(4, {})}, {}, identity=0.25)
     assert np.array_equal(hamiltonian_diagonal(spec), np.full(16, 0.25))
 
 
@@ -583,17 +616,15 @@ def random_phase_diagonal(rng, dim):
     return np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, dim)))
 
 
-def test_spectral_norm_of_a_diagonal_is_its_largest_entry_within_4_ulp_of_the_svd(monkeypatch):
+def test_spectral_norm_of_a_diagonal_is_its_largest_entry_within_4_ulp_of_the_svd():
     rng = np.random.default_rng(7)
     diffs = [rng.uniform(1e-15, 1.0) * (random_phase_diagonal(rng, dim) - random_phase_diagonal(rng, dim))
              for dim in (1, 2, 5, 64, 256) for _ in range(4)]
-    wants = [np.linalg.svd(d, compute_uv=False)[0] for d in diffs]
-    calls = svd_spy(monkeypatch)
-    for d, want in zip(diffs, wants):
+    for d in diffs:
+        want = np.linalg.svd(d, compute_uv=False)[0]
         got = _spectral_norm(d)
-        assert got == np.abs(d.diagonal()).max()
-        assert abs(got - want) <= 4 * np.spacing(want)
-    assert calls == []
+        assert got == want
+        assert abs(np.abs(d.diagonal()).max() - want) <= 4 * np.spacing(want)
 
 
 def test_a_tiny_off_diagonal_entry_takes_the_svd(monkeypatch):
@@ -607,7 +638,7 @@ def test_a_tiny_off_diagonal_entry_takes_the_svd(monkeypatch):
     assert calls == [(16, 16), (16, 16)]
 
 
-def test_subspace_distance_of_diagonals_needs_no_svd(monkeypatch):
+def test_subspace_distance_of_diagonals_is_their_largest_sector_entry_within_4_ulp(monkeypatch):
     rng = np.random.default_rng(9)
     n = 5
     a, b = random_phase_diagonal(rng, 1 << n), random_phase_diagonal(rng, 1 << n)
@@ -616,9 +647,8 @@ def test_subspace_distance_of_diagonals_needs_no_svd(monkeypatch):
     calls = svd_spy(monkeypatch)
     for eta, (mask, want) in enumerate(zip(masks, wants)):
         got = subspace_distance(a, b, eta)
-        assert got == np.abs((a - b).diagonal()[mask]).max()
-        assert abs(got - want) <= 4 * np.spacing(want)
-    assert calls == []
+        assert got == want
+        assert abs(np.abs((a - b).diagonal()[mask]).max() - want) <= 4 * np.spacing(want)
     # indices 9 and 6 both have Hamming weight 2, so the entry lies inside that sector
     a[9, 6] = 1e-300
     sector = (a - b)[np.ix_(masks[2], masks[2])]

@@ -644,7 +644,7 @@ def reg_index(j, k, width):
 
 
 def test_reduction_zero_coefficients():
-    circ = compile_hamming2_reduction(CoeffMatrix.zeros(4))
+    circ = compile_hamming2_reduction(coeff_matrix(4, {}))
     u = circuit_to_unitary(circ)
     assert spectral_distance(u, np.eye(u.shape[0])) < 1e-9
 
@@ -683,11 +683,11 @@ def test_reduction_ancillas_restored_everywhere():
 
 def test_reduction_rejects_non_pow2():
     with pytest.raises(DomainError):
-        compile_hamming2_reduction(CoeffMatrix.zeros(3))
+        compile_hamming2_reduction(coeff_matrix(3, {}))
 
 
 def test_reduction_count_scales_without_cap():
-    circ = compile_hamming2_reduction(CoeffMatrix.zeros(16))  # 24 qubits, count-only
+    circ = compile_hamming2_reduction(coeff_matrix(16, {}))  # 24 qubits, count-only
     assert circ.qubit_count == 24
     assert circ.cost() > 0
     with pytest.raises(CapacityError):
@@ -780,7 +780,7 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
 
 def test_gadget_tables_hold_one_pi_each():
     n, w = 16, 4
-    circ = compile_hamming2_reduction(CoeffMatrix.zeros(n))
+    circ = compile_hamming2_reduction(coeff_matrix(n, {}))
     composites = [g for g in circ.gates if isinstance(g, CompositeDiagonalPhase)]
     assert len(composites) == 4 * n
     unary_start = 2 * w + 1

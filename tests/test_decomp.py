@@ -371,7 +371,7 @@ def test_chain_view_norms_equal_a_dense_copy_bit_for_bit(sign_rule):
 
 def test_amplification_rejects_mismatched_n():
     with pytest.raises(ValidationError):
-        amplification_ratios(spec_of(CoeffMatrix.zeros(4)), bisection_decompose(8))
+        amplification_ratios(spec_of(coeff_matrix(4, {})), bisection_decompose(8))
 
 
 @settings(max_examples=40, deadline=None)

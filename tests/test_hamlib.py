@@ -382,7 +382,7 @@ def test_coeff_matrix_copies_writable_input_only():
     frozen = a.copy()
     frozen.setflags(write=False)
     assert CoeffMatrix(4, frozen).data is frozen  # nothing can change it, so it is kept
-    for mat in (coeff_matrix(4, {(1, 2): 0.5}), CoeffMatrix.zeros(4), build_power_law(4, 1, 2.0).two_local[ZZ]):
+    for mat in (coeff_matrix(4, {(1, 2): 0.5}), coeff_matrix(4, {}), build_power_law(4, 1, 2.0).two_local[ZZ]):
         assert not mat.data.flags.writeable
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import coeff_matrix
 from trotterforge.decomp import lowrank_decompose
 from trotterforge.errors import DomainError, TrotterForgeError, ValidationError
-from trotterforge.hamlib import CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law, spec_from_json
+from trotterforge.hamlib import HamiltonianSpec, PauliKind, build_power_law, spec_from_json
 from trotterforge.lowrank import rank_profile, truncated_svd
 from trotterforge.trotter import induced_1norm
 
@@ -133,7 +133,7 @@ def test_constant_spec_profile():
 
 
 def test_profile_floor_rule():
-    spec = HamiltonianSpec(8, 1, {ZZ: CoeffMatrix.zeros(8)}, {})
+    spec = HamiltonianSpec(8, 1, {ZZ: coeff_matrix(8, {})}, {})
     profile = rank_profile(spec, lowrank_decompose(8, 2), tol=1e-6)
     assert all(row.rank == 0 for row in profile.rows)
     assert profile.rho_max == 1

@@ -73,63 +73,82 @@ def test_every_private_helper_in_src_is_read():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def unread_public_names(trees: dict, readme: str) -> list[str]:
-    """module:name of each public function, class or method that no module reads,
-    ``__init__`` does not import and the README names in no inline code span and no
-    python or sh fence (json, csv and plain output blocks name nothing).
+def library_list(readme: str) -> set[str]:
+    """The dotted names that open the bullets of the README's "Library-only functions" section."""
+    section = readme.partition("### Library-only functions\n")[2].split("\n#", 1)[0]
+    return set(re.findall(r"^- `([\w.]+)`", section, re.M))
 
-    A method is read only as an attribute (``x.name``): a bare name, such as a
-    parameter that shares the method's name, reads a function or class only."""
-    names, attributes = set(), set()
+
+def unread_public_names(trees: dict, readme: str) -> list[str]:
+    """module:name of each public function, class or method that no module reads and the
+    README's library-only list does not name (as ``module.function`` or ``Class.method``).
+
+    An ``__init__`` export reads nothing, and neither does any other README mention.
+    A method is read only as an attribute (``x.name``) of something other than an
+    imported module: neither a bare name, such as a parameter that shares the method's
+    name, nor ``np.zeros`` reads ``CoeffMatrix.zeros``."""
+    names, attributes, module_attributes = set(), set(), set()
     for tree in trees.values():
+        modules = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names}
+        modules |= {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names if a.name in trees}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-    exported = {a.asname or a.name for node in ast.walk(trees["__init__"])
-                if isinstance(node, ast.ImportFrom) for a in node.names}
-    blocks = re.findall(r"```(\w*)\n(.*?)```|`([^`\n]+)`", readme, re.S)
-    spans = [fence + inline for lang, fence, inline in blocks if inline or lang in ("python", "sh")]
-    named = {word for span in spans for word in re.findall(r"\w+", span)}
+                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                (module_attributes if on_module else attributes).add(node.attr)
+    listed = library_list(readme)
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            found = [(node.name, node.name, names | attributes)]
+            found = [(node.name, f"{module}.{node.name}", node.name, names | attributes | module_attributes)]
             if isinstance(node, ast.ClassDef):
-                found += [(f"{node.name}.{f.name}", f.name, attributes) for f in node.body
+                found += [(f"{node.name}.{f.name}", f"{node.name}.{f.name}", f.name, attributes) for f in node.body
                           if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-            unread += [f"{module}:{label}" for label, name, read in found
-                       if name not in read | exported | named]
+            unread += [f"{module}:{label}" for label, entry, name, read in found
+                       if name not in read and entry not in listed]
     return unread
 
 
 def test_unread_public_check_sees_reads_exports_and_readme():
     a = ast.parse(
         "def used():\n    pass\ndef exported():\n    pass\ndef documented():\n    pass\n"
-        "def fenced():\n    pass\ndef dead():\n    pass\nclass Box:\n    def area(self):\n        pass\n"
-        "    def corners(self):\n        pass\n    def _hidden(self):\n        pass\n"
+        "def fenced():\n    pass\ndef listed():\n    pass\ndef dead():\n    pass\n"
+        "class Box:\n    def area(self):\n        pass\n"
+        "    def corners(self):\n        pass\n    def zeros(self):\n        pass\n    def _hidden(self):\n        pass\n"
     )
-    b = ast.parse("from .a import Box, used\nused()\nBox().area()\n")
+    b = ast.parse("import numpy as np\nfrom .a import Box, used\nused()\nBox().area()\nnp.zeros(3)\n")
     init = ast.parse("from .a import exported\n")
-    readme = "Call `documented(x)` for it; dead and corners are prose.\n```python\nfenced()\n```\n"
+    readme = (
+        "Call `documented(x)` for it; dead and corners are prose.\n```python\nfenced()\n```\n"
+        "### Library-only functions\n\n- `a.listed` - kept by a test; `a.dead` is named only in passing.\n\n"
+        "## Install\n\n- `a.documented` - a bullet after the list.\n"
+    )
     trees = {"a": a, "b": b, "__init__": init}
-    assert unread_public_names(trees, readme) == ["a:dead", "a:Box.corners"]
-    assert unread_public_names(trees, readme + "`Box.corners`, `dead`") == []
-    output = '```json\n{"dead": 1}\n```\n```csv\ndead,corners\n```\n```\ncorners\n```\n'
-    assert unread_public_names(trees, readme + output) == ["a:dead", "a:Box.corners"]
-    assert unread_public_names(trees, readme + output + "```sh\ndead --corners\n```\n") == []
+    # an export, a README span or fence outside the list, and a module's attribute read nothing
+    assert unread_public_names(trees, readme) == [
+        "a:exported", "a:documented", "a:fenced", "a:dead", "a:Box.corners", "a:Box.zeros"]
+    listed = readme.replace("- `a.listed`", "- `a.exported`\n- `a.documented`\n- `a.fenced`\n- `a.listed`")
+    assert unread_public_names(trees, listed) == ["a:dead", "a:Box.corners", "a:Box.zeros"]
+    listed = listed.replace("- `a.listed`", "- `a.dead`\n- `Box.corners`\n- `Box.zeros`\n- `a.listed`")
+    assert unread_public_names(trees, listed) == []
+    # a method read on an instance, or a function read on its module, still counts
+    c = ast.parse("from . import a\na.dead()\nBox().zeros()\n")
+    assert unread_public_names({**trees, "c": c}, readme) == [
+        "a:exported", "a:documented", "a:fenced", "a:Box.corners"]
 
 
 def test_unread_public_check_ignores_a_parameter_that_shadows_a_method():
     a = ast.parse("class Box:\n    def corners(self):\n        pass\n    def edges(self):\n        pass\n")
-    b = ast.parse("from .a import Box\ndef _draw(corners, edges):\n    return corners, edges.edges\n")
+    b = ast.parse("from .a import Box\ndef _draw(corners, edges):\n    return Box, corners, edges.edges\n")
     trees = {"a": a, "b": b, "__init__": ast.parse("from .a import Box\n")}
     assert unread_public_names(trees, "") == ["a:Box.corners"]
 
 
-def test_every_public_name_in_src_is_read_exported_or_documented():
+def test_every_public_name_in_src_is_read_or_listed():
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}
     assert unread_public_names(trees, README.read_text()) == []
