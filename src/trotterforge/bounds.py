@@ -118,14 +118,16 @@ def _qubit_denominator(query: BoundQuery, accuracy: float) -> float:
     return math.log(query.b * query.gate_set_size)
 
 
-def _finish(raw: float, constants: dict, *, force_vacuous: bool = False) -> BoundResult:
-    """The bound max(raw, 0), or 0 where the inputs force a vacuous one.
+def _finish(query: BoundQuery, raw: float, constants: dict, *, force_vacuous: bool = False) -> BoundResult:
+    """The bound max(raw, 0), or 0 where the inputs force a vacuous one; c_compile is recorded where it applies.
 
     A forced bound never reads raw, so a raw value (or a term of it) past the
     float range is recorded as None there; anywhere else it raises CapacityError.
     """
     constants["raw"] = raw
     constants["log_base"] = LOG_BASE
+    if query.gate_set_size is None:
+        constants["c_compile"] = query.c_compile
     if force_vacuous:
         finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in constants.items()}
         return BoundResult(0.0, True, finite)
@@ -155,9 +157,7 @@ def diag_synthesis_lower_bound(query: BoundQuery) -> BoundResult:
     denom = _pair_denominator(query, query.delta)
     raw = _volume(query.mu, _log_ratio(2.0 * query.theta_max, arc)) / denom
     constants = {"arc": arc, "denominator": denom}
-    if query.gate_set_size is None:
-        constants["c_compile"] = query.c_compile
-    return _finish(raw, constants)
+    return _finish(query, raw, constants)
 
 
 THETA_CEILING = math.pi * (1.0 - 1e-12)
@@ -190,9 +190,7 @@ def commuting_ham_lower_bound(query: BoundQuery) -> BoundResult:
         "main_term": main,
         "overhead": overhead,
     }
-    if query.gate_set_size is None:
-        constants["c_compile"] = query.c_compile
-    return _finish(raw, constants, force_vacuous=query.t < query.eps)
+    return _finish(query, raw, constants, force_vacuous=query.t < query.eps)
 
 
 def discrete_diag_lower_bound(query: BoundQuery) -> BoundResult:
@@ -200,11 +198,8 @@ def discrete_diag_lower_bound(query: BoundQuery) -> BoundResult:
     2^-m <= delta <= 1/2."""
     _need(query, "mu", "delta", "m")
     raw = _volume(query.mu, _log_ratio(1.0, query.delta)) / _qubit_denominator(query, query.delta)
-    constants: dict = {}
-    if query.gate_set_size is None:
-        constants["c_compile"] = query.c_compile
     outside = not (2.0**-query.m <= query.delta <= 0.5)
-    return _finish(raw, constants, force_vacuous=outside)
+    return _finish(query, raw, {}, force_vacuous=outside)
 
 
 def coeff_oracle_lower_bound(query: BoundQuery) -> BoundResult:
@@ -217,7 +212,5 @@ def coeff_oracle_lower_bound(query: BoundQuery) -> BoundResult:
     overhead = query.c_red * inv * inv
     raw = main - overhead
     constants = {"c_red": query.c_red, "main_term": main, "overhead": overhead}
-    if query.gate_set_size is None:
-        constants["c_compile"] = query.c_compile
     outside = not (2.0**-query.m <= query.eps <= 0.5)
-    return _finish(raw, constants, force_vacuous=outside)
+    return _finish(query, raw, constants, force_vacuous=outside)

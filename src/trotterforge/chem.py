@@ -183,7 +183,7 @@ def chem_step_count(
     ('up to constant' in the bound) is surfaced and defaults to 1."""
     if constant <= 0:
         raise DomainError("bound constant must be > 0")
-    t1, v1, _ = fermionic_error_norms(np.abs(system.tau), system.nu, system.eta)
+    t1, v1 = fermionic_error_norms(np.abs(system.tau), system.nu, system.eta)
     alpha = constant * (t1 + v1) ** (p - 1) * t1 * v1 * system.eta
     return steps_for(alpha, t, eps, p)
 
@@ -238,7 +238,7 @@ def norm_scaling_report(
         e = eta if eta is not None else max(1, n // 2)
         if not (1 <= e <= n):
             raise DomainError(f"need 1 <= eta <= {n}, got {e}")
-        t1, v1, _ = fermionic_error_norms(np.abs(system.tau), system.nu, e)
+        t1, v1 = fermionic_error_norms(np.abs(system.tau), system.nu, e)
         w = system.omega
         nu_law = e ** (2.0 / 3.0) * n ** (1.0 / 3.0) / w ** (1.0 / 3.0)
         tau_law = n ** (2.0 / 3.0) / w ** (2.0 / 3.0)

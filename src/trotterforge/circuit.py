@@ -391,11 +391,11 @@ def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:
     if u.shape != v.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
     n = (u.shape[0] - 1).bit_length()
-    mask = hamming_projector_mask(n, eta)
-    diff = (u - v)[mask][:, mask]
-    if diff.size == 0:
-        return 0.0
-    return _spectral_norm(diff)
+    m = hamming_projector_mask(n, eta)
+    k = int(np.count_nonzero(m))  # at least 1: C(n, eta) states
+    # the two sectors, their difference and the SVD's copy of it
+    check_memory(_DISTANCE_COPIES * 16 * k * k, f"a weight-{eta} sector distance ({_DISTANCE_COPIES} {k} x {k} copies)")
+    return _spectral_norm(u[np.ix_(m, m)] - v[np.ix_(m, m)])
 
 
 # one-qubit gate classes, in temporal order, that take axis p to Z (pre) and back (post)

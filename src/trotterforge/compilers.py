@@ -24,10 +24,13 @@ mode returns before lowering, which is sized against memory first. Verification-
 circuits are exact: the only approximations are the product formula and low-rank truncation.
 
 A plan holds what a count reads: a far op its block's rank, taken from the
-singular values alone, and a pair op the sum of its cells' costs. Lowering
+singular values alone, and a pair op the sum of its cells' costs. avgcost and
+block build their pair ops in one loop, which takes from each method only the
+subdivision of a cross block (block's m = 1: one cell, the whole block) and the
+cost of one cell; a cell's norms are read by ``hamlib.norms`` with no copy. Lowering
 takes the far block's truncated factor and cuts it at the plan's rank, and
-expands a pair op into its cells, a block op's one cell being its cross block. What
-the three compute from a block (rank, truncated factor, cell costs, box norms) goes
+expands a pair op into its cells. What the three compute from a block (rank,
+truncated factor, priced cells, box norms) goes
 through a ``BlockMemo``, so equal blocks share it. Each compile makes its own
 memo unless the caller passes one, as a cost report does for its whole sweep.
 """
@@ -59,7 +62,8 @@ from .circuit import (
     pauli_string_exponential,
     spectral_distance,
 )
-from .decomp import Cell, bisection_decompose, cell_norms, cells_for_pair, lowrank_decompose, pair_box_norms
+from .decomp import BisectionDecomposition, Cell, IntervalPair, bisection_decompose, cell_norms, cells_for_pair
+from .decomp import lowrank_decompose, pair_box_norms
 from .errors import DomainError, ValidationError, check_float_range, check_memory
 from .hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, IndexRegion, PauliKind, nonzero_terms
 from .lowrank import singular_truncation, truncated_svd
@@ -500,7 +504,38 @@ def compile_lowrank_step(
     return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
 
 
-# -- avgcost ------------------------------------------------------------------
+# -- avgcost and block: priced cells of each bisection pair --------------------
+
+
+def _pair_cell_ops(
+    dec: BisectionDecomposition,
+    mat: CoeffMatrix,
+    m: int,
+    memo: BlockMemo,
+    params: tuple,
+    cost: Callable[[np.ndarray, IntervalPair, Cell], int],
+) -> list[_StageOp]:
+    """One ``cells`` op per bisection pair whose cells cost anything: the cells of ``m`` cuts of its cross block.
+
+    ``cost(block, pair, cell)`` prices one cell of the pair's cross block ``block``,
+    0 for a cell that needs no work, which the op leaves out; ``params`` names everything
+    else a cost reads. Each cross block is read once, and pairs with equal cross
+    blocks share their priced cells through ``memo``.
+    """
+    ops = []
+    for pair in dec.pairs:
+        block = mat.block(pair.cross_region())
+
+        def priced() -> tuple[int, tuple[tuple[IndexRegion, int], ...]]:
+            costs = [(cell.region, cost(block, pair, cell)) for cell in cells_for_pair(pair, m)]
+            cells = tuple((region, c) for region, c in costs if c)
+            return sum(c for _, c in cells), cells
+
+        # the cells are regions of the block, so its bytes and ``params`` fix them and their costs
+        total, cells = memo.get(block, params, priced)
+        if cells:
+            ops.append(_StageOp("cells", total, pair.left, pair.right, (block, cells)))
+    return ops
 
 
 def compile_avgcost_step(
@@ -518,42 +553,25 @@ def compile_avgcost_step(
     Declared cell cost = qubitization steps for the cell's 1-norm times the
     preparation + selection model, with the cell's own amplification ratio;
     a pair's op costs the sum over its cells. Pairs with equal cross blocks
-    share their cell costs and that sum through ``memo`` (a fresh one by default).
+    share their cell costs through ``memo`` (a fresh one by default).
     """
     if not (1 <= m <= spec.n // 2):
         raise DomainError(f"m must be in [1, {spec.n // 2}], got {m}")
     dec = bisection_decompose(spec.n)
     memo = BlockMemo() if memo is None else memo
 
-    def cell_costs(block: np.ndarray, cells: list[Cell], theta: float) -> tuple[int, tuple[tuple[IndexRegion, int], ...]]:
-        """(total, costs): ``costs`` holds the (region, declared cost) of every
-        nonempty cell of the cross block ``block``, and ``total`` their sum."""
-        costs = []
-        for cell in cells:
-            sub, cell_1, ratio = cell_norms(block, cell)
-            if cell_1 == 0.0:
-                continue
-            steps = qubitization_step_count(cell_1 * abs(theta), eps)
-            width_j, width_k = sub.shape
-            cost = steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
-            costs.append((cell.region, cost))
-        return sum(cost for _, cost in costs), tuple(costs)
-
     def stage_ops(pair_key, mat, theta):
-        ops = []
-        for pair in dec.pairs:
-            block = mat.block(pair.cross_region())
-            # the cells are regions of the block, so its bytes fix them and their costs
-            params = ("cells", m, abs(theta), eps)
-            total, costs = memo.get(block, params, lambda: cell_costs(block, cells_for_pair(pair, m), theta))
-            if costs:
-                ops.append(_StageOp("cells", total, pair.left, pair.right, (block, costs)))
-        return ops
+        def cost(block: np.ndarray, pair: IntervalPair, cell: Cell) -> int:
+            cell_1, ratio = cell_norms(block, cell)
+            if cell_1 == 0.0:
+                return 0
+            width_j, width_k = len(cell.region.rows), len(cell.region.cols)
+            steps = qubitization_step_count(cell_1 * abs(theta), eps)
+            return steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
+
+        return _pair_cell_ops(dec, mat, m, memo, ("cells", m, abs(theta), eps), cost)
 
     return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
-
-
-# -- block --------------------------------------------------------------------
 
 
 def compile_block_step(
@@ -562,25 +580,24 @@ def compile_block_step(
 ) -> CompiledStep:
     """One boxed block encoding per nonzero bisection cross block, qubitized for its stage's time.
 
-    The op is a cells op whose one region is the whole cross block, so it lowers to the
-    pair's exact diagonal composite. Equal cross blocks share box norms through ``memo``.
+    The op's one cell is the whole cross block (m = 1), so it lowers to the pair's exact
+    diagonal composite. Equal cross blocks share their costs, and their box norms, through ``memo``.
     """
     dec = bisection_decompose(spec.n)
     width = phase_register_width(spec.n, t, eps)
     memo = BlockMemo() if memo is None else memo
 
     def stage_ops(pair_key, mat, theta):
-        ops = []
-        for pair in dec.pairs:
-            block = mat.block(pair.cross_region())
+        def cost(block: np.ndarray, pair: IntervalPair, cell: Cell) -> int:
+            # the box norms read no stage parameter, so every stage and size shares them
             vec1, box1, ratio = memo.get(block, ("box",), lambda: pair_box_norms(block, pair))
-            if vec1 != 0.0:
-                half = len(pair.left)
-                steps = qubitization_step_count(box1 * abs(theta), eps)
-                cost = steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
-                whole = IndexRegion(*(range(1, side + 1) for side in block.shape))
-                ops.append(_StageOp("cells", cost, pair.left, pair.right, (block, ((whole, cost),))))
-        return ops
+            if vec1 == 0.0:
+                return 0
+            half = len(pair.left)
+            steps = qubitization_step_count(box1 * abs(theta), eps)
+            return steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
+
+        return _pair_cell_ops(dec, mat, 1, memo, ("block", abs(theta), eps, width), cost)
 
     return _compile_stages("block", spec, t, formula, count_only, stage_ops)
 

@@ -223,27 +223,28 @@ def cells_for_pair(pair: IntervalPair, m: int) -> list[Cell]:
 def pair_box_norms(block: np.ndarray, pair: IntervalPair) -> tuple[float, float, float]:
     """(vec1, box1, lambda_block) of the pair's cross block ``block``: its 1-norm, its box norm, and box1 / vec1.
 
-    lambda_block is at most 2^alpha on a power law. An all-zero block gives
-    (0, 0, 1) without reading its boxes.
+    box1 sums weight x max |x| over ``boxes_for_pair``. lambda_block is at most
+    2^alpha on a power law. An all-zero block gives (0, 0, 1) without reading its boxes.
     """
-    vec1 = norms(block, "restricted_1", region=IndexRegion(*(range(1, side + 1) for side in block.shape)))
+    vec1 = norms(block, IndexRegion(*(range(1, side + 1) for side in block.shape)))[0]
     if vec1 == 0.0:
         return 0.0, 0.0, 1.0
-    box1 = norms(block, "box_1", boxes=boxes_for_pair(pair))
+    box1 = 0.0
+    for weight, region in boxes_for_pair(pair):  # in order: sum() compensates float sums from Python 3.12 on
+        box1 += weight * norms(block, region)[1]
     return vec1, box1, box1 / vec1
 
 
-def cell_norms(block: np.ndarray, cell: Cell) -> tuple[np.ndarray, float, float]:
-    """(sub, cell_1, lambda_avg) of one cell of the cross block ``block``, ``sub`` a view of it.
+def cell_norms(block: np.ndarray, cell: Cell) -> tuple[float, float]:
+    """(cell_1, lambda_avg) of one cell of the cross block ``block``: its 1-norm and its amplification ratio.
 
     lambda_avg = width_j * width_k * max|beta| / cell_1 over the width_j x width_k
     cell; an all-zero cell gives ratio 1.
     """
-    sub = cell.region.of(block)
-    cell_1 = float(np.abs(sub).sum())
+    cell_1, peak = norms(block, cell.region)
     if cell_1 == 0.0:
-        return sub, 0.0, 1.0
-    return sub, cell_1, sub.size * float(np.abs(sub).max()) / cell_1
+        return 0.0, 1.0
+    return cell_1, len(cell.region.rows) * len(cell.region.cols) * peak / cell_1
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def amplification_ratios(
             if m is None:
                 continue
             for cell in cells_for_pair(pair, m):
-                cratio = cell_norms(block, cell)[2]
+                cratio = cell_norms(block, cell)[1]
                 rows.append(RatioRow("avg", s1.value, s2.value, pair.layer, pair.block, cell.j, cell.k, cratio))
                 lam_avg = max(lam_avg, cratio)
     # 2^alpha reads as infinite past the float range (alpha >= 1024), where no ratio exceeds it

@@ -4,9 +4,9 @@ Coefficient matrices live on the strict upper triangle (1 <= j < k <= n).
 ``IndexRegion.of(values)`` is the one reader of a rectangle of a 2-D array,
 1-based in that array: ``CoeffMatrix.block(region)`` reads the matrix in
 sites, and a cross block is read in its own coordinates. ``norms`` reads
-regions of an array in two kinds: ``restricted_1``, the 1-norm over a region,
-and ``box_1``, the sum of weight x region max over explicit (weight, region)
-groupings, so the geometry of the grouping stays in the decomp module.
+one region of an array into its 1-norm, summed in (j, k) order, and its max
+|x|, with no copy of the region; what a region is (a box, a cell, a whole
+block) stays in the decomp module.
 ``BlockMemo`` keeps what the compilers compute from a block, once per distinct block.
 """
 
@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 # hashlib.blake2b is this builtin, and importing hashlib would also load OpenSSL (3.5 MiB of RSS)
 from _blake2 import blake2b
@@ -433,39 +433,21 @@ def coeff_oracle(
     return fixed_point_round(value, width)
 
 
-NORM_KINDS = ("restricted_1", "box_1")
+def norms(values: np.ndarray, region: IndexRegion) -> tuple[float, float]:
+    """(1-norm, max |x|) of the 2-D array ``values`` over ``region``, with no copy of the region.
 
-
-def norms(
-    values: np.ndarray,
-    kind: str,
-    *,
-    region: IndexRegion | None = None,
-    boxes: Iterable[tuple[int, IndexRegion]] | None = None,
-) -> float:
-    """restricted_1: the 1-norm of ``values`` over ``region``; box_1: the sum of weight x max over ``boxes``."""
-    if kind not in NORM_KINDS:
-        raise ValidationError(f"unknown norm kind {kind!r}")
-    if kind == "restricted_1":
-        if region is None:
-            raise ValidationError("restricted_1 needs a region")
-        rows = region.of(values)
-        total = 0.0
-        # a slab of rows at a time, the running total first, so |x| is added in (j, k) order with no copy of the region
-        for i in range(0, rows.shape[0], _SLAB):
-            slab = rows[i : i + _SLAB]
-            run = np.empty(1 + slab.size)
-            run[0] = total
-            np.abs(slab, out=run[1:].reshape(slab.shape))
-            total = float(np.cumsum(run, out=run)[-1])
-        return total
-    if boxes is None:
-        raise ValidationError("box_1 needs (weight, region) boxes")
-    total = 0.0
-    for weight, reg in boxes:
-        box = reg.of(values)
-        total += weight * max(-float(box.min()), float(box.max()))  # max |x|, with no |x| copy
-    return total
+    A slab of rows at a time, the running total first, so |x| is added in (j, k) order.
+    """
+    rows = region.of(values)
+    total = peak = 0.0
+    for i in range(0, rows.shape[0], _SLAB):
+        slab = rows[i : i + _SLAB]
+        run = np.empty(1 + slab.size)
+        run[0] = total
+        np.abs(slab, out=run[1:].reshape(slab.shape))
+        peak = max(peak, float(run[1:].max()))
+        total = float(np.cumsum(run, out=run)[-1])
+    return total, peak
 
 
 # -- JSON serialization -------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,24 +128,13 @@ def restricted_induced_1norm(matrix: np.ndarray, eta: int) -> float:
     return float(part.sum(axis=1).max())
 
 
-def fermionic_error_norms(
-    tau: np.ndarray, nu: np.ndarray, eta: int
-) -> tuple[float, float, Callable[[int, float], float]]:
-    """Hopping/interaction norms and the eta-sector error bound, up to constant.
+def fermionic_error_norms(tau: np.ndarray, nu: np.ndarray, eta: int) -> tuple[float, float]:
+    """(T1, V1eta): the induced 1-norm of tau and the eta-restricted induced 1-norm of nu.
 
-    boundExpression(p, t) = (T1 + V1eta)^(p-1) * T1 * V1eta * eta * t^(p+1)
-    with T1 the induced 1-norm of tau and V1eta the eta-restricted induced
-    1-norm of nu. The prefactor constant is not included.
+    The eta-sector error bound of an order-p step of length t is, up to a constant,
+    (T1 + V1eta)^(p-1) * T1 * V1eta * eta * t^(p+1); ``chem.chem_step_count`` prices it.
     """
-    t1 = induced_1norm(tau)
-    v1 = restricted_induced_1norm(nu, eta)
-
-    def bound_expression(p: int, t: float) -> float:
-        if p < 1:
-            raise DomainError(f"order must be >= 1, got {p}")
-        return (t1 + v1) ** (p - 1) * t1 * v1 * eta * abs(t) ** (p + 1)
-
-    return t1, v1, bound_expression
+    return induced_1norm(tau), restricted_induced_1norm(nu, eta)
 
 
 def error_report_csv(reports: Sequence[TrotterErrorReport]) -> str:

@@ -279,6 +279,9 @@ def commands() -> list[list[str]]:
         for tol in ("1e-6", "1e-2"):
             lines.append(f"cost-report --method lowrank --alpha {alpha} --tol {tol} --n-sweep 256,512,1024,2048")
     lines.append("cost-report --method avgcost --alpha 1.0 --n-sweep 256,512,1024,2048")
+    # avgcost at m = 1, where each cell is a whole cross block, at the higher orders
+    for p in (2, 4):
+        lines.append(f"cost-report --method avgcost --alpha 1.9 --t 0.1 --n-sweep 64,128,256,512,1024 --p {p}")
     # bound: every variant, vacuous and validation cases
     lines += [
         "bound volume --mu 1 --theta-max 1.5707963",

@@ -48,7 +48,7 @@ from trotterforge.costmodel import (
 from trotterforge.decomp import bisection_decompose, lowrank_decompose, nested_boxes
 from trotterforge.hamlib import HamiltonianSpec, IndexRegion, PauliKind, build_power_law
 from trotterforge.lowrank import rank_profile
-from trotterforge.trotter import fermionic_error_norms
+from trotterforge.trotter import error_bound, fermionic_error_norms
 
 mp.mp.dps = 50
 
@@ -475,7 +475,7 @@ def test_11_fermionic_error_bound():
         eta = int(rng.integers(2, n))  # eta = 1 leaves no pair interaction
         system = ElectronicSystem(n, eta, 1.0, tau, nu)
         h, t_mat, v_mat = jw_matrix(system)
-        _, _, bound = fermionic_error_norms(tau, nu, eta)
+        t1, v1 = fermionic_error_norms(tau, nu, eta)
         for p in (1, 2):
             errs = []
             for t in ts:
@@ -487,7 +487,8 @@ def test_11_fermionic_error_bound():
                     )
                 err = subspace_distance(s, expm(-1j * h * t), eta)
                 errs.append(err)
-                ratios[p].append(err / bound(p, t))
+                # the eta-sector bound up to its constant, as chem_step_count prices it
+                ratios[p].append(err / error_bound((t1 + v1) ** (p - 1) * t1 * v1 * eta, t, p))
             got = _slope(ts, errs)
             if abs(got - (p + 1)) > 0.25:
                 problems.append(f"instance {i} p={p}: slope {got:.2f}")

@@ -89,7 +89,7 @@ def test_kinetic_rows_sum_to_zero():
 def test_kinetic_norm_at_unit_density():
     # omega = n pins scale to 1/2, so the row 1-norm is 12 * scale = 6
     s = build_uniform_electron_gas(3, 27.0)
-    t1, _, _ = fermionic_error_norms(np.abs(s.tau), s.nu, s.eta)
+    t1, _ = fermionic_error_norms(np.abs(s.tau), s.nu, s.eta)
     assert t1 == 6.0
 
 

@@ -658,6 +658,23 @@ def test_subspace_distance_of_diagonals_is_their_largest_sector_entry_within_4_u
     assert calls == [sector.shape]
 
 
+def test_subspace_distance_sizes_its_sector_before_any_svd(monkeypatch, fake_physical_memory):
+    rng = np.random.default_rng(10)
+    a, b = random_phase_diagonal(rng, 256), random_phase_diagonal(rng, 256)
+    want = float(np.linalg.svd((a - b)[np.ix_(*2 * [hamming_projector_mask(8, 4)])], compute_uv=False)[0])
+    calls = svd_spy(monkeypatch)
+    # 64 KiB holds four copies of the 8 x 8 weight-1 sector, not of the 70 x 70 weight-4 one (306 KiB),
+    # nor of the whole 256 x 256 difference (4 MiB)
+    fake_physical_memory(2**-14)
+    with pytest.raises(CapacityError, match=r"^a weight-4 sector distance \(4 70 x 70 copies\) needs"):
+        subspace_distance(a, b, 4)
+    assert calls == []
+    subspace_distance(a, b, 1)
+    assert calls == [(8, 8)]
+    fake_physical_memory(1)
+    assert subspace_distance(a, b, 4) == want
+
+
 def test_hamming_mask():
     mask = hamming_projector_mask(3, 1)
     assert list(np.nonzero(mask)[0]) == [1, 2, 4]

@@ -20,8 +20,8 @@ from trotterforge.costmodel import (
     solve_coupled_recurrence,
     solve_recurrence_numeric,
 )
-from trotterforge.blockenc import block_prep_cost, block_select_cost, qubitization_step_count
-from trotterforge.decomp import bisection_decompose, pair_box_norms
+from trotterforge.blockenc import block_prep_cost, block_select_cost, cell_prep_cost, cell_select_cost, qubitization_step_count
+from trotterforge.decomp import bisection_decompose, cells_for_pair, pair_box_norms
 from trotterforge.errors import DomainError, ValidationError
 from trotterforge.hamlib import BlockMemo, CoeffMatrix, HamiltonianSpec, PauliKind, build_power_law
 
@@ -54,6 +54,35 @@ def block_count_oracle(spec, t, eps):
             steps = qubitization_step_count(box1 * abs(t), eps)
             half = len(pair.left)
             total += steps * (block_select_cost(half) + block_prep_cost(half, ratio, width))
+    return total
+
+
+def avgcost_count_oracle(spec, t, m, eps):
+    """The average-cost count cell by cell: every nonempty cell of every bisection pair at the full t.
+
+    Each cell's 1-norm and max are taken from its own |x| copy, np.abs(sub).sum() and .max();
+    pairs whose cross blocks hold equal bytes are priced once.
+    """
+    dec = bisection_decompose(spec.n)
+    priced = {}
+    total = 0
+    for mat in spec.two_local.values():
+        for pair in dec.pairs:
+            block = mat.block(pair.cross_region())
+            key = (block.shape, block.tobytes())
+            if key not in priced:
+                cost = 0
+                for cell in cells_for_pair(pair, m):
+                    sub = cell.region.of(block)
+                    cell_1 = float(np.abs(sub).sum())
+                    if cell_1 == 0.0:
+                        continue
+                    ratio = sub.size * float(np.abs(sub).max()) / cell_1
+                    width_j, width_k = sub.shape
+                    steps = qubitization_step_count(cell_1 * abs(t), eps)
+                    cost += steps * (cell_prep_cost(width_j, width_k, ratio) + cell_select_cost(width_j, width_k))
+                priced[key] = cost
+            total += priced[key]
     return total
 
 
@@ -277,6 +306,32 @@ def test_the_block_plan_counts_what_the_pair_loop_counts(alpha, t, eps, p):
         want = block_count_oracle(spec, t, eps)
         assert compile_method("block", spec, t, p, eps, count_only=True, memo=memo).gate_count == want
         assert compile_method("block", spec, t, p, eps, count_only=True, memo=Unshared()).gate_count == want
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-8])
+@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_the_avgcost_plan_counts_what_the_cell_loop_counts(alpha, t, eps):
+    # a lone ZZ stage runs once at the full t at every order, and its m is the balanced subdivision
+    memo = BlockMemo()
+    for n in (16, 64, 256, 1024):
+        spec = build_power_law(n, 1, alpha)
+        want = avgcost_count_oracle(spec, t, balanced_subdivision(n, alpha, t), eps)
+        for p in (1, 2, 4):
+            assert compile_method("avgcost", spec, t, p, eps, count_only=True, memo=memo).gate_count == want
+
+
+def test_an_avgcost_count_copies_no_cell():
+    # at alpha = 1.9, t = 0.1 the balanced subdivision is m = 1: the top pair's one cell is its whole cross block
+    spec = build_power_law(4096, 1, 1.9)
+    assert balanced_subdivision(4096, 1.9, 0.1) == 1
+    tracemalloc.start()
+    try:
+        compile_method("avgcost", spec, 0.1, 2, 1e-3, count_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # 3.7 MiB measured; one copy of the 2048 x 2048 top cross block is 32 MiB
 
 
 def test_block_step_count_prices_each_group_stage_once_with_its_basis_changes():

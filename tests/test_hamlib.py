@@ -292,15 +292,12 @@ def test_norm_examples_power_law_n4():
 def test_restricted_region_norms():
     mat = build_power_law(4, 1, 2.0).two_local[ZZ]
     region = IndexRegion(range(1, 3), range(3, 5))
-    assert norms(mat.data, "restricted_1", region=region) == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
-    assert norms(mat.data, "box_1", boxes=[(1, region)]) == pytest.approx(1.0)  # one box: the region max
-    boxes = [(1, IndexRegion(range(1, 2), range(3, 4))), (2, IndexRegion(range(2, 3), range(3, 5)))]
-    assert norms(mat.data, "box_1", boxes=boxes) == pytest.approx(0.25 + 2 * 1.0)
+    one_norm, peak = norms(mat.data, region)
+    assert one_norm == pytest.approx(0.25 + 1 / 9 + 1 + 0.25)
+    assert peak == 1.0
     # the same rectangle read from its block, in the block's own coordinates
     block, whole = mat.block(region), IndexRegion(range(1, 3), range(1, 3))
-    assert norms(block, "restricted_1", region=whole) == norms(mat.data, "restricted_1", region=region)
-    block_boxes = [(1, IndexRegion(range(1, 2), range(1, 2))), (2, IndexRegion(range(2, 3), range(1, 3)))]
-    assert norms(block, "box_1", boxes=block_boxes) == norms(mat.data, "box_1", boxes=boxes)
+    assert norms(block, whole) == (one_norm, peak)
 
 
 def test_region_norms_match_pair_loop():
@@ -310,24 +307,24 @@ def test_region_norms_match_pair_loop():
         IndexRegion(range(1, 21), range(21, 41)),
         IndexRegion(range(25, 41), range(1, 13)),  # below the diagonal: stored zeros
         IndexRegion(range(5, 31), range(10, 36)),  # straddles the diagonal
+        IndexRegion(range(1, 2), range(2, 3)),  # one entry
     ]
     for region in regions:
-        assert norms(mat.data, "restricted_1", region=region) == region_norm_oracle(mat, region, False)
-        assert norms(mat.data, "box_1", boxes=[(1, region)]) == region_norm_oracle(mat, region, True)
-    boxes = [(1, regions[0]), (3, regions[1]), (2, regions[2])]
-    expected = 0.0
-    for weight, region in boxes:
-        expected += weight * region_norm_oracle(mat, region, True)
-    assert norms(mat.data, "box_1", boxes=boxes) == expected
+        oracle = (region_norm_oracle(mat, region, False), region_norm_oracle(mat, region, True))
+        assert norms(mat.data, region) == oracle
     for bad in (IndexRegion(range(38, 42), range(1, 3)), IndexRegion(range(0, 3), range(3, 5))):
         with pytest.raises(IndexRangeError):
             region_norm_oracle(mat, bad, False)
         with pytest.raises(IndexRangeError):
-            norms(mat.data, "restricted_1", region=bad)
-        with pytest.raises(IndexRangeError):
-            norms(mat.data, "box_1", boxes=[(1, bad)])
-        with pytest.raises(IndexRangeError):
-            norms(mat.data, "box_1", boxes=[(1, regions[0]), (1, bad)])
+            norms(mat.data, bad)
+
+
+def test_region_norms_sum_past_one_slab_in_pair_order():
+    rng = np.random.default_rng(4)
+    data = np.triu(rng.standard_normal((200, 200)) * 10.0 ** rng.integers(-8, 8, (200, 200)), k=1)
+    mat = CoeffMatrix(200, data)
+    region = IndexRegion(range(1, 151), range(100, 201))  # three slabs of rows
+    assert norms(mat.data, region) == (region_norm_oracle(mat, region, False), region_norm_oracle(mat, region, True))
 
 
 def test_index_region_is_one_unit_step_rectangle():
@@ -678,16 +675,15 @@ def test_norms_of_a_toeplitz_view_equal_those_of_its_dense_copy_bitwise(sign_rul
         dense = np.array(view)
         # the slab sum adds in the (j, k) order of one cumulative sum over the whole region
         whole = IndexRegion(*(range(1, side + 1) for side in view.shape))
-        assert norms(view, "restricted_1", region=whole) == float(np.cumsum(np.abs(dense))[-1])
-        if not pair.is_contiguous_halves():  # a far pair has no box grid: its one box is the block
-            assert norms(view, "box_1", boxes=[(1, whole)]) == float(np.abs(dense).max())
+        assert norms(view, whole) == (float(np.cumsum(np.abs(dense))[-1]), float(np.abs(dense).max()))
+        if not pair.is_contiguous_halves():  # a far pair has no box grid
             continue
         assert pair_box_norms(view, pair) == pair_box_norms(dense, pair)
         boxes = boxes_for_pair(pair)
         want = 0.0
         for weight, reg in boxes:
             want += weight * float(np.abs(reg.of(dense)).max())
-        assert norms(view, "box_1", boxes=boxes) == want
+        assert pair_box_norms(view, pair)[1] == want
 
 
 def test_box_norms_of_the_top_block_copy_no_block():

@@ -210,38 +210,29 @@ def test_step_count_domain():
 
 
 def test_identity_hopping_norm():
-    t1, _, _ = fermionic_error_norms(np.eye(4), np.zeros((4, 4)), 2)
+    t1, _ = fermionic_error_norms(np.eye(4), np.zeros((4, 4)), 2)
     assert t1 == 1.0
 
 
 def test_restricted_norm_picks_top_row():
     nu = np.zeros((4, 4))
     nu[1] = [3.0, 1.0, 0.5, 0.2]
-    t1, v1, _ = fermionic_error_norms(np.eye(4), nu, 2)
+    _, v1 = fermionic_error_norms(np.eye(4), nu, 2)
     assert v1 == 4.0
     assert v1 == top_eta_oracle(nu, 2)
 
 
-def test_zero_interaction_bound():
-    _, v1, bound = fermionic_error_norms(np.eye(4), np.zeros((4, 4)), 3)
-    assert v1 == 0.0
-    for p in (1, 2, 4):
-        assert bound(p, 0.7) == 0.0
+def test_zero_interaction_norm():
+    assert fermionic_error_norms(np.eye(4), np.zeros((4, 4)), 3) == (1.0, 0.0)
 
 
-def test_bound_expression_shape():
+def test_fermionic_norms_of_a_random_system():
     rng = np.random.default_rng(12)
     tau = rng.standard_normal((5, 5))
     nu = rng.standard_normal((5, 5))
-    eta = 3
-    t1, v1, bound = fermionic_error_norms(tau, nu, eta)
+    t1, v1 = fermionic_error_norms(tau, nu, 3)
     assert t1 == pytest.approx(np.abs(tau).sum(axis=1).max())
-    assert v1 == pytest.approx(top_eta_oracle(nu, eta))
-    for p in (1, 2):
-        t = 0.3
-        assert bound(p, t) == pytest.approx((t1 + v1) ** (p - 1) * t1 * v1 * eta * t ** (p + 1))
-    # homogeneity: doubling t scales by 2^(p+1)
-    assert bound(2, 0.6) == pytest.approx(8.0 * bound(2, 0.3))
+    assert v1 == pytest.approx(top_eta_oracle(nu, 3))
 
 
 def test_norm_eta_range():
