@@ -1,9 +1,9 @@
 """Command-line surface: build, decompose, profile, compile, verify, report.
 
-Exit codes: 0 success, 2 validation/domain error, 3 capacity error (the request
-would not fit in physical memory), 64 usage error (a non-finite or malformed
-number included). Identical flags produce byte-identical artifacts; files are
-written atomically (temp + rename).
+compile, verify, error-sweep and cost-report build a step of any costmodel.STEP_METHODS method through
+compile_method. Exit codes: 0 success, 2 validation/domain error, 3 capacity error (the request would
+not fit in physical memory), 64 usage error (a non-finite or malformed number included). Identical flags
+produce byte-identical artifacts; files are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .compilers import (
     step_cost_json,
     step_distances,
 )
-from .costmodel import compile_method, gate_count_report
+from .costmodel import STEP_METHODS, compile_method, gate_count_report
 from .decomp import (
     bisection_decompose,
     boxes_to_json,
@@ -154,7 +154,7 @@ def _load_spec(args):
     return build_power_law(args.n, args.d, args.alpha, _pauli_pair(args.pauli), args.signs, args.seed)
 
 
-def _add_method_flags(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
+def _add_method_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] = STEP_METHODS) -> None:
     p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--t", type=_finite, default=0.1)
     p.add_argument("--p", type=int, default=2)
@@ -356,26 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compile", help="compile one step to circuit text + cost JSON")
     _add_spec_flags(p)
-    _add_method_flags(p, ("sequential", "lowrank", "avgcost", "hamming2"))
+    _add_method_flags(p, STEP_METHODS + ("hamming2",))
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out")
     p.set_defaults(run=_run_compile)
 
     p = subs.add_parser("verify", help="compare a compiled step against exact evolution")
     _add_spec_flags(p)
-    _add_method_flags(p, ("sequential", "lowrank", "avgcost"))
+    _add_method_flags(p)
     p.add_argument("--out")
     p.set_defaults(run=_run_verify)
 
     p = subs.add_parser("error-sweep", help="order-scaling CSV over a t sweep")
     _add_spec_flags(p)
-    _add_method_flags(p, ("sequential", "lowrank", "avgcost"))
+    _add_method_flags(p)
     p.add_argument("--t-values", type=_float_list, default="0.05,0.1,0.2")
     p.add_argument("--out")
     p.set_defaults(run=_run_error_sweep)
 
     p = subs.add_parser("cost-report", help="gate-count scaling CSV over an n sweep")
-    p.add_argument("--method", choices=("sequential", "block", "avgcost", "lowrank"), required=True)
+    p.add_argument("--method", choices=STEP_METHODS, required=True)
     p.add_argument("--alpha", type=_finite, default=2.0)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--t", type=_finite, default=1.0)

@@ -410,13 +410,13 @@ def _compile_stages(
     t: float,
     formula: int,
     count_only: bool,
-    stage_ops: Callable[[tuple[PauliKind, PauliKind], CoeffMatrix, float], list[_StageOp]],
+    stage_ops: Callable[[CoeffMatrix, float], list[_StageOp]],
 ) -> CompiledStep:
     """Plan every schedule entry of the group stages, then count or lower the plan.
 
     The stages are one per (sigma, sigma') matrix, then one on-site stage
     (``None``) if any field is nonzero. A two-local stage is the basis change
-    of its axis map, the ops ``stage_ops(pair, matrix, theta)`` lists, and the
+    of its axis map, the ops ``stage_ops(matrix, theta)`` lists, and the
     inverse basis change; the on-site stage is one rotation op. The gate count
     is the sum of the declared costs, and the circuit is the same plan lowered.
     """
@@ -435,7 +435,7 @@ def _compile_stages(
             plan.append((theta, {}, [onsite]))
         else:
             mat = spec.two_local[pair_key]
-            plan.append((theta, _stage_axis_map(mat, *pair_key), stage_ops(pair_key, mat, theta)))
+            plan.append((theta, _stage_axis_map(mat, *pair_key), stage_ops(mat, theta)))
     count = sum(_wrap_cost(axis) + sum(op.cost for op in ops) for _, axis, ops in plan)
     phase = t * spec.identity
     if count_only:
@@ -489,7 +489,7 @@ def compile_lowrank_step(
     def factor(block: np.ndarray):
         return memo.get(block, ("svd", tol), lambda: truncated_svd(block, tol))
 
-    def stage_ops(pair_key, mat, theta):
+    def stage_ops(mat, theta):
         ops = []
         for p in dec.far_field:
             block = mat.block(p.cross_region())
@@ -560,7 +560,7 @@ def compile_avgcost_step(
     dec = bisection_decompose(spec.n)
     memo = BlockMemo() if memo is None else memo
 
-    def stage_ops(pair_key, mat, theta):
+    def stage_ops(mat, theta):
         def cost(block: np.ndarray, pair: IntervalPair, cell: Cell) -> int:
             cell_1, ratio = cell_norms(block, cell)
             if cell_1 == 0.0:
@@ -587,7 +587,7 @@ def compile_block_step(
     width = phase_register_width(spec.n, t, eps)
     memo = BlockMemo() if memo is None else memo
 
-    def stage_ops(pair_key, mat, theta):
+    def stage_ops(mat, theta):
         def cost(block: np.ndarray, pair: IntervalPair, cell: Cell) -> int:
             # the box norms read no stage parameter, so every stage and size shares them
             vec1, box1, ratio = memo.get(block, ("box",), lambda: pair_box_norms(block, pair))

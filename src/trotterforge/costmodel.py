@@ -21,7 +21,7 @@ from .decomp import LowRankDecomposition
 from .errors import DomainError, ValidationError
 from .hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
 
-REPORT_METHODS = ("sequential", "block", "avgcost", "lowrank")
+STEP_METHODS = ("sequential", "block", "avgcost", "lowrank")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +194,11 @@ def compile_method(
     tol: float | None = None, cutoff_size: int = 4, m: int | None = None, count_only: bool = False,
     memo: BlockMemo | None = None,
 ) -> CompiledStep:
-    """One Trotter step of ``method``: the one mapping of the method flags onto a step compiler.
+    """One Trotter step of ``method``, one of ``STEP_METHODS``: the one map of the method flags onto a compiler.
 
-    lowrank truncates at tol (eps when tol is None) and sizes its phase registers with eps;
-    block and avgcost take eps, avgcost's m defaulting to the balanced subdivision of the spec's
-    alpha. lowrank, block and avgcost share block results through ``memo``, a fresh one when it is None.
+    lowrank truncates at tol (eps when tol is None) and sizes its phase registers with eps; block and
+    avgcost take eps, avgcost's m defaulting to the balanced subdivision of the spec's alpha (1 if None).
+    lowrank, block and avgcost share block results through ``memo``, a fresh one when it is None.
     """
     if method == "sequential":
         return compile_sequential_step(spec, t, p, count_only=count_only)
@@ -209,7 +209,7 @@ def compile_method(
         return compile_lowrank_step(spec, t, tol, cutoff_size, p, count_only=count_only, eps=eps, memo=memo)
     if method == "avgcost":
         if m is None:
-            m = balanced_subdivision(spec.n, spec.alpha or 1.0, t)
+            m = balanced_subdivision(spec.n, 1.0 if spec.alpha is None else spec.alpha, t)
         return compile_avgcost_step(spec, t, m, p, count_only=count_only, eps=eps, memo=memo)
     raise DomainError(f"unknown step method {method!r}")
 
@@ -243,7 +243,7 @@ def gate_count_report(
     factored, boxed or subdivided once. Its keys are digests, so it holds no
     block bytes.
     """
-    if method not in REPORT_METHODS:
+    if method not in STEP_METHODS:
         raise DomainError(f"unknown method {method!r}")
     if method != "sequential" and d != 1:
         raise DomainError(f"{method} counting is defined on 1D chains only")

@@ -6,7 +6,8 @@ long is stored in full, a longer one as its sha256 and length.
 ``tests/test_golden.py`` reruns every record in process and compares. Verify
 distances, error-sweep floats and rank-profile residuals come from LAPACK, so
 in those three commands every float compares to ``FLOAT_RTOL`` relative, and
-by sign; everything else compares byte for byte.
+by sign; everything else compares byte for byte. A capacity error names the
+machine's physical memory, which a record holds as ``{memory}``.
 
 Regenerate the file, and the spec files under ``specs/``, from the
 repository root with::
@@ -39,6 +40,7 @@ FLOAT_COMMANDS = ("verify", "error-sweep", "rank-profile")
 HUGE = "1" + "0" * 200  # an integer flag value past the float range
 # a float token: a fraction or an exponent; plain integers stay in the text and compare exactly
 _FLOAT = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
+_MEMORY = re.compile(r"(?<=more than the )\S+ GiB(?= of physical memory)")
 
 
 # -- spec files read through --input ----------------------------------------------
@@ -107,6 +109,9 @@ def spec_documents() -> dict[str, dict]:
         "negzero16.json": _negative_zeros(16, ["zz"]),
         "negzero32.json": _negative_zeros(32, ["zz"]),
         "negzerofar16.json": _far_negative_zeros(16),
+        # a chain that declares alpha = 0, so that a falsy alpha reaches avgcost's default m
+        "flat16.json": {"n": 16, "d": 1, "alpha": 0.0, "terms": [
+            {"sigma": "z", "sigma2": "z", "entries": _chain_entries(16, 0.0, [1.0] * 120)}]},
         "onsite8.json": {"n": 8, "d": 1, "terms": [
             {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.0, [1.0, -1.0] * 14)}],
             "onsite": {"z": [0.3, -0.1, 0.0, 0.2, 0.0, 0.4, -0.5, 0.0]}},
@@ -212,6 +217,7 @@ def commands() -> list[list[str]]:
         "compile --n 8 --method hamming2 --pauli xx",
         "compile --n 8 --method lowrank --cutoff 2 --out {tmp}/step.txt",
         "compile --n 8 --method avgcost --count-only --out {tmp}/cost.json",
+        "compile --input {golden}/flat16.json --method avgcost --count-only",
         # alternating signs past n=16: counts, and a lowered step whose far composites reach BLAS
         "compile --n 256 --method lowrank --signs alternating --count-only",
         "compile --n 256 --method avgcost --alpha 1.5 --signs alternating --count-only",
@@ -251,6 +257,15 @@ def commands() -> list[list[str]]:
         "error-sweep --input {golden}/negzero8.json --method sequential --p 1",
         "error-sweep --n 4 --pauli xz --method avgcost --m 1",
         "error-sweep --n 4 --p 4",
+    ]
+    # block: a lowered step and its count, its distance on Z-only and XX+ZZ specs, and its error sweep
+    lines += [
+        "compile --method block --n 8",
+        "compile --method block --n 8 --count-only",
+        "verify --method block --n 8",
+        "verify --method block --n 16",
+        "verify --method block --input {golden}/negzero8.json",
+        "error-sweep --method block --n 8",
     ]
     # cost-report: every method at small n
     for method in ("sequential", "block", "avgcost", "lowrank"):
@@ -337,6 +352,9 @@ def commands() -> list[list[str]]:
         "rank-profile --n 8 --cutoff 1 --tol 0",
         "compile --n 6 --method lowrank",
         "compile --n 8 --method avgcost --m 9",
+        "verify --method block --n 12",
+        "compile --method block --n 32",  # the top cross block's 2^32-entry phase table
+        "error-sweep --method block --pauli xz",
         "verify --n 4 --p 3",
         "cost-report --method lowrank --n-sweep 16,32",
         "compile --n 8 --t 1e308 --method lowrank --count-only",
@@ -407,7 +425,7 @@ def run(argv: list[str], tmp: Path) -> dict:
         return text.replace("{golden}", str(SPECS)).replace("{tmp}", str(tmp))
 
     def unfill(text: str) -> str:
-        return text.replace(str(SPECS), "{golden}").replace(str(tmp), "{tmp}")
+        return _MEMORY.sub("{memory}", text.replace(str(SPECS), "{golden}").replace(str(tmp), "{tmp}"))
 
     out, err = io.StringIO(), io.StringIO()
     with _usage_width(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:

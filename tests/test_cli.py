@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trotterforge.cli import main
+from trotterforge.costmodel import STEP_METHODS
 from trotterforge.hamlib import PauliKind, build_power_law, spec_to_dict
 
 
@@ -230,7 +231,7 @@ def test_z_only_verify_needs_neither_eigh_nor_svd(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "8", "--method", method, "--cutoff", "2", "--signs", "seeded-random"]
-    for method in ("sequential", "lowrank", "avgcost")
+    for method in ("sequential", "lowrank", "avgcost", "block")
 ] + [["error-sweep", "--n", "6", "--p", "1"], ["error-sweep", "--n", "8", "--method", "avgcost", "--d", "1"]])
 def test_z_only_verify_and_error_sweep_build_no_dense_matrix(capsys, monkeypatch, argv):
     def never(*args, **kwargs):
@@ -284,6 +285,9 @@ GOLDEN_STEPS = {
     ("avgcost", 1): ("41357095b150c3afbfacb23c935049f2444ef763fbd06a904ff3b3e5db7af2d8", 1302, 0.5062008100510957),
     ("avgcost", 2): ("669fd3160b3aab9d791d4c18d55468c4246ae1b164519dd92fab2a1b58e5374e", 2342, 0.12789633513985513),
     ("avgcost", 4): ("6961c95c841da70f892df05e46ab3ff8ec7c143f37d52747dad74eafdd41a4c8", 9342, 0.00259276561688633),
+    ("block", 1): ("888da41e4e031f1641407ed1c04a83909726ce26cd6aa4f66a187eacea41077b", 3046, 0.5062008100510957),
+    ("block", 2): ("07fedf3fb2fb8ac4780633230152635a264b654d4483618d36c643bff6a51437", 5670, 0.12789633513985513),
+    ("block", 4): ("708857d0c43dfe4bcb545acc1782b23c505d3c883d86bf30e7745f497e8d2ada", 22654, 0.00259276561688633),
 }
 
 
@@ -414,13 +418,13 @@ def test_cost_report_sequential(capsys):
     assert abs(fitted - 2.0) <= 0.1
 
 
-@pytest.mark.parametrize("method", ["avgcost", "lowrank"])
+@pytest.mark.parametrize("method", ["avgcost", "lowrank", "block"])
 def test_cost_report_counts_what_compile_counts(capsys, method):
     flags = ["--method", method, "--alpha", "1.5", "--t", "1", "--eps", "1e-8", "--tol", "1e-8"]
     rc, out = run_cli(capsys, "compile", "--n", "64", "--count-only", *flags)
     assert rc == 0
     gates = json.loads(out)["gates"]
-    assert gates == {"avgcost": 58556, "lowrank": 34160}[method]
+    assert gates == {"avgcost": 58556, "lowrank": 34160, "block": 115600}[method]
     rc, out = run_cli(capsys, "cost-report", "--n-sweep", "64,128,256,512", *flags)
     assert rc == 0
     assert out.splitlines()[1].split(",")[:5] == [method, "1.5", "1", "64", str(gates)]
@@ -495,6 +499,18 @@ def exit_code_and_stderr(capsys, argv):
     except SystemExit as exc:
         rc = exc.code
     return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,methods", [
+    ("compile", STEP_METHODS + ("hamming2",)),
+    ("verify", STEP_METHODS),
+    ("error-sweep", STEP_METHODS),
+    ("cost-report", STEP_METHODS),
+])
+def test_every_step_command_takes_the_one_list_of_step_methods(capsys, command, methods):
+    rc, err = exit_code_and_stderr(capsys, [command, "--method", "bogus"])
+    assert rc == 64
+    assert re.findall(r"--method\s+\{([^}]*)\}", err) == [",".join(methods)]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -521,6 +522,15 @@ def test_compile_method_maps_eps_tol_and_m_onto_the_compilers():
     assert want.gate_count != compile_block_step(spec, 1.0, 2, count_only=True).gate_count
     with pytest.raises(DomainError):
         compile_method("mystery", spec, 1.0, 2, 1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-300])
+def test_avgcost_default_m_reads_a_declared_alpha_of_zero(alpha):
+    # a declared alpha of 0 is a power law, not a missing one: it subdivides as alpha 1e-300 does, not as 1
+    spec = dataclasses.replace(build_power_law(16, 1, 1.0), alpha=alpha)
+    assert balanced_subdivision(16, alpha, 0.1) == 5 != balanced_subdivision(16, 1.0, 0.1)
+    step = compile_method("avgcost", spec, 0.1, 2, 1e-3, count_only=True)
+    assert step.gate_count == compile_avgcost_step(spec, 0.1, 5, 2, count_only=True).gate_count == 3648
 
 
 def test_lowrank_fit_divides_by_the_width_the_counts_use():
