@@ -1,9 +1,9 @@
 """Trotter-step compilers.
 
 The four step compilers take the product-formula order p as ``formula``
-(1 Lie-Trotter, 2 Strang, 4 Suzuki). ``make_product_formula`` builds its
-schedule in closed form as two read-only arrays: the stage of each entry and
-its fraction of the step. Five lowering strategies:
+(1 Lie-Trotter, 2 Strang, 4 Suzuki). ``make_product_formula`` lists its
+schedule as (stage, fraction) pairs in order, and ``_stage_runs`` counts its
+entries in closed form. Five lowering strategies:
 
 * sequential — one Pauli exponential per term, every term its own stage;
   its count takes how often the schedule runs each stage in closed form;
@@ -71,80 +71,40 @@ from .lowrank import singular_truncation, truncated_svd
 SUPPORTED_ORDERS = (1, 2, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class ProductFormula:
-    """Stage schedule of an order-p splitting, as two read-only arrays.
-
-    Entry i runs stage ``stages[i]`` (1-based) for ``fractions[i]`` of the
-    step; the fractions of each stage sum to 1.
-    """
-
-    p: int
-    stage_count: int
-    stages: np.ndarray
-    fractions: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_order(self.p)
-        if self.stage_count < 1:
-            raise ValidationError("need at least one stage")
-        idx = np.asarray(self.stages, dtype=np.int64)
-        frac = np.asarray(self.fractions, dtype=float)
-        if idx.ndim != 1 or idx.shape != frac.shape:
-            raise ValidationError(f"stages {idx.shape} and fractions {frac.shape} need one 1-D length")
-        bad = idx[(idx < 1) | (idx > self.stage_count)]
-        if bad.size:
-            raise ValidationError(f"stage index {bad[0]} out of range")
-        # bincount adds the weights in schedule order, as a running sum per stage would
-        totals = np.bincount(idx, weights=frac, minlength=self.stage_count + 1)[1:]
-        off = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
-        if off.size:
-            total = float(totals[off[0]])
-            raise ValidationError(f"stage {off[0] + 1} fractions sum to {total}, not 1")
-        # the caller may still hold writeable input; make_product_formula hands its arrays over
-        if idx.flags.writeable:
-            idx = idx.copy()
-            idx.setflags(write=False)
-        if frac.flags.writeable:
-            frac = frac.copy()
-            frac.setflags(write=False)
-        object.__setattr__(self, "stages", idx)
-        object.__setattr__(self, "fractions", frac)
-
-    def __reduce__(self):
-        # unpickling runs the constructor, so the arrays come back read-only
-        return (ProductFormula, (self.p, self.stage_count, self.stages, self.fractions))
-
-
 def _check_order(p: int) -> None:
     if p not in SUPPORTED_ORDERS:
         raise DomainError(f"order must be one of {SUPPORTED_ORDERS}, got {p}")
 
 
-def make_product_formula(p: int, stage_count: int) -> ProductFormula:
-    """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion."""
+def make_product_formula(p: int, stage_count: int) -> list[tuple[int, float]]:
+    """Lie-Trotter (p=1), Strang (p=2), or the p=4 Suzuki recursion, as its (stage, fraction) entries in order.
+
+    Entry (i, f) runs stage i (1-based) for f of the step; the fractions of each stage sum to 1.
+    """
     _check_order(p)
     if stage_count < 1:
         raise ValidationError("need at least one stage")
     if p == 1:
-        return _handed_over(p, stage_count, np.arange(1, stage_count + 1), np.ones(stage_count))
+        return [(i, 1.0) for i in range(1, stage_count + 1)]
     # Strang: stages 1..S-1 for half a step, S for a whole one, then S-1..1 again
-    stages = np.concatenate([np.arange(1, stage_count), np.arange(stage_count, 0, -1)])
-    fractions = np.full(stages.size, 0.5)
-    fractions[stage_count - 1] = 1.0
-    if p == 4:
-        # five scaled Strang segments; a segment's last stage 1 meets the next one's first
-        u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-        segments = np.array([u, u, 1.0 - 4.0 * u, u, u])
-        stages = np.tile(stages, segments.size)
-        fractions = (segments[:, None] * fractions).ravel()
-        starts = np.flatnonzero(np.diff(stages, prepend=0))
-        stages, fractions = stages[starts], np.add.reduceat(fractions, starts)
-    return _handed_over(p, stage_count, stages, fractions)
+    half = [(i, 0.5) for i in range(1, stage_count)]
+    strang = half + [(stage_count, 1.0)] + half[::-1]
+    if p == 2:
+        return strang
+    # five scaled Strang segments; a segment's last stage 1 meets the next one's first, and the two merge
+    u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+    schedule: list[tuple[int, float]] = []
+    for scale in (u, u, 1.0 - 4.0 * u, u, u):
+        for stage, frac in strang:
+            if schedule and schedule[-1][0] == stage:
+                schedule[-1] = (stage, schedule[-1][1] + scale * frac)
+            else:
+                schedule.append((stage, scale * frac))
+    return schedule
 
 
 def _stage_runs(p: int, stage_count: int, first: int, last: int) -> int:
-    """How many entries of ``make_product_formula(p, stage_count).stages`` lie in first..last.
+    """How many entries of ``make_product_formula(p, stage_count)`` run a stage in first..last.
 
     Strang runs every stage twice but stage S, the middle, once. Suzuki's five
     Strang segments run each stage ten times, but stage S five and stage 1 six:
@@ -158,13 +118,6 @@ def _stage_runs(p: int, stage_count: int, first: int, last: int) -> int:
     if p == 2:
         return 2 * span - (last == stage_count)
     return 10 * span - 4 * (first == 1) - 5 * (last == stage_count)
-
-
-def _handed_over(p: int, stage_count: int, stages: np.ndarray, fractions: np.ndarray) -> ProductFormula:
-    """The formula over arrays no one else holds, marked read-only so the constructor keeps them uncopied."""
-    stages.setflags(write=False)
-    fractions.setflags(write=False)
-    return ProductFormula(p, stage_count, stages, fractions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +245,8 @@ def compile_sequential_step(
         return CompiledStep("sequential", t, count, None, phase)
     _check_lowering_memory("sequential", spec.n, count)  # every gate here costs 1
     terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
-    fr = make_product_formula(formula, term_count)
     gates: list[Gate] = []
-    for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
+    for idx, frac in make_product_formula(formula, term_count):
         string, coeff = terms[idx - 1]
         gates.extend(pauli_string_exponential(string, frac * t * coeff, spec.n).gates)
     circuit = Circuit(spec.n, tuple(gates))
@@ -425,10 +377,9 @@ def _compile_stages(
         stages.append(None)
     if not stages:
         raise ValidationError("spec has no terms to compile")
-    fr = make_product_formula(formula, len(stages))
     onsite = _StageOp("onsite", int(sum(np.count_nonzero(vec) for vec in spec.on_site.values())))
     plan: list[tuple[float, dict[int, PauliKind], list[_StageOp]]] = []
-    for idx, frac in zip(fr.stages.tolist(), fr.fractions.tolist()):
+    for idx, frac in make_product_formula(formula, len(stages)):
         pair_key = stages[idx - 1]
         theta = frac * t
         if pair_key is None:
@@ -484,6 +435,7 @@ def compile_lowrank_step(
     dec = lowrank_decompose(spec.n, cutoff_size)
     width = phase_register_width(spec.n, t, eps)
     remainder = dec.remainder_regions()
+    zz_cost = sequential_term_cost((PauliKind.Z, PauliKind.Z))  # one ZZ exponential of a ladder
     memo = BlockMemo() if memo is None else memo
 
     def factor(block: np.ndarray):
@@ -498,7 +450,7 @@ def compile_lowrank_step(
                 ops.append(_StageOp("far", len(p.left) * rank * width, p.left, p.right, (block, rank, factor)))
         for region in remainder:
             sub = mat.block(region)
-            ops.append(_StageOp("ladder", 3 * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
+            ops.append(_StageOp("ladder", zz_cost * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
     return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)

@@ -212,8 +212,10 @@ class IndexRegion:
 class HamiltonianSpec:
     """n-site, d-dimensional 2-local system in the Pauli basis.
 
-    alpha, when set, asserts the exact power law |beta_{j,k}| = 1/dist(j,k)^alpha
-    for every stored 2-local entry.
+    alpha is the declared power-law exponent, and nothing checks it against the
+    entries: ``build_power_law`` sets it, a spec file's alpha is read as given,
+    avgcost's default m reads it, and ``amplification_ratios`` applies its 2^alpha
+    bound only where every pair has |beta_{j,k}| = 1/dist(j,k)^alpha.
     """
 
     n: int
@@ -528,6 +530,13 @@ def _parse_field(field: str, parse, value):
         raise ValidationError(f"spec field {field} is malformed: {exc}") from None
 
 
+def _integer(value) -> int:
+    """An int, or a float that holds one such as 4.0; a bool, a string or a fraction is refused."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
     if not isinstance(doc, Mapping):
         raise ValidationError("spec document must be a JSON object")
@@ -536,7 +545,7 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
         raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
     if "n" not in doc or "d" not in doc:
         raise ValidationError("spec document needs at least n and d")
-    n, d = _parse_field("n", int, doc["n"]), _parse_field("d", int, doc["d"])
+    n, d = _parse_field("n", _integer, doc["n"]), _parse_field("d", _integer, doc["d"])
     HamiltonianSpec(n, d, {}, {})  # validates the lattice shape before any n x n allocation
     two_local: dict[tuple[PauliKind, PauliKind], CoeffMatrix] = {}
     terms = doc.get("terms", [])

@@ -89,6 +89,16 @@ def _entries_spec(row: list) -> dict:
     return {"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 1.0], row, [3, 4, 0.25]]}]}
 
 
+# n and d as a fraction, a bool or a string, which are refused, and as integral floats, which are read as integers
+_COUNT_FIELDS = {
+    "n_fraction": {"n": 4.7, "d": 1},
+    "n_true": {"n": True, "d": 1},
+    "n_string": {"n": "4", "d": 1},
+    "d_fraction": {"n": 4, "d": 1.9},
+    "integral_floats": {"n": 4.0, "d": 1.0},
+}
+
+
 def spec_documents() -> dict[str, dict]:
     """Every spec file the corpus reads, by file name."""
     mixed = {
@@ -118,6 +128,7 @@ def spec_documents() -> dict[str, dict]:
         "malformed.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]},
         # entry rows that are not three numbers, each beside well-formed rows
         **{f"entries_{name}.json": _entries_spec(row) for name, row in _ODD_ROWS.items()},
+        **{f"count_{name}.json": fields for name, fields in _COUNT_FIELDS.items()},
     }
 
 
@@ -262,6 +273,9 @@ def commands() -> list[list[str]]:
     lines += [
         "compile --method block --n 8",
         "compile --method block --n 8 --count-only",
+        "compile --method block --n 8 --p 1",
+        "compile --method block --n 8 --p 4",
+        "verify --method block --n 8 --p 4",
         "verify --method block --n 8",
         "verify --method block --n 16",
         "verify --method block --input {golden}/negzero8.json",
@@ -345,6 +359,7 @@ def commands() -> list[list[str]]:
         "build --n 4 --signs seeded-random --seed -1",
         "build --input {golden}/malformed.json",
         *[f"build --input {{golden}}/entries_{name}.json" for name in _ODD_ROWS],
+        *[f"build --input {{golden}}/count_{name}.json" for name in _COUNT_FIELDS],
         "build --input {tmp}/missing.json",
         "decompose --variant subdivision --n 8",
         "decompose --variant lowrank --n 16 --cutoff 3",

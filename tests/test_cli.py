@@ -571,11 +571,16 @@ def test_non_finite_or_malformed_numbers_are_usage_errors(capsys, argv):
         ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 1%s, 0.5]]}]}' % ("0" * 400),
          "spec field entries of (z,z) is malformed"),
         ('{"n": 1e400, "d": 1}', "spec field n is malformed"),
+        # read with int() before, so 4.7 built 4 sites, true 1 site and d 1.9 a chain, all with exit 0
+        ('{"n": 4.7, "d": 1}', "spec field n is malformed: expected an integer, got 4.7"),
+        ('{"n": true, "d": 1}', "spec field n is malformed: expected an integer, got True"),
+        ('{"n": "4", "d": 1}', "spec field n is malformed: expected an integer, got '4'"),
+        ('{"n": 4, "d": 1.9}', "spec field d is malformed: expected an integer, got 1.9"),
     ],
     ids=["short-entry", "text-value", "repeated-pair", "text-n", "onsite-list", "nan-onsite",
          "nan-alpha", "inf-identity", "negative-n", "terms-number", "sigma-number", "flat-entries",
          "fractional-index", "index-2-to-70", "range-after-valid-pair", "second-occurrence",
-         "index-past-float-range", "n-past-float-range"],
+         "index-past-float-range", "n-past-float-range", "fractional-n", "bool-n", "string-n", "fractional-d"],
 )
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, message, command):

@@ -483,6 +483,9 @@ def test_spec_json_roundtrip():
     assert again.n == spec.n and again.d == spec.d and again.alpha == spec.alpha
     key = (PauliKind.X, PauliKind.Y)
     assert coeff_entries(again.two_local[key]) == pytest.approx(coeff_entries(spec.two_local[key]))
+    # n and d written as integral floats are read as the integers they hold
+    again = spec_from_json('{"n": 4.0, "d": 1.0}')
+    assert (again.n, again.d) == (4, 1) and type(again.n) is type(again.d) is int
 
 
 def test_spec_json_rejects_unknown_fields():
