@@ -391,6 +391,10 @@ def commands() -> list[list[str]]:
         "decompose",
         "frobnicate",
         "bound nonsense --mu 1",
+        # abbreviated flags are unrecognized, never read as --method or --n-sweep
+        "cost-report --m 4",
+        "cost-report --method sequential --m 4",
+        "cost-report --method sequential --n 64,128,256,512",
     ]
     # the README examples
     lines += [
