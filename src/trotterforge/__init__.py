@@ -1,5 +1,13 @@
 """Compilers and resource analyzers for fast Trotter steps on power-law systems."""
 
+import os
+import sys
+
+# OpenBLAS reads this once, as numpy loads: idle workers spin 2^24 cycles, not 2^28, before they sleep
+_OPENBLAS_THREAD_TIMEOUT = "24"
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+
 from .errors import (
     CapacityError,
     DimensionError,

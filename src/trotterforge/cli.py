@@ -67,6 +67,9 @@ SWEEP_ORDERS = tuple(q for q in SUPPORTED_ORDERS if q in PAULI_COMMUTATOR_ORDERS
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # --m is never read as --method
+
     def error(self, message):  # noqa: A003 - argparse hook
         self.print_usage(sys.stderr)
         sys.stderr.write(f"usage error: {message}\n")
