@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_memory
+from .errors import DomainError, ValidationError, check_float_range, check_memory
 from .hamlib import PAULI_MATRICES, PauliKind
 from .trotter import fermionic_error_norms, steps_for
 
@@ -43,6 +43,8 @@ class ElectronicSystem:
         nu = np.array(self.nu, dtype=float)
         if tau.shape != (self.n, self.n) or nu.shape != (self.n, self.n):
             raise ValidationError(f"tau and nu must both be {self.n}x{self.n}")
+        if not (np.isfinite(tau).all() and np.isfinite(nu).all()):
+            raise ValidationError("tau and nu entries must be finite")
         if np.abs(tau - tau.conj().T).max() > 1e-12:
             raise ValidationError("tau must be Hermitian")
         if np.abs(nu - nu.T).max() > 1e-12 or np.abs(np.diag(nu)).max() > 0:
@@ -98,7 +100,7 @@ def build_uniform_electron_gas(
         nu = n ** (1.0 / 3.0) / (2.0 * omega ** (1.0 / 3.0) * dist)
     np.fill_diagonal(nu, 0.0)
 
-    scale = (n / omega) ** (2.0 / 3.0) / 2.0
+    scale = check_float_range((n / omega) ** (2.0 / 3.0) / 2.0, f"the kinetic scale at n={n}, omega={omega!r}")
     tau = np.zeros((n, n))
     np.fill_diagonal(tau, 6.0 * scale)
     strides = np.array([g * g, g, 1])

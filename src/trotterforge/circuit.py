@@ -427,24 +427,26 @@ def pauli_string_exponential(
     qubits = [q for q, _ in string]
     if len(set(qubits)) != len(qubits):
         raise ValidationError("Pauli string repeats a qubit")
-    active = sorted((q, p) for q, p in string if p != PauliKind.I)
     nq = qubit_count if qubit_count is not None else max(qubits)
-    if not active:
+    if all(p == PauliKind.I for _, p in string):
         if abs(math.remainder(theta, 2.0 * math.pi)) > 1e-15:
             raise ValidationError("identity string with nonzero angle has no circuit")
         return Circuit(nq, ())
-    gates: list[Gate] = []
-    for q, p in active:
-        gates.extend(gate(q) for gate in _BASIS_CHANGE_PRE[p])
-    qs = [q for q, _ in active]
-    for q in qs[:-1]:
-        gates.append(CNOT(q, qs[-1]))
-    gates.append(PauliRotation("z", qs[-1], 2.0 * theta))
-    for q in reversed(qs[:-1]):
-        gates.append(CNOT(q, qs[-1]))
-    for q, p in reversed(active):
-        gates.extend(gate(q) for gate in _BASIS_CHANGE_POST[p])
-    return Circuit(nq, tuple(gates))
+    return Circuit(nq, tuple(_exponential_gates(string, theta)))
+
+
+def _exponential_gates(string: Iterable[tuple[int, PauliKind]], theta: float) -> list[Gate]:
+    """The gates of exp(-i theta P), unchecked: a string of distinct qubits with an X, Y or Z factor.
+
+    The one emitter of Pauli exponentials: ``pauli_string_exponential`` and the compilers call it."""
+    active = sorted((q, p) for q, p in string if p != PauliKind.I)
+    *ladder, top = [q for q, _ in active]  # a CNOT ladder onto the highest qubit
+    gates: list[Gate] = [gate(q) for q, p in active for gate in _BASIS_CHANGE_PRE[p]]
+    gates += [CNOT(q, top) for q in ladder]
+    gates.append(PauliRotation("z", top, 2.0 * theta))
+    gates += [CNOT(q, top) for q in reversed(ladder)]
+    gates += [gate(q) for q, p in reversed(active) for gate in _BASIS_CHANGE_POST[p]]
+    return gates
 
 
 def circuit_text(c: Circuit) -> str:

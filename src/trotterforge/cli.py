@@ -70,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)  # --m is never read as --method
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser refuses what it does not know, so a subcommand's bad flag prints that subcommand's usage
+        parsed, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return parsed, unknown
+
     def error(self, message):  # noqa: A003 - argparse hook
         self.print_usage(sys.stderr)
         sys.stderr.write(f"usage error: {message}\n")

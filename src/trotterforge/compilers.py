@@ -14,12 +14,12 @@ entries in closed form. Five lowering strategies:
 * block      — one composite per nonzero bisection cross block, costed as its qubitized boxed encoding;
 * hamming2   — the binary-to-unary phase gadget over two index registers.
 
-lowrank, avgcost and block share one stage plan: per schedule entry, the stage's
-basis change and a list of ops (diagonal composites, ZZ ladders, on-site
-rotations), each with its declared cost and the array slice it lowers from.
-The gate count is the sum of the declared costs; the circuit is the same
-plan lowered, so the two agree by construction. Lowering a composite builds
-its phase table with one matmul over the +-1 signs of its sites; count-only
+lowrank, avgcost and block share one stage plan: per schedule entry, one flat
+list of ops (basis changes, diagonal composites, ZZ ladders, on-site rotations),
+each with its declared cost and the data it lowers from. Every gate belongs to
+one op: the gate count is the sum of the op costs, and the circuit is the same
+ops lowered in order, so the two agree by construction. Lowering a composite
+builds its phase table with one matmul over the +-1 signs of its sites; count-only
 mode returns before lowering, which is sized against memory first. Verification-mode
 circuits are exact: the only approximations are the product formula and low-rank truncation.
 
@@ -46,6 +46,7 @@ import numpy as np
 
 from .blockenc import block_prep_cost, block_select_cost, cell_prep_cost, cell_select_cost, qubitization_step_count
 from .circuit import (
+    _exponential_gates,
     Circuit,
     CompositeDiagonalPhase,
     ControlledPhase,
@@ -211,14 +212,9 @@ def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int
 
 # -- sequential ---------------------------------------------------------------
 
-# gates of one axis's basis change and its inverse, counted from the gates it emits
-_AXIS_OVERHEAD = {p: sum(map(len, basis_change(p, 1))) for p in (PauliKind.X, PauliKind.Y, PauliKind.Z)}
-
-
 def sequential_term_cost(axes: Sequence[PauliKind]) -> int:
-    """Gate count of one Pauli exponential over X, Y and Z axes (a spec holds no I factor): basis changes +
-    CNOT ladder + Rz."""
-    return sum(_AXIS_OVERHEAD[p] for p in axes) + 2 * (len(axes) - 1) + 1
+    """Gate count of one Pauli exponential over X, Y and Z axes (a spec holds no I factor)."""
+    return pauli_string_exponential(list(enumerate(axes, 1)), 0.0).cost()
 
 
 def compile_sequential_step(
@@ -248,7 +244,7 @@ def compile_sequential_step(
     gates: list[Gate] = []
     for idx, frac in make_product_formula(formula, term_count):
         string, coeff = terms[idx - 1]
-        gates.extend(pauli_string_exponential(string, frac * t * coeff, spec.n).gates)
+        gates.extend(_exponential_gates(string, frac * t * coeff))
     circuit = Circuit(spec.n, tuple(gates))
     return CompiledStep("sequential", t, count, circuit, phase)
 
@@ -271,8 +267,14 @@ def _stage_axis_map(mat: CoeffMatrix, s1: PauliKind, s2: PauliKind) -> dict[int,
     return axis
 
 
-def _wrap_cost(axis: dict[int, PauliKind]) -> int:
-    return sum(_AXIS_OVERHEAD[p] for p in axis.values())
+# (pre, post) gate counts of one axis's change into the Z basis and back, counted from the gates it emits
+_AXIS_GATES = {p: tuple(map(len, basis_change(p, 1))) for p in (PauliKind.X, PauliKind.Y, PauliKind.Z)}
+
+
+def _basis_ops(mat: CoeffMatrix, s1: PauliKind, s2: PauliKind) -> list[_StageOp]:
+    """The stage's change into the Z basis and its change back, one ``basis`` op each."""
+    changes = sorted(_stage_axis_map(mat, s1, s2).items())
+    return [_StageOp("basis", sum(_AXIS_GATES[p][side] for _, p in changes), data=(changes, side)) for side in (0, 1)]
 
 
 def phase_register_width(n: int, t: float, eps: float) -> int:
@@ -300,7 +302,9 @@ class _StageOp:
       (block, cells), the pair's cross block and each cell's (region, cost), A the cell's view;
     * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
       entry [r, c] couples sites rows[r] and cols[c];
-    * ``onsite``: one rotation per nonzero on-site coefficient.
+    * ``onsite``: one rotation per (kind, site, coefficient) of ``data``, a nonzero on-site term;
+    * ``basis``: ``data`` is (changes, side), the stage's sorted (site, axis) pairs and which
+      half of ``basis_change`` to emit for each: 0 into the Z basis, 1 back out of it.
     """
 
     kind: str
@@ -310,19 +314,17 @@ class _StageOp:
     data: object = None
 
 
-def _op_gates(op: _StageOp, theta: float, spec: HamiltonianSpec) -> list[Gate]:
+def _op_gates(op: _StageOp, theta: float) -> list[Gate]:
+    if op.kind == "basis":
+        changes, side = op.data
+        return [g for q, p in changes for g in basis_change(p, q)[side]]
     if op.kind == "onsite":
-        return [
-            PauliRotation(kinds[0].value, q, 2.0 * theta * c)
-            for kinds, coeffs in spec.term_groups()
-            if len(kinds) == 1
-            for (q,), c in nonzero_terms(coeffs)
-        ]
+        return [PauliRotation(axis, q, 2.0 * theta * c) for axis, q, c in op.data]
     if op.kind == "ladder":
         gates = []
         for r, c in zip(*np.nonzero(op.data)):
             string = [(op.rows[r], PauliKind.Z), (op.cols[c], PauliKind.Z)]
-            gates.extend(pauli_string_exponential(string, theta * float(op.data[r, c]), spec.n).gates)
+            gates.extend(_exponential_gates(string, theta * float(op.data[r, c])))
         return gates
     if op.kind == "far":
         block, rank, factor = op.data
@@ -364,47 +366,40 @@ def _compile_stages(
     count_only: bool,
     stage_ops: Callable[[CoeffMatrix, float], list[_StageOp]],
 ) -> CompiledStep:
-    """Plan every schedule entry of the group stages, then count or lower the plan.
+    """Plan every schedule entry of the group stages as one flat op list, then count or lower the plan.
 
     The stages are one per (sigma, sigma') matrix, then one on-site stage
-    (``None``) if any field is nonzero. A two-local stage is the basis change
-    of its axis map, the ops ``stage_ops(matrix, theta)`` lists, and the
-    inverse basis change; the on-site stage is one rotation op. The gate count
-    is the sum of the declared costs, and the circuit is the same plan lowered.
+    (``None``) if any field is nonzero. A two-local stage is its ``basis`` op
+    into the Z basis, the ops ``stage_ops(matrix, theta)`` lists and its
+    ``basis`` op back; the on-site stage is one rotation op. The count is the
+    sum of the op costs, and the circuit is the same ops lowered in order.
     """
     stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
-    if any(np.any(vec != 0.0) for vec in spec.on_site.values()):
+    terms = [(kind.value, q, c) for kind, vec in spec.on_site.items() for (q,), c in nonzero_terms(vec)]
+    if terms:
         stages.append(None)
     if not stages:
         raise ValidationError("spec has no terms to compile")
-    onsite = _StageOp("onsite", int(sum(np.count_nonzero(vec) for vec in spec.on_site.values())))
-    plan: list[tuple[float, dict[int, PauliKind], list[_StageOp]]] = []
+    onsite = _StageOp("onsite", len(terms), data=terms)
+    plan: list[tuple[float, list[_StageOp]]] = []
     for idx, frac in make_product_formula(formula, len(stages)):
         pair_key = stages[idx - 1]
         theta = frac * t
         if pair_key is None:
-            plan.append((theta, {}, [onsite]))
+            plan.append((theta, [onsite]))
         else:
             mat = spec.two_local[pair_key]
-            plan.append((theta, _stage_axis_map(mat, *pair_key), stage_ops(mat, theta)))
-    count = sum(_wrap_cost(axis) + sum(op.cost for op in ops) for _, axis, ops in plan)
+            pre, post = _basis_ops(mat, *pair_key)
+            plan.append((theta, [pre, *stage_ops(mat, theta), post]))
+    count = sum(op.cost for _, ops in plan for op in ops)
     phase = t * spec.identity
     if count_only:
         return CompiledStep(method, t, count, None, phase)
-    composites = [c for _, _, ops in plan for op in ops for c in _composites(op)]
+    composites = [c for _, ops in plan for op in ops for c in _composites(op)]
     # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
     tables = [8 << k for k, _ in composites]
     _check_lowering_memory(method, spec.n, count - sum(cost - 1 for _, cost in composites), tables)
-    gates: list[Gate] = []
-    for theta, axis, ops in plan:
-        changes = [basis_change(axis[q], q) for q in sorted(axis)]
-        for pre, _ in changes:
-            gates.extend(pre)
-        for op in ops:
-            gates.extend(_op_gates(op, theta, spec))
-        for _, post in changes:
-            gates.extend(post)
-    circuit = Circuit(spec.n, tuple(gates))
+    circuit = Circuit(spec.n, tuple(g for theta, ops in plan for op in ops for g in _op_gates(op, theta)))
     return CompiledStep(method, t, count, circuit, phase)
 
 

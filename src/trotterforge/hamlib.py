@@ -480,17 +480,28 @@ def spec_to_json(spec: HamiltonianSpec) -> str:
     return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)
 
 
+def _numeric(value):
+    """``value``, unless it or an item of it as a list is a bool or a string (float() and numpy take both)."""
+    bad = next((v for v in (value if isinstance(value, list) else [value]) if isinstance(v, (bool, str))), None)
+    if bad is not None:
+        raise ValueError(f"expected a number, got {bad!r}")
+    return value
+
+
 def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, values) of one group's [j, k, value] entries, as (m, 2) and (m,) float arrays.
 
     Raises ValueError unless the entries form an (m, 3) array whose indices
     are integers below 2^53 (which a float holds exactly), with no repeated
-    pair; a repeat is reported at its second occurrence in file order.
+    pair; a repeat is reported at its second occurrence in file order. A JSON
+    list of three-element lists may hold no bool or string either.
     """
     rows = None
-    # a JSON list of three-element lists is read in two C-level passes and one fromiter;
+    # a JSON list of three-element lists is read in three C-level passes and one fromiter;
     # anything else, or a value fromiter refuses, goes through np.array, which names the fault
     if type(entries) is list and set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        if not set(map(type, itertools.chain.from_iterable(entries))).isdisjoint((bool, str)):
+            _numeric(list(itertools.chain.from_iterable(entries)))  # raises, naming the first such value
         try:
             rows = np.fromiter(itertools.chain.from_iterable(entries), float, count=3 * len(entries)).reshape(-1, 3)
         except (TypeError, ValueError, OverflowError):
@@ -571,7 +582,7 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
     if not isinstance(onsite, Mapping):
         raise ValidationError("spec field onsite must be a JSON object")
     on_site = {
-        PauliKind.from_tag(tag): _parse_field(f"onsite.{tag}", lambda vec: np.array(vec, dtype=float), vec)
+        PauliKind.from_tag(tag): _parse_field(f"onsite.{tag}", lambda vec: np.array(_numeric(vec), dtype=float), vec)
         for tag, vec in onsite.items()
     }
     alpha = doc.get("alpha")
@@ -580,8 +591,8 @@ def spec_from_dict(doc: Mapping) -> HamiltonianSpec:
         d,
         two_local,
         on_site,
-        identity=_parse_field("identity", float, doc.get("identity", 0.0)),
-        alpha=None if alpha is None else _parse_field("alpha", float, alpha),
+        identity=_parse_field("identity", lambda v: float(_numeric(v)), doc.get("identity", 0.0)),
+        alpha=None if alpha is None else _parse_field("alpha", lambda v: float(_numeric(v)), alpha),
     )
 
 

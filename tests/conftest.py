@@ -1,8 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from trotterforge.hamlib import CoeffMatrix, _entry_columns, nonzero_terms
+
+# every hypothesis test draws the same examples on every run (derandomize also turns the example
+# database off); a test's own @settings, such as its max_examples, still applies on top
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def coeff_matrix(n, entries):

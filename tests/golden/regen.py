@@ -72,7 +72,8 @@ def _far_negative_zeros(n: int) -> dict:
     return {"n": n, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": entries}]}
 
 
-# one odd row each: its length, a value JSON writes as a string, null, a list or true, an index past 2^64
+# one odd row each: its length, a value JSON writes as a string, null, a list or true, an index past 2^64,
+# an index written as true
 _ODD_ROWS = {
     "row2": [2, 3],
     "row4": [2, 3, 0.5, 1.0],
@@ -81,6 +82,7 @@ _ODD_ROWS = {
     "nested": [2, 3, [0.5]],
     "true": [2, 3, True],
     "hugeindex": [10**400, 3, 0.5],
+    "trueindex": [True, 3, 0.5],
 }
 
 
@@ -96,6 +98,12 @@ _COUNT_FIELDS = {
     "n_string": {"n": "4", "d": 1},
     "d_fraction": {"n": 4, "d": 1.9},
     "integral_floats": {"n": 4.0, "d": 1.0},
+}
+# identity, an on-site field and alpha as a string or a bool, which are refused
+_NUMBER_FIELDS = {
+    "identity_string": {"n": 4, "d": 1, "identity": "0.5"},
+    "onsite_string": {"n": 4, "d": 1, "onsite": {"z": ["1", 0, 0, 0]}},
+    "alpha_true": {"n": 4, "d": 1, "alpha": True},
 }
 
 
@@ -129,6 +137,7 @@ def spec_documents() -> dict[str, dict]:
         # entry rows that are not three numbers, each beside well-formed rows
         **{f"entries_{name}.json": _entries_spec(row) for name, row in _ODD_ROWS.items()},
         **{f"count_{name}.json": fields for name, fields in _COUNT_FIELDS.items()},
+        **{f"number_{name}.json": fields for name, fields in _NUMBER_FIELDS.items()},
     }
 
 
@@ -360,6 +369,7 @@ def commands() -> list[list[str]]:
         "build --input {golden}/malformed.json",
         *[f"build --input {{golden}}/entries_{name}.json" for name in _ODD_ROWS],
         *[f"build --input {{golden}}/count_{name}.json" for name in _COUNT_FIELDS],
+        *[f"build --input {{golden}}/number_{name}.json" for name in _NUMBER_FIELDS],
         "build --input {tmp}/missing.json",
         "decompose --variant subdivision --n 8",
         "decompose --variant lowrank --n 16 --cutoff 3",
@@ -376,6 +386,7 @@ def commands() -> list[list[str]]:
         "compile --n 4 --method avgcost --count-only --eps 5e-324",
         "cost-report --method block --t 1e308 --n-sweep 64,128,256,512",
         "chem --g-sweep 3 --step-grid 2 --t 1e200",
+        "chem --g-sweep 2,3 --eta 1 --omega 1e-320",  # the kinetic scale (n / omega)^(2/3) overflows
         "error-sweep --n 4 --pauli xz --t-values 1e200",
         # exit 0: where dist^alpha leaves the float range, 1 / dist^alpha is subnormal or 0
         "build --n 4 --alpha 2000",
@@ -395,6 +406,9 @@ def commands() -> list[list[str]]:
         "cost-report --m 4",
         "cost-report --method sequential --m 4",
         "cost-report --method sequential --n 64,128,256,512",
+        # a flag the subcommand does not take: that subcommand's usage, not the root's
+        "verify --n 8 --method lowrank --count-only",
+        "bound ham --b 64 --n 64 --eps 1e-3 --alpha 2",
     ]
     # the README examples
     lines += [

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_build_domain():
         build_uniform_electron_gas(3, 0.0)
 
 
+def test_a_kinetic_scale_past_the_float_range_is_a_capacity_error():
+    # (n / omega)^(2/3) / 2 overflows, where it used to give an infinite tau and a Hermiticity warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError, match=r"^the kinetic scale at n=8, omega=1e-320 exceeds the float range$"):
+            build_uniform_electron_gas(2, 1e-320)
+        assert np.isfinite(build_uniform_electron_gas(2, 1e-300).tau).all()
+
+
 # -- external potential ----------------------------------------------------------
 
 def test_external_potential_against_enumeration():
@@ -144,6 +154,17 @@ def test_system_validation():
         ElectronicSystem(8, 4, 1.0, np.eye(8), np.zeros((8, 8)), grid=3)
     with pytest.raises(ValidationError):
         ElectronicSystem(2, 1, 1.0, eye, zero, nuclei=((1.0, (0.5, 0.5)),))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_system_refuses_non_finite_coefficients(bad):
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the Hermiticity test warned before
+        with pytest.raises(ValidationError, match="^tau and nu entries must be finite$"):
+            ElectronicSystem(2, 1, 1.0, np.diag([bad, 1.0]), zero)
+        with pytest.raises(ValidationError, match="^tau and nu entries must be finite$"):
+            ElectronicSystem(2, 1, 1.0, eye, np.array([[0.0, bad], [bad, 0.0]]))
 
 
 # -- dense encoded instances ------------------------------------------------------

@@ -501,6 +501,20 @@ def exit_code_and_stderr(capsys, argv):
     return rc, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    ("cost-report --method sequential --m 4", "trotterforge cost-report [-h]"),
+    ("verify --n 8 --method lowrank --count-only", "trotterforge verify [-h]"),
+    ("bound ham --b 64 --n 64 --eps 1e-3 --alpha 2", "trotterforge bound [-h]"),
+    ("build --no-such-flag", "trotterforge build [-h]"),
+    ("--no-such-flag build --n 4", "trotterforge [-h]"),  # a root flag: the root's usage
+])
+def test_an_unrecognized_flag_prints_the_usage_of_the_parser_it_was_given_to(capsys, argv, usage):
+    rc, err = exit_code_and_stderr(capsys, argv.split())
+    assert rc == 64
+    assert err.startswith(f"usage: {usage}")
+    assert err.splitlines()[-1].startswith("usage error: unrecognized arguments: ")
+
+
 @pytest.mark.parametrize("command,methods", [
     ("compile", STEP_METHODS + ("hamming2",)),
     ("verify", STEP_METHODS),
@@ -576,11 +590,24 @@ def test_non_finite_or_malformed_numbers_are_usage_errors(capsys, argv):
         ('{"n": true, "d": 1}', "spec field n is malformed: expected an integer, got True"),
         ('{"n": "4", "d": 1}', "spec field n is malformed: expected an integer, got '4'"),
         ('{"n": 4, "d": 1.9}', "spec field d is malformed: expected an integer, got 1.9"),
+        # read with float() before, so true was 1 and "0.5" was 0.5, all with exit 0
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[true, 2, 0.5]]}]}',
+         "spec field entries of (z,z) is malformed: expected a number, got True"),
+        ('{"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, "0.5"]]}]}',
+         "spec field entries of (z,z) is malformed: expected a number, got '0.5'"),
+        ('{"n": 4, "d": 1, "identity": "0.5"}', "spec field identity is malformed: expected a number, got '0.5'"),
+        ('{"n": 4, "d": 1, "identity": false}', "spec field identity is malformed: expected a number, got False"),
+        ('{"n": 4, "d": 1, "onsite": {"z": ["1", 0, 0, 0]}}', "spec field onsite.z is malformed: expected a number, got '1'"),
+        ('{"n": 4, "d": 1, "onsite": {"x": [0, 0, true, 0]}}', "spec field onsite.x is malformed: expected a number, got True"),
+        ('{"n": 4, "d": 1, "alpha": true}', "spec field alpha is malformed: expected a number, got True"),
+        ('{"n": 4, "d": 1, "alpha": "2"}', "spec field alpha is malformed: expected a number, got '2'"),
     ],
     ids=["short-entry", "text-value", "repeated-pair", "text-n", "onsite-list", "nan-onsite",
          "nan-alpha", "inf-identity", "negative-n", "terms-number", "sigma-number", "flat-entries",
          "fractional-index", "index-2-to-70", "range-after-valid-pair", "second-occurrence",
-         "index-past-float-range", "n-past-float-range", "fractional-n", "bool-n", "string-n", "fractional-d"],
+         "index-past-float-range", "n-past-float-range", "fractional-n", "bool-n", "string-n", "fractional-d",
+         "bool-index", "string-value", "string-identity", "bool-identity", "string-onsite", "bool-onsite",
+         "bool-alpha", "string-alpha"],
 )
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, message, command):

@@ -14,6 +14,7 @@ from trotterforge.circuit import (
     circuit_text,
     circuit_to_unitary,
     exact_evolution,
+    gate_cost,
     pauli_string_exponential,
     spectral_distance,
 )
@@ -337,7 +338,7 @@ def test_every_far_op_holds_the_svd_of_its_own_block(monkeypatch):
     spec = mixed_group_spec(32)
     ops = []
     op_gates = compilers._op_gates
-    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta, spec: ops.append(op) or op_gates(op, theta, spec))
+    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta: ops.append(op) or op_gates(op, theta))
     compile_lowrank_step(spec, 0.2, 1e-6, 4, 2)
     far = [op for op in ops if op.kind == "far"]
     assert len(far) > len({(op.rows, op.cols) for op in far})  # several stages reuse the factors
@@ -731,8 +732,8 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
     seen = []
     op_gates = compilers._op_gates
 
-    def recording(op, theta, spec):
-        gates = op_gates(op, theta, spec)
+    def recording(op, theta):
+        gates = op_gates(op, theta)
         if op.kind in ("far", "cells"):
             seen.append((op, theta, gates))
         return gates
@@ -751,6 +752,37 @@ def test_phase_tables_match_closure_formulas_bit_for_bit(monkeypatch, n, pair, p
             want = [closure_phase(coupling, len(rows), theta, [(idx >> i) & 1 for i in range(k)]) for idx in range(1 << k)]
             assert gate.qubits == tuple(rows) + tuple(cols) and gate.cost == cost
             assert np.array_equal(gate.phases, want)
+
+
+STRUCTURED = {
+    "lowrank": lambda spec, p: compile_lowrank_step(spec, 0.3, 1e-9, 2, p),
+    "avgcost": lambda spec, p: compile_avgcost_step(spec, 0.3, 2, p),
+    "block": lambda spec, p: compile_block_step(spec, 0.3, p),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("method", sorted(STRUCTURED))
+def test_every_gate_of_a_structured_step_belongs_to_one_op(monkeypatch, method, p):
+    rng = np.random.default_rng(7)
+    xx = build_power_law(8, 1, 1.5, XX, "seeded-random", seed=1).two_local[XX]
+    zz = build_power_law(8, 1, 1.5, ZZ, "seeded-random", seed=2).two_local[ZZ]
+    spec = HamiltonianSpec(8, 1, {XX: xx, ZZ: zz}, {PauliKind.X: rng.normal(size=8), PauliKind.Z: rng.normal(size=8)})
+    lowered = []
+    op_gates = compilers._op_gates
+
+    def recording(op, theta):
+        lowered.append((op, op_gates(op, theta)))
+        return lowered[-1][1]
+
+    monkeypatch.setattr(compilers, "_op_gates", recording)
+    step = STRUCTURED[method](spec, p)
+    assert {"basis", "onsite"} <= {op.kind for op, _ in lowered}
+    recorded = [g for _, gates in lowered for g in gates]
+    assert len(recorded) == len(step.circuit.gates)
+    assert all(g is h for g, h in zip(recorded, step.circuit.gates))
+    for op, gates in lowered:
+        assert sum(map(gate_cost, gates)) == op.cost
 
 
 def test_gadget_tables_hold_one_pi_each():

@@ -463,8 +463,9 @@ def test_every_cell_is_a_view_of_its_pair_cross_block(monkeypatch):
 
     monkeypatch.setattr(CoeffMatrix, "block", block_copy)
     op_gates = compilers._op_gates
-    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta, spec: ops.append(op) or op_gates(op, theta, spec))
+    monkeypatch.setattr(compilers, "_op_gates", lambda op, theta: ops.append(op) or op_gates(op, theta))
     compile_method("avgcost", spec, 0.3, 2, 1e-3, m=3)
+    ops = [op for op in ops if op.kind == "cells"]  # the stage's basis ops read no block
     assert sum(len(op.data[1]) for op in ops) == 51  # nonempty cells over three schedule entries
     for op in ops:
         [pair] = [p for p in bisection_decompose(16).pairs if (p.left, p.right) == (op.rows, op.cols)]

@@ -509,7 +509,12 @@ def test_spec_json_rejects_malformed_documents(text):
 
 
 def entry_columns_reference(entries):
-    """The reference reader: np.array(entries, dtype=float) for every group, then the same checks."""
+    """The reference reader: a list of three-element lists refuses its first bool or string, then
+    np.array(entries, dtype=float) for every group, then the same checks."""
+    if type(entries) is list and all(type(row) is list and len(row) == 3 for row in entries):
+        bad = [v for row in entries for v in row if isinstance(v, (bool, str))]
+        if bad:
+            raise ValueError(f"expected a number, got {bad[0]!r}")
     rows = np.array(entries, dtype=float)
     if rows.shape == (0,):
         rows = rows.reshape(0, 3)
@@ -565,7 +570,7 @@ def test_entry_columns_match_np_array_and_the_checks(entries):
 @pytest.mark.parametrize("entries", [
     [],
     [[1, 2, 0.5]],
-    [[2, 3, -0.0], [1, 2, 1], [1, 3, "0.5"], [3, 4, True]],
+    [[2, 3, -0.0], [1, 2, 1], [1, 3, 0.5], [3, 4, 1]],
     [[2**21 + 1, 2**33, 0.5], [2**21, 2**33 + 2**32, -1.5]],  # distinct pairs with equal keys j 2^32 + k
     spec_to_dict(build_power_law(130, 1, 1.5, ZZ, "seeded-random", 2))["terms"][0]["entries"],
 ])
@@ -584,6 +589,9 @@ def test_well_formed_entries_never_reach_np_array(monkeypatch, entries):
     ([[1, 2, 0.5], [2**40, 2**41, 0.5], [1, 2, 0.1]], "pair (1, 2) appears twice"),
     ([[3, 4, 0.5], [-5, 1, 0.5], [3, 4, 0.1], [-5, 1, 0.1]], "pair (3, 4) appears twice"),
     ([[3, 4, 0.5], [1, 2.5, 0.5], [3, 4, 0.1]], "pair (1, 2.5) has an index that is not an integer below 2^53"),
+    # JSON true and "0.5" are not numbers, though float() reads them as 1.0 and 0.5
+    ([[1, 2, 0.5], [True, 3, 0.5], [1, 4, "0.5"]], "expected a number, got True"),
+    ([[1, 2, 0.5], [2, 3, "0.5"], [3, 4, True]], "expected a number, got '0.5'"),
 ])
 def test_entry_columns_name_the_first_fault_in_file_order(entries, message):
     with pytest.raises(ValueError) as info:
