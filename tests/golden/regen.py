@@ -134,6 +134,8 @@ def spec_documents() -> dict[str, dict]:
             {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.0, [1.0, -1.0] * 14)}],
             "onsite": {"z": [0.3, -0.1, 0.0, 0.2, 0.0, 0.4, -0.5, 0.0]}},
         "malformed.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]},
+        # one coupling whose controlled phase -4 beta leaves the float range
+        "entries_huge.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 1e308]]}]},
         # entry rows that are not three numbers, each beside well-formed rows
         **{f"entries_{name}.json": _entries_spec(row) for name, row in _ODD_ROWS.items()},
         **{f"count_{name}.json": fields for name, fields in _COUNT_FIELDS.items()},
@@ -383,6 +385,9 @@ def commands() -> list[list[str]]:
         "verify --n 4 --p 3",
         "cost-report --method lowrank --n-sweep 16,32",
         "compile --n 8 --t 1e308 --method lowrank --count-only",
+        # gate angles past the float range: a rotation's 2 t c, hamming2's controlled phase -4 beta
+        "compile --n 4 --t 1e308 --p 1",
+        "compile --input {golden}/entries_huge.json --method hamming2",
         "compile --n 4 --method avgcost --count-only --eps 5e-324",
         "cost-report --method block --t 1e308 --n-sweep 64,128,256,512",
         "chem --g-sweep 3 --step-grid 2 --t 1e200",
