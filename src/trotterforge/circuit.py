@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,49 +58,41 @@ _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
-@dataclass(frozen=True)
-class PauliRotation:
-    axis: str
-    qubit: int
-    angle: float
+class Gate(NamedTuple):
+    """A cost-1 gate: RX, RY, RZ, H or S on qubit q, or CNOT or CPHASE with control q and target q2.
 
-    def __post_init__(self) -> None:
-        if self.axis not in ("x", "y", "z"):
-            raise ValidationError(f"rotation axis must be x, y, or z, got {self.axis!r}")
-        if not math.isfinite(self.angle):
-            raise ValidationError("rotation angle must be finite")
+    RX, RY, RZ and CPHASE carry an angle; ``Circuit`` checks every gate against ``_GATE_SHAPES``.
+    """
 
+    name: str
+    q: int
+    q2: int | None = None
+    angle: float | None = None
 
-@dataclass(frozen=True)
-class Hadamard:
-    qubit: int
+    cost = 1
 
-
-@dataclass(frozen=True)
-class PhaseS:
-    qubit: int
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.q,) if self.q2 is None else (self.q, self.q2)
 
 
-@dataclass(frozen=True)
-class CNOT:
-    ctrl: int
-    tgt: int
-
-
-@dataclass(frozen=True)
-class ControlledPhase:
-    ctrl: int
-    tgt: int
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValidationError("controlled phase angle must be finite")
+# name -> (qubit count, takes an angle) of each cost-1 gate
+_GATE_SHAPES = {
+    "RX": (1, True),
+    "RY": (1, True),
+    "RZ": (1, True),
+    "H": (1, False),
+    "S": (1, False),
+    "CNOT": (2, False),
+    "CPHASE": (2, True),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class CompositeDiagonalPhase:
     """Exact diagonal unitary e^{i phases[idx]}, read-only table; bit i of idx is on qubits[i]."""
+
+    name = "COMPOSITE"
 
     qubits: tuple[int, ...]
     phases: np.ndarray
@@ -125,34 +117,30 @@ class CompositeDiagonalPhase:
         return (CompositeDiagonalPhase, (self.qubits, self.phases, self.cost))
 
 
-Gate = PauliRotation | Hadamard | PhaseS | CNOT | ControlledPhase | CompositeDiagonalPhase
-
-
-def gate_qubits(g: Gate) -> tuple[int, ...]:
-    if isinstance(g, (PauliRotation, Hadamard, PhaseS)):
-        return (g.qubit,)
-    if isinstance(g, (CNOT, ControlledPhase)):
-        return (g.ctrl, g.tgt)
-    return g.qubits
-
-
-def gate_cost(g: Gate) -> int:
-    if isinstance(g, CompositeDiagonalPhase):
-        return g.cost
-    return 1
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     qubit_count: int
-    gates: tuple[Gate, ...]
+    gates: tuple[Gate | CompositeDiagonalPhase, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.qubit_count < 1:
             raise ValidationError("circuit needs at least one qubit")
         for g in self.gates:
-            qs = gate_qubits(g)
+            shape = _GATE_SHAPES.get(g.name)
+            if shape is None:
+                if g.name != "COMPOSITE" or not hasattr(g, "phases"):  # a Gate may not pose as a composite
+                    raise ValidationError(f"unknown gate {g.name!r}")
+                qs = g.qubits
+            else:
+                count, angled = shape
+                qs = (g.q,) if g.q2 is None else (g.q, g.q2)
+                if len(qs) != count:
+                    raise ValidationError(f"gate {g} needs {count} qubit{'s' * (count > 1)}")
+                if (g.angle is not None) != angled:
+                    raise ValidationError(f"gate {g} {'needs an' if angled else 'takes no'} angle")
+                if angled and not math.isfinite(g.angle):
+                    raise ValidationError(f"{'controlled phase' if count == 2 else 'rotation'} angle must be finite")
             if len(set(qs)) != len(qs):
                 raise ValidationError(f"gate {g} repeats a qubit")
             for q in qs:
@@ -160,25 +148,20 @@ class Circuit:
                     raise ValidationError(f"gate {g} touches qubit {q} out of range")
 
     def cost(self) -> int:
-        return sum(gate_cost(g) for g in self.gates)
+        return sum(g.cost for g in self.gates)
 
 
-def _one_qubit_matrix(g: PauliRotation | Hadamard | PhaseS) -> np.ndarray:
-    if isinstance(g, PauliRotation):
-        p = PAULI_MATRICES[PauliKind(g.axis)]
-        return math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
-    if isinstance(g, Hadamard):
+def _one_qubit_matrix(g: Gate) -> np.ndarray:
+    if g.name == "H":
         return _H
-    return _S
+    if g.name == "S":
+        return _S
+    p = PAULI_MATRICES[PauliKind[g.name[1]]]  # RX, RY or RZ
+    return math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
 
 
-def _diagonal_phases(g: Gate) -> np.ndarray | None:
-    """Per-subindex phase angles for diagonal gates, index = sum bits 2^i."""
-    if isinstance(g, ControlledPhase):
-        return np.array([0.0, 0.0, 0.0, g.angle])
-    if isinstance(g, CompositeDiagonalPhase):
-        return g.phases
-    return None
+# the gates lowered as a phase table over their qubits: a CPHASE's is [0, 0, 0, angle]
+_PHASE_TABLE_GATES = ("CPHASE", "COMPOSITE")
 
 
 def _swap_cnot_rows(u: np.ndarray, ctrl: int, tgt: int, spare: np.ndarray) -> None:
@@ -220,13 +203,10 @@ def _apply_diagonal(u: np.ndarray, phases: np.ndarray, sub: np.ndarray) -> None:
     np.multiply(np.exp(1j * phases[sub])[:, None], u, out=u)
 
 
-_DIAGONAL_GATES = (ControlledPhase, CompositeDiagonalPhase)
-
-
 def _lowering_bytes(c: Circuit, cols: int) -> int:
     """Peak bytes of lowering c onto a (2^n, cols) block: the block, the spare a gate writes, and the
     phase-table indices, one per qubit tuple of a diagonal gate."""
-    tuples = {gate_qubits(g) for g in c.gates if isinstance(g, _DIAGONAL_GATES)}
+    tuples = {g.qubits for g in c.gates if g.name in _PHASE_TABLE_GATES}
     index_bytes = sum(_index_dtype(qs).itemsize for qs in tuples)
     return (2 * 16 * cols + index_bytes) << c.qubit_count
 
@@ -243,18 +223,17 @@ def apply_circuit(c: Circuit, block: np.ndarray) -> np.ndarray:
     subs: dict[tuple[int, ...], np.ndarray] = {}  # one phase-table index per qubit tuple
     u, spare = block, np.empty_like(block)  # a one-qubit gate writes the spare, then the two swap
     for g in c.gates:
-        if isinstance(g, CNOT):
-            _swap_cnot_rows(u, g.ctrl, g.tgt, spare)
-            continue
-        phases = _diagonal_phases(g)
-        if phases is not None:
-            qubits = gate_qubits(g)
+        if g.name == "CNOT":
+            _swap_cnot_rows(u, g.q, g.q2, spare)
+        elif g.name in _PHASE_TABLE_GATES:
+            qubits = g.qubits
             if qubits not in subs:
                 subs[qubits] = _diagonal_index(qubits, c.qubit_count)
+            phases = g.phases if g.name == "COMPOSITE" else np.array([0.0, 0.0, 0.0, g.angle])
             _apply_diagonal(u, phases, subs[qubits])
         else:
             # rows split as (bits above the qubit, its bit, bits below it x columns)
-            shape = (dim >> g.qubit, 2, (1 << (g.qubit - 1)) * cols)
+            shape = (dim >> g.q, 2, (1 << (g.q - 1)) * cols)
             np.matmul(_one_qubit_matrix(g), u.reshape(shape), out=spare.reshape(shape))
             u, spare = spare, u
     return u
@@ -268,13 +247,6 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     return apply_circuit(c, np.eye(dim, dtype=complex))
 
 
-def _is_diagonal_gate(g: Gate) -> bool:
-    """True for a CNOT and for every gate whose matrix is diagonal."""
-    if isinstance(g, PauliRotation):
-        return g.axis == "z"
-    return isinstance(g, (CNOT, PhaseS) + _DIAGONAL_GATES)
-
-
 def circuit_diagonal(c: Circuit) -> np.ndarray:
     """The 2^n diagonal of a diagonal circuit's unitary, bit-equal to ``circuit_to_unitary(c).diagonal()``.
 
@@ -284,14 +256,15 @@ def circuit_diagonal(c: Circuit) -> np.ndarray:
     not 1, because the one-qubit matmul rounds like the dense lowering's only from 4 columns on
     (fewer columns take other BLAS kernels).
     """
-    bad = next((g for g in c.gates if not _is_diagonal_gate(g)), None)
+    diagonal = ("CNOT", "RZ", "S", *_PHASE_TABLE_GATES)  # a CNOT, and every gate whose matrix is diagonal
+    bad = next((g for g in c.gates if g.name not in diagonal), None)
     if bad is not None:
         raise ValidationError(f"circuit is not diagonal: {bad} is not a CNOT or a diagonal gate")
     # bits[q] is the GF(2) mask of input bits that output bit q holds after the CNOTs
     bits = [1 << q for q in range(c.qubit_count)]
     for g in c.gates:
-        if isinstance(g, CNOT):
-            bits[g.tgt - 1] ^= bits[g.ctrl - 1]
+        if g.name == "CNOT":
+            bits[g.q2 - 1] ^= bits[g.q - 1]
     if any(mask != 1 << q for q, mask in enumerate(bits)):
         raise ValidationError("circuit is not diagonal: its CNOTs do not compose to the identity")
     dim = 1 << c.qubit_count
@@ -398,15 +371,15 @@ def subspace_distance(u: np.ndarray, v: np.ndarray, eta: int) -> float:
     return _spectral_norm(u[np.ix_(m, m)] - v[np.ix_(m, m)])
 
 
-# one-qubit gate classes, in temporal order, that take axis p to Z (pre) and back (post)
+# one-qubit gate names, in temporal order, that take axis p to Z (pre) and back (post)
 _BASIS_CHANGE_PRE = {
-    PauliKind.X: (Hadamard,),
-    PauliKind.Y: (PhaseS, PhaseS, PhaseS, Hadamard),
+    PauliKind.X: ("H",),
+    PauliKind.Y: ("S", "S", "S", "H"),
     PauliKind.Z: (),
 }
 _BASIS_CHANGE_POST = {
-    PauliKind.X: (Hadamard,),
-    PauliKind.Y: (Hadamard, PhaseS),
+    PauliKind.X: ("H",),
+    PauliKind.Y: ("H", "S"),
     PauliKind.Z: (),
 }
 
@@ -415,7 +388,7 @@ def basis_change(p: PauliKind, q: int) -> tuple[list[Gate], list[Gate]]:
     """(pre, post) gate lists conjugating axis p on qubit q to the Z axis."""
     if p == PauliKind.I:
         raise ValidationError("identity axis has no basis change")
-    return [gate(q) for gate in _BASIS_CHANGE_PRE[p]], [gate(q) for gate in _BASIS_CHANGE_POST[p]]
+    return [Gate(name, q) for name in _BASIS_CHANGE_PRE[p]], [Gate(name, q) for name in _BASIS_CHANGE_POST[p]]
 
 
 def pauli_string_exponential(
@@ -441,29 +414,23 @@ def _exponential_gates(string: Iterable[tuple[int, PauliKind]], theta: float) ->
     The one emitter of Pauli exponentials: ``pauli_string_exponential`` and the compilers call it."""
     active = sorted((q, p) for q, p in string if p != PauliKind.I)
     *ladder, top = [q for q, _ in active]  # a CNOT ladder onto the highest qubit
-    gates: list[Gate] = [gate(q) for q, p in active for gate in _BASIS_CHANGE_PRE[p]]
-    gates += [CNOT(q, top) for q in ladder]
-    gates.append(PauliRotation("z", top, 2.0 * theta))
-    gates += [CNOT(q, top) for q in reversed(ladder)]
-    gates += [gate(q) for q, p in reversed(active) for gate in _BASIS_CHANGE_POST[p]]
+    gates = [Gate(name, q) for q, p in active for name in _BASIS_CHANGE_PRE[p]]
+    gates += [Gate("CNOT", q, top) for q in ladder]
+    gates.append(Gate("RZ", top, None, 2.0 * theta))
+    gates += [Gate("CNOT", q, top) for q in reversed(ladder)]
+    gates += [Gate(name, q) for q, p in reversed(active) for name in _BASIS_CHANGE_POST[p]]
     return gates
 
 
 def circuit_text(c: Circuit) -> str:
-    """Line-per-gate export: GATE q[,q2][,angle]; composites with cost and qubits."""
+    """Line-per-gate export: NAME q[,q2][,angle]; composites with cost and qubits."""
     lines = []
     for g in c.gates:
-        if isinstance(g, PauliRotation):
-            lines.append(f"R{g.axis.upper()} {g.qubit},{g.angle!r}")
-        elif isinstance(g, Hadamard):
-            lines.append(f"H {g.qubit}")
-        elif isinstance(g, PhaseS):
-            lines.append(f"S {g.qubit}")
-        elif isinstance(g, CNOT):
-            lines.append(f"CNOT {g.ctrl},{g.tgt}")
-        elif isinstance(g, ControlledPhase):
-            lines.append(f"CPHASE {g.ctrl},{g.tgt},{g.angle!r}")
-        else:
+        if g.name == "COMPOSITE":
             qs = ",".join(str(q) for q in g.qubits)
             lines.append(f"COMPOSITE diagonal-phase cost={g.cost} qubits={qs}")
+        else:
+            q2 = "" if g.q2 is None else f",{g.q2}"
+            angle = "" if g.angle is None else f",{g.angle!r}"
+            lines.append(f"{g.name} {g.q}{q2}{angle}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -49,10 +49,7 @@ from .circuit import (
     _exponential_gates,
     Circuit,
     CompositeDiagonalPhase,
-    ControlledPhase,
     Gate,
-    Hadamard,
-    PauliRotation,
     basis_change,
     check_dense_capacity,
     circuit_diagonal,
@@ -190,7 +187,7 @@ def step_cost_json(step: CompiledStep) -> str:
     composites = []
     if step.circuit is not None:
         for g in step.circuit.gates:
-            if isinstance(g, CompositeDiagonalPhase):
+            if g.name == "COMPOSITE":
                 composites.append({"kind": "diagonal-phase", "cost": g.cost})
     doc = {"method": step.method, "gates": step.gate_count, "composites": composites}
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -314,12 +311,12 @@ class _StageOp:
     data: object = None
 
 
-def _op_gates(op: _StageOp, theta: float) -> list[Gate]:
+def _op_gates(op: _StageOp, theta: float) -> list[Gate | CompositeDiagonalPhase]:
     if op.kind == "basis":
         changes, side = op.data
         return [g for q, p in changes for g in basis_change(p, q)[side]]
     if op.kind == "onsite":
-        return [PauliRotation(axis, q, 2.0 * theta * c) for axis, q, c in op.data]
+        return [Gate(name, q, None, 2.0 * theta * c) for name, q, c in op.data]
     if op.kind == "ladder":
         gates = []
         for r, c in zip(*np.nonzero(op.data)):
@@ -375,7 +372,7 @@ def _compile_stages(
     sum of the op costs, and the circuit is the same ops lowered in order.
     """
     stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
-    terms = [(kind.value, q, c) for kind, vec in spec.on_site.items() for (q,), c in nonzero_terms(vec)]
+    terms = [(f"R{kind.name}", q, c) for kind, vec in spec.on_site.items() for (q,), c in nonzero_terms(vec)]
     if terms:
         stages.append(None)
     if not stages:
@@ -552,15 +549,17 @@ def compile_block_step(
 # -- Hamming-weight-2 reduction gadget ----------------------------------------
 
 
-def _binary_to_unary_pass(reg_start: int, reg_width: int, unary_start: int, tables: np.ndarray) -> list[Gate]:
+def _binary_to_unary_pass(
+    reg_start: int, reg_width: int, unary_start: int, tables: np.ndarray
+) -> list[Gate | CompositeDiagonalPhase]:
     """XOR the unary marker of the register's value; self-inverse. Row u of tables marks value u."""
     reg = tuple(range(reg_start, reg_start + reg_width))
-    gates: list[Gate] = []
+    gates: list[Gate | CompositeDiagonalPhase] = []
     for u, table in enumerate(tables):
         uq = unary_start + u
-        gates.append(Hadamard(uq))
+        gates.append(Gate("H", uq))
         gates.append(CompositeDiagonalPhase(reg + (uq,), table, 2 * reg_width + 1))
-        gates.append(Hadamard(uq))
+        gates.append(Gate("H", uq))
     return gates
 
 
@@ -585,9 +584,9 @@ def compile_hamming2_reduction(coeffs: CoeffMatrix) -> Circuit:
     tables.setflags(write=False)
     j_pass = _binary_to_unary_pass(1, reg_width, unary_start, tables)
     k_pass = _binary_to_unary_pass(1 + reg_width, reg_width, unary_start, tables)
-    gates: list[Gate] = list(j_pass) + list(k_pass)
+    gates = j_pass + k_pass
     for j, k, v in coeffs.nonzero_pairs():
-        gates.append(ControlledPhase(unary_start + j - 1, unary_start + k - 1, -4.0 * v))
+        gates.append(Gate("CPHASE", unary_start + j - 1, unary_start + k - 1, -4.0 * v))
     gates.extend(k_pass)
     gates.extend(j_pass)
     return Circuit(total, tuple(gates))

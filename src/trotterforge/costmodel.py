@@ -77,8 +77,12 @@ class ClassifiedRecurrence:
     ratio_spread: float
 
 
-def classify_recurrence(rec: Recurrence, sweep: Sequence[int] | None = None) -> ClassifiedRecurrence:
-    """Match the declared cost class against log_m(m1+m2); sanity-check numerically."""
+# the sizes, 2^4 ... 2^12, at which classify_recurrence checks its class against the numeric solution
+_CLASSIFY_SWEEP = tuple(1 << e for e in range(4, 13))
+
+
+def classify_recurrence(rec: Recurrence) -> ClassifiedRecurrence:
+    """Match the declared cost class against log_m(m1+m2); sanity-check numerically over ``_CLASSIFY_SWEEP``."""
     if rec.alpha_exp is None or rec.k is None:
         raise ValidationError("classification needs the declared (alpha_exp, k) of cost(n)")
     crit = math.log(rec.m1 + rec.m2, rec.m)
@@ -88,26 +92,21 @@ def classify_recurrence(rec: Recurrence, sweep: Sequence[int] | None = None) -> 
         case, exponent, log_power = "top", rec.alpha_exp, rec.k
     else:
         case, exponent, log_power = "boundary", rec.alpha_exp, rec.k + 1
-    if sweep is None:
-        sweep = [1 << e for e in range(4, 13)]
     ratios = []
-    for n in sweep:
+    for n in _CLASSIFY_SWEEP:
         cls = n**exponent * (math.log2(n) ** log_power if n > 1 else 1.0)
         ratios.append(solve_recurrence_numeric(rec, n) / cls)
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
     return ClassifiedRecurrence(case, exponent, log_power, crit, spread)
 
 
-def solve_coupled_recurrence(
-    n: int,
-    far_cost: Callable[[int], float],
-    c0: float = 1.0,
-    n0: int = 2,
-) -> float:
+def solve_coupled_recurrence(n: int, far_cost: Callable[[int], float]) -> float:
     """The two-function system tying the recursive cost to a near remainder:
 
     rec(n) = 2 rec(n/2) + near(n/2) + 3 far(n/2)
     near(n) = near(n/2) + 3 far(n/2)
+
+    with rec(n) = near(n) = 1 below n = 2.
     """
     if n < 1 or (n & (n - 1)) != 0:
         raise DomainError(f"coupled evaluation needs a power of two, got {n}")
@@ -115,15 +114,15 @@ def solve_coupled_recurrence(
     rec_cache: dict[int, float] = {}
 
     def near(x: int) -> float:
-        if x < n0:
-            return c0
+        if x < 2:
+            return 1.0
         if x not in near_cache:
             near_cache[x] = near(x // 2) + 3.0 * float(far_cost(x // 2))
         return near_cache[x]
 
     def rec(x: int) -> float:
-        if x < n0:
-            return c0
+        if x < 2:
+            return 1.0
         if x not in rec_cache:
             rec_cache[x] = 2.0 * rec(x // 2) + near(x // 2) + 3.0 * float(far_cost(x // 2))
         return rec_cache[x]

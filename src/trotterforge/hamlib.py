@@ -493,8 +493,8 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError unless the entries form an (m, 3) array whose indices
     are integers below 2^53 (which a float holds exactly), with no repeated
-    pair; a repeat is reported at its second occurrence in file order. A JSON
-    list of three-element lists may hold no bool or string either.
+    pair; a repeat is reported at its second occurrence in file order. No row,
+    as a list or a tuple, may hold a bool or a string either.
     """
     rows = None
     # a JSON list of three-element lists is read in three C-level passes and one fromiter;
@@ -507,6 +507,8 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray]:
         except (TypeError, ValueError, OverflowError):
             pass
     if rows is None:
+        if isinstance(entries, (list, tuple)):  # np.array would read True as 1.0 and "0.5" as 0.5
+            _numeric([v for row in entries if isinstance(row, (list, tuple)) for v in row])
         rows = np.array(entries, dtype=float)
     if rows.shape == (0,):
         rows = rows.reshape(0, 3)

@@ -9,13 +9,9 @@ from scipy.linalg import expm
 from conftest import coeff_entries, coeff_matrix
 import trotterforge.circuit as circuit_module
 from trotterforge.circuit import (
-    CNOT,
     Circuit,
     CompositeDiagonalPhase,
-    ControlledPhase,
-    Hadamard,
-    PauliRotation,
-    PhaseS,
+    Gate,
     apply_circuit,
     check_dense_capacity,
     circuit_diagonal,
@@ -105,19 +101,22 @@ _ORACLE_CNOT = np.array(
 )  # index = z_ctrl + 2 z_tgt
 
 
+_ORACLE_AXES = {"RX": X, "RY": Y, "RZ": Z}
+
+
 def oracle_gate(g):
     """(qubits, dense matrix) or (qubits, diagonal phase angles), index bit i on qubits[i]."""
-    if isinstance(g, PauliRotation):
-        p = PAULI_MATRICES[PauliKind(g.axis)]
-        return (g.qubit,), math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
-    if isinstance(g, Hadamard):
-        return (g.qubit,), _ORACLE_H
-    if isinstance(g, PhaseS):
-        return (g.qubit,), _ORACLE_S
-    if isinstance(g, CNOT):
-        return (g.ctrl, g.tgt), _ORACLE_CNOT
-    if isinstance(g, ControlledPhase):
-        return (g.ctrl, g.tgt), np.array([0.0, 0.0, 0.0, g.angle])
+    if g.name in _ORACLE_AXES:
+        p = _ORACLE_AXES[g.name]
+        return (g.q,), math.cos(g.angle / 2.0) * np.eye(2) - 1j * math.sin(g.angle / 2.0) * p
+    if g.name == "H":
+        return (g.q,), _ORACLE_H
+    if g.name == "S":
+        return (g.q,), _ORACLE_S
+    if g.name == "CNOT":
+        return (g.q, g.q2), _ORACLE_CNOT
+    if g.name == "CPHASE":
+        return (g.q, g.q2), np.array([0.0, 0.0, 0.0, g.angle])
     return g.qubits, g.phases
 
 
@@ -153,7 +152,7 @@ def max_err(u, v):
 
 def test_cnot_rz_cnot_is_zz_exponential():
     theta = 0.4
-    circ = Circuit(2, (CNOT(1, 2), PauliRotation("z", 2, 2 * theta), CNOT(1, 2)))
+    circ = Circuit(2, (Gate("CNOT", 1, 2), Gate("RZ", 2, None, 2 * theta), Gate("CNOT", 1, 2)))
     want = np.diag(np.exp(-1j * theta * np.array([1.0, -1.0, -1.0, 1.0])))
     assert max_err(circuit_to_unitary(circ), want) < 1e-12
 
@@ -191,16 +190,16 @@ def test_identity_string_rules():
 
 
 def test_gate_order_is_temporal():
-    circ = Circuit(1, (Hadamard(1), PhaseS(1)))
+    circ = Circuit(1, (Gate("H", 1), Gate("S", 1)))
     s = np.diag([1.0, 1j])
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     assert max_err(circuit_to_unitary(circ), s @ h) < 1e-12
 
 
 def test_diagonal_gates():
-    circ = Circuit(2, (ControlledPhase(1, 2, math.pi),))
+    circ = Circuit(2, (Gate("CPHASE", 1, 2, math.pi),))
     assert max_err(circuit_to_unitary(circ), np.diag([1, 1, 1, -1.0])) < 1e-12
-    circ = Circuit(2, (ControlledPhase(1, 2, 0.7),))
+    circ = Circuit(2, (Gate("CPHASE", 1, 2, 0.7),))
     assert max_err(circuit_to_unitary(circ), np.diag([1, 1, 1, np.exp(0.7j)])) < 1e-12
 
 
@@ -233,11 +232,49 @@ def test_composite_phase_table_is_checked_and_read_only():
     assert CompositeDiagonalPhase((2,), gate.phases, cost=1).phases is gate.phases
 
 
+@pytest.mark.parametrize("gate, message", [
+    pytest.param(Gate("T", 1), "^unknown gate 'T'$", id="unknown-name"),
+    pytest.param(Gate("rz", 1, None, 0.5), "^unknown gate 'rz'$", id="lowercase-name"),
+    pytest.param(Gate("COMPOSITE", 1), "^unknown gate 'COMPOSITE'$", id="gate-posing-as-composite"),
+    pytest.param(Gate("H", 1, 2), "needs 1 qubit$", id="h-on-two-qubits"),
+    pytest.param(Gate("CNOT", 1), "needs 2 qubits$", id="cnot-on-one-qubit"),
+    pytest.param(Gate("CPHASE", 1, None, 0.5), "needs 2 qubits$", id="cphase-on-one-qubit"),
+    pytest.param(Gate("S", 1, None, 0.5), "takes no angle$", id="s-with-angle"),
+    pytest.param(Gate("CNOT", 1, 2, 0.5), "takes no angle$", id="cnot-with-angle"),
+    pytest.param(Gate("RY", 1), "needs an angle$", id="rotation-without-angle"),
+    pytest.param(Gate("CPHASE", 1, 2), "needs an angle$", id="cphase-without-angle"),
+    *[pytest.param(Gate("RX", 1, None, bad), "^rotation angle must be finite$", id=f"rotation-{bad}")
+      for bad in (math.inf, -math.inf, math.nan)],
+    *[pytest.param(Gate("CPHASE", 1, 2, bad), "^controlled phase angle must be finite$", id=f"cphase-{bad}")
+      for bad in (math.inf, -math.inf, math.nan)],
+    pytest.param(Gate("CNOT", 1, 1), "repeats a qubit$", id="cnot-repeat"),
+    pytest.param(Gate("CPHASE", 2, 2, 0.5), "repeats a qubit$", id="cphase-repeat"),
+    pytest.param(CompositeDiagonalPhase((1, 1), np.zeros(4), cost=1), "repeats a qubit$", id="composite-repeat"),
+    pytest.param(Gate("H", 3), "touches qubit 3 out of range$", id="h-past-the-top"),
+    pytest.param(Gate("RZ", 0, None, 0.5), "touches qubit 0 out of range$", id="rotation-on-qubit-0"),
+    pytest.param(Gate("CNOT", 1, 3), "touches qubit 3 out of range$", id="cnot-target-past-the-top"),
+    pytest.param(CompositeDiagonalPhase((2, 3), np.zeros(4), cost=1), "touches qubit 3 out of range$",
+                 id="composite-past-the-top"),
+])
+def test_circuit_refuses_a_malformed_gate(gate, message):
+    with pytest.raises(ValidationError, match=message):
+        Circuit(2, (Gate("H", 1), gate))
+
+
+def test_gates_have_a_name_qubits_and_a_cost():
+    composite = CompositeDiagonalPhase((3, 1), np.zeros(4), cost=7)
+    gates = [Gate("RX", 2, None, 0.5), Gate("S", 1), Gate("CNOT", 3, 1), Gate("CPHASE", 1, 2, 0.5), composite]
+    assert [g.name for g in gates] == ["RX", "S", "CNOT", "CPHASE", "COMPOSITE"]
+    assert [g.qubits for g in gates] == [(2,), (1,), (3, 1), (1, 2), (3, 1)]
+    assert [g.cost for g in gates] == [1, 1, 1, 1, 7]
+    assert Circuit(3, gates).cost() == 11
+
+
 def test_circuit_validation(fake_physical_memory):
     with pytest.raises(ValidationError):
-        Circuit(2, (CNOT(1, 1),))
+        Circuit(2, (Gate("CNOT", 1, 1),))
     with pytest.raises(ValidationError):
-        Circuit(2, (Hadamard(3),))
+        Circuit(2, (Gate("H", 3),))
     fake_physical_memory(1)
     with pytest.raises(CapacityError, match=r"^lowering a 14-qubit circuit .* needs 8.0 GiB"):
         circuit_to_unitary(Circuit(14, ()))
@@ -251,9 +288,8 @@ def circuits(draw):
     n = draw(st.integers(1, 8))
     qubit = st.integers(1, n)
     kinds = [
-        st.builds(PauliRotation, st.sampled_from("xyz"), qubit, angles),
-        st.builds(Hadamard, qubit),
-        st.builds(PhaseS, qubit),
+        st.tuples(st.sampled_from(["RX", "RY", "RZ"]), qubit, angles).map(lambda a: Gate(a[0], a[1], None, a[2])),
+        st.tuples(st.sampled_from(["H", "S"]), qubit).map(lambda a: Gate(*a)),
         st.lists(qubit, min_size=1, max_size=min(n, 3), unique=True).flatmap(
             lambda qs: st.lists(angles, min_size=1 << len(qs), max_size=1 << len(qs)).map(
                 lambda table: CompositeDiagonalPhase(tuple(qs), table, cost=1)
@@ -263,9 +299,9 @@ def circuits(draw):
     if n >= 2:
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
         kinds += [
-            pair.map(lambda qs: CNOT(*qs)),
-            pair.map(lambda qs: ControlledPhase(*qs, math.pi)),
-            st.tuples(pair, angles).map(lambda a: ControlledPhase(*a[0], a[1])),
+            pair.map(lambda qs: Gate("CNOT", *qs)),
+            pair.map(lambda qs: Gate("CPHASE", *qs, math.pi)),
+            st.tuples(pair, angles).map(lambda a: Gate("CPHASE", *a[0], a[1])),
         ]
     return Circuit(n, tuple(draw(st.lists(st.one_of(kinds), max_size=16))))
 
@@ -289,9 +325,9 @@ def cnot_placements():
 @pytest.mark.parametrize("n, ctrl, tgt", list(cnot_placements()))
 def test_cnot_row_swap_matches_moveaxis_oracle(n, ctrl, tgt):
     # rotations first, so the CNOT permutes rows of a dense matrix
-    layer = [PauliRotation("y", q, 0.3 + 0.1 * q) for q in range(1, n + 1)]
-    layer += [PauliRotation("x", q, -0.2 * q) for q in range(1, n + 1)]
-    circ = Circuit(n, (*layer, CNOT(ctrl, tgt), Hadamard(ctrl), CNOT(tgt, ctrl)))
+    layer = [Gate("RY", q, None, 0.3 + 0.1 * q) for q in range(1, n + 1)]
+    layer += [Gate("RX", q, None, -0.2 * q) for q in range(1, n + 1)]
+    circ = Circuit(n, (*layer, Gate("CNOT", ctrl, tgt), Gate("H", ctrl), Gate("CNOT", tgt, ctrl)))
     assert np.array_equal(circuit_to_unitary(circ), moveaxis_lowering(circ))
 
 
@@ -316,9 +352,9 @@ def test_phase_table_index_is_built_once_per_qubit_tuple(monkeypatch):
     tuples = [(1, 3), (4, 2, 5), (1, 3), (5,), (4, 2, 5), (1, 3)]
     gates = []
     for qs in tuples:
-        gates += [CompositeDiagonalPhase(qs, rng.uniform(-3, 3, 1 << len(qs)), cost=1), Hadamard(qs[0])]
-    cz = ControlledPhase(1, 3, math.pi)
-    circ = Circuit(5, (*gates, cz, ControlledPhase(3, 1, 0.4), cz))
+        gates += [CompositeDiagonalPhase(qs, rng.uniform(-3, 3, 1 << len(qs)), cost=1), Gate("H", qs[0])]
+    cz = Gate("CPHASE", 1, 3, math.pi)
+    circ = Circuit(5, (*gates, cz, Gate("CPHASE", 3, 1, 0.4), cz))
     calls = []
     index = circuit_module._diagonal_index
     monkeypatch.setattr(circuit_module, "_diagonal_index", lambda qs, nq: calls.append(qs) or index(qs, nq))
@@ -465,18 +501,17 @@ def test_circuit_diagonal_equals_the_dense_diagonal_bit_for_bit(make_spec):
 @given(circuits())
 def test_a_circuit_conjugated_by_cnots_has_the_dense_diagonal(circ):
     n = circ.qubit_count
-    ladder = [g for g in circ.gates if isinstance(g, CNOT)]
-    body = [g for g in circ.gates if isinstance(g, (ControlledPhase, CompositeDiagonalPhase, PhaseS))
-            or (isinstance(g, PauliRotation) and g.axis == "z")]
+    ladder = [g for g in circ.gates if g.name == "CNOT"]
+    body = [g for g in circ.gates if g.name in ("CPHASE", "COMPOSITE", "S", "RZ")]
     diagonal = Circuit(n, (*ladder, *body, *reversed(ladder)))  # the CNOTs compose to the identity
     assert np.array_equal(circuit_diagonal(diagonal), circuit_to_unitary(diagonal).diagonal())
 
 
 @pytest.mark.parametrize("gates", [
-    pytest.param((CNOT(1, 2),), id="lone-cnot"),
-    pytest.param((CNOT(1, 2), CNOT(2, 1)), id="cnot-cycle"),
-    pytest.param((PauliRotation("z", 1, 0.3), Hadamard(2)), id="hadamard"),
-    pytest.param((PauliRotation("x", 2, 0.3),), id="x-rotation"),
+    pytest.param((Gate("CNOT", 1, 2),), id="lone-cnot"),
+    pytest.param((Gate("CNOT", 1, 2), Gate("CNOT", 2, 1)), id="cnot-cycle"),
+    pytest.param((Gate("RZ", 1, None, 0.3), Gate("H", 2)), id="hadamard"),
+    pytest.param((Gate("RX", 2, None, 0.3),), id="x-rotation"),
 ])
 def test_circuit_diagonal_rejects_a_circuit_that_is_not_diagonal(gates):
     with pytest.raises(ValidationError, match="not diagonal"):
@@ -488,8 +523,8 @@ def cnots_permute_no_basis_state(c):
     dim = 1 << c.qubit_count
     perm = np.arange(dim).reshape(dim, 1)
     for g in c.gates:
-        if isinstance(g, CNOT):
-            circuit_module._swap_cnot_rows(perm, g.ctrl, g.tgt, np.empty_like(perm))
+        if g.name == "CNOT":
+            circuit_module._swap_cnot_rows(perm, g.q, g.q2, np.empty_like(perm))
     return np.array_equal(perm[:, 0], np.arange(dim))
 
 
@@ -499,7 +534,7 @@ def cnot_sequences(draw):
     pairs = draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True), max_size=10))
     if draw(st.booleans()):  # a sequence followed by its mirror composes to the identity
         pairs += pairs[::-1]
-    return Circuit(n, tuple(CNOT(*qs) for qs in pairs))
+    return Circuit(n, tuple(Gate("CNOT", *qs) for qs in pairs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,7 +551,7 @@ def test_circuit_diagonal_is_sized_before_it_allocates(fake_physical_memory):
     fake_physical_memory(1)
     message = r"^lowering a 24-qubit diagonal circuit \(2\^24 x 4 blocks\) needs 2.0 GiB"
     with pytest.raises(CapacityError, match=message):
-        circuit_diagonal(Circuit(24, (CNOT(1, 2), CNOT(1, 2))))
+        circuit_diagonal(Circuit(24, (Gate("CNOT", 1, 2), Gate("CNOT", 1, 2))))
 
 
 @pytest.mark.parametrize("make_spec", DIAGONAL_SPECS)
@@ -715,6 +750,6 @@ def test_distance_shape_mismatch():
 
 
 def test_circuit_text_format():
-    circ = Circuit(2, (Hadamard(1), CNOT(1, 2), PauliRotation("z", 2, 0.5)))
+    circ = Circuit(2, (Gate("H", 1), Gate("CNOT", 1, 2), Gate("RZ", 2, None, 0.5)))
     lines = circuit_text(circ).strip().split("\n")
     assert lines == ["H 1", "CNOT 1,2", "RZ 2,0.5"]

@@ -36,6 +36,7 @@ from trotterforge.hamlib import (
     norms,
     nonzero_terms,
     pauli_table,
+    spec_from_dict,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
@@ -509,10 +510,10 @@ def test_spec_json_rejects_malformed_documents(text):
 
 
 def entry_columns_reference(entries):
-    """The reference reader: a list of three-element lists refuses its first bool or string, then
-    np.array(entries, dtype=float) for every group, then the same checks."""
-    if type(entries) is list and all(type(row) is list and len(row) == 3 for row in entries):
-        bad = [v for row in entries for v in row if isinstance(v, (bool, str))]
+    """The reference reader: a list or tuple of rows refuses the first bool or string in a list or
+    tuple row, then np.array(entries, dtype=float) for every group, then the same checks."""
+    if isinstance(entries, (list, tuple)):
+        bad = [v for row in entries if isinstance(row, (list, tuple)) for v in row if isinstance(v, (bool, str))]
         if bad:
             raise ValueError(f"expected a number, got {bad[0]!r}")
     rows = np.array(entries, dtype=float)
@@ -558,11 +559,12 @@ _ROWS = st.one_of(
     st.lists(_VALUES, max_size=4),  # ragged rows and nested lists
     st.tuples(st.integers(-1, 6), st.integers(-1, 6), _VALUES).map(list),  # mostly valid, with repeats
     st.tuples(st.integers(1, 4), st.integers(1, 4), st.floats()),  # a tuple row goes through np.array
+    st.tuples(_VALUES, st.integers(1, 4), _VALUES),  # and may hold a bool or a string
 )
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(st.lists(_ROWS, max_size=6), st.lists(_VALUES, max_size=4)))
+@given(st.one_of(st.lists(_ROWS, max_size=6), st.lists(_ROWS, max_size=6).map(tuple), st.lists(_VALUES, max_size=4)))
 def test_entry_columns_match_np_array_and_the_checks(entries):
     assert outcome(_entry_columns, entries) == outcome(entry_columns_reference, entries)
 
@@ -592,11 +594,27 @@ def test_well_formed_entries_never_reach_np_array(monkeypatch, entries):
     # JSON true and "0.5" are not numbers, though float() reads them as 1.0 and 0.5
     ([[1, 2, 0.5], [True, 3, 0.5], [1, 4, "0.5"]], "expected a number, got True"),
     ([[1, 2, 0.5], [2, 3, "0.5"], [3, 4, True]], "expected a number, got '0.5'"),
+    # rows that are not JSON lists take np.array, which reads both as numbers too
+    ([(True, 2, 0.5), (2, 3, "0.25")], "expected a number, got True"),
+    ([(1, 2, 0.5), (2, 3, "0.25")], "expected a number, got '0.25'"),
+    ([[1, 2, 0.5], (2, 3, 0.5), [3, 4, False]], "expected a number, got False"),
+    (([1, 2, 0.5], [True, 3, 0.5]), "expected a number, got True"),
+    (([1, 2, 0.5], [2, 3, "0.5"]), "expected a number, got '0.5'"),
 ])
 def test_entry_columns_name_the_first_fault_in_file_order(entries, message):
     with pytest.raises(ValueError) as info:
         _entry_columns(entries)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(True, 2, 0.5), (2, 3, "0.25")], "got True"),
+    (([1, 2, 0.5], [2, 3, "0.25"]), "got '0.25'"),
+])
+def test_spec_from_dict_refuses_a_bool_or_a_string_in_tuple_rows(entries, message):
+    doc = {"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": entries}]}
+    with pytest.raises(ValidationError, match=rf"^spec field entries of \(z,z\) is malformed: expected a number, {message}$"):
+        spec_from_dict(doc)
 
 
 @pytest.fixture
