@@ -133,6 +133,12 @@ def spec_documents() -> dict[str, dict]:
         "onsite8.json": {"n": 8, "d": 1, "terms": [
             {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.0, [1.0, -1.0] * 14)}],
             "onsite": {"z": [0.3, -0.1, 0.0, 0.2, 0.0, 0.4, -0.5, 0.0]}},
+        # X and Z fields on every site of a ZZ chain: two on-site kinds whose rotations do not commute
+        "onsite_xz8.json": {"n": 8, "d": 1, "alpha": 1.5, "terms": [
+            {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.5, [1.0] * 28)}],
+            "onsite": {"x": [0.5] * 8, "z": [0.3] * 8}},
+        # no term at all, only an identity offset
+        "identity4.json": {"n": 4, "d": 1, "terms": [], "onsite": {}, "identity": 0.5},
         "malformed.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]},
         # one coupling whose controlled phase -4 beta leaves the float range
         "entries_huge.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "sigma2": "z", "entries": [[1, 2, 1e308]]}]},
@@ -291,6 +297,16 @@ def commands() -> list[list[str]]:
         "verify --method block --n 16",
         "verify --method block --input {golden}/negzero8.json",
         "error-sweep --method block --n 8",
+    ]
+    # two non-commuting on-site kinds, each its own stage; a spec with no terms, the empty step
+    lines += [f"verify --input {{golden}}/onsite_xz8.json --method {method}" for method in ("lowrank", "avgcost", "block")]
+    lines += [
+        "error-sweep --input {golden}/onsite_xz8.json --method block --t-values 0.1,0.05,0.001",
+        "compile --input {golden}/onsite_xz8.json --method lowrank --p 4 --count-only",
+        "compile --input {golden}/identity4.json --method block --count-only",
+        "compile --input {golden}/identity4.json --method avgcost --count-only",
+        "compile --input {golden}/identity4.json --method lowrank --cutoff 2 --count-only",
+        "verify --input {golden}/identity4.json --method block",
     ]
     # cost-report: every method at small n
     for method in ("sequential", "block", "avgcost", "lowrank"):
