@@ -100,22 +100,17 @@ def _log_ratio(x: float, accuracy: float) -> float:
     return math.log(quotient) if math.isfinite(quotient) else math.log(x) - math.log(accuracy)
 
 
-def _pair_denominator(query: BoundQuery, accuracy: float) -> float:
-    """ln(C(b,2) |K|), or the parametric net form for arbitrary 2-qubit gates."""
-    pairs = math.comb(query.b, 2)
+def _denominator(query: BoundQuery, choices: int, accuracy: float) -> float:
+    """ln(choices |K|), or the parametric net form for arbitrary 2-qubit gates.
+
+    ``choices`` counts where one gate can act: C(b, 2) qubit pairs, or b qubits.
+    """
     if query.gate_set_size is None:
-        return query.c_compile * _log_ratio(pairs, accuracy)
-    if pairs * query.gate_set_size <= 1:
-        # one pair and one gate: zero information per step, the bound diverges
+        return query.c_compile * _log_ratio(choices, accuracy)
+    if choices * query.gate_set_size <= 1:
+        # one pair (b = 2) and one gate: zero information per step, the bound diverges
         raise DomainError("gate set carries no choice: ln(pairs * gates) is zero")
-    return math.log(pairs * query.gate_set_size)
-
-
-def _qubit_denominator(query: BoundQuery, accuracy: float) -> float:
-    """ln(b |K|) variant used by the discrete and coefficient-oracle bounds."""
-    if query.gate_set_size is None:
-        return query.c_compile * _log_ratio(query.b, accuracy)
-    return math.log(query.b * query.gate_set_size)
+    return math.log(choices * query.gate_set_size)
 
 
 def _finish(query: BoundQuery, raw: float, constants: dict, *, force_vacuous: bool = False) -> BoundResult:
@@ -154,7 +149,7 @@ def diag_synthesis_lower_bound(query: BoundQuery) -> BoundResult:
     if not (0.0 < query.theta_max < math.pi):
         raise DomainError(f"theta_max must lie in (0, pi), got {query.theta_max}")
     arc = _arc(query.delta)
-    denom = _pair_denominator(query, query.delta)
+    denom = _denominator(query, math.comb(query.b, 2), query.delta)
     raw = _volume(query.mu, _log_ratio(2.0 * query.theta_max, arc)) / denom
     constants = {"arc": arc, "denominator": denom}
     return _finish(query, raw, constants)
@@ -179,7 +174,7 @@ def commuting_ham_lower_bound(query: BoundQuery) -> BoundResult:
     delta_eff = HAM_DELTA_SCALE * query.eps
     theta_eff = min(query.t, THETA_CEILING)
     arc = _arc(delta_eff)
-    denom = _pair_denominator(query, delta_eff)
+    denom = _denominator(query, math.comb(query.b, 2), delta_eff)
     main = _float(n * n) * _log_ratio(2.0 * theta_eff, arc) / denom
     overhead = query.c_red * _float(n) * _log_ratio(n, query.eps) ** 2
     raw = main - overhead
@@ -197,7 +192,7 @@ def discrete_diag_lower_bound(query: BoundQuery) -> BoundResult:
     """Gate count for diagonal unitaries with m-bit phases, valid for
     2^-m <= delta <= 1/2."""
     _need(query, "mu", "delta", "m")
-    raw = _volume(query.mu, _log_ratio(1.0, query.delta)) / _qubit_denominator(query, query.delta)
+    raw = _volume(query.mu, _log_ratio(1.0, query.delta)) / _denominator(query, query.b, query.delta)
     outside = not (2.0**-query.m <= query.delta <= 0.5)
     return _finish(query, raw, {}, force_vacuous=outside)
 
@@ -208,7 +203,7 @@ def coeff_oracle_lower_bound(query: BoundQuery) -> BoundResult:
     _need(query, "n", "eps", "m")
     n = query.n
     inv = _log_ratio(1.0, query.eps)
-    main = _float(n * n) * inv / _qubit_denominator(query, query.eps)
+    main = _float(n * n) * inv / _denominator(query, query.b, query.eps)
     overhead = query.c_red * inv * inv
     raw = main - overhead
     constants = {"c_red": query.c_red, "main_term": main, "overhead": overhead}

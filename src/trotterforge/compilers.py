@@ -193,17 +193,20 @@ def step_cost_json(step: CompiledStep) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# Peak bytes per lowered gate object: tracemalloc measured 170-180 B on
-# sequential lowering at n=16-64 (Python 3.11), gate lists and terms included.
+# Peak bytes per lowered gate object: tracemalloc measured 131-167 B per gate on
+# sequential Strang lowering at n=16-128 (Python 3.11), gate lists and terms included.
 _GATE_BYTES = 180
+# Bytes per term of the term list sequential lowering holds beside its gates: tracemalloc
+# measured 324-393 B at n=16-256. At p=1 a ZZ term spans only three gates, too few to cover it.
+_TERM_BYTES = 400
 
 
-def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = ()) -> None:
-    """Raise CapacityError if ``gates`` gate objects and phase ``tables`` exceed physical memory.
+def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = (), terms: int = 0) -> None:
+    """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and a ``terms``-entry term list exceed physical memory.
 
     The largest table is built beside its coupling matrix and a transposed copy.
     """
-    need = gates * _GATE_BYTES + sum(tables) + 2 * max(tables, default=0)
+    need = gates * _GATE_BYTES + terms * _TERM_BYTES + sum(tables) + 2 * max(tables, default=0)
     check_memory(need, f"lowering the {method} step on {n} qubits ({gates} gates, {len(tables)} composites)")
 
 
@@ -236,7 +239,7 @@ def compile_sequential_step(
         start += size
     if count_only:
         return CompiledStep("sequential", t, count, None, phase)
-    _check_lowering_memory("sequential", spec.n, count)  # every gate here costs 1
+    _check_lowering_memory("sequential", spec.n, count, terms=term_count)  # every gate here costs 1
     terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
     gates: list[Gate] = []
     for idx, frac in make_product_formula(formula, term_count):
@@ -299,7 +302,7 @@ class _StageOp:
       (block, cells), the pair's cross block and each cell's (region, cost), A the cell's view;
     * ``ladder``: one ZZ CNOT ladder per nonzero of the slice ``data``, whose
       entry [r, c] couples sites rows[r] and cols[c];
-    * ``onsite``: one rotation per (kind, site, coefficient) of ``data``, a nonzero on-site term;
+    * ``onsite``: one rotation per (gate name, site, coefficient) of ``data``, the nonzero terms of one on-site kind;
     * ``basis``: ``data`` is (changes, side), the stage's sorted (site, axis) pairs and which
       half of ``basis_change`` to emit for each: 0 into the Z basis, 1 back out of it.
     """
@@ -363,31 +366,26 @@ def _compile_stages(
     count_only: bool,
     stage_ops: Callable[[CoeffMatrix, float], list[_StageOp]],
 ) -> CompiledStep:
-    """Plan every schedule entry of the group stages as one flat op list, then count or lower the plan.
+    """Plan every schedule entry of the term-group stages as one flat op list, then count or lower the plan.
 
-    The stages are one per (sigma, sigma') matrix, then one on-site stage
-    (``None``) if any field is nonzero. A two-local stage is its ``basis`` op
-    into the Z basis, the ops ``stage_ops(matrix, theta)`` lists and its
-    ``basis`` op back; the on-site stage is one rotation op. The count is the
-    sum of the op costs, and the circuit is the same ops lowered in order.
+    The stages are the groups of ``spec.term_groups()``, one each. A two-local
+    group is its ``basis`` op into the Z basis, the ops ``stage_ops(matrix, theta)``
+    lists and its ``basis`` op back; an on-site kind with a nonzero field is one
+    rotation op of that kind alone. A spec with no stage has the empty schedule.
+    The count is the sum of the op costs, and the circuit is the same ops lowered in order.
     """
-    stages: list[tuple[PauliKind, PauliKind] | None] = list(spec.two_local)
-    terms = [(f"R{kind.name}", q, c) for kind, vec in spec.on_site.items() for (q,), c in nonzero_terms(vec)]
-    if terms:
-        stages.append(None)
-    if not stages:
-        raise ValidationError("spec has no terms to compile")
-    onsite = _StageOp("onsite", len(terms), data=terms)
-    plan: list[tuple[float, list[_StageOp]]] = []
-    for idx, frac in make_product_formula(formula, len(stages)):
-        pair_key = stages[idx - 1]
-        theta = frac * t
-        if pair_key is None:
-            plan.append((theta, [onsite]))
-        else:
-            mat = spec.two_local[pair_key]
-            pre, post = _basis_ops(mat, *pair_key)
-            plan.append((theta, [pre, *stage_ops(mat, theta), post]))
+    _check_order(formula)
+    stages: list[Callable[[float], list[_StageOp]]] = []  # each stage's ops at a time theta
+    for kinds, coeffs in spec.term_groups():
+        if len(kinds) == 2:
+            mat = spec.two_local[kinds]
+            pre, post = _basis_ops(mat, *kinds)
+            stages.append(lambda theta, mat=mat, pre=pre, post=post: [pre, *stage_ops(mat, theta), post])
+        elif np.any(coeffs):
+            terms = [(f"R{kinds[0].name}", q, c) for (q,), c in nonzero_terms(coeffs)]
+            stages.append(lambda theta, op=_StageOp("onsite", len(terms), data=terms): [op])
+    schedule = make_product_formula(formula, len(stages)) if stages else []
+    plan = [(frac * t, stages[idx - 1](frac * t)) for idx, frac in schedule]
     count = sum(op.cost for _, ops in plan for op in ops)
     phase = t * spec.identity
     if count_only:

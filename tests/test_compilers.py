@@ -244,18 +244,24 @@ def test_sequential_count_allocates_under_a_mib():
         assert step.gate_count > 0 and peak < 2**20
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize("n", [32, 64])
-def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(n):
-    # Strang's step: each gate record, its slot in the gate list and the circuit's tuple, and the term list
+def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(monkeypatch, n, p):
+    # each gate record, its slot in the gate list and the circuit's tuple, and the term list,
+    # which at p = 1 holds more bytes than the three gates of each of its ZZ terms
     spec = build_power_law(n, 1, 1.5)
-    compile_sequential_step(build_power_law(4, 1, 1.5), 0.1, 2)  # one-off allocations of a first call
+    compile_sequential_step(build_power_law(4, 1, 1.5), 0.1, p)  # one-off allocations of a first call
+    charged = []
+    monkeypatch.setattr(compilers, "check_memory", lambda need, what: charged.append(need))
     tracemalloc.start()
     try:
-        step = compile_sequential_step(spec, 0.1, 2)
+        step = compile_sequential_step(spec, 0.1, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= step.gate_count * compilers._GATE_BYTES
+    terms = n * (n - 1) // 2
+    assert charged == [step.gate_count * compilers._GATE_BYTES + terms * compilers._TERM_BYTES]
+    assert peak <= charged[0]
 
 
 def test_sequential_rejects_a_bad_order_with_no_terms():
@@ -622,6 +628,39 @@ def test_two_stage_order_scaling(p):
     ]
     slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
     assert abs(slope - (p + 1)) < 0.25
+
+
+# every method, lowrank with a tolerance under round-off, so that no step truncates
+EXACT_COMPILERS = {
+    "sequential": compile_sequential_step,
+    "lowrank": lambda spec, t, p, **kw: compile_lowrank_step(spec, t, 1e-13, 2, p, **kw),
+    "avgcost": lambda spec, t, p, **kw: compile_avgcost_step(spec, t, 2, p, **kw),
+    "block": compile_block_step,
+}
+
+
+@pytest.mark.parametrize("kinds", ["x", "xz", "xyz"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_structured_steps_lower_to_the_sequential_unitary_with_on_site_fields(kinds, p):
+    # the terms of one ZZ group commute, and so do the rotations of one on-site kind, so a
+    # stage per term group exponentiates each stage exactly, as one stage per term does
+    rng = np.random.default_rng(len(kinds))
+    onsite = {PauliKind.from_tag(tag): rng.uniform(-0.6, 0.6, 8) for tag in kinds}
+    spec = HamiltonianSpec(8, 1, build_power_law(8, 1, 1.5, ZZ, "seeded-random", seed=p).two_local, onsite)
+    want = lowered_step_unitary(compile_sequential_step(spec, 0.2, p))
+    for method in ("lowrank", "avgcost", "block"):
+        got = lowered_step_unitary(EXACT_COMPILERS[method](spec, 0.2, p))
+        assert np.abs(got - want).max() <= 1e-12, method
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_a_spec_with_no_terms_is_the_empty_step_under_every_method(p):
+    spec = HamiltonianSpec(4, 1, {}, {PauliKind.X: np.zeros(4)}, identity=0.5)
+    for method, compile_step in EXACT_COMPILERS.items():
+        assert compile_step(spec, 0.1, p, count_only=True).gate_count == 0, method
+        step = compile_step(spec, 0.1, p)
+        assert step.gate_count == 0 and step.circuit.gates == (), method
+        assert step_distances(spec, [step]) == [0.0], method
 
 
 # -- Hamming-weight-2 reduction -------------------------------------------------------------
