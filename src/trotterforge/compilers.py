@@ -193,20 +193,24 @@ def step_cost_json(step: CompiledStep) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# Peak bytes per lowered gate object: tracemalloc measured 131-167 B per gate on
-# sequential Strang lowering at n=16-128 (Python 3.11), gate lists and terms included.
+# Peak bytes per gate object of a lowrank, avgcost or block lowering, beside its phase tables.
 _GATE_BYTES = 180
-# Bytes per term of the term list sequential lowering holds beside its gates: tracemalloc
-# measured 324-393 B at n=16-256. At p=1 a ZZ term spans only three gates, too few to cover it.
-_TERM_BYTES = 400
+# Peak bytes of a sequential lowering per gate, and per term of the term list it holds beside
+# its gates. Fitted to tracemalloc peaks of Lie-Trotter, Strang and fourth-order lowerings on
+# power-law chains at n=4-256 (Python 3.11), which hold 3, 6 and 30 gates per ZZ term: at
+# n=128-256 they read 235, 167 and 138 B per gate, against a charge of 243, 187 and 141.
+_SEQUENTIAL_GATE_BYTES = 130
+_TERM_BYTES = 340
 
 
-def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int] = (), terms: int = 0) -> None:
+def _check_lowering_memory(
+    method: str, n: int, gates: int, tables: Sequence[int] = (), terms: int = 0, gate_bytes: int = _GATE_BYTES
+) -> None:
     """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and a ``terms``-entry term list exceed physical memory.
 
     The largest table is built beside its coupling matrix and a transposed copy.
     """
-    need = gates * _GATE_BYTES + terms * _TERM_BYTES + sum(tables) + 2 * max(tables, default=0)
+    need = gates * gate_bytes + terms * _TERM_BYTES + sum(tables) + 2 * max(tables, default=0)
     check_memory(need, f"lowering the {method} step on {n} qubits ({gates} gates, {len(tables)} composites)")
 
 
@@ -239,7 +243,8 @@ def compile_sequential_step(
         start += size
     if count_only:
         return CompiledStep("sequential", t, count, None, phase)
-    _check_lowering_memory("sequential", spec.n, count, terms=term_count)  # every gate here costs 1
+    # every gate here costs 1, so count is the number of gate objects
+    _check_lowering_memory("sequential", spec.n, count, terms=term_count, gate_bytes=_SEQUENTIAL_GATE_BYTES)
     terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
     gates: list[Gate] = []
     for idx, frac in make_product_formula(formula, term_count):

@@ -248,7 +248,8 @@ def test_sequential_count_allocates_under_a_mib():
 @pytest.mark.parametrize("n", [32, 64])
 def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(monkeypatch, n, p):
     # each gate record, its slot in the gate list and the circuit's tuple, and the term list,
-    # which at p = 1 holds more bytes than the three gates of each of its ZZ terms
+    # which at p = 1 holds more bytes than the three gates of each of its ZZ terms; a gate
+    # record that holds a qubit tuple peaks past the charge at n = 64 and every p
     spec = build_power_law(n, 1, 1.5)
     compile_sequential_step(build_power_law(4, 1, 1.5), 0.1, p)  # one-off allocations of a first call
     charged = []
@@ -260,7 +261,7 @@ def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(monkeypatc
     finally:
         tracemalloc.stop()
     terms = n * (n - 1) // 2
-    assert charged == [step.gate_count * compilers._GATE_BYTES + terms * compilers._TERM_BYTES]
+    assert charged == [step.gate_count * compilers._SEQUENTIAL_GATE_BYTES + terms * compilers._TERM_BYTES]
     assert peak <= charged[0]
 
 
@@ -272,7 +273,7 @@ def test_sequential_rejects_a_bad_order_with_no_terms():
 
 def test_sequential_capacity_only_in_verification(fake_physical_memory):
     spec = build_power_law(15, 1, 2.0)
-    fake_physical_memory(5e-5)  # 52 KiB, under the 110 KiB of the 627 lowered gates
+    fake_physical_memory(5e-5)  # 52 KiB, under the 114 KiB charged for its 627 gates and 105 terms
     counted = compile_sequential_step(spec, 0.1, 2, count_only=True)
     assert counted.gate_count > 0
     with pytest.raises(CapacityError):
