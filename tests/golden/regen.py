@@ -137,6 +137,12 @@ def spec_documents() -> dict[str, dict]:
         "onsite_xz8.json": {"n": 8, "d": 1, "alpha": 1.5, "terms": [
             {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.5, [1.0] * 28)}],
             "onsite": {"x": [0.5] * 8, "z": [0.3] * 8}},
+        # an empty XX group beside the chain and both fields: sequential's groups hold no term,
+        # many terms and one term each, and the structured methods run four stages
+        "zerogroup8.json": {"n": 8, "d": 1, "alpha": 1.5, "terms": [
+            {"sigma": "x", "sigma2": "x", "entries": []},
+            {"sigma": "z", "sigma2": "z", "entries": _chain_entries(8, 1.5, [1.0] * 28)}],
+            "onsite": {"x": [0.5] * 8, "z": [0.3] * 8}},
         # no term at all, only an identity offset
         "identity4.json": {"n": 4, "d": 1, "terms": [], "onsite": {}, "identity": 0.5},
         "malformed.json": {"n": 4, "d": 1, "terms": [{"sigma": "z", "entries": [[1, 2, 1.0]]}]},
@@ -307,6 +313,17 @@ def commands() -> list[list[str]]:
         "compile --input {golden}/identity4.json --method avgcost --count-only",
         "compile --input {golden}/identity4.json --method lowrank --cutoff 2 --count-only",
         "verify --input {golden}/identity4.json --method block",
+    ]
+    # one run of stages per term group, an empty group among them
+    zero = "--input {golden}/zerogroup8.json --p 4"
+    lines += [
+        f"compile {zero} --method sequential",
+        f"compile {zero} --method sequential --count-only",
+        f"compile {zero} --method lowrank --cutoff 2 --count-only",
+        f"compile {zero} --method avgcost --count-only",
+        f"compile {zero} --method block --count-only",
+        f"verify {zero} --method sequential",
+        f"verify {zero} --method block",
     ]
     # cost-report: every method at small n
     for method in ("sequential", "block", "avgcost", "lowrank"):
