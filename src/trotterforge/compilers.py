@@ -2,11 +2,9 @@
 
 The four step compilers take the product-formula order p as ``formula``
 (1 Lie-Trotter, 2 Strang, 4 Suzuki). ``make_product_formula`` lists its
-schedule as (stage, fraction) pairs in order, and ``_stage_runs`` counts its
-entries in closed form. Five lowering strategies:
+schedule as (stage, fraction) pairs in order. Five lowering strategies:
 
 * sequential — one Pauli exponential per term, every term its own stage;
-  its count takes how often the schedule runs each stage in closed form;
 * lowrank    — far blocks become diagonal-phase composites built from
   truncated factors, near/within remainders stay sequential;
 * avgcost    — every nonempty subdivision cell becomes one diagonal-phase
@@ -14,11 +12,12 @@ entries in closed form. Five lowering strategies:
 * block      — one composite per nonzero bisection cross block, costed as its qubitized boxed encoding;
 * hamming2   — the binary-to-unary phase gadget over two index registers.
 
-lowrank, avgcost and block share one stage plan: per schedule entry, one flat
-list of ops (basis changes, diagonal composites, ZZ ladders, on-site rotations),
-each with its declared cost and the data it lowers from. Every gate belongs to
-one op: the gate count is the sum of the op costs, and the circuit is the same
-ops lowered in order, so the two agree by construction. Lowering a composite
+All four step methods plan runs of equal-cost stages: a sequential term group is a run of
+one stage per term, a structured method's a run of one stage. A stage is a flat list of ops
+(Pauli exponentials, basis changes, diagonal composites, ZZ ladders, on-site rotations), each
+with its declared cost and the data it lowers from. The count prices each run once per fraction
+the schedule runs it at, and the circuit is the same ops lowered in schedule order, so the
+two agree by construction. Lowering a composite
 builds its phase table with one matmul over the +-1 signs of its sites; count-only
 mode returns before lowering, which is sized against memory first. Verification-mode
 circuits are exact: the only approximations are the product formula and low-rank truncation.
@@ -37,6 +36,9 @@ memo unless the caller passes one, as a cost report does for its whole sweep.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -101,21 +103,20 @@ def make_product_formula(p: int, stage_count: int) -> list[tuple[int, float]]:
     return schedule
 
 
-def _stage_runs(p: int, stage_count: int, first: int, last: int) -> int:
-    """How many entries of ``make_product_formula(p, stage_count)`` run a stage in first..last.
+def _stage_fractions(p: int, stage_count: int, first: int, last: int) -> dict[float, int]:
+    """How many entries of ``make_product_formula(p, stage_count)`` run a stage in first..last, by fraction.
 
-    Strang runs every stage twice but stage S, the middle, once. Suzuki's five
-    Strang segments run each stage ten times, but stage S five and stage 1 six:
-    each of the four joins merges two runs of stage 1. A lone stage runs once.
+    Every stage strictly between 1 and S runs at the fractions of stage 2 of the
+    three-stage schedule, so that schedule stands for any S of 3 or more.
     """
-    if last < first:
-        return 0
-    span = last - first + 1
-    if p == 1 or stage_count == 1:
-        return span
-    if p == 2:
-        return 2 * span - (last == stage_count)
-    return 10 * span - 4 * (first == 1) - 5 * (last == stage_count)
+    short = min(stage_count, 3)
+    fractions: dict[float, int] = {}
+    for stage, frac in make_product_formula(p, short):
+        lo, hi = (1, 1) if stage == 1 else (stage_count, stage_count) if stage == short else (2, stage_count - 1)
+        entries = min(hi, last) - max(lo, first) + 1
+        if entries > 0:
+            fractions[frac] = fractions.get(frac, 0) + entries
+    return fractions
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,24 +194,17 @@ def step_cost_json(step: CompiledStep) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# Peak bytes per gate object of a lowrank, avgcost or block lowering, beside its phase tables.
-_GATE_BYTES = 180
-# Peak bytes of a sequential lowering per gate, and per term of the term list it holds beside
-# its gates. Fitted to tracemalloc peaks of Lie-Trotter, Strang and fourth-order lowerings on
-# power-law chains at n=4-256 (Python 3.11), which hold 3, 6 and 30 gates per ZZ term: at
-# n=128-256 they read 235, 167 and 138 B per gate, against a charge of 243, 187 and 141.
-_SEQUENTIAL_GATE_BYTES = 130
-_TERM_BYTES = 340
+# Peak bytes of a lowering per gate object and per stage (a sequential stage's entry in its term list).
+_GATE_BYTES = 130
+_STAGE_BYTES = 340
 
 
-def _check_lowering_memory(
-    method: str, n: int, gates: int, tables: Sequence[int] = (), terms: int = 0, gate_bytes: int = _GATE_BYTES
-) -> None:
-    """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and a ``terms``-entry term list exceed physical memory.
+def _check_lowering_memory(method: str, n: int, gates: int, tables: Sequence[int], stages: int) -> None:
+    """Raise CapacityError if ``gates`` gate objects, phase ``tables`` and ``stages`` stages exceed physical memory.
 
     The largest table is built beside its coupling matrix and a transposed copy.
     """
-    need = gates * gate_bytes + terms * _TERM_BYTES + sum(tables) + 2 * max(tables, default=0)
+    need = gates * _GATE_BYTES + stages * _STAGE_BYTES + sum(tables) + 2 * max(tables, default=0)
     check_memory(need, f"lowering the {method} step on {n} qubits ({gates} gates, {len(tables)} composites)")
 
 
@@ -221,37 +215,16 @@ def sequential_term_cost(axes: Sequence[PauliKind]) -> int:
     return pauli_string_exponential(list(enumerate(axes, 1)), 0.0).cost()
 
 
-def compile_sequential_step(
-    spec: HamiltonianSpec,
-    t: float,
-    formula: int,
-    *,
-    count_only: bool = False,
-) -> CompiledStep:
-    """One Pauli exponential per nonzero term; each term is its own stage."""
-    # stages run over the terms in spec.term_groups() order, one run of equal cost per group
-    groups = spec.term_groups()
-    runs = [(int(np.count_nonzero(coeffs)), sequential_term_cost(kinds)) for kinds, coeffs in groups]
-    term_count = sum(size for size, _ in runs)
-    _check_order(formula)
-    phase = t * spec.identity
-    if term_count == 0:
-        return CompiledStep("sequential", t, 0, None if count_only else Circuit(spec.n, ()), phase)
-    count, start = 0, 1  # stages are 1-based
-    for size, cost in runs:
-        count += _stage_runs(formula, term_count, start, start + size - 1) * cost
-        start += size
-    if count_only:
-        return CompiledStep("sequential", t, count, None, phase)
-    # every gate here costs 1, so count is the number of gate objects
-    _check_lowering_memory("sequential", spec.n, count, terms=term_count, gate_bytes=_SEQUENTIAL_GATE_BYTES)
-    terms = [(list(zip(qs, kinds)), c) for kinds, coeffs in groups for qs, c in nonzero_terms(coeffs)]
-    gates: list[Gate] = []
-    for idx, frac in make_product_formula(formula, term_count):
-        string, coeff = terms[idx - 1]
-        gates.extend(_exponential_gates(string, frac * t * coeff))
-    circuit = Circuit(spec.n, tuple(gates))
-    return CompiledStep("sequential", t, count, circuit, phase)
+def compile_sequential_step(spec: HamiltonianSpec, t: float, formula: int, *, count_only: bool = False) -> CompiledStep:
+    """One Pauli exponential per nonzero term; each term is its own stage, one run of them per term group."""
+    runs = []
+    for kinds, coeffs in spec.term_groups():
+        size = int(np.count_nonzero(coeffs))
+        if size:  # a group's terms are listed when its first stage is lowered, never for a count
+            op = functools.partial(_StageOp, "pauli", sequential_term_cost(kinds))
+            terms = functools.cache(functools.partial(nonzero_terms, coeffs))
+            runs.append((size, lambda theta, i, op=op, kinds=kinds, terms=terms: [op(data=(kinds, terms, i))]))
+    return _compile_stages("sequential", spec, t, formula, count_only, runs)
 
 
 # -- the stage plan shared by the decomposition methods -----------------------
@@ -299,6 +272,8 @@ def _sign_table(width: int) -> np.ndarray:
 class _StageOp:
     """One piece of a stage: its declared gate cost and the data it lowers from.
 
+    * ``pauli``: one Pauli exponential; ``data`` is (kinds, terms, i), the term group's
+      kinds, the function that lists its nonzero (sites, coefficient) terms, and which term;
     * ``far``: one diagonal composite e^{-i theta z_u.A z_v} on the sites
       ``rows`` + ``cols``; ``data`` is (block, rank, factor), and A is
       ``factor(block)``, the block's truncated factor, cut at ``rank``;
@@ -320,6 +295,10 @@ class _StageOp:
 
 
 def _op_gates(op: _StageOp, theta: float) -> list[Gate | CompositeDiagonalPhase]:
+    if op.kind == "pauli":
+        kinds, terms, i = op.data
+        sites, coeff = terms()[i]
+        return _exponential_gates(zip(sites, kinds), theta * coeff)
     if op.kind == "basis":
         changes, side = op.data
         return [g for q, p in changes for g in basis_change(p, q)[side]]
@@ -363,44 +342,56 @@ def _composites(op: _StageOp) -> list[tuple[int, int]]:
     return []
 
 
-def _compile_stages(
-    method: str,
-    spec: HamiltonianSpec,
-    t: float,
-    formula: int,
-    count_only: bool,
-    stage_ops: Callable[[CoeffMatrix, float], list[_StageOp]],
-) -> CompiledStep:
-    """Plan every schedule entry of the term-group stages as one flat op list, then count or lower the plan.
+def _compile_stages(method: str, spec: HamiltonianSpec, t: float, formula: int, count_only: bool, runs: list) -> CompiledStep:
+    """Count or lower the stages of ``runs``, in order, over the order-``formula`` schedule.
 
-    The stages are the groups of ``spec.term_groups()``, one each. A two-local
-    group is its ``basis`` op into the Z basis, the ops ``stage_ops(matrix, theta)``
-    lists and its ``basis`` op back; an on-site kind with a nonzero field is one
-    rotation op of that kind alone. A spec with no stage has the empty schedule.
-    The count is the sum of the op costs, and the circuit is the same ops lowered in order.
+    A run is (size, ops): ``size`` consecutive stages of equal cost, where ``ops(theta, i)``
+    lists the ``_StageOp``s of its i-th stage at time theta. The count prices each run's first
+    stage once per fraction the schedule runs the run at, times the entries that do. Lowering
+    walks the schedule and lowers each entry's ops, reusing those the count priced.
     """
     _check_order(formula)
-    stages: list[Callable[[float], list[_StageOp]]] = []  # each stage's ops at a time theta
+    stage_count = sum(size for size, _ in runs)
+    starts = list(itertools.accumulate((size for size, _ in runs[:-1]), initial=1))  # stages are 1-based
+    # (run, fraction) -> (entries that run it there, the ops of its first stage there)
+    priced = {
+        (r, frac): (entries, ops(frac * t, 0))
+        for r, ((size, ops), first) in enumerate(zip(runs, starts))
+        for frac, entries in _stage_fractions(formula, stage_count, first, first + size - 1).items()
+    }
+    count = sum(entries * op.cost for entries, ops in priced.values() for op in ops)
+    phase = t * spec.identity
+    if count_only:
+        return CompiledStep(method, t, count, None, phase)
+    composites = [c for entries, ops in priced.values() for op in ops for c in _composites(op) * entries]
+    # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
+    tables = [8 << k for k, _ in composites]
+    _check_lowering_memory(method, spec.n, count - sum(cost - 1 for _, cost in composites), tables, stage_count)
+
+    def entry_ops(stage: int, frac: float) -> list[_StageOp]:
+        r = bisect.bisect_right(starts, stage) - 1
+        i = stage - starts[r]
+        return runs[r][1](frac * t, i) if i else priced[r, frac][1]
+
+    schedule = make_product_formula(formula, stage_count) if runs else []
+    gates = (g for stage, frac in schedule for op in entry_ops(stage, frac) for g in _op_gates(op, frac * t))
+    return CompiledStep(method, t, count, Circuit(spec.n, tuple(gates)), phase)
+
+
+def _group_runs(spec: HamiltonianSpec, stage_ops: Callable[[CoeffMatrix, float], list[_StageOp]]) -> list:
+    """One single-stage run per group of ``spec.term_groups()``: a two-local group's ``basis`` op
+    into the Z basis, the ops ``stage_ops(matrix, theta)`` lists and its ``basis`` op back, or
+    the one rotation op of an on-site kind with a nonzero field."""
+    runs = []
     for kinds, coeffs in spec.term_groups():
         if len(kinds) == 2:
             mat = spec.two_local[kinds]
             pre, post = _basis_ops(mat, *kinds)
-            stages.append(lambda theta, mat=mat, pre=pre, post=post: [pre, *stage_ops(mat, theta), post])
+            runs.append((1, lambda theta, i, mat=mat, pre=pre, post=post: [pre, *stage_ops(mat, theta), post]))
         elif np.any(coeffs):
             terms = [(f"R{kinds[0].name}", q, c) for (q,), c in nonzero_terms(coeffs)]
-            stages.append(lambda theta, op=_StageOp("onsite", len(terms), data=terms): [op])
-    schedule = make_product_formula(formula, len(stages)) if stages else []
-    plan = [(frac * t, stages[idx - 1](frac * t)) for idx, frac in schedule]
-    count = sum(op.cost for _, ops in plan for op in ops)
-    phase = t * spec.identity
-    if count_only:
-        return CompiledStep(method, t, count, None, phase)
-    composites = [c for _, ops in plan for op in ops for c in _composites(op)]
-    # a composite is one gate object, whatever its declared cost, with an 8 * 2^k byte table
-    tables = [8 << k for k, _ in composites]
-    _check_lowering_memory(method, spec.n, count - sum(cost - 1 for _, cost in composites), tables)
-    circuit = Circuit(spec.n, tuple(g for theta, ops in plan for op in ops for g in _op_gates(op, theta)))
-    return CompiledStep(method, t, count, circuit, phase)
+            runs.append((1, lambda theta, i, op=_StageOp("onsite", len(terms), data=terms): [op]))
+    return runs
 
 
 # -- lowrank ------------------------------------------------------------------
@@ -448,7 +439,7 @@ def compile_lowrank_step(
             ops.append(_StageOp("ladder", zz_cost * int(np.count_nonzero(sub)), region.rows, region.cols, sub))
         return ops
 
-    return _compile_stages("lowrank", spec, t, formula, count_only, stage_ops)
+    return _compile_stages("lowrank", spec, t, formula, count_only, _group_runs(spec, stage_ops))
 
 
 # -- avgcost and block: priced cells of each bisection pair --------------------
@@ -518,7 +509,7 @@ def compile_avgcost_step(
 
         return _pair_cell_ops(dec, mat, m, memo, ("cells", m, abs(theta), eps), cost)
 
-    return _compile_stages("avgcost", spec, t, formula, count_only, stage_ops)
+    return _compile_stages("avgcost", spec, t, formula, count_only, _group_runs(spec, stage_ops))
 
 
 def compile_block_step(
@@ -546,7 +537,7 @@ def compile_block_step(
 
         return _pair_cell_ops(dec, mat, 1, memo, ("block", abs(theta), eps, width), cost)
 
-    return _compile_stages("block", spec, t, formula, count_only, stage_ops)
+    return _compile_stages("block", spec, t, formula, count_only, _group_runs(spec, stage_ops))
 
 
 # -- Hamming-weight-2 reduction gadget ----------------------------------------
