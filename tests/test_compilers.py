@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,20 +175,20 @@ def test_formula_validation():
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
-def test_stage_runs_match_the_schedule_bincount(p):
+def test_stage_fractions_match_the_schedule_count(p):
     for stage_count in range(1, 65):
         schedule = make_product_formula(p, stage_count)
         stages = [i for i, _ in schedule]
         assert all(1 <= i <= stage_count for i in stages)
-        assert len(schedule) == compilers._stage_runs(p, stage_count, 1, stage_count)
         # each stage's fractions, added in schedule order, make one whole step
         totals = np.bincount(stages, weights=[f for _, f in schedule], minlength=stage_count + 1)[1:]
         assert np.abs(totals - 1.0).max() <= 1e-12, stage_count
-        occurrences = np.bincount(stages, minlength=stage_count + 1)
+        by_stage = [[f for i, f in schedule if i == stage] for stage in range(1, stage_count + 1)]
         for first in range(1, stage_count + 1):
+            expected = Counter()
             for last in range(first, stage_count + 1):
-                expected = int(occurrences[first : last + 1].sum())
-                assert compilers._stage_runs(p, stage_count, first, last) == expected, (stage_count, first, last)
+                expected.update(by_stage[last - 1])  # float keys, compared exactly
+                assert compilers._stage_fractions(p, stage_count, first, last) == expected, (stage_count, first, last)
 
 
 # -- sequential ------------------------------------------------------------------------
@@ -261,7 +262,34 @@ def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(monkeypatc
     finally:
         tracemalloc.stop()
     terms = n * (n - 1) // 2
-    assert charged == [step.gate_count * compilers._SEQUENTIAL_GATE_BYTES + terms * compilers._TERM_BYTES]
+    assert charged == [step.gate_count * compilers._GATE_BYTES + terms * compilers._STAGE_BYTES]
+    assert peak <= charged[0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("method, n", [("lowrank", 16), ("lowrank", 32), ("avgcost", 16), ("avgcost", 32), ("block", 16)])
+def test_structured_lowering_peaks_within_its_charge(monkeypatch, method, n, p):
+    # gate objects, the composites' phase tables and, per composite, its sign tables, factors and
+    # memo entries; the X field makes two stages, so p = 2 and 4 run the chain's composites again
+    chain = build_power_law(n, 1, 1.5, sign_rule="seeded-random", seed=3)
+    spec = HamiltonianSpec(n, 1, chain.two_local, {PauliKind.X: np.linspace(-0.3, 0.4, n)})
+    compile_step = {
+        "lowrank": lambda: compile_lowrank_step(spec, 0.1, 1e-9, 2, p),
+        "avgcost": lambda: compile_avgcost_step(spec, 0.1, 3, p),
+        "block": lambda: compile_block_step(spec, 0.1, p),
+    }[method]
+    compile_step()  # one-off allocations of a first call
+    charged = []
+    monkeypatch.setattr(compilers, "check_memory", lambda need, what: charged.append(need))
+    tracemalloc.start()
+    try:
+        step = compile_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = [g.phases.nbytes for g in step.circuit.gates if isinstance(g, CompositeDiagonalPhase)]
+    gates = len(step.circuit.gates) * compilers._GATE_BYTES + 2 * compilers._STAGE_BYTES
+    assert charged == [gates + len(tables) * compilers._COMPOSITE_BYTES + sum(tables) + 2 * max(tables)]
     assert peak <= charged[0]
 
 
@@ -273,7 +301,7 @@ def test_sequential_rejects_a_bad_order_with_no_terms():
 
 def test_sequential_capacity_only_in_verification(fake_physical_memory):
     spec = build_power_law(15, 1, 2.0)
-    fake_physical_memory(5e-5)  # 52 KiB, under the 114 KiB charged for its 627 gates and 105 terms
+    fake_physical_memory(5e-5)  # 52 KiB, under the 95 KiB charged for its 627 gates and 105 terms
     counted = compile_sequential_step(spec, 0.1, 2, count_only=True)
     assert counted.gate_count > 0
     with pytest.raises(CapacityError):
@@ -312,9 +340,9 @@ def test_the_lowering_check_sizes_every_gate_and_table_the_lowering_builds(monke
         step = compile_avgcost_step(spec, 0.3, 3, 2)  # one pair op expands into its cells' composites
     else:
         step = compile_block_step(spec, 0.3, 2)
-    [(_, _, gates, tables)] = sized
+    [(_, _, gates, tables, stages)] = sized
     composites = [g for g in step.circuit.gates if isinstance(g, CompositeDiagonalPhase)]
-    assert gates == len(step.circuit.gates)
+    assert gates == len(step.circuit.gates) and stages == 1  # the chain is one term group
     assert sorted(tables) == sorted(g.phases.nbytes for g in composites)
 
 
@@ -520,15 +548,19 @@ def test_a_count_only_avgcost_plan_holds_at_most_one_op_per_pair(monkeypatch):
     plans = []
     compile_stages = compilers._compile_stages
 
-    def recording(method, spec, t, formula, count_only, stage_ops):
-        return compile_stages(method, spec, t, formula, count_only, lambda *a: plans.append(stage_ops(*a)) or plans[-1])
+    def recording(method, spec, t, formula, count_only, runs):
+        def record(ops):
+            return lambda theta, i: plans.append(ops(theta, i)) or plans[-1]
+
+        return compile_stages(method, spec, t, formula, count_only, [(size, record(ops)) for size, ops in runs])
 
     monkeypatch.setattr(compilers, "_compile_stages", recording)
     spec = build_power_law(256, 1, 1.5, ZZ, "seeded-random", seed=1)
     compile_avgcost_step(spec, 0.1, 8, 2, count_only=True)
     pairs = {(pair.left, pair.right) for pair in bisection_decompose(256).pairs}
-    assert len(plans) == 1  # one group stage: a lone stage runs once
-    [ops] = plans
+    assert len(plans) == 1  # one group stage, priced once
+    [[pre, *ops, post]] = plans  # the stage's pair ops between its two basis ops
+    assert pre.kind == post.kind == "basis"
     assert len(ops) == len(pairs)  # random signs leave no pair without a nonempty cell
     assert {(op.rows, op.cols) for op in ops} == pairs
     assert sum(len(op.data[1]) for op in ops) > 4 * len(ops)  # each op covers many cells
@@ -652,6 +684,37 @@ def test_structured_steps_lower_to_the_sequential_unitary_with_on_site_fields(ki
     for method in ("lowrank", "avgcost", "block"):
         got = lowered_step_unitary(EXACT_COMPILERS[method](spec, 0.2, p))
         assert np.abs(got - want).max() <= 1e-12, method
+
+
+def zero_group_spec():
+    """An all-zero XX group beside a ZZ chain, with X and Z fields: sequential runs of no term,
+    28 terms and 8 terms per field, and four stages for the structured methods."""
+    zz = build_power_law(8, 1, 1.5).two_local[ZZ]
+    onsite = {PauliKind.X: np.full(8, 0.5), PauliKind.Z: np.full(8, 0.3)}
+    return HamiltonianSpec(8, 1, {XX: CoeffMatrix(8, np.zeros((8, 8))), ZZ: zz}, onsite)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("method", sorted(EXACT_COMPILERS))
+def test_a_count_is_the_lowered_gate_count_beside_an_empty_group(method, p):
+    spec = zero_group_spec()
+    step = EXACT_COMPILERS[method](spec, 0.1, p)
+    assert EXACT_COMPILERS[method](spec, 0.1, p, count_only=True).gate_count == step.gate_count == step.circuit.cost()
+
+
+@pytest.mark.parametrize("method", sorted(EXACT_COMPILERS))
+def test_a_lowering_that_does_not_fit_is_refused_before_anything_is_built(fake_physical_memory, monkeypatch, method):
+    def never(*args, **kwargs):
+        raise AssertionError("built before the memory check")
+
+    monkeypatch.setattr(compilers, "_op_gates", never)
+    if method == "sequential":  # its terms are listed only for lowering, so a count lists none
+        monkeypatch.setattr(compilers, "nonzero_terms", never)
+    spec = zero_group_spec()
+    assert EXACT_COMPILERS[method](spec, 0.1, 4, count_only=True).gate_count > 0
+    fake_physical_memory(2**-30)  # one byte
+    with pytest.raises(CapacityError, match=rf"^lowering the {method} step on 8 qubits"):
+        EXACT_COMPILERS[method](spec, 0.1, 4)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])

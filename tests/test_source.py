@@ -70,6 +70,32 @@ def test_every_private_helper_in_src_is_read():
     assert unread_private_names({p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}) == []
 
 
+def callers(trees: dict, name: str) -> set[str]:
+    """module:function of each top-level function or class (module:<module> for top-level code)
+    that calls ``name``, as a bare name or an attribute, itself or in a nested function."""
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    found.add(f"{module}:{owner}")
+    return found
+
+
+def test_caller_check_sees_nested_attribute_and_top_level_calls():
+    a = ast.parse("def plan():\n    def inner():\n        return build()\ndef other():\n    return build\nbuild()\n")
+    b = ast.parse("from . import a\nclass Step:\n    x = a.build(1)\ndef use():\n    return rebuild()\n")
+    assert callers({"a": a, "b": b}, "build") == {"a:plan", "a:<module>", "b:Step"}
+
+
+def test_one_function_builds_the_schedule_and_the_compiled_step():
+    # every step method counts and lowers through _compile_stages; only it and _stage_fractions read the schedule
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}
+    assert callers(trees, "make_product_formula") == {"compilers:_stage_fractions", "compilers:_compile_stages"}
+    assert callers(trees, "CompiledStep") == {"compilers:_compile_stages"}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
