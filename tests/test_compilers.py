@@ -248,9 +248,9 @@ def test_sequential_count_allocates_under_a_mib():
 @pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize("n", [32, 64])
 def test_sequential_lowering_peaks_within_the_declared_bytes_per_gate(monkeypatch, n, p):
-    # each gate record, its slot in the gate list and the circuit's tuple, and the term list,
-    # which at p = 1 holds more bytes than the three gates of each of its ZZ terms; a gate
-    # record that holds a qubit tuple peaks past the charge at n = 64 and every p
+    # each gate record and its slots in the gate list and the circuit's tuple, and per term its
+    # entry in the term list and its schedule entries (ten at p = 4); a gate record that holds a
+    # qubit tuple peaks past the charge at n = 64 and every p
     spec = build_power_law(n, 1, 1.5)
     compile_sequential_step(build_power_law(4, 1, 1.5), 0.1, p)  # one-off allocations of a first call
     charged = []
@@ -687,8 +687,8 @@ def test_structured_steps_lower_to_the_sequential_unitary_with_on_site_fields(ki
 
 
 def zero_group_spec():
-    """An all-zero XX group beside a ZZ chain, with X and Z fields: sequential runs of no term,
-    28 terms and 8 terms per field, and four stages for the structured methods."""
+    """An all-zero XX group beside a ZZ chain, with X and Z fields: sequential skips the empty group
+    and runs 28 ZZ terms, then 8 terms per field; the structured methods run four stages."""
     zz = build_power_law(8, 1, 1.5).two_local[ZZ]
     onsite = {PauliKind.X: np.full(8, 0.5), PauliKind.Z: np.full(8, 0.3)}
     return HamiltonianSpec(8, 1, {XX: CoeffMatrix(8, np.zeros((8, 8))), ZZ: zz}, onsite)
