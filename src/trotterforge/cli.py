@@ -17,53 +17,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .bounds import (
-    BoundQuery,
-    coeff_oracle_lower_bound,
-    commuting_ham_lower_bound,
-    diag_synthesis_lower_bound,
-    discrete_diag_lower_bound,
-    volume_diag,
-)
-from .chem import (
-    build_uniform_electron_gas,
-    chem_step_count,
-    norm_scaling_report,
-    system_to_json,
-)
-from .circuit import circuit_text
-from .compilers import (
-    SUPPORTED_ORDERS,
-    check_distance_capacity,
-    compile_hamming2_reduction,
-    step_cost_json,
-    step_distances,
-)
-from .costmodel import STEP_METHODS, compile_method, gate_count_report
-from .decomp import (
-    bisection_decompose,
-    boxes_to_json,
-    cells_to_json,
-    decomposition_to_json,
-    lowrank_decompose,
-    nested_boxes,
-    subdivide,
-)
+from . import STEP_METHODS
 from .errors import CapacityError, ValidationError
-from .hamlib import PauliKind, build_power_law, pauli_table, spec_from_json, spec_to_json
-from .lowrank import rank_profile
-from .trotter import (
-    PAULI_COMMUTATOR_ORDERS,
-    TrotterErrorReport,
-    error_bound,
-    error_report_csv,
-    pauli_commutator_sum,
-    steps_for,
-)
 
-
-# orders that both the product formula and the closed-form commutator sum support
-SWEEP_ORDERS = tuple(q for q in SUPPORTED_ORDERS if q in PAULI_COMMUTATOR_ORDERS)
+# Each subcommand body imports the modules it calls, so the parser, --help, usage errors and
+# bound load no numpy, and no subcommand loads a module it never calls.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +68,9 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _pauli_pair(tag: str) -> tuple[PauliKind, PauliKind]:
+def _pauli_pair(tag: str) -> tuple:
+    from .hamlib import PauliKind
+
     if len(tag) != 2:
         raise ValidationError(f"pauli pair tag must be two letters, got {tag!r}")
     return PauliKind.from_tag(tag[0]), PauliKind.from_tag(tag[1])
@@ -158,6 +118,8 @@ def _read_input(path: str) -> str:
 
 
 def _load_spec(args):
+    from .hamlib import build_power_law, spec_from_json
+
     if args.input:
         # no local holds the text, so the parser frees it before it converts the entries
         return spec_from_json(_read_input(args.input))
@@ -175,6 +137,8 @@ def _add_method_flags(p: argparse.ArgumentParser, methods: tuple[str, ...] = STE
 
 
 def _compiled_step(spec, args, t, count_only=False):
+    from .costmodel import compile_method
+
     return compile_method(
         args.method, spec, t, args.p, args.eps, tol=args.tol, cutoff_size=args.cutoff, m=args.m, count_only=count_only
     )
@@ -184,10 +148,22 @@ def _compiled_step(spec, args, t, count_only=False):
 
 
 def _run_build(args) -> None:
+    from .hamlib import spec_to_json
+
     _emit(spec_to_json(_load_spec(args)), args.out)
 
 
 def _run_decompose(args) -> None:
+    from .decomp import (
+        bisection_decompose,
+        boxes_to_json,
+        cells_to_json,
+        decomposition_to_json,
+        lowrank_decompose,
+        nested_boxes,
+        subdivide,
+    )
+
     if args.variant == "bisection":
         text = decomposition_to_json(bisection_decompose(args.n))
     elif args.variant == "lowrank":
@@ -202,12 +178,19 @@ def _run_decompose(args) -> None:
 
 
 def _run_rank_profile(args) -> None:
+    from .decomp import lowrank_decompose
+    from .lowrank import rank_profile
+
     spec = _load_spec(args)
     profile = rank_profile(spec, lowrank_decompose(spec.n, args.cutoff), args.tol)
     _emit(profile.to_csv(), args.out)
 
 
 def _run_compile(args) -> None:
+    from .circuit import circuit_text
+    from .compilers import compile_hamming2_reduction, step_cost_json
+    from .hamlib import PauliKind
+
     spec = _load_spec(args)
     if args.method == "hamming2":
         mat = spec.two_local.get((PauliKind.Z, PauliKind.Z))
@@ -231,6 +214,8 @@ def _run_compile(args) -> None:
 
 
 def _run_verify(args) -> None:
+    from .compilers import check_distance_capacity, step_distances
+
     spec = _load_spec(args)
     check_distance_capacity(spec)
     step = _compiled_step(spec, args, args.t)
@@ -247,10 +232,23 @@ def _run_verify(args) -> None:
 
 
 def _run_error_sweep(args) -> None:
+    from .compilers import SUPPORTED_ORDERS, check_distance_capacity, step_distances
+    from .hamlib import pauli_table
+    from .trotter import (
+        PAULI_COMMUTATOR_ORDERS,
+        TrotterErrorReport,
+        error_bound,
+        error_report_csv,
+        pauli_commutator_sum,
+        steps_for,
+    )
+
     spec = _load_spec(args)
     check_distance_capacity(spec)
-    if args.p not in SWEEP_ORDERS:
-        raise ValidationError(f"error-sweep needs --p in {SWEEP_ORDERS}, got {args.p}")
+    # orders that both the product formula and the closed-form commutator sum support
+    orders = tuple(q for q in SUPPORTED_ORDERS if q in PAULI_COMMUTATOR_ORDERS)
+    if args.p not in orders:
+        raise ValidationError(f"error-sweep needs --p in {orders}, got {args.p}")
     steps = [_compiled_step(spec, args, t) for t in args.t_values]
     # an invalid order, method or spec exits before the commutator sum
     table = pauli_table(spec)
@@ -271,6 +269,8 @@ def _run_error_sweep(args) -> None:
 
 
 def _run_cost_report(args) -> None:
+    from .costmodel import gate_count_report
+
     report = gate_count_report(
         args.method,
         args.alpha,
@@ -286,6 +286,15 @@ def _run_cost_report(args) -> None:
 
 
 def _run_bound(args) -> None:
+    from .bounds import (
+        BoundQuery,
+        coeff_oracle_lower_bound,
+        commuting_ham_lower_bound,
+        diag_synthesis_lower_bound,
+        discrete_diag_lower_bound,
+        volume_diag,
+    )
+
     if args.variant == "volume":
         if args.mu is None or args.theta_max is None:
             raise ValidationError("volume needs --mu and --theta-max")
@@ -319,6 +328,8 @@ def _run_bound(args) -> None:
 
 
 def _run_chem(args) -> None:
+    from .chem import build_uniform_electron_gas, chem_step_count, norm_scaling_report, system_to_json
+
     report = norm_scaling_report(args.g_sweep, omega=args.omega, eta=args.eta)
     _emit(report.to_csv(), args.out)
     if args.step_grid is not None:

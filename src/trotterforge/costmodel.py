@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import STEP_METHODS
 from .compilers import (
     CompiledStep,
     compile_avgcost_step,
@@ -20,8 +21,6 @@ from .compilers import (
 from .decomp import LowRankDecomposition
 from .errors import DomainError, ValidationError
 from .hamlib import BlockMemo, HamiltonianSpec, PauliKind, build_power_law
-
-STEP_METHODS = ("sequential", "block", "avgcost", "lowrank")
 
 
 @dataclass(frozen=True, eq=False)

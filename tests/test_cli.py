@@ -385,7 +385,7 @@ def test_error_sweep_rejects_method_before_commutator_sum(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("commutator sum computed for an invalid request")
 
-    monkeypatch.setattr("trotterforge.cli.pauli_commutator_sum", must_not_run)
+    monkeypatch.setattr("trotterforge.trotter.pauli_commutator_sum", must_not_run)
     assert main(["error-sweep", "--method", "lowrank", "--n", "6", "--pauli", "xz"]) == 2
     assert "power of 2" in capsys.readouterr().err
 

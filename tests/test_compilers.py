@@ -1,7 +1,9 @@
+import hashlib
 import math
 import pickle
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from trotterforge.compilers import (
     step_cost_json,
     step_distances,
 )
+from trotterforge.costmodel import compile_method
 from trotterforge.decomp import bisection_decompose, lowrank_decompose
 from trotterforge.errors import CapacityError, DomainError, ValidationError
 from trotterforge.hamlib import (
@@ -41,6 +44,7 @@ from trotterforge.hamlib import (
     PauliKind,
     build_power_law,
     nonzero_terms,
+    spec_from_json,
 )
 from trotterforge.lowrank import truncated_svd
 
@@ -243,6 +247,54 @@ def test_sequential_count_allocates_under_a_mib():
         finally:
             tracemalloc.stop()
         assert step.gate_count > 0 and peak < 2**20
+
+
+def test_sequential_lowering_holds_no_schedule_list(monkeypatch):
+    # the charge still counts ~88 B per schedule entry (20,156 at n = 64, p = 4), which lowering
+    # held as one list until it walked the schedule entry by entry; that peak was 1.00 of the charge
+    spec = build_power_law(64, 1, 1.5)
+    compile_sequential_step(build_power_law(4, 1, 1.5), 0.1, 4)  # one-off allocations of a first call
+    charged = []
+    monkeypatch.setattr(compilers, "check_memory", lambda need, what: charged.append(need))
+    tracemalloc.start()
+    try:
+        compile_sequential_step(spec, 0.1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.85 * charged[0]
+
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+# sha256 prefix of the five n=8 golden specs' lowered circuits (text, and composite phases to 1e-9) per
+# method and order, recorded while lowering still walked the whole make_product_formula list
+LOWERED_DIGESTS = {
+    ("sequential", 1): "b24c82f4387c1730",
+    ("sequential", 2): "7ea08744dfdff836",
+    ("sequential", 4): "54af3239cf51f287",
+    ("block", 1): "4722224fe40820bf",
+    ("block", 2): "b44fa61cf35a7546",
+    ("block", 4): "11a15ec6881f6b3f",
+    ("avgcost", 1): "55d8667946b5f2f8",
+    ("avgcost", 2): "1bb054bf5de6b4e6",
+    ("avgcost", 4): "596bda17761787c5",
+    ("lowrank", 1): "273945d2a898aab7",
+    ("lowrank", 2): "db94959fc2397982",
+    ("lowrank", 4): "1d1cad5a45ccb5d7",
+}
+
+
+@pytest.mark.parametrize("method, p", LOWERED_DIGESTS)
+def test_lowered_circuits_of_the_golden_n8_specs_are_unchanged(method, p):
+    digest = hashlib.sha256()
+    for name in ("chain8", "negzero8", "onsite8", "onsite_xz8", "zerogroup8"):
+        spec = spec_from_json((GOLDEN_SPECS / f"{name}.json").read_text())
+        circuit = compile_method(method, spec, 0.1, p, 1e-3, tol=1e-9).circuit
+        digest.update(circuit_text(circuit).encode())
+        for g in circuit.gates:
+            if isinstance(g, CompositeDiagonalPhase):
+                digest.update((np.round(g.phases, 9) + 0.0).tobytes())  # free of BLAS round-off
+    assert digest.hexdigest()[:16] == LOWERED_DIGESTS[method, p]
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])

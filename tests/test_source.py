@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,10 @@ TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by a top-level import that the module never reads."""
+    """Names bound by an import, at the top level or in a function body, that the module never reads."""
     tree = ast.parse(source)
     bound = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -26,6 +27,11 @@ def unused_imports(source: str) -> list[str]:
 def test_unused_import_check_sees_attribute_and_annotation_use():
     source = "import os\nimport math\nfrom typing import Sequence\ndef f(x: Sequence) -> None:\n    os.sep\n"
     assert unused_imports(source) == ["math"]
+
+
+def test_unused_import_check_sees_function_level_imports():
+    source = "import os\ndef f():\n    from .hamlib import norms, spec_to_json\n    return norms, os\n"
+    assert unused_imports(source) == ["spec_to_json"]
 
 
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
@@ -90,9 +96,11 @@ def test_caller_check_sees_nested_attribute_and_top_level_calls():
 
 
 def test_one_function_builds_the_schedule_and_the_compiled_step():
-    # every step method counts and lowers through _compile_stages; only it and _stage_fractions read the schedule
+    # every step method counts and lowers through _compile_stages; only it and _stage_fractions read the
+    # schedule, the one through the generator that make_product_formula lists
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}
-    assert callers(trees, "make_product_formula") == {"compilers:_stage_fractions", "compilers:_compile_stages"}
+    assert callers(trees, "_product_formula") == {"compilers:make_product_formula", "compilers:_compile_stages"}
+    assert callers(trees, "make_product_formula") == {"compilers:_stage_fractions"}
     assert callers(trees, "CompiledStep") == {"compilers:_compile_stages"}
 
 
@@ -178,3 +186,47 @@ def test_unread_public_check_ignores_a_parameter_that_shadows_a_method():
 def test_every_public_name_in_src_is_read_or_listed():
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC_MODULES}
     assert unread_public_names(trees, README.read_text()) == []
+
+
+def import_time_imports(tree: ast.Module) -> list[str]:
+    """What each import that runs as the module loads names, function bodies left out:
+    ``import a.b`` gives "a.b", ``from .x import y`` ".x" and ``from . import y`` ".y"."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found += [base] if node.module else [base + a.name for a in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def heavy_imports(tree: ast.Module, package: ast.Module) -> list[str]:
+    """Import-time imports of ``tree`` other than the stdlib, ``.errors`` and a name ``package`` assigns itself."""
+    assigned = {t.id for node in package.body if isinstance(node, ast.Assign) for t in node.targets
+                if isinstance(t, ast.Name)}
+    return [name for name in import_time_imports(tree)
+            if name.split(".")[0] not in sys.stdlib_module_names and name != ".errors"
+            and not (name.startswith(".") and name[1:] in assigned)]
+
+
+def test_heavy_import_check_sees_nested_and_package_imports():
+    package = ast.parse("import os\nLIMIT = 3\n")
+    tree = ast.parse(
+        "import json\nimport numpy as np\nfrom . import LIMIT, hamlib\nfrom .errors import ValidationError\n"
+        "from .decomp import subdivide\nif True:\n    import xml.dom\n    from .chem import jw_matrix\n"
+        "def run():\n    from .bounds import volume_diag\n    import scipy\n"
+    )
+    assert heavy_imports(tree, package) == [".chem", ".decomp", ".hamlib", "numpy"]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+def test_cli_and_package_load_only_the_stdlib_and_errors(name):
+    # each subcommand body imports what it calls, and the package resolves its exports on first use
+    package = Path(trotterforge.__file__).parent
+    tree, init = (ast.parse((package / f).read_text()) for f in (name, "__init__.py"))
+    assert heavy_imports(tree, init) == []
